@@ -18,7 +18,7 @@ from .circuit import circuit_sweep_table, three_cycle_probabilities, trotter_err
 from .defaults import DEFAULTS
 from .graph import GraphFormatError, load_graph
 from .propagator import sweep_time
-from .properties import format_property_report, run_property_suite
+from .properties import PROPERTY_SUITE, format_property_report, run_property_suite
 from .symmetry import SymmetryReport, classify
 
 PI = math.pi
@@ -50,7 +50,10 @@ def _theta_grid(theta_min: float, theta_max: float, theta_step: float) -> list[f
         raise ValueError("theta step must be positive")
     if theta_max < theta_min:
         raise ValueError("theta range is empty")
-    count = int(round((theta_max - theta_min) / theta_step)) + 1
+    # floor, not round, so no point lands past theta_max; the relative slack
+    # keeps an endpoint that rounding puts a few ulps short of an integer ratio
+    ratio = (theta_max - theta_min) / theta_step
+    count = math.floor(ratio * (1.0 + 1e-12)) + 1
     return [theta_min + k * theta_step for k in range(count)]
 
 
@@ -169,11 +172,16 @@ def cmd_trotter_check(args) -> int:
 
 
 def _parse_trials(items) -> dict[str, int]:
+    suites = {name for name, _ in PROPERTY_SUITE}
     overrides = {}
     for item in items or ():
         name, _, value = item.partition("=")
         if not value or not value.isdigit():
             raise ValueError(f"bad --trials override {item!r} (expected NAME=COUNT)")
+        if name not in suites:
+            raise ValueError(f"bad --trials override {item!r}: unknown suite {name!r}")
+        if int(value) < 1:
+            raise ValueError(f"bad --trials override {item!r}: COUNT must be at least 1")
         overrides[name] = int(value)
     return overrides
 

@@ -1,20 +1,28 @@
 """Exact evolution U = exp(-iHt) via Hermitian eigendecomposition.
 
 The spectrum is computed once per Hamiltonian and reused across every time
-sample, so a sweep costs one O(N^3) factorization plus O(N^2) per grid
-point.  Probabilities follow the column convention ``p[to, from]``: entry
-``|U[to, from]|^2`` is the probability of the transition ``from -> to``.
+sample.  After that O(N^3) factorization, a full unitary costs O(N^3) per
+time point (one matrix product), while ``max_transfer``'s scan of a single
+entry costs O(N) per point.  Stacks of unitaries over a time grid are built
+in t-chunks of at most ``CHUNK_BYTES`` complex bytes, so their peak memory is
+bounded by that budget, not by the grid length.  Probabilities follow the
+column convention ``p[to, from]``: entry ``|U[to, from]|^2`` is the
+probability of the transition ``from -> to``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .defaults import DEFAULTS
 from .graph import WalkHamiltonian, to_dense
+
+# Complex bytes of one t-chunk of a T x N x N unitary stack; the number of
+# times per chunk follows from it for each N.
+CHUNK_BYTES = 4 * 2 ** 20
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -42,11 +50,26 @@ class SpectralDecomposition:
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
     def propagator_batch(self, times: np.ndarray) -> np.ndarray:
-        """Stack of unitaries, shape (len(times), n, n)."""
+        """Stack of unitaries, shape (len(times), n, n), as one matrix product."""
         phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float),
                                        self.eigenvalues))
-        return np.einsum("ik,tk,jk->tij", self.eigenvectors, phases,
-                         self.eigenvectors.conj())
+        n = self.n
+        scaled = (self.eigenvectors * phases[:, None, :]).reshape(-1, n)
+        return (scaled @ self.eigenvectors.conj().T).reshape(-1, n, n)
+
+
+def chunk_length(n: int) -> int:
+    """Times per chunk: as many N x N complex matrices as fit ``CHUNK_BYTES``."""
+    return max(1, CHUNK_BYTES // (16 * max(n, 1) ** 2))
+
+
+def probability_chunks(dec: SpectralDecomposition,
+                       times: Sequence[float]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, |U(times[start:stop])|^2)`` over consecutive t-chunks."""
+    times = np.asarray(times, dtype=float)
+    step = chunk_length(dec.n)
+    for start in range(0, len(times), step):
+        yield start, np.abs(dec.propagator_batch(times[start:start + step])) ** 2
 
 
 @dataclass(frozen=True)
@@ -161,8 +184,10 @@ def sweep_time(hamiltonian, t_grid: Sequence[float]) -> TransportTable:
     if not t_grid:
         raise ValueError("time grid must be nonempty")
     dec = decompose(hamiltonian)
-    unitaries = dec.propagator_batch(np.array(t_grid))
-    return TransportTable("time", t_grid, _freeze(np.abs(unitaries) ** 2))
+    probabilities = np.empty((len(t_grid), dec.n, dec.n))
+    for start, chunk in probability_chunks(dec, t_grid):
+        probabilities[start:start + len(chunk)] = chunk
+    return TransportTable("time", t_grid, _freeze(probabilities))
 
 
 _CSV_HEADERS = ("axis,from,to,probability", "alpha,theta,from,to,probability")

@@ -14,6 +14,8 @@ all edge phases zero, which the test suite enforces.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .graph import Edge, GraphSkeleton, WalkHamiltonian, skeleton
-from .propagator import decompose
+from .propagator import decompose, probability_chunks
 
 TWO_PI = 2.0 * math.pi
 
@@ -187,7 +189,7 @@ def pts_numeric(hamiltonian, t_samples: Sequence[float] | None = None,
     """Sampled probability-symmetry test (evidence, not a proof).
 
     Residual is the worst ``| |U(t)[i, j]|^2 - |U(t)[j, i]|^2 |`` over the
-    sample times and all node pairs.
+    sample times and all node pairs, kept as a running maximum over t-chunks.
     """
     dec = decompose(hamiltonian)
     if t_samples is None:
@@ -195,8 +197,9 @@ def pts_numeric(hamiltonian, t_samples: Sequence[float] | None = None,
     t_samples = tuple(float(t) for t in t_samples)
     if not t_samples:
         raise ValueError("t_samples must be nonempty")
-    probs = np.abs(dec.propagator_batch(np.array(t_samples))) ** 2
-    residual = float(np.abs(probs - probs.transpose(0, 2, 1)).max())
+    residual = 0.0
+    for _, probs in probability_chunks(dec, t_samples):
+        residual = max(residual, float(np.abs(probs - probs.transpose(0, 2, 1)).max()))
     return PtsCheck(residual, residual <= tol, t_samples)
 
 
@@ -325,7 +328,11 @@ class SymmetryReport:
             "labels": ";".join(f"{name}:{k}" for k, name in enumerate(self.labels))
                       if self.labels is not None else "",
         }
-        return ",".join(values[field] for field in _REPORT_CSV_FIELDS)
+        # minimal quoting: only a field holding ',', '"' or a line break is quoted
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow(
+            values[field] for field in _REPORT_CSV_FIELDS)
+        return buffer.getvalue()[:-1]
 
 
 def classify(hamiltonian: WalkHamiltonian,

@@ -1,12 +1,14 @@
 """Command-line front end: schemas, exit codes, determinism."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
 from chiralwalk import validate_table_csv
-from chiralwalk.cli import main
+from chiralwalk.cli import _theta_grid, main
 
 PI = math.pi
 
@@ -62,6 +64,21 @@ def test_classify_batch_mode_emits_csv(tmp_path, capsys):
     out = capsys.readouterr().out.strip().split("\n")
     assert out[0].startswith("structural_class,")
     assert len(out) == 3
+
+
+def test_classify_csv_quotes_a_label_with_a_comma(tmp_path, capsys):
+    path = tmp_path / "labelled.graph"
+    path.write_text("nodes 3\nedge a,x b 1 0.2\nedge b c 1 0.4\nedge c a,x 1 0.1\n")
+    plain = tmp_path / "plain.graph"
+    plain.write_text(TRIANGLE)
+    assert main(["classify", "--csv", "--graph", str(path), "--graph", str(plain)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    header, quoted, unquoted = list(csv.reader(io.StringIO("\n".join(lines))))
+    assert len(header) == 14
+    assert len(quoted) == 14
+    assert quoted[header.index("labels")] == "a,x:0;b:1;c:2"
+    # a row with nothing to quote keeps its plain comma-joined bytes
+    assert lines[2] == ",".join(unquoted)
 
 
 def test_classify_parse_error_exits_2(tmp_path, capsys):
@@ -190,6 +207,17 @@ def test_circuit_sweep_bad_step_exits_2(capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_theta_grid_never_passes_theta_max():
+    grid = _theta_grid(-PI, PI, 0.9)
+    assert len(grid) == 7
+    assert max(grid) <= PI
+    assert len(_theta_grid(-PI, PI, PI / 18)) == 37
+    # span / step is 1800.0000000000002 here, and 1800 must still give 1801 points
+    fine = _theta_grid(-PI, PI, float(format(PI / 900, ".17g")))
+    assert len(fine) == 1801
+    assert abs(fine[-1] - PI) <= 1e-12
+
+
 def test_sweep_is_byte_deterministic(tmp_path):
     first, second = tmp_path / "one.csv", tmp_path / "two.csv"
     assert main(["circuit-sweep", "--out", str(first)]) == 0
@@ -294,3 +322,13 @@ def test_properties_fault_injection_exits_1(tmp_path, capsys):
 
 def test_properties_bad_trials_exits_2(capsys):
     assert main(["properties", "--trials", "gauge-invariance=lots"]) == 2
+
+
+def test_properties_unknown_trials_name_exits_2(capsys):
+    assert main(["properties", "--trials", "gauge-invarance=5"]) == 2
+    assert "gauge-invarance=5" in capsys.readouterr().err
+
+
+def test_properties_zero_trials_exits_2(capsys):
+    assert main(["properties", "--trials", "non-bipartite-asymmetry=0"]) == 2
+    assert "non-bipartite-asymmetry=0" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 from chiralwalk import (Edge, WalkHamiltonian, eig_hermitian, max_transfer,
                         parse_graph, propagate, sweep_time,
                         transition_probability, to_dense, validate_table_csv)
+from chiralwalk.propagator import chunk_length
 
 from .oracles import expm_taylor, triangle_probability_closed_form, \
     circulant_triangle_eigenvalues
@@ -146,6 +147,43 @@ def test_transition_probability_identity_cases():
     assert abs(transition_probability(u, 2, 2) - 1.0) <= 1e-12
     with pytest.raises(ValueError, match="out of range"):
         transition_probability(u, 0, 3)
+
+
+# --- batched kernel ---------------------------------------------------------
+
+def test_propagator_batch_matches_per_time_and_taylor_oracle():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 9):
+        matrix = random_hermitian(rng, n)
+        dec = eig_hermitian(matrix)
+        times = rng.uniform(-2, 2, size=7)
+        batch = dec.propagator_batch(times)
+        assert batch.shape == (7, n, n)
+        for t, u in zip(times, batch):
+            assert np.abs(u - dec.propagator_matrix(float(t))).max() <= 1e-12
+            assert np.abs(u - expm_taylor(-1j * matrix * t)).max() <= 1e-12
+
+
+def sweep_reference(matrix, times):
+    dec = eig_hermitian(matrix)
+    return np.array([np.abs(dec.propagator_matrix(float(t))) ** 2 for t in times])
+
+
+@pytest.mark.parametrize("n, count", [(64, chunk_length(64) - 1), (64, chunk_length(64)),
+                                      (64, chunk_length(64) + 1), (64, 1), (1, 1), (1, 5)])
+def test_sweep_matches_per_time_loop_across_chunk_edges(n, count):
+    rng = np.random.default_rng(23)
+    matrix = random_hermitian(rng, n)
+    times = np.linspace(-3.0, 3.0, count)
+    probabilities = sweep_time(matrix, times).probabilities
+    assert probabilities.shape == (count, n, n)
+    assert np.abs(probabilities - sweep_reference(matrix, times)).max() <= 1e-12
+
+
+def test_chunk_length_fills_the_budget():
+    assert chunk_length(64) == 64           # 4 MiB / (16 bytes * 64^2)
+    assert chunk_length(1000) == 1          # one matrix even above the budget
+    assert chunk_length(1) >= 1 and chunk_length(0) >= 1
 
 
 # --- sweeps -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Structural classification, gauges, and numeric symmetry checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chiralwalk import (Edge, GaugePhase, WalkHamiltonian, apply_gauge,
                         default_time_samples, eq_parity_residual, is_bipartite,
                         parse_graph, propagate, pts_numeric,
                         skeleton, to_dense, tree_phase_removal)
+from chiralwalk.propagator import chunk_length, decompose
 
 PI = math.pi
 
@@ -280,6 +282,43 @@ def test_chiral_triangle_fails_pts_on_coarse_grid():
 def test_real_triangle_passes_pts():
     check = pts_numeric(uniform_triangle(0.0))
     assert check.residual <= 1e-9
+
+
+def random_hermitian(rng, n):
+    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (raw + raw.conj().T) / 2
+
+
+def pts_reference(matrix, times):
+    dec = decompose(matrix)
+    worst = 0.0
+    for t in times:
+        p = np.abs(dec.propagator_matrix(float(t))) ** 2
+        worst = max(worst, float(np.abs(p - p.T).max()))
+    return worst
+
+
+@pytest.mark.parametrize("n, count", [(48, chunk_length(48) - 1), (48, chunk_length(48)),
+                                      (48, chunk_length(48) + 1), (48, 1), (1, 1), (1, 5)])
+def test_pts_residual_matches_per_time_loop_across_chunk_edges(n, count):
+    matrix = random_hermitian(np.random.default_rng(31), n)
+    times = np.linspace(0.05, 4.0, count)
+    check = pts_numeric(matrix, times)
+    assert len(check.t_samples) == count
+    assert abs(check.residual - pts_reference(matrix, times)) <= 1e-12
+
+
+def test_pts_numeric_peak_memory_is_bounded_by_the_chunk():
+    matrix = random_hermitian(np.random.default_rng(37), 200)
+    tracemalloc.start()
+    try:
+        check = pts_numeric(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(check.t_samples) == 64
+    # the unchunked 64 x 200 x 200 complex stack alone is 41 MB
+    assert peak < 32e6
 
 
 def test_default_time_samples_scale_with_spectrum():
