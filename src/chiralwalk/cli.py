@@ -17,7 +17,7 @@ import numpy as np
 from .circuit import circuit_sweep_table, three_cycle_probabilities, trotter_error
 from .defaults import DEFAULTS
 from .graph import GraphFormatError, load_graph
-from .propagator import sweep_time
+from .propagator import CSV_HEADERS, render_csv, sweep_time
 from .properties import PROPERTY_SUITE, format_property_report, run_property_suite
 from .symmetry import SymmetryReport, classify
 
@@ -79,6 +79,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value!r}")
     graph = load_graph(args.graph)
     if args.t_count < 1:
         raise ValueError("t-count must be at least 1")
@@ -86,6 +89,8 @@ def cmd_evolve(args) -> int:
         grid = [args.t_min]
     else:
         step = (args.t_max - args.t_min) / (args.t_count - 1)
+        if not math.isfinite(step):
+            raise ValueError("--t-max - --t-min overflows a float")
         grid = [args.t_min + k * step for k in range(args.t_count)]
     table = sweep_time(graph, grid)
     _write_output(args.out, table.to_csv())
@@ -105,13 +110,11 @@ def cmd_circuit_sweep(args) -> int:
     return EXIT_OK
 
 
-def _transfer_csv(alphas, thetas, probs, from_node=0, to_node=2) -> str:
-    lines = ["alpha,theta,from,to,probability"]
-    for a_index, alpha in enumerate(alphas):
-        for t_index, theta in enumerate(thetas):
-            p = probs[a_index, t_index, to_node, from_node]
-            lines.append(f"{_fmt(alpha)},{_fmt(theta)},{from_node},{to_node},{_fmt(p)}")
-    return "\n".join(lines) + "\n"
+def _transfer_csv(alphas, thetas, probs) -> str:
+    """Circuit-schema rows of the ``0 -> 2`` transfer over an (alpha, theta) grid."""
+    axes = [(alpha, theta) for alpha in alphas for theta in thetas]
+    return render_csv(CSV_HEADERS["circuit"], axes,
+                      probs.reshape(len(axes), 3, 3), [(0, 2)])
 
 
 def cmd_reproduce_fig2(args) -> int:

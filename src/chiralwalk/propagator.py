@@ -128,6 +128,34 @@ def transition_probability(propagator: Propagator, from_node: int, to_node: int)
     return float(abs(propagator.matrix[to_node, from_node]) ** 2)
 
 
+def render_csv(header: str, axes: Sequence[tuple[float, ...]],
+               probabilities: np.ndarray, pairs: Sequence[tuple[int, int]]) -> str:
+    """Probability CSV: ``header``, then one row per grid point and node pair.
+
+    Row ``axes[k]..., from, to, probabilities[k, to, from]`` follows grid
+    point ``k`` and then ``pairs`` in order.  Every real is written as
+    ``format(float(x), ".17g")``, 17 significant digits, which round-trip a
+    float64.  Each grid point's rows are one template, the axis prefix joined
+    with a ``from,to,%.17g`` piece per pair, filled by a single ``%``; the
+    prefix is formatted floats, so it never holds a ``%``.
+    """
+    parts = [header, "\n"]
+    if not pairs or not axes:
+        return "".join(parts)
+    frm, to = np.asarray(pairs, dtype=np.intp).T
+    values = probabilities[:, to, frm]
+    pieces = [f"{f},{t},%.17g\n" for f, t in pairs]
+    prefix_format = "%.17g," * len(axes[0])
+    for axis, row in zip(axes, values):
+        prefix = prefix_format % axis
+        parts.append((prefix + prefix.join(pieces)) % tuple(row.tolist()))
+    return "".join(parts)
+
+
+CSV_HEADERS = {"time": "axis,from,to,probability",
+               "circuit": "alpha,theta,from,to,probability"}
+
+
 @dataclass(frozen=True)
 class TransportTable:
     """Transition-probability tensor over a parameter grid.
@@ -136,6 +164,11 @@ class TransportTable:
     point ``k``.  ``axis_kind`` selects the CSV schema: ``"time"`` rows are
     ``axis,from,to,probability``; ``"circuit"`` rows carry the gate
     parameters, ``alpha,theta,from,to,probability``.
+
+    Byte contract of ``to_csv``: the header, then for each grid point every
+    ``from`` in ascending order and within it every ``to``, each row ending
+    in a newline, and every real written as ``format(float(x), ".17g")``.
+    The text is fixed by the float64 values alone.
     """
 
     axis_kind: str
@@ -143,7 +176,7 @@ class TransportTable:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        if self.axis_kind not in ("time", "circuit"):
+        if self.axis_kind not in CSV_HEADERS:
             raise ValueError(f"unknown axis kind {self.axis_kind!r}")
         if len(self.axes) != self.probabilities.shape[0]:
             raise ValueError("axis length does not match probability tensor")
@@ -159,23 +192,12 @@ class TransportTable:
         return float(np.abs(self.probabilities.sum(axis=1) - 1.0).max())
 
     def to_csv(self) -> str:
-        fmt = lambda x: format(float(x), ".17g")  # noqa: E731
-        lines = []
         if self.axis_kind == "time":
-            lines.append("axis,from,to,probability")
-            for k, t in enumerate(self.axes):
-                for frm in range(self.n):
-                    for to in range(self.n):
-                        lines.append(f"{fmt(t)},{frm},{to},"
-                                     f"{fmt(self.probabilities[k, to, frm])}")
+            axes = [(float(t),) for t in self.axes]
         else:
-            lines.append("alpha,theta,from,to,probability")
-            for k, (alpha, theta) in enumerate(self.axes):
-                for frm in range(self.n):
-                    for to in range(self.n):
-                        lines.append(f"{fmt(alpha)},{fmt(theta)},{frm},{to},"
-                                     f"{fmt(self.probabilities[k, to, frm])}")
-        return "\n".join(lines) + "\n"
+            axes = [(float(alpha), float(theta)) for alpha, theta in self.axes]
+        pairs = [(frm, to) for frm in range(self.n) for to in range(self.n)]
+        return render_csv(CSV_HEADERS[self.axis_kind], axes, self.probabilities, pairs)
 
 
 def sweep_time(hamiltonian, t_grid: Sequence[float]) -> TransportTable:
@@ -190,13 +212,10 @@ def sweep_time(hamiltonian, t_grid: Sequence[float]) -> TransportTable:
     return TransportTable("time", t_grid, _freeze(probabilities))
 
 
-_CSV_HEADERS = ("axis,from,to,probability", "alpha,theta,from,to,probability")
-
-
 def validate_table_csv(text: str) -> None:
     """Schema gate for probability CSVs: column count, finite reals, p in [0, 1]."""
     lines = text.strip().split("\n")
-    if not lines or lines[0] not in _CSV_HEADERS:
+    if not lines or lines[0] not in CSV_HEADERS.values():
         raise ValueError(f"unknown table header {lines[0] if lines else ''!r}")
     width = lines[0].count(",") + 1
     for lineno, line in enumerate(lines[1:], start=2):

@@ -1,6 +1,7 @@
 """Command-line front end: schemas, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from chiralwalk import validate_table_csv
-from chiralwalk.cli import _theta_grid, main
+from chiralwalk.cli import _theta_grid, _transfer_csv, main
 
 PI = math.pi
 
@@ -144,6 +145,24 @@ def test_evolve_bad_count_exits_2(triangle_file, capsys):
                  "--t-count", "0"]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--t-max", "nan"), ("--t-max", "inf"),
+                                         ("--t-min", "-inf"), ("--t-min", "nan")])
+def test_evolve_non_finite_time_exits_2(triangle_file, tmp_path, capsys, flag, value):
+    times = {"--t-min": "0", "--t-max": "1", flag: value}
+    out = tmp_path / "table.csv"
+    # NAME=VALUE keeps argparse from reading "-inf" as an option
+    assert main(["evolve", "--graph", str(triangle_file), "--t-count", "3",
+                 "--out", str(out), *(f"{k}={v}" for k, v in times.items())]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_overflowing_time_span_exits_2(triangle_file, capsys):
+    assert main(["evolve", "--graph", str(triangle_file), "--t-min=-1e308",
+                 "--t-max", "1e308", "--t-count", "3"]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 # --- circuit-sweep ----------------------------------------------------------
 
 def test_circuit_sweep_default_grid(tmp_path):
@@ -262,6 +281,46 @@ def test_fig2_slice_files_match_experiment_grid(tmp_path):
     assert len(rows) == 37
     peak = max(float(r[-1]) for r in rows)
     assert abs(peak - 0.94921875) <= 1e-9
+
+
+def test_transfer_csv_matches_reference_bytes():
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    alphas = [-PI, 1 / 3]
+    thetas = [0.0, 5e-324, 1 - 2 ** -53]
+    probs = np.resize(np.array([0.0, 1.0, 1 / 3, 1 - 2 ** -53, 5e-324]),
+                      2 * 3 * 9).reshape(2, 3, 3, 3)
+    lines = ["alpha,theta,from,to,probability"]
+    for a_index, alpha in enumerate(alphas):
+        for t_index, theta in enumerate(thetas):
+            p = probs[a_index, t_index, 2, 0]
+            lines.append(f"{fmt(alpha)},{fmt(theta)},0,2,{fmt(p)}")
+    assert _transfer_csv(alphas, thetas, probs) == "\n".join(lines) + "\n"
+
+
+# sha256 of each reproduce-fig2 --grid 8 output, frozen from the per-row
+# f-string renderer the template renderer replaced
+FIG2_GRID8_SHA256 = {
+    "slice_alpha_0.csv":
+        "7092139a97fe8e8a018cbf615bdcbdf4604645650985993ed0166526929a6255",
+    "slice_alpha_3pi_over_2.csv":
+        "50b6c2d58732e52a07d129adf620ff42a585d2823fa1fe4d245ea39837ba4f48",
+    "slice_alpha_pi.csv":
+        "bed72ad7b366676470860d55aab7d02dc123ee153f0d1ac86e24fa10e3d2a803",
+    "slice_alpha_pi_over_2.csv":
+        "83bb1dd11048dfb12c1277246f82c178a1f6b796cc4496ad07f1405d9d39d806",
+    "summary.txt":
+        "06f9d5abac66c40085e449b9f8e8ffaee31d1ba4acc5ca4d0a70069ea995c590",
+    "surface.csv":
+        "95a32acfa0855ca3ab204433405c71a6b834aeccd3d99595beac317e06a9df13",
+}
+
+
+def test_fig2_grid8_outputs_are_byte_stable(tmp_path):
+    out_dir = tmp_path / "fig2"
+    assert main(["reproduce-fig2", "--out", str(out_dir), "--grid", "8"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out_dir.iterdir()}
+    assert digests == FIG2_GRID8_SHA256
 
 
 # --- trotter-check ----------------------------------------------------------

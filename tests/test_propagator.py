@@ -1,6 +1,7 @@
 """Spectral evolution, transition probabilities, sweeps, maximization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from chiralwalk import (Edge, WalkHamiltonian, eig_hermitian, max_transfer,
                         parse_graph, propagate, sweep_time,
                         transition_probability, to_dense, validate_table_csv)
-from chiralwalk.propagator import chunk_length
+from chiralwalk.propagator import TransportTable, chunk_length
 
 from .oracles import expm_taylor, triangle_probability_closed_form, \
     circulant_triangle_eigenvalues
@@ -224,6 +225,82 @@ def test_table_csv_schema_and_precision():
     # 17 significant digits round-trip the axis value exactly
     axis_value = float(lines[-1].split(",")[0])
     assert axis_value == 1 / 3
+
+
+# one bit pattern of each awkward kind: zero, one, a repeating binary
+# fraction, the float just below 1, and the smallest subnormal
+AWKWARD = (0.0, 1.0, 1 / 3, 1 - 2 ** -53, 5e-324)
+
+
+def reference_csv(table):
+    """The per-row ``format(x, ".17g")`` loop that defines the byte contract."""
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    if table.axis_kind == "time":
+        lines = ["axis,from,to,probability"]
+        prefixes = [fmt(t) for t in table.axes]
+    else:
+        lines = ["alpha,theta,from,to,probability"]
+        prefixes = [f"{fmt(alpha)},{fmt(theta)}" for alpha, theta in table.axes]
+    for k, prefix in enumerate(prefixes):
+        for frm in range(table.n):
+            for to in range(table.n):
+                lines.append(f"{prefix},{frm},{to},"
+                             f"{fmt(table.probabilities[k, to, frm])}")
+    return "\n".join(lines) + "\n"
+
+
+def awkward_probabilities(count, n):
+    cells = count * n * n
+    return np.resize(np.array(AWKWARD), cells).reshape(count, n, n)
+
+
+def test_time_table_csv_matches_reference_bytes():
+    axes = (-PI,) + AWKWARD
+    table = TransportTable("time", axes, awkward_probabilities(len(axes), 3))
+    text = table.to_csv()
+    assert text == reference_csv(table)
+    assert text.split("\n")[1] == "-3.1415926535897931,0,0,0"
+    assert "4.9406564584124654e-324" in text
+    assert "0.99999999999999989" in text
+
+
+def test_circuit_table_csv_matches_reference_bytes():
+    axes = tuple((alpha, theta) for alpha in (-PI, 1 / 3)
+                 for theta in (5e-324, 0.0, 1 - 2 ** -53))
+    table = TransportTable("circuit", axes, awkward_probabilities(len(axes), 2))
+    text = table.to_csv()
+    assert text == reference_csv(table)
+    assert text.split("\n")[1] == "-3.1415926535897931,4.9406564584124654e-324,0,0,0"
+
+
+@pytest.mark.parametrize("kind, axes", [("time", ()), ("time", (0.5,)),
+                                        ("circuit", ((0.5, 1.0),))])
+def test_degenerate_table_csv_matches_reference_bytes(kind, axes):
+    # no grid points, or no nodes: the header alone
+    table = TransportTable(kind, axes, np.zeros((len(axes), 0, 0)))
+    assert table.to_csv() == reference_csv(table)
+
+
+def test_table_csv_matches_reference_bytes_on_a_sweep():
+    table = sweep_time(random_hermitian(np.random.default_rng(41), 7),
+                       np.linspace(-2.0, 3.0, 11))
+    assert table.to_csv() == reference_csv(table)
+
+
+def test_table_csv_peak_memory_is_bounded():
+    # (N, T) = (48, 256): 589 824 rows, 28 MB of text.  A list of one string
+    # per row peaks near 115 MB; one string per grid point stays near 59 MB.
+    probabilities = np.random.default_rng(43).random((256, 48, 48))
+    table = TransportTable("time", tuple(np.linspace(0.0, 9.0, 256)),
+                           probabilities)
+    tracemalloc.start()
+    try:
+        text = table.to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1 + 256 * 48 * 48
+    assert peak < 85e6
 
 
 def test_csv_validator_rejects_malformed_tables():
