@@ -17,6 +17,10 @@ anchor that fixes which of ``exp(+-1j*alpha)`` sits above the diagonal;
 the test suite enforces it.  Tensor convention: qubit k is factor k,
 factor 0 leftmost; walk node ``|k>`` is the basis state with qubit k in
 ``|1>`` and the rest in ``|0>``.
+
+Costs: in node space a gate rewrites rows i and j of the state, O(N) per
+gate per batch element (so a G-gate unitary is O(G N)); in qubit space all n
+start nodes share one statevector array, O(G 2^n n) for the circuit.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
+_XX_YY = np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)
+_XY_YX = np.kron(PAULI_X, PAULI_Y) - np.kron(PAULI_Y, PAULI_X)
+_ZZ = np.kron(PAULI_Z, PAULI_Z)
 
 
 @dataclass(frozen=True)
@@ -111,14 +118,44 @@ def build_palindrome(half: Iterable[GateSpec], n_nodes: int,
 # ---------------------------------------------------------------------------
 # node-space action
 
+def _gate_coefficients(alpha, theta):
+    """``(c, u, l)`` of the mixing block ``[[c, u], [l, c]]``; arrays broadcast."""
+    s = np.sin(theta)
+    return np.cos(theta), -1j * np.exp(-1j * alpha) * s, -1j * np.exp(1j * alpha) * s
+
+
+def _gate_rows(gates: Sequence[GateSpec], alphas=0.0, thetas=1.0) -> list[tuple]:
+    """``(i, j, c, u, l)`` per gate at angles ``(alphas + alpha, thetas * theta)``.
+
+    Coefficients are computed once per distinct (alpha, theta), not once per
+    gate; array ``alphas``/``thetas`` give one coefficient per batch element.
+    """
+    coefficients = {(a, t): _gate_coefficients(alphas + a, thetas * t)
+                    for a, t in {(g.alpha, g.theta) for g in gates}}
+    return [(g.i, g.j) + coefficients[g.alpha, g.theta] for g in gates]
+
+
+def _apply_gates(state: np.ndarray, rows: Iterable[tuple]) -> np.ndarray:
+    """Apply ``(i, j, c, u, l)`` gates in order to ``state``, in place.
+
+    Axis 0 of ``state`` is the node and the coefficients broadcast against
+    one node's row, so a batch of circuits sits on the last axis.  A gate
+    rewrites rows i and j only, ``row_i <- c row_i + u row_j`` and ``row_j <-
+    l row_i + c row_j`` (both from the old rows): O(N) per batch element.
+    """
+    for i, j, c, u, l in rows:
+        row_i, row_j = state[i], state[j]
+        state[i], state[j] = c * row_i + u * row_j, l * row_i + c * row_j
+    return state
+
+
 def gate_node_matrix(gate: GateSpec, n_nodes: int) -> np.ndarray:
     if gate.i >= n_nodes or gate.j >= n_nodes:
         raise ValueError(f"gate {gate} out of range for {n_nodes} nodes")
     u = np.eye(n_nodes, dtype=complex)
-    c, s = math.cos(gate.theta), math.sin(gate.theta)
+    c, upper, lower = _gate_coefficients(gate.alpha, gate.theta)
     u[gate.i, gate.i] = u[gate.j, gate.j] = c
-    u[gate.i, gate.j] = -1j * np.exp(-1j * gate.alpha) * s
-    u[gate.j, gate.i] = -1j * np.exp(1j * gate.alpha) * s
+    u[gate.i, gate.j], u[gate.j, gate.i] = upper, lower
     return u
 
 
@@ -131,21 +168,15 @@ def gate_node_space(gate: GateSpec, n_nodes: int) -> Propagator:
 # ---------------------------------------------------------------------------
 # qubit-space action
 
-def _generator_qubit(alpha: float) -> np.ndarray:
-    sym = np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)
-    antisym = np.kron(PAULI_X, PAULI_Y) - np.kron(PAULI_Y, PAULI_X)
-    return math.cos(alpha) * sym + math.sin(alpha) * antisym
-
-
 def gate_qubit_space(gate: GateSpec) -> np.ndarray:
     """4x4 two-qubit gate in (qubit i, qubit j) factor order.
 
     Closed form of the exponential: the (1 + ZZ)/2 sector (|00>, |11>) is
     untouched for every (alpha, theta); the single-excitation sector mixes.
     """
-    zz = np.kron(PAULI_Z, PAULI_Z)
-    return 0.5 * (_I4 + zz + math.cos(gate.theta) * (_I4 - zz)
-                  - 1j * math.sin(gate.theta) * _generator_qubit(gate.alpha))
+    generator = math.cos(gate.alpha) * _XX_YY + math.sin(gate.alpha) * _XY_YX
+    return 0.5 * (_I4 + _ZZ + math.cos(gate.theta) * (_I4 - _ZZ)
+                  - 1j * math.sin(gate.theta) * generator)
 
 
 def rz_rotation(alpha: float) -> np.ndarray:
@@ -168,55 +199,44 @@ def rz_decompose(gate: GateSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # circuit application
 
-def single_excitation_index(node: int, n_nodes: int) -> int:
-    """Computational-basis index of |0...010...0> with qubit ``node`` excited."""
-    return 1 << (n_nodes - 1 - node)
-
-
-def _apply_two_qubit(state: np.ndarray, gate4: np.ndarray,
-                     qi: int, qj: int, n: int) -> np.ndarray:
-    psi = state.reshape((2,) * n)
-    psi = np.moveaxis(psi, (qi, qj), (0, 1)).reshape(4, -1)
-    psi = gate4 @ psi
-    psi = np.moveaxis(psi.reshape((2, 2) + (2,) * (n - 2)), (0, 1), (qi, qj))
-    return psi.reshape(-1)
+def _single_excitation_rows(n_nodes: int) -> list[int]:
+    """Basis index of |0...010...0> with qubit ``k`` excited, for each node k."""
+    return [1 << (n_nodes - 1 - node) for node in range(n_nodes)]
 
 
 def _qubit_columns(circuit: PalindromicCircuit) -> np.ndarray:
-    """Full statevectors after the circuit, one column per excited start node."""
+    """Full statevectors after the circuit, one column per excited start node.
+
+    All start nodes travel together as the trailing axis of one
+    ``(2,) * n + (n,)`` array, so each gate is one 4 x (2^(n-2) n) product.
+    """
     n = circuit.n_nodes
     if n > DEFAULTS.qubit_space_max:
         raise ValueError(f"qubit-space evaluation limited to {DEFAULTS.qubit_space_max} qubits")
-    dim = 1 << n
-    columns = np.zeros((dim, n), dtype=complex)
-    gates = [(gate_qubit_space(g), g.i, g.j) for g in circuit.full]
-    for node in range(n):
-        psi = np.zeros(dim, dtype=complex)
-        psi[single_excitation_index(node, n)] = 1.0
-        for gate4, qi, qj in gates:
-            psi = _apply_two_qubit(psi, gate4, qi, qj, n)
-        columns[:, node] = psi
-    return columns
+    columns = np.zeros((1 << n, n), dtype=complex)
+    columns[_single_excitation_rows(n), range(n)] = 1.0
+    psi = columns.reshape((2,) * n + (n,))
+    for gate in circuit.full:
+        pair = np.moveaxis(psi, (gate.i, gate.j), (0, 1))
+        mixed = gate_qubit_space(gate) @ pair.reshape(4, -1)
+        psi = np.moveaxis(mixed.reshape(pair.shape), (0, 1), (gate.i, gate.j))
+    return psi.reshape(1 << n, n)
 
 
 def apply_circuit(circuit: PalindromicCircuit, space: str = "node") -> Propagator:
     """Ordered product of the full gate sequence.
 
-    ``space="node"`` multiplies N x N walk-space gates.  ``space="qubit"``
-    runs dense statevectors and reports the N x N single-excitation block
+    ``space="node"`` rewrites two rows of the identity per gate.
+    ``space="qubit"`` runs dense statevectors and reports the N x N
+    single-excitation block
     ``B[i, j] = <i excited| circuit |j excited>``.
     """
     if space == "node":
-        u = np.eye(circuit.n_nodes, dtype=complex)
-        for gate in circuit.full:
-            u = gate_node_matrix(gate, circuit.n_nodes) @ u
+        u = _apply_gates(np.eye(circuit.n_nodes, dtype=complex), _gate_rows(circuit.full))
         return Propagator(_freeze(u),
                           f"palindromic circuit ({len(circuit.full)} gates, node space)")
     if space == "qubit":
-        n = circuit.n_nodes
-        columns = _qubit_columns(circuit)
-        rows = [single_excitation_index(node, n) for node in range(n)]
-        block = columns[rows, :]
+        block = _qubit_columns(circuit)[_single_excitation_rows(circuit.n_nodes), :]
         return Propagator(_freeze(block),
                           f"palindromic circuit ({len(circuit.full)} gates, "
                           "qubit-space single-excitation block)")
@@ -225,13 +245,9 @@ def apply_circuit(circuit: PalindromicCircuit, space: str = "node") -> Propagato
 
 def excitation_preservation_check(circuit: PalindromicCircuit) -> float:
     """Worst probability weight leaked outside the single-excitation subspace."""
-    n = circuit.n_nodes
-    columns = _qubit_columns(circuit)
-    keep = np.zeros(columns.shape[0], dtype=bool)
-    for node in range(n):
-        keep[single_excitation_index(node, n)] = True
-    outside = np.abs(columns[~keep, :]) ** 2
-    return float(outside.sum(axis=0).max()) if outside.size else 0.0
+    outside = np.delete(_qubit_columns(circuit),
+                        _single_excitation_rows(circuit.n_nodes), axis=0)
+    return float((np.abs(outside) ** 2).sum(axis=0).max()) if outside.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,50 +263,38 @@ def three_cycle_circuit(alpha: float, theta: float,
     middle gate is merged into one gate at angle ``2 * theta`` (same
     unitary, five gates).
     """
-    gates = (GateSpec(0, 1, alpha, theta),
-             GateSpec(1, 2, alpha, theta),
-             GateSpec(2, 0, alpha, theta))
+    gates = tuple(GateSpec(i, j, alpha, theta) for i, j in ((0, 1), (1, 2), (2, 0)))
     if fuse_center:
         return build_palindrome(gates[:2], 3,
                                 center=GateSpec(2, 0, alpha, 2.0 * theta))
     return build_palindrome(gates, 3)
 
 
-_THREE_CYCLE_ORDER = ((0, 1), (1, 2), (2, 0), (2, 0), (1, 2), (0, 1))
-_THREE_CYCLE_ORDER_FUSED = ((0, 1, 1.0), (1, 2, 1.0), (2, 0, 2.0),
-                            (1, 2, 1.0), (0, 1, 1.0))
+def _three_cycle_run(alphas: Sequence[float], thetas: Sequence[float],
+                     fuse_center: bool, start: np.ndarray) -> np.ndarray:
+    """Triangle palindrome on ``start``, batched over the flattened grid.
 
-
-def _batched_gate(i: int, j: int, alpha: float, thetas: np.ndarray) -> np.ndarray:
-    count = thetas.shape[0]
-    u = np.zeros((count, 3, 3), dtype=complex)
-    u[:, 0, 0] = u[:, 1, 1] = u[:, 2, 2] = 1.0
-    c, s = np.cos(thetas), np.sin(thetas)
-    u[:, i, i] = c
-    u[:, j, j] = c
-    u[:, i, j] = -1j * np.exp(-1j * alpha) * s
-    u[:, j, i] = -1j * np.exp(1j * alpha) * s
-    return u
+    ``three_cycle_circuit(0, 1)`` gives each gate's alpha offset and theta
+    multiple; the alpha-major grid becomes the last axis of the state.
+    """
+    alpha_grid, theta_grid = np.meshgrid(alphas, thetas, indexing="ij")
+    state = np.repeat(np.asarray(start, dtype=complex)[..., None], alpha_grid.size, axis=-1)
+    template = three_cycle_circuit(0.0, 1.0, fuse_center).full
+    return _apply_gates(state, _gate_rows(template, alpha_grid.ravel(), theta_grid.ravel()))
 
 
 def three_cycle_unitaries(alphas: Sequence[float], thetas: Sequence[float],
                           fuse_center: bool = False) -> np.ndarray:
-    """Unitary stack ``u[a, k]`` (3x3 each) for the triangle palindrome.
+    """Unitary stack ``u[a, k]`` (3x3 each) of the triangle palindrome, in one pass."""
+    state = _three_cycle_run(alphas, thetas, fuse_center, np.eye(3))
+    return np.moveaxis(state, -1, 0).reshape(len(alphas), len(thetas), 3, 3)
 
-    Batched over the theta axis: a handful of 3x3 matmuls per alpha
-    regardless of grid size, so dense sweeps stay fast.
-    """
-    thetas = np.asarray(list(thetas), dtype=float)
-    order = (_THREE_CYCLE_ORDER_FUSED if fuse_center
-             else tuple((i, j, 1.0) for i, j in _THREE_CYCLE_ORDER))
-    out = np.empty((len(alphas), thetas.shape[0], 3, 3), dtype=complex)
-    for a_index, alpha in enumerate(alphas):
-        unitary = None
-        for i, j, theta_factor in order:
-            gate = _batched_gate(i, j, float(alpha), theta_factor * thetas)
-            unitary = gate if unitary is None else gate @ unitary
-        out[a_index] = unitary
-    return out
+
+def three_cycle_transfer(alphas: Sequence[float], thetas: Sequence[float],
+                         fuse_center: bool = False) -> np.ndarray:
+    """Transfer probability ``p[a, k]`` of ``0 -> 2``, propagating column 0 only."""
+    state = _three_cycle_run(alphas, thetas, fuse_center, np.eye(3)[:, 0])
+    return (np.abs(state[2]) ** 2).reshape(len(alphas), len(thetas))
 
 
 def three_cycle_probabilities(alphas: Sequence[float], thetas: Sequence[float],
@@ -330,23 +334,21 @@ class FusedThreeCycle:
 
 
 def three_cycle_rotation_fusion(alpha: float, theta: float) -> FusedThreeCycle:
-    symmetric = tuple(GateSpec(i, j, 0.0, float(theta))
-                      for i, j in _THREE_CYCLE_ORDER)
     return FusedThreeCycle(boundary_phases=(-float(alpha), 0.0, float(alpha)),
                            rotation_node=2,
                            rotation_phase=3.0 * float(alpha),
-                           symmetric_gates=symmetric)
+                           symmetric_gates=three_cycle_circuit(0.0, float(theta)).full)
 
 
 def fused_three_cycle_unitary(fused: FusedThreeCycle) -> np.ndarray:
-    boundary = np.diag(np.exp(1j * np.array(fused.boundary_phases)))
-    rot_minus = np.eye(3, dtype=complex)
-    rot_minus[fused.rotation_node, fused.rotation_node] = np.exp(-1j * fused.rotation_phase)
-    rot_plus = np.eye(3, dtype=complex)
-    rot_plus[fused.rotation_node, fused.rotation_node] = np.exp(1j * fused.rotation_phase)
-    g = [gate_node_matrix(gate, 3) for gate in fused.symmetric_gates]
-    return (boundary @ g[0] @ g[1] @ rot_minus @ g[2] @ g[3]
-            @ rot_plus @ g[4] @ g[5] @ boundary.conj().T)
+    boundary = np.exp(1j * np.array(fused.boundary_phases))
+    rows, node = _gate_rows(fused.symmetric_gates), fused.rotation_node
+    # applied right to left: B^dag, S01, S12, P(+phi), S20, S20, P(-phi), S12, S01, B
+    state = _apply_gates(np.diag(boundary.conj()), rows[:3:-1])
+    state[node] *= np.exp(1j * fused.rotation_phase)
+    _apply_gates(state, rows[3:1:-1])
+    state[node] *= np.exp(-1j * fused.rotation_phase)
+    return boundary[:, None] * _apply_gates(state, rows[1::-1])
 
 
 # ---------------------------------------------------------------------------

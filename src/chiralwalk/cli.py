@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import circuit_sweep_table, three_cycle_probabilities, trotter_error
+from .circuit import circuit_sweep_table, three_cycle_transfer, trotter_error
 from .defaults import DEFAULTS
 from .graph import GraphFormatError, load_graph
 from .propagator import CSV_HEADERS, render_csv, sweep_time
@@ -86,6 +86,8 @@ def cmd_evolve(args) -> int:
     if args.t_count < 1:
         raise ValueError("t-count must be at least 1")
     if args.t_count == 1:
+        if args.t_max != args.t_min:
+            raise ValueError("--t-count 1 samples only --t-min; --t-max must equal it")
         grid = [args.t_min]
     else:
         step = (args.t_max - args.t_min) / (args.t_count - 1)
@@ -110,11 +112,10 @@ def cmd_circuit_sweep(args) -> int:
     return EXIT_OK
 
 
-def _transfer_csv(alphas, thetas, probs) -> str:
-    """Circuit-schema rows of the ``0 -> 2`` transfer over an (alpha, theta) grid."""
-    axes = [(alpha, theta) for alpha in alphas for theta in thetas]
-    return render_csv(CSV_HEADERS["circuit"], axes,
-                      probs.reshape(len(axes), 3, 3), [(0, 2)])
+def _transfer_csv(alphas, thetas, transfer) -> str:
+    """Circuit-schema rows of the ``0 -> 2`` transfer ``transfer[a, k]``."""
+    return render_csv(CSV_HEADERS["circuit"], [(alpha,) for alpha in alphas],
+                      [(theta, 0, 2) for theta in thetas], transfer)
 
 
 def cmd_reproduce_fig2(args) -> int:
@@ -125,24 +126,21 @@ def cmd_reproduce_fig2(args) -> int:
     count = args.grid
     surface_alphas = [k * 2 * PI / count for k in range(count)]
     surface_thetas = [-PI + (k + 1) * 2 * PI / count for k in range(count)]
-    surface = three_cycle_probabilities(surface_alphas, surface_thetas)
+    transfer = three_cycle_transfer(surface_alphas, surface_thetas)
     (out_dir / "surface.csv").write_text(
-        _transfer_csv(surface_alphas, surface_thetas, surface), encoding="utf-8")
+        _transfer_csv(surface_alphas, surface_thetas, transfer), encoding="utf-8")
 
     slice_thetas = experiment_theta_grid()
     slice_alphas = list(DEFAULT_SWEEP_ALPHAS)
-    slices = three_cycle_probabilities(slice_alphas, slice_thetas)
+    slices = three_cycle_transfer(slice_alphas, slice_thetas)
     slice_names = ("slice_alpha_0.csv", "slice_alpha_pi_over_2.csv",
                    "slice_alpha_pi.csv", "slice_alpha_3pi_over_2.csv")
-    for a_index, name in enumerate(slice_names):
+    for name, alpha, row in zip(slice_names, slice_alphas, slices):
         (out_dir / name).write_text(
-            _transfer_csv([slice_alphas[a_index]], slice_thetas,
-                          slices[a_index:a_index + 1]), encoding="utf-8")
+            _transfer_csv([alpha], slice_thetas, row[None]), encoding="utf-8")
 
-    transfer = surface[:, :, 2, 0]
-    flat = int(np.argmax(transfer))
-    a_star, t_star = divmod(flat, count)
-    slice_max = slices[:, :, 2, 0].max(axis=1)
+    a_star, t_star = np.unravel_index(np.argmax(transfer), transfer.shape)
+    slice_max = slices.max(axis=1)
     summary = [
         "# transfer summary for the three-node palindrome, start node 0 -> node 2",
         f"surface_grid={count}x{count}",

@@ -128,26 +128,24 @@ def transition_probability(propagator: Propagator, from_node: int, to_node: int)
     return float(abs(propagator.matrix[to_node, from_node]) ** 2)
 
 
-def render_csv(header: str, axes: Sequence[tuple[float, ...]],
-               probabilities: np.ndarray, pairs: Sequence[tuple[int, int]]) -> str:
-    """Probability CSV: ``header``, then one row per grid point and node pair.
+def render_csv(header: str, outer: Sequence[tuple[float, ...]],
+               inner: Sequence[tuple[float, ...]], values: np.ndarray) -> str:
+    """Probability CSV: ``header``, then row ``outer[k]..., inner[m]..., values[k, m]``
+    for each ``k`` and within it each ``m``.
 
-    Row ``axes[k]..., from, to, probabilities[k, to, from]`` follows grid
-    point ``k`` and then ``pairs`` in order.  Every real is written as
-    ``format(float(x), ".17g")``, 17 significant digits, which round-trip a
-    float64.  Each grid point's rows are one template, the axis prefix joined
-    with a ``from,to,%.17g`` piece per pair, filled by a single ``%``; the
-    prefix is formatted floats, so it never holds a ``%``.
+    Every field is ``"%.17g" % x``: ``format(float(x), ".17g")`` for a float
+    (17 digits round-trip a float64), plain digits for a node index.  Each
+    inner piece is formatted once; each outer point's rows are one template,
+    its prefix joined with every piece, filled by a single ``%`` (formatted
+    numbers never hold a ``%``).
     """
     parts = [header, "\n"]
-    if not pairs or not axes:
+    if not inner or not outer:
         return "".join(parts)
-    frm, to = np.asarray(pairs, dtype=np.intp).T
-    values = probabilities[:, to, frm]
-    pieces = [f"{f},{t},%.17g\n" for f, t in pairs]
-    prefix_format = "%.17g," * len(axes[0])
-    for axis, row in zip(axes, values):
-        prefix = prefix_format % axis
+    pieces = [("%.17g," * len(fields)) % fields + "%.17g\n" for fields in inner]
+    prefix_format = "%.17g," * len(outer[0])
+    for fields, row in zip(outer, values):
+        prefix = prefix_format % fields
         parts.append((prefix + prefix.join(pieces)) % tuple(row.tolist()))
     return "".join(parts)
 
@@ -197,7 +195,8 @@ class TransportTable:
         else:
             axes = [(float(alpha), float(theta)) for alpha, theta in self.axes]
         pairs = [(frm, to) for frm in range(self.n) for to in range(self.n)]
-        return render_csv(CSV_HEADERS[self.axis_kind], axes, self.probabilities, pairs)
+        values = self.probabilities.transpose(0, 2, 1).reshape(len(axes), self.n ** 2)
+        return render_csv(CSV_HEADERS[self.axis_kind], axes, pairs, values)
 
 
 def sweep_time(hamiltonian, t_grid: Sequence[float]) -> TransportTable:

@@ -14,6 +14,8 @@ from chiralwalk import (Edge, GateSpec, GraphFormatError, WalkHamiltonian,
                         propagate, render_circuit, rz_decompose,
                         three_cycle_circuit, three_cycle_probabilities,
                         three_cycle_rotation_fusion, trotter_error)
+from chiralwalk.circuit import (_qubit_columns, gate_node_matrix,
+                                three_cycle_transfer, three_cycle_unitaries)
 
 from .oracles import pair_gate_taylor, three_cycle_taylor
 
@@ -168,6 +170,76 @@ def test_any_palindrome_equals_its_reverse(n, k, seed):
                              float(rng.uniform(-PI, PI))))
     circuit = build_palindrome(half, n)
     assert circuit.full == tuple(reversed(circuit.full))
+
+
+def random_gate(rng, n):
+    i, j = (int(k) for k in rng.choice(n, size=2, replace=False))
+    return GateSpec(i, j, float(rng.uniform(-PI, PI)), float(rng.uniform(-PI, PI)))
+
+
+def random_palindrome_with_repeats(rng, n):
+    """Palindrome whose half repeats some gates and some pairs, with or without a centre."""
+    half = [random_gate(rng, n) for _ in range(int(rng.integers(1, 6)))]
+    half += [half[int(rng.integers(len(half)))] for _ in range(int(rng.integers(0, 3)))]
+    for _ in range(int(rng.integers(0, 3))):
+        again = half[int(rng.integers(len(half)))]
+        half.append(GateSpec(again.i, again.j, float(rng.uniform(-PI, PI)), again.theta))
+    rng.shuffle(half)
+    center = random_gate(rng, n) if rng.integers(2) else None
+    return build_palindrome(half, n, center=center)
+
+
+def test_row_update_engine_matches_gate_products():
+    rng = np.random.default_rng(13)
+    for n in range(2, 9):
+        for _ in range(12):
+            circuit = random_palindrome_with_repeats(rng, n)
+            product = np.eye(n, dtype=complex)
+            for gate in circuit.full:
+                product = gate_node_matrix(gate, n) @ product
+            assert np.abs(apply_circuit(circuit, "node").matrix - product).max() <= 1e-13
+
+
+def test_column_transfer_equals_unitary_entry():
+    rng = np.random.default_rng(14)
+    alphas = rng.uniform(0, 2 * PI, 5)
+    thetas = rng.uniform(-PI, PI, 7)
+    for fuse_center in (False, True):
+        transfer = three_cycle_transfer(alphas, thetas, fuse_center)
+        unitaries = three_cycle_unitaries(alphas, thetas, fuse_center)
+        assert transfer.shape == (5, 7)
+        assert np.abs(transfer - np.abs(unitaries[..., 2, 0]) ** 2).max() <= 1e-15
+
+
+def qubit_columns_reference(circuit):
+    """One statevector per start node, each gate a 4 x 2^(n-2) product."""
+    n = circuit.n_nodes
+    columns = np.zeros((1 << n, n), dtype=complex)
+    for node in range(n):
+        psi = np.zeros(1 << n, dtype=complex)
+        psi[1 << (n - 1 - node)] = 1.0
+        for gate in circuit.full:
+            pair = np.moveaxis(psi.reshape((2,) * n), (gate.i, gate.j), (0, 1))
+            mixed = gate_qubit_space(gate) @ pair.reshape(4, -1)
+            psi = np.moveaxis(mixed.reshape(pair.shape), (0, 1), (gate.i, gate.j)).reshape(-1)
+        columns[:, node] = psi
+    return columns
+
+
+def test_qubit_columns_match_per_node_loop():
+    rng = np.random.default_rng(15)
+    for n in range(2, 8):
+        for _ in range(4):
+            circuit = random_palindrome_with_repeats(rng, n)
+            batched, reference = _qubit_columns(circuit), qubit_columns_reference(circuit)
+            if n >= 4:
+                # both sides are 4 x M matrix products: the same sums, bit for bit
+                assert np.array_equal(batched, reference)
+            else:
+                # one or two columns per node make the reference a matrix-vector
+                # product, which the BLAS rounds differently in the last place
+                assert np.abs(batched - reference).max() <= 1e-15
+    assert np.array_equal(_qubit_columns(build_palindrome((), 3)), np.eye(8)[:, [4, 2, 1]])
 
 
 def test_apply_circuit_zero_angles_is_identity():

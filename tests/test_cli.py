@@ -4,12 +4,16 @@ import csv
 import hashlib
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from chiralwalk import validate_table_csv
 from chiralwalk.cli import _theta_grid, _transfer_csv, main
+from chiralwalk.properties import PROPERTY_SUITE
+
+from .oracles import three_cycle_taylor
 
 PI = math.pi
 
@@ -163,6 +167,18 @@ def test_evolve_overflowing_time_span_exits_2(triangle_file, capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+def test_evolve_single_time_ignoring_t_max_exits_2(triangle_file, tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert main(["evolve", "--graph", str(triangle_file), "--t-max", "5",
+                 "--t-count", "1", "--out", str(out)]) == 2
+    assert "--t-max" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["evolve", "--graph", str(triangle_file), "--t-min", "5",
+                 "--t-max", "5", "--t-count", "1", "--out", str(out)]) == 0
+    _, rows = read_rows(out.read_text())
+    assert {row[0] for row in rows} == {"5"}
+
+
 # --- circuit-sweep ----------------------------------------------------------
 
 def test_circuit_sweep_default_grid(tmp_path):
@@ -294,24 +310,61 @@ def test_transfer_csv_matches_reference_bytes():
         for t_index, theta in enumerate(thetas):
             p = probs[a_index, t_index, 2, 0]
             lines.append(f"{fmt(alpha)},{fmt(theta)},0,2,{fmt(p)}")
-    assert _transfer_csv(alphas, thetas, probs) == "\n".join(lines) + "\n"
+    assert _transfer_csv(alphas, thetas, probs[:, :, 2, 0]) == "\n".join(lines) + "\n"
 
 
-# sha256 of each reproduce-fig2 --grid 8 output, frozen from the per-row
-# f-string renderer the template renderer replaced
+def taylor_transfer(alpha, theta):
+    return abs(three_cycle_taylor(alpha, theta)[2, 0]) ** 2
+
+
+def test_fig2_grid8_values_match_taylor_oracle(tmp_path):
+    out_dir = tmp_path / "fig2"
+    assert main(["reproduce-fig2", "--out", str(out_dir), "--grid", "8"]) == 0
+    tables = {}
+    for path in out_dir.glob("*.csv"):
+        header, rows = read_rows(path.read_text())
+        assert header == ["alpha", "theta", "from", "to", "probability"]
+        assert {(frm, to) for _, _, frm, to, _ in rows} == {("0", "2")}
+        table = np.array([[float(x) for x in (a, t, p)] for a, t, _, _, p in rows])
+        oracle = [taylor_transfer(a, t) for a, t, _ in table]
+        assert np.abs(table[:, 2] - oracle).max() <= 1e-12
+        tables[path.name] = table
+    surface = tables.pop("surface.csv")
+    assert np.abs(surface[:, 0] - np.repeat(np.arange(8) * PI / 4, 8)).max() <= 1e-15
+    assert np.abs(surface[:, 1] - np.tile(-PI + np.arange(1, 9) * PI / 4, 8)).max() <= 1e-15
+    assert len(tables) == 4
+    for table in tables.values():
+        assert np.abs(table[:, 1] - (-PI + np.arange(37) * PI / 18)).max() <= 1e-15
+    summary = (out_dir / "summary.txt").read_text().splitlines()
+    values = dict(line.split("=", 1) for line in summary[1:5])
+    assert values["surface_grid"] == "8x8"
+    assert float(values["surface_max"]) == surface[:, 2].max()
+    peak = taylor_transfer(float(values["surface_max_alpha"]), float(values["surface_max_theta"]))
+    assert abs(float(values["surface_max"]) - peak) <= 1e-12
+    for line in summary[5:9]:
+        name, _, rest = line.partition(": ")
+        alpha, maximum = (field.split("=")[1] for field in rest.split())
+        assert float(alpha) == tables[name][0, 0]
+        assert float(maximum) == tables[name][:, 2].max()
+        oracle = max(taylor_transfer(float(alpha), t) for t in tables[name][:, 1])
+        assert abs(float(maximum) - oracle) <= 1e-12
+
+
+# sha256 of each reproduce-fig2 --grid 8 output, frozen from the row-update
+# engine once test_fig2_grid8_values_match_taylor_oracle checked its values
 FIG2_GRID8_SHA256 = {
     "slice_alpha_0.csv":
-        "7092139a97fe8e8a018cbf615bdcbdf4604645650985993ed0166526929a6255",
+        "26675bf06044698eda6b4c87eef8abf7bbc870c32d4df3ac684493a35b9c0c93",
     "slice_alpha_3pi_over_2.csv":
-        "50b6c2d58732e52a07d129adf620ff42a585d2823fa1fe4d245ea39837ba4f48",
+        "3c1cc1eabac626876d079efd8ce364f34d217be48147945a694558be033cb5f3",
     "slice_alpha_pi.csv":
-        "bed72ad7b366676470860d55aab7d02dc123ee153f0d1ac86e24fa10e3d2a803",
+        "13686f5f4553e9ee8f819db420986b790f64a887c39da83193cc515e96510973",
     "slice_alpha_pi_over_2.csv":
-        "83bb1dd11048dfb12c1277246f82c178a1f6b796cc4496ad07f1405d9d39d806",
+        "e9c15712bf749e03ae7318da0577c0801e6613b045f6e497482b090f2fd388f2",
     "summary.txt":
-        "06f9d5abac66c40085e449b9f8e8ffaee31d1ba4acc5ca4d0a70069ea995c590",
+        "e8f8f3b981a0f25ab68526256152ea8d5c367059edc35e67b905aaff7ecfbf5a",
     "surface.csv":
-        "95a32acfa0855ca3ab204433405c71a6b834aeccd3d99595beac317e06a9df13",
+        "3f92641e04e3c5cb38d734025a5b02881149d3d8f9432d054810771ed4982a8b",
 }
 
 
@@ -391,3 +444,43 @@ def test_properties_unknown_trials_name_exits_2(capsys):
 def test_properties_zero_trials_exits_2(capsys):
     assert main(["properties", "--trials", "non-bipartite-asymmetry=0"]) == 2
     assert "non-bipartite-asymmetry=0" in capsys.readouterr().err
+
+
+# --- benchmark trace spans --------------------------------------------------
+
+# circuit functions the benchmark's traced run wraps at every module-level
+# binding; its run fails when one of them records no call on circuit-suite
+TRACED_CIRCUIT_FUNCTIONS = ("apply_circuit", "_qubit_columns",
+                            "excitation_preservation_check", "trotter_error",
+                            "three_cycle_unitaries")
+
+
+def test_circuit_commands_call_every_traced_circuit_function(triangle_file, tmp_path,
+                                                            monkeypatch):
+    from chiralwalk import circuit
+
+    called = set()
+    for name in TRACED_CIRCUIT_FUNCTIONS:
+        original = getattr(circuit, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            if _name == "apply_circuit":  # the benchmark names this span by its space
+                _name += "." + kwargs.get("space", args[1] if len(args) > 1 else "node")
+            called.add(_name)
+            return _original(*args, **kwargs)
+
+        bindings = [(module, attribute) for key, module in list(sys.modules.items())
+                    if key == "chiralwalk" or key.startswith("chiralwalk.")
+                    for attribute, value in vars(module).items() if value is original]
+        for module, attribute in bindings:
+            monkeypatch.setattr(module, attribute, counting)
+    trials = [f"--trials={name}=1" for name, _ in PROPERTY_SUITE]
+    assert main(["properties", "--seed", "3", "--out", str(tmp_path / "p.txt"),
+                 *trials]) == 0
+    assert main(["circuit-sweep", "--alpha", "0.5", "--theta-min", "0", "--theta-max",
+                 "1", "--theta-step", "0.5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert main(["reproduce-fig2", "--grid", "2", "--out", str(tmp_path / "fig2")]) == 0
+    assert main(["trotter-check", "--graph", str(triangle_file), "--halvings", "1",
+                 "--out", str(tmp_path / "t.txt")]) == 0
+    assert called >= {"apply_circuit.node", "_qubit_columns", "excitation_preservation_check",
+                      "trotter_error", "three_cycle_unitaries"}
