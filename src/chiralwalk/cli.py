@@ -28,6 +28,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 DEFAULT_SWEEP_ALPHAS = (0.0, PI / 2, PI, 3 * PI / 2)
+# 2 ** k converts to a float only for k < 1024
+MAX_HALVINGS = 1023
 
 
 def _fmt(x: float) -> str:
@@ -41,8 +43,15 @@ def _write_output(target: str | None, text: str) -> None:
         Path(target).write_text(text, encoding="utf-8")
 
 
-def _angle(value: float, degrees: bool) -> float:
-    return math.radians(value) if degrees else float(value)
+def _finite(flag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _angle(flag: str, value: float, degrees: bool) -> float:
+    value = _finite(flag, value)
+    return math.radians(value) if degrees else value
 
 
 def _theta_grid(theta_min: float, theta_max: float, theta_step: float) -> list[float]:
@@ -53,6 +62,8 @@ def _theta_grid(theta_min: float, theta_max: float, theta_step: float) -> list[f
     # floor, not round, so no point lands past theta_max; the relative slack
     # keeps an endpoint that rounding puts a few ulps short of an integer ratio
     ratio = (theta_max - theta_min) / theta_step
+    if not math.isfinite(ratio):
+        raise ValueError("theta range over --theta-step overflows a float")
     count = math.floor(ratio * (1.0 + 1e-12)) + 1
     return [theta_min + k * theta_step for k in range(count)]
 
@@ -66,6 +77,8 @@ def experiment_theta_grid() -> list[float]:
 # subcommands
 
 def cmd_classify(args) -> int:
+    if _finite("--tol", args.tol) < 0:
+        raise ValueError(f"--tol must not be negative, got {args.tol!r}")
     reports: list[SymmetryReport] = []
     for path in args.graph:
         reports.append(classify(load_graph(path), tol=args.tol))
@@ -79,9 +92,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be a finite number, got {value!r}")
+    _finite("--t-min", args.t_min)
+    _finite("--t-max", args.t_max)
     graph = load_graph(args.graph)
     if args.t_count < 1:
         raise ValueError("t-count must be at least 1")
@@ -101,12 +113,12 @@ def cmd_evolve(args) -> int:
 
 def cmd_circuit_sweep(args) -> int:
     if args.alpha:
-        alphas = [_angle(a, args.degrees) for a in args.alpha]
+        alphas = [_angle("--alpha", a, args.degrees) for a in args.alpha]
     else:
         alphas = list(DEFAULT_SWEEP_ALPHAS)
-    thetas = _theta_grid(_angle(args.theta_min, args.degrees),
-                         _angle(args.theta_max, args.degrees),
-                         _angle(args.theta_step, args.degrees))
+    thetas = _theta_grid(_angle("--theta-min", args.theta_min, args.degrees),
+                         _angle("--theta-max", args.theta_max, args.degrees),
+                         _angle("--theta-step", args.theta_step, args.degrees))
     table = circuit_sweep_table(alphas, thetas, fuse_center=args.fuse_center)
     _write_output(args.out, table.to_csv())
     return EXIT_OK
@@ -157,10 +169,12 @@ def cmd_reproduce_fig2(args) -> int:
 
 
 def cmd_trotter_check(args) -> int:
+    theta_start = _finite("--theta-start", args.theta_start)
+    if not 1 <= args.halvings <= MAX_HALVINGS:
+        raise ValueError(f"--halvings must be between 1 and {MAX_HALVINGS}, "
+                         f"got {args.halvings}")
     graph = load_graph(args.graph)
-    if args.halvings < 1:
-        raise ValueError("halvings must be at least 1")
-    thetas = [args.theta_start / (2 ** k) for k in range(args.halvings + 1)]
+    thetas = [theta_start / (2 ** k) for k in range(args.halvings + 1)]
     errors = [trotter_error(graph, theta) for theta in thetas]
     lines = ["# symmetric splitting error ladder", "# theta error"]
     lines += [f"{_fmt(th)} {_fmt(err)}" for th, err in zip(thetas, errors)]

@@ -8,10 +8,19 @@ in t-chunks of at most ``CHUNK_BYTES`` complex bytes, so their peak memory is
 bounded by that budget, not by the grid length.  Probabilities follow the
 column convention ``p[to, from]``: entry ``|U[to, from]|^2`` is the
 probability of the transition ``from -> to``.
+
+Probability CSVs are rendered by ``render_csv`` on every CPU this process
+may run on: the outer grid is split into W contiguous blocks, W = min(CPUs
+in ``os.sched_getaffinity(0)``, outer points), and each block after the
+first is rendered by a forked worker.  Each block gets at least
+``PARALLEL_MIN_VALUES`` values, so smaller tables, and platforms without
+``os.fork`` or ``os.sched_getaffinity``, use W = 1.  The bytes do not
+depend on W.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -23,6 +32,10 @@ from .graph import WalkHamiltonian, to_dense
 # Complex bytes of one t-chunk of a T x N x N unitary stack; the number of
 # times per chunk follows from it for each N.
 CHUNK_BYTES = 4 * 2 ** 20
+
+# Fewest values ``render_csv`` gives each of its blocks: a forked worker and
+# its pipe cost about 5 ms, more than rendering a smaller block saves.
+PARALLEL_MIN_VALUES = 2 ** 16
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -128,6 +141,63 @@ def transition_probability(propagator: Propagator, from_node: int, to_node: int)
     return float(abs(propagator.matrix[to_node, from_node]) ** 2)
 
 
+def _render_rows(prefix_format: str, pieces: list[str],
+                 outer: Sequence[tuple[float, ...]], values: np.ndarray) -> list[str]:
+    """Rows of each outer point: one template, its prefix joined with every
+    inner piece, filled by a single ``%`` (formatted numbers hold no ``%``)."""
+    return [(prefix + prefix.join(pieces)) % tuple(row.tolist())
+            for prefix, row in zip((prefix_format % fields for fields in outer), values)]
+
+
+def _worker_count(outer_points: int, value_count: int) -> int:
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), outer_points,
+                      value_count // PARALLEL_MIN_VALUES))
+
+
+def _fork_block(render, inherited_fds: list[int]) -> tuple[int, int]:
+    """Run ``render()`` in a forked worker that writes its ASCII text to a
+    pipe; returns ``(pid, read_fd)``.
+
+    The worker closes ``inherited_fds``, the read ends of earlier workers'
+    pipes, so that closing a read end in this process is enough to stop the
+    worker that writes to it.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            for fd in (read_fd, *inherited_fds):
+                os.close(fd)
+            data = "".join(render()).encode("ascii")
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect_block(pid: int, read_fd: int) -> str:
+    """Read a worker's text to end of file, reap it, and check its status."""
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise RuntimeError(f"CSV worker {pid} failed with exit status {code}")
+    return data.decode("ascii")
+
+
 def render_csv(header: str, outer: Sequence[tuple[float, ...]],
                inner: Sequence[tuple[float, ...]], values: np.ndarray) -> str:
     """Probability CSV: ``header``, then row ``outer[k]..., inner[m]..., values[k, m]``
@@ -136,17 +206,40 @@ def render_csv(header: str, outer: Sequence[tuple[float, ...]],
     Every field is ``"%.17g" % x``: ``format(float(x), ".17g")`` for a float
     (17 digits round-trip a float64), plain digits for a node index.  Each
     inner piece is formatted once; each outer point's rows are one template,
-    its prefix joined with every piece, filled by a single ``%`` (formatted
-    numbers never hold a ``%``).
+    its prefix joined with every piece, filled by a single ``%``.
+
+    The outer points are split into W contiguous blocks, W = min(CPUs in
+    ``os.sched_getaffinity(0)``, ``len(outer)``), but no more blocks than
+    whole multiples of ``PARALLEL_MIN_VALUES`` values, so W = 1 below it;
+    W = 1 also without ``os.fork`` or ``os.sched_getaffinity``.  Block 0 is
+    rendered here; each other block by a forked worker that writes it
+    through a pipe.  The blocks are joined in order, so the text is the same
+    for every W.  A worker that fails raises ``RuntimeError`` once every
+    worker has been reaped; no partial text is returned.
     """
-    parts = [header, "\n"]
     if not inner or not outer:
-        return "".join(parts)
+        return header + "\n"
     pieces = [("%.17g," * len(fields)) % fields + "%.17g\n" for fields in inner]
     prefix_format = "%.17g," * len(outer[0])
-    for fields, row in zip(outer, values):
-        prefix = prefix_format % fields
-        parts.append((prefix + prefix.join(pieces)) % tuple(row.tolist()))
+    workers = _worker_count(len(outer), len(outer) * len(inner))
+    bounds = [len(outer) * b // workers for b in range(workers + 1)]
+
+    def render(b: int) -> list[str]:
+        block = slice(bounds[b], bounds[b + 1])
+        return _render_rows(prefix_format, pieces, outer[block], values[block])
+
+    started = []
+    try:
+        for b in range(1, workers):
+            started.append(_fork_block(lambda b=b: render(b),
+                                       [fd for _, fd in started]))
+        parts = [header, "\n", *render(0)]
+        while started:
+            parts.append(_collect_block(*started.pop(0)))
+    finally:
+        for pid, read_fd in started:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
     return "".join(parts)
 
 

@@ -39,9 +39,6 @@ class GaugePhase:
     def __len__(self) -> int:
         return len(self.phases)
 
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.exp(1j * np.array(self.phases)))
-
     def __add__(self, other: "GaugePhase") -> "GaugePhase":
         if len(self) != len(other):
             raise ValueError("gauge length mismatch")

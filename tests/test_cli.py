@@ -4,11 +4,15 @@ import csv
 import hashlib
 import io
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chiralwalk
 from chiralwalk import validate_table_csv
 from chiralwalk.cli import _theta_grid, _transfer_csv, main
 from chiralwalk.properties import PROPERTY_SUITE
@@ -97,6 +101,12 @@ def test_classify_missing_file_exits_2(tmp_path, capsys):
     assert main(["classify", "--graph", str(tmp_path / "nope.graph")]) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_classify_bad_tolerance_exits_2(triangle_file, capsys, tol):
+    assert main(["classify", "--graph", str(triangle_file), f"--tol={tol}"]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 # --- evolve -----------------------------------------------------------------
 
 def test_evolve_zero_grid_gives_identity_rows(triangle_file, tmp_path):
@@ -179,6 +189,29 @@ def test_evolve_single_time_ignoring_t_max_exits_2(triangle_file, tmp_path, caps
     assert {row[0] for row in rows} == {"5"}
 
 
+def test_evolve_bytes_do_not_depend_on_the_cpus_available(tmp_path):
+    """A table of two rendering blocks, written by fresh interpreters that
+    see one CPU and every CPU, so the real forked workers run."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no os.sched_setaffinity")
+    graph = tmp_path / "ring.graph"
+    graph.write_text("nodes 16\n" + "".join(f"edge {k} {(k + 1) % 16} 1.0 {0.1 * k}\n"
+                                             for k in range(16)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(Path(chiralwalk.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")))))
+    cpu = min(os.sched_getaffinity(0))
+    digests = []
+    for name, pin in (("one.csv", lambda: os.sched_setaffinity(0, {cpu})), ("all.csv", None)):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "chiralwalk.cli", "evolve", "--graph",
+                        str(graph), "--t-max", "7", "--t-count", "600", "--out", str(out)],
+                       env=env, preexec_fn=pin, check=True, timeout=120)
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert out.read_text().count("\n") == 1 + 600 * 16 * 16
+    assert digests[0] == digests[1]
+
+
 # --- circuit-sweep ----------------------------------------------------------
 
 def test_circuit_sweep_default_grid(tmp_path):
@@ -240,6 +273,23 @@ def test_circuit_sweep_degrees_flag(tmp_path):
 def test_circuit_sweep_bad_step_exits_2(capsys):
     assert main(["circuit-sweep", "--theta-step", "0"]) == 2
     assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--alpha", "inf"),
+                                         ("--theta-min", "-inf"), ("--theta-max", "nan"),
+                                         ("--theta-step", "inf")])
+def test_circuit_sweep_non_finite_angle_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "sweep.csv"
+    assert main(["circuit-sweep", "--theta-step", "1", f"{flag}={value}",
+                 "--out", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_circuit_sweep_overflowing_theta_span_exits_2(capsys):
+    assert main(["circuit-sweep", "--theta-min=-1e308", "--theta-max", "1e308",
+                 "--theta-step", "1"]) == 2
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_theta_grid_never_passes_theta_max():
@@ -394,6 +444,13 @@ def test_trotter_check_rejects_nonuniform_magnitudes(tmp_path, capsys):
     path.write_text("nodes 3\nedge 0 1 1.0 0\nedge 1 2 2.0 0\n")
     assert main(["trotter-check", "--graph", str(path)]) == 2
     assert "uniform" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("halvings", ["0", "1100"])
+def test_trotter_check_halvings_out_of_range_exits_2(triangle_file, capsys, halvings):
+    assert main(["trotter-check", "--graph", str(triangle_file),
+                 "--halvings", halvings]) == 2
+    assert "--halvings" in capsys.readouterr().err
 
 
 # --- properties -------------------------------------------------------------
