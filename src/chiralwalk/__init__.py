@@ -6,54 +6,42 @@ same transport with mirror-symmetric circuits of two-site gates whose
 chirality is controlled by local z-rotations.
 """
 
-from .circuit import (CircuitGraph, FusedThreeCycle, GateSpec,
-                      PalindromicCircuit, apply_circuit, build_palindrome,
+from .circuit import (GateSpec, PalindromicCircuit, apply_circuit,
                       circuit_sweep_table, excitation_preservation_check,
-                      fused_three_cycle_unitary, gate_node_space,
-                      gate_qubit_space, parse_circuit, render_circuit,
-                      rz_decompose, three_cycle_circuit,
+                      fused_three_cycle_unitary, gate_qubit_space, parse_circuit,
+                      render_circuit, rz_decompose, three_cycle_circuit,
                       three_cycle_probabilities, three_cycle_rotation_fusion,
                       three_cycle_unitaries, trotter_error)
-from .defaults import DEFAULTS, NumericDefaults
-from .graph import (Edge, GraphFormatError, GraphSkeleton, WalkHamiltonian,
-                    load_graph, parse_graph, render_graph, skeleton, to_dense)
-from .propagator import (Propagator, SpectralDecomposition, TransportTable,
-                         eig_hermitian, max_transfer, propagate, sweep_time,
-                         transition_probability, validate_table_csv)
-from .properties import (PropertyResult, format_property_report,
-                         run_property_suite)
-from .symmetry import (BipartiteCheck, GaugePhase, PtsCheck, SymmetryReport,
-                       apply_gauge, bipartite_negation_gauge, classify,
-                       cycle_flux, default_time_samples, eq_parity_residual,
-                       is_bipartite, is_forest, pts_numeric,
-                       tree_phase_removal)
+from .defaults import DEFAULTS
+from .graph import (Edge, GraphFormatError, WalkHamiltonian, load_graph,
+                    parse_graph, render_graph, skeleton, to_dense)
+from .propagator import (TransportTable, eig_hermitian, max_transfer, propagate,
+                         sweep_time, validate_table_csv)
+from .properties import format_property_report, run_property_suite
+from .symmetry import (GaugePhase, SymmetryReport, apply_gauge,
+                       bipartite_negation_gauge, classify, cycle_flux,
+                       default_time_samples, eq_parity_residual, is_bipartite,
+                       is_forest, pts_numeric, tree_phase_removal)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULTS",
-    "NumericDefaults",
     "Edge",
     "GraphFormatError",
-    "GraphSkeleton",
     "WalkHamiltonian",
     "load_graph",
     "parse_graph",
     "render_graph",
     "skeleton",
     "to_dense",
-    "Propagator",
-    "SpectralDecomposition",
     "TransportTable",
     "eig_hermitian",
     "max_transfer",
     "propagate",
     "sweep_time",
-    "transition_probability",
     "validate_table_csv",
-    "BipartiteCheck",
     "GaugePhase",
-    "PtsCheck",
     "SymmetryReport",
     "apply_gauge",
     "bipartite_negation_gauge",
@@ -65,16 +53,12 @@ __all__ = [
     "is_forest",
     "pts_numeric",
     "tree_phase_removal",
-    "CircuitGraph",
-    "FusedThreeCycle",
     "GateSpec",
     "PalindromicCircuit",
     "apply_circuit",
-    "build_palindrome",
     "circuit_sweep_table",
     "excitation_preservation_check",
     "fused_three_cycle_unitary",
-    "gate_node_space",
     "gate_qubit_space",
     "parse_circuit",
     "render_circuit",
@@ -84,7 +68,6 @@ __all__ = [
     "three_cycle_unitaries",
     "three_cycle_rotation_fusion",
     "trotter_error",
-    "PropertyResult",
     "format_property_report",
     "run_property_suite",
 ]

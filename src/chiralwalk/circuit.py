@@ -32,8 +32,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .defaults import DEFAULTS
-from .graph import GraphFormatError, GraphSkeleton, WalkHamiltonian
-from .propagator import Propagator, TransportTable, _freeze, propagate
+from .graph import GraphFormatError, GraphSkeleton, WalkHamiltonian, fmt_real
+from .propagator import TransportTable, _freeze, propagate
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -75,17 +75,6 @@ class GateSpec:
 
 
 @dataclass(frozen=True)
-class CircuitGraph:
-    """Support skeleton of a circuit: an edge wherever some gate acts."""
-
-    n_nodes: int
-    edges: tuple[tuple[int, int], ...]
-
-    def to_skeleton(self) -> GraphSkeleton:
-        return GraphSkeleton(self.n_nodes, self.edges)
-
-
-@dataclass(frozen=True)
 class PalindromicCircuit:
     """Mirror-symmetric gate sequence: half, optional center, reversed half."""
 
@@ -105,14 +94,9 @@ class PalindromicCircuit:
         middle = (self.center,) if self.center is not None else ()
         return self.half + middle + tuple(reversed(self.half))
 
-    def support(self) -> CircuitGraph:
-        pairs = sorted({gate.pair() for gate in self.full})
-        return CircuitGraph(self.n_nodes, tuple(pairs))
-
-
-def build_palindrome(half: Iterable[GateSpec], n_nodes: int,
-                     center: GateSpec | None = None) -> PalindromicCircuit:
-    return PalindromicCircuit(n_nodes, tuple(half), center)
+    def support(self) -> GraphSkeleton:
+        """Support skeleton: an edge wherever some gate acts."""
+        return GraphSkeleton(self.n_nodes, tuple(sorted({gate.pair() for gate in self.full})))
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +141,6 @@ def gate_node_matrix(gate: GateSpec, n_nodes: int) -> np.ndarray:
     u[gate.i, gate.i] = u[gate.j, gate.j] = c
     u[gate.i, gate.j], u[gate.j, gate.i] = upper, lower
     return u
-
-
-def gate_node_space(gate: GateSpec, n_nodes: int) -> Propagator:
-    """Single-gate walk unitary: identity outside the (i, j) mixing block."""
-    return Propagator(_freeze(gate_node_matrix(gate, n_nodes)),
-                      f"two-site gate ({gate.i},{gate.j}) node space")
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +201,8 @@ def _qubit_columns(circuit: PalindromicCircuit) -> np.ndarray:
     return psi.reshape(1 << n, n)
 
 
-def apply_circuit(circuit: PalindromicCircuit, space: str = "node") -> Propagator:
-    """Ordered product of the full gate sequence.
+def apply_circuit(circuit: PalindromicCircuit, space: str = "node") -> np.ndarray:
+    """Ordered product of the full gate sequence, read-only.
 
     ``space="node"`` rewrites two rows of the identity per gate.
     ``space="qubit"`` runs dense statevectors and reports the N x N
@@ -232,14 +210,10 @@ def apply_circuit(circuit: PalindromicCircuit, space: str = "node") -> Propagato
     ``B[i, j] = <i excited| circuit |j excited>``.
     """
     if space == "node":
-        u = _apply_gates(np.eye(circuit.n_nodes, dtype=complex), _gate_rows(circuit.full))
-        return Propagator(_freeze(u),
-                          f"palindromic circuit ({len(circuit.full)} gates, node space)")
+        return _freeze(_apply_gates(np.eye(circuit.n_nodes, dtype=complex),
+                                    _gate_rows(circuit.full)))
     if space == "qubit":
-        block = _qubit_columns(circuit)[_single_excitation_rows(circuit.n_nodes), :]
-        return Propagator(_freeze(block),
-                          f"palindromic circuit ({len(circuit.full)} gates, "
-                          "qubit-space single-excitation block)")
+        return _freeze(_qubit_columns(circuit)[_single_excitation_rows(circuit.n_nodes), :])
     raise ValueError(f"unknown space {space!r} (expected 'node' or 'qubit')")
 
 
@@ -265,9 +239,8 @@ def three_cycle_circuit(alpha: float, theta: float,
     """
     gates = tuple(GateSpec(i, j, alpha, theta) for i, j in ((0, 1), (1, 2), (2, 0)))
     if fuse_center:
-        return build_palindrome(gates[:2], 3,
-                                center=GateSpec(2, 0, alpha, 2.0 * theta))
-    return build_palindrome(gates, 3)
+        return PalindromicCircuit(3, gates[:2], GateSpec(2, 0, alpha, 2.0 * theta))
+    return PalindromicCircuit(3, gates)
 
 
 def _three_cycle_run(alphas: Sequence[float], thetas: Sequence[float],
@@ -377,9 +350,8 @@ def trotter_error(hamiltonian: WalkHamiltonian, scale: float,
     # phase enters negated to reproduce exp(-1j * H_edge * t / 2)
     half = tuple(GateSpec(e.i, e.j, -e.alpha, float(scale) / 2.0)
                  for e in hamiltonian.edges)
-    circuit = build_palindrome(half, hamiltonian.n_nodes)
-    approx = apply_circuit(circuit, "node").matrix
-    exact = propagate(hamiltonian, t).matrix
+    approx = apply_circuit(PalindromicCircuit(hamiltonian.n_nodes, half), "node")
+    exact = propagate(hamiltonian, t)
     return float(np.abs(approx - exact).max())
 
 
@@ -409,12 +381,11 @@ def parse_circuit(text: str, n_nodes: int | None = None) -> PalindromicCircuit:
         raise GraphFormatError("empty circuit file")
     if n_nodes is None:
         n_nodes = max(max(g.i, g.j) for g in half) + 1
-    return build_palindrome(half, n_nodes)
+    return PalindromicCircuit(n_nodes, half)
 
 
 def render_circuit(circuit: PalindromicCircuit) -> str:
     if circuit.center is not None:
         raise ValueError("circuit files list a mirrored half; fused centers are not expressible")
-    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
-    lines = [f"gate {g.i} {g.j} {fmt(g.alpha)} {fmt(g.theta)}" for g in circuit.half]
+    lines = [f"gate {g.i} {g.j} {fmt_real(g.alpha)} {fmt_real(g.theta)}" for g in circuit.half]
     return "\n".join(lines) + "\n"

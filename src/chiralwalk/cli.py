@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import circuit_sweep_table, three_cycle_transfer, trotter_error
 from .defaults import DEFAULTS
-from .graph import GraphFormatError, load_graph
+from .graph import GraphFormatError, fmt_real, load_graph
 from .propagator import CSV_HEADERS, render_csv, sweep_time
 from .properties import PROPERTY_SUITE, format_property_report, run_property_suite
 from .symmetry import SymmetryReport, classify
@@ -30,10 +30,6 @@ EXIT_USAGE = 2
 DEFAULT_SWEEP_ALPHAS = (0.0, PI / 2, PI, 3 * PI / 2)
 # 2 ** k converts to a float only for k < 1024
 MAX_HALVINGS = 1023
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_output(target: str | None, text: str) -> None:
@@ -156,14 +152,14 @@ def cmd_reproduce_fig2(args) -> int:
     summary = [
         "# transfer summary for the three-node palindrome, start node 0 -> node 2",
         f"surface_grid={count}x{count}",
-        f"surface_max={_fmt(transfer.max())}",
-        f"surface_max_alpha={_fmt(surface_alphas[a_star])}",
-        f"surface_max_theta={_fmt(surface_thetas[t_star])}",
+        f"surface_max={fmt_real(transfer.max())}",
+        f"surface_max_alpha={fmt_real(surface_alphas[a_star])}",
+        f"surface_max_theta={fmt_real(surface_thetas[t_star])}",
     ]
     for name, alpha, value in zip(slice_names, slice_alphas, slice_max):
-        summary.append(f"{name}: alpha={_fmt(alpha)} max={_fmt(value)}")
+        summary.append(f"{name}: alpha={fmt_real(alpha)} max={fmt_real(value)}")
     summary.append(f"symmetric_slice_bound=0.6 "
-                   f"(observed {_fmt(slice_max[0])} at alpha=0)")
+                   f"(observed {fmt_real(slice_max[0])} at alpha=0)")
     (out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     return EXIT_OK
 
@@ -173,15 +169,18 @@ def cmd_trotter_check(args) -> int:
     if not 1 <= args.halvings <= MAX_HALVINGS:
         raise ValueError(f"--halvings must be between 1 and {MAX_HALVINGS}, "
                          f"got {args.halvings}")
-    graph = load_graph(args.graph)
     thetas = [theta_start / (2 ** k) for k in range(args.halvings + 1)]
+    if thetas[-1] == 0.0:
+        raise ValueError(f"--theta-start must be nonzero, and stay nonzero over "
+                         f"{args.halvings} halvings; got {theta_start!r}")
+    graph = load_graph(args.graph)
     errors = [trotter_error(graph, theta) for theta in thetas]
     lines = ["# symmetric splitting error ladder", "# theta error"]
-    lines += [f"{_fmt(th)} {_fmt(err)}" for th, err in zip(thetas, errors)]
+    lines += [f"{fmt_real(th)} {fmt_real(err)}" for th, err in zip(thetas, errors)]
     lines.append("# successive ratios error(theta)/error(theta/2)")
     for k in range(len(thetas) - 1):
         ratio = errors[k] / errors[k + 1] if errors[k + 1] > 0 else math.inf
-        lines.append(f"{_fmt(thetas[k])}/{_fmt(thetas[k + 1])} {_fmt(ratio)}")
+        lines.append(f"{fmt_real(thetas[k])}/{fmt_real(thetas[k + 1])} {fmt_real(ratio)}")
     _write_output(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -197,6 +196,8 @@ def _parse_trials(items) -> dict[str, int]:
             raise ValueError(f"bad --trials override {item!r}: unknown suite {name!r}")
         if int(value) < 1:
             raise ValueError(f"bad --trials override {item!r}: COUNT must be at least 1")
+        if name in overrides:
+            raise ValueError(f"bad --trials override {item!r}: suite {name!r} given twice")
         overrides[name] = int(value)
     return overrides
 

@@ -13,12 +13,7 @@ class NumericDefaults:
     uniform_magnitude: float = 1e-12  # edge-|h| spread accepted by the splitting circuit
 
     # contract tolerances
-    reconstruction: float = 1e-10     # ||V D V^dag - H||_max, scaled
-    unitarity: float = 1e-10          # ||U^dag U - I||_max
-    column_sum: float = 1e-9          # probability column normalization
     pts: float = 1e-9                 # sampled probability-symmetry verdict
-    gauge: float = 1e-12              # gauge-invariance of probability tables
-    exact: float = 1e-12              # "exact up to rounding" operator identities
 
     # grids and iteration limits
     pts_samples: int = 64             # default time-sample count for pts_numeric

@@ -41,6 +41,43 @@ def _check_finite_real(value, what: str) -> float:
     return value
 
 
+def _add_edge(index: dict[tuple[int, int], Edge], raw, n_nodes: int) -> None:
+    """Validate one ``(i, j, h, alpha)`` and store it canonically (``i < j``)
+    in ``index``; the one edge check of both the constructor and the parser."""
+    i, j, h, alpha = raw
+    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+        raise ValueError(f"edge endpoints must be integers, got {raw!r}")
+    i, j = int(i), int(j)
+    if i == j:
+        raise ValueError(f"self-coupling ({i}, {j}): endpoints coincide; use a self-energy")
+    if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+        raise ValueError(f"edge ({i}, {j}) index out of range for {n_nodes} nodes")
+    h = _check_finite_real(h, "edge magnitude")
+    alpha = _check_finite_real(alpha, "edge phase")
+    if h == 0.0:
+        raise ValueError(f"edge ({i}, {j}) has zero magnitude; omit zero-magnitude edges")
+    if h < 0.0:
+        raise ValueError(f"edge ({i}, {j}) has negative magnitude {h}")
+    if i > j:
+        i, j, alpha = j, i, -alpha
+    if (i, j) in index:
+        raise ValueError(f"duplicate edge ({i}, {j})")
+    index[i, j] = Edge(i, j, h, alpha)
+
+
+def _add_self_energy(selfs: dict[int, float], entry, n_nodes: int) -> None:
+    """Validate one real ``(node, energy)`` and store it in ``selfs``."""
+    node, energy = entry
+    node = int(node)
+    if not (0 <= node < n_nodes):
+        raise ValueError(f"self-energy node {node} out of range")
+    if node in selfs:
+        raise ValueError(f"duplicate self-energy for node {node}")
+    if isinstance(energy, complex) and energy.imag != 0.0:
+        raise ValueError(f"self-energy of node {node} must be real, got {energy!r}")
+    selfs[node] = _check_finite_real(energy, "self-energy")
+
+
 @dataclass(frozen=True)
 class WalkHamiltonian:
     """Hermitian walk generator over ``n_nodes`` basis states.
@@ -59,49 +96,18 @@ class WalkHamiltonian:
     def __post_init__(self):
         if not isinstance(self.n_nodes, int) or self.n_nodes < 1:
             raise ValueError("n_nodes must be a positive integer")
-        canonical = []
-        seen: set[tuple[int, int]] = set()
+        index: dict[tuple[int, int], Edge] = {}
         for raw in self.edges:
-            i, j, h, alpha = raw
-            if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
-                raise ValueError(f"edge endpoints must be integers, got {raw!r}")
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-coupling ({i}, {j}) is not an edge; use a self-energy")
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ValueError(f"edge ({i}, {j}) index out of range for {self.n_nodes} nodes")
-            h = _check_finite_real(h, "edge magnitude")
-            alpha = _check_finite_real(alpha, "edge phase")
-            if h == 0.0:
-                raise ValueError(f"edge ({i}, {j}) has zero magnitude; omit absent edges")
-            if h < 0.0:
-                raise ValueError(f"edge ({i}, {j}) has negative magnitude {h}")
-            if i > j:
-                i, j, alpha = j, i, -alpha
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            canonical.append(Edge(i, j, h, alpha))
-        canonical.sort(key=lambda e: (e.i, e.j))
-        object.__setattr__(self, "edges", tuple(canonical))
+            _add_edge(index, raw, self.n_nodes)
+        object.__setattr__(self, "edges", tuple(sorted(index.values())))
 
         energies = self.self_energies
         if isinstance(energies, Mapping):
             energies = energies.items()
-        selfs = []
-        seen_nodes: set[int] = set()
-        for node, energy in energies:
-            node = int(node)
-            if not (0 <= node < self.n_nodes):
-                raise ValueError(f"self-energy node {node} out of range")
-            if node in seen_nodes:
-                raise ValueError(f"duplicate self-energy for node {node}")
-            seen_nodes.add(node)
-            if isinstance(energy, complex) and energy.imag != 0.0:
-                raise ValueError(f"self-energy of node {node} must be real, got {energy!r}")
-            selfs.append((node, _check_finite_real(energy, "self-energy")))
-        selfs.sort()
-        object.__setattr__(self, "self_energies", tuple(selfs))
+        selfs: dict[int, float] = {}
+        for entry in energies:
+            _add_self_energy(selfs, entry, self.n_nodes)
+        object.__setattr__(self, "self_energies", tuple(sorted(selfs.items())))
 
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
@@ -109,8 +115,7 @@ class WalkHamiltonian:
                 raise ValueError("more labels than nodes")
             object.__setattr__(self, "labels", labels)
 
-        object.__setattr__(self, "_edge_index",
-                           {(e.i, e.j): e for e in self.edges})
+        object.__setattr__(self, "_edge_index", index)
 
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)
@@ -181,7 +186,8 @@ def skeleton(hamiltonian: WalkHamiltonian,
     return GraphSkeleton(hamiltonian.n_nodes, edges, self_nodes)
 
 
-def _format_real(x: float) -> str:
+def fmt_real(x: float) -> str:
+    """17 significant digits: the shortest fixed width that round-trips every float64."""
     return format(float(x), ".17g")
 
 
@@ -189,9 +195,9 @@ def render_graph(hamiltonian: WalkHamiltonian) -> str:
     """Graph-file text for the Hamiltonian; ``parse_graph`` round-trips it."""
     lines = [f"nodes {hamiltonian.n_nodes}"]
     for i, j, h, alpha in hamiltonian.edges:
-        lines.append(f"edge {i} {j} {_format_real(h)} {_format_real(alpha)}")
+        lines.append(f"edge {i} {j} {fmt_real(h)} {fmt_real(alpha)}")
     for node, energy in hamiltonian.self_energies:
-        lines.append(f"self {node} {_format_real(energy)}")
+        lines.append(f"self {node} {fmt_real(energy)}")
     return "\n".join(lines) + "\n"
 
 
@@ -258,10 +264,8 @@ def parse_graph(text: str) -> WalkHamiltonian:
     """
     n_nodes: int | None = None
     resolver: _NodeResolver | None = None
-    edges: list[Edge] = []
-    seen_edges: set[tuple[int, int]] = set()
-    selfs: list[tuple[int, float]] = []
-    seen_selfs: set[int] = set()
+    edges: dict[tuple[int, int], Edge] = {}
+    selfs: dict[int, float] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -284,36 +288,27 @@ def parse_graph(text: str) -> WalkHamiltonian:
         if keyword == "edge":
             if len(tokens) != 5:
                 raise GraphFormatError("expected 'edge <i> <j> <h> <alpha>'", lineno)
-            u = resolver.resolve(tokens[1], lineno)
-            v = resolver.resolve(tokens[2], lineno)
-            if u == v:
-                raise GraphFormatError(f"edge endpoints coincide ({tokens[1]})", lineno)
-            h = _parse_real(tokens[3], "edge magnitude", lineno)
-            alpha = _parse_real(tokens[4], "edge phase", lineno)
-            if h == 0.0:
-                raise GraphFormatError("zero-magnitude edge (omit absent edges)", lineno)
-            if h < 0.0:
-                raise GraphFormatError("negative edge magnitude", lineno)
-            if u > v:
-                u, v, alpha = v, u, -alpha
-            if (u, v) in seen_edges:
-                raise GraphFormatError(f"duplicate edge between {tokens[1]} and {tokens[2]}", lineno)
-            seen_edges.add((u, v))
-            edges.append(Edge(u, v, h, alpha))
+            entry = (resolver.resolve(tokens[1], lineno), resolver.resolve(tokens[2], lineno),
+                     _parse_real(tokens[3], "edge magnitude", lineno),
+                     _parse_real(tokens[4], "edge phase", lineno))
+            add, target = _add_edge, edges
         elif keyword == "self":
             if len(tokens) != 3:
                 raise GraphFormatError("expected 'self <i> <energy>'", lineno)
-            node = resolver.resolve(tokens[1], lineno)
-            if node in seen_selfs:
-                raise GraphFormatError(f"duplicate self-energy for {tokens[1]}", lineno)
-            seen_selfs.add(node)
-            selfs.append((node, _parse_real(tokens[2], "self-energy", lineno)))
+            entry = (resolver.resolve(tokens[1], lineno),
+                     _parse_real(tokens[2], "self-energy", lineno))
+            add, target = _add_self_energy, selfs
         else:
             raise GraphFormatError(f"unknown declaration {keyword!r}", lineno)
+        try:
+            add(target, entry, n_nodes)
+        except ValueError as exc:
+            raise GraphFormatError(str(exc), lineno) from None
 
     if n_nodes is None:
         raise GraphFormatError("empty graph file (missing 'nodes <N>')")
-    return WalkHamiltonian(n_nodes, tuple(edges), tuple(selfs), resolver.labels())
+    return WalkHamiltonian(n_nodes, tuple(edges.values()), tuple(selfs.items()),
+                           resolver.labels())
 
 
 def load_graph(path) -> WalkHamiltonian:

@@ -85,26 +85,6 @@ def probability_chunks(dec: SpectralDecomposition,
         yield start, np.abs(dec.propagator_batch(times[start:start + step])) ** 2
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """Dense unitary with a human-readable note on where it came from."""
-
-    matrix: np.ndarray
-    provenance: str = ""
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def unitarity_defect(self) -> float:
-        gram = self.matrix.conj().T @ self.matrix
-        return float(np.abs(gram - np.eye(self.n)).max())
-
-    def dagger(self) -> "Propagator":
-        return Propagator(_freeze(self.matrix.conj().T.copy()),
-                          self.provenance + " (dagger)")
-
-
 def eig_hermitian(matrix: np.ndarray,
                   hermiticity_tol: float = DEFAULTS.hermiticity) -> SpectralDecomposition:
     """Eigendecomposition with an explicit Hermiticity gate on the input."""
@@ -127,18 +107,9 @@ def decompose(hamiltonian) -> SpectralDecomposition:
     return eig_hermitian(hamiltonian)
 
 
-def propagate(hamiltonian, t: float) -> Propagator:
-    """U = exp(-iHt) through the spectral factorization."""
-    dec = decompose(hamiltonian)
-    return Propagator(_freeze(dec.propagator_matrix(float(t))),
-                      f"exp(-iHt) n={dec.n} t={t!r}")
-
-
-def transition_probability(propagator: Propagator, from_node: int, to_node: int) -> float:
-    n = propagator.n
-    if not (0 <= from_node < n and 0 <= to_node < n):
-        raise ValueError(f"node pair ({from_node}, {to_node}) out of range for n={n}")
-    return float(abs(propagator.matrix[to_node, from_node]) ** 2)
+def propagate(hamiltonian, t: float) -> np.ndarray:
+    """U = exp(-iHt) through the spectral factorization, read-only."""
+    return _freeze(decompose(hamiltonian).propagator_matrix(float(t)))
 
 
 def _render_rows(prefix_format: str, pieces: list[str],
@@ -203,7 +174,7 @@ def render_csv(header: str, outer: Sequence[tuple[float, ...]],
     """Probability CSV: ``header``, then row ``outer[k]..., inner[m]..., values[k, m]``
     for each ``k`` and within it each ``m``.
 
-    Every field is ``"%.17g" % x``: ``format(float(x), ".17g")`` for a float
+    Every field is ``"%.17g" % x``: ``graph.fmt_real(x)`` for a float
     (17 digits round-trip a float64), plain digits for a node index.  Each
     inner piece is formatted once; each outer point's rows are one template,
     its prefix joined with every piece, filled by a single ``%``.
@@ -258,7 +229,7 @@ class TransportTable:
 
     Byte contract of ``to_csv``: the header, then for each grid point every
     ``from`` in ascending order and within it every ``to``, each row ending
-    in a newline, and every real written as ``format(float(x), ".17g")``.
+    in a newline, and every real written as ``graph.fmt_real(x)``.
     The text is fixed by the float64 values alone.
     """
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import GateSpec, PalindromicCircuit, build_palindrome
+from .circuit import GateSpec, PalindromicCircuit
 from .graph import Edge, GraphSkeleton, WalkHamiltonian
 from .symmetry import GaugePhase, is_bipartite
 
@@ -104,7 +104,7 @@ def random_palindrome(rng: np.random.Generator, n: int, gate_count: int,
         j = int(rng.integers(i + 1, n))
         alpha = 0.0 if zero_alpha else float(rng.uniform(-np.pi, np.pi))
         half.append(GateSpec(i, j, alpha, float(rng.uniform(-np.pi, np.pi))))
-    return build_palindrome(half, n)
+    return PalindromicCircuit(n, half)
 
 
 def random_spanning_tree_palindrome(rng: np.random.Generator,
@@ -116,7 +116,7 @@ def random_spanning_tree_palindrome(rng: np.random.Generator,
     half = [GateSpec(i, j, float(rng.uniform(-np.pi, np.pi)),
                      float(rng.uniform(-np.pi, np.pi)))
             for i, j in pairs]
-    return build_palindrome(half, n)
+    return PalindromicCircuit(n, half)
 
 
 def random_bipartite_palindrome(rng: np.random.Generator,
@@ -129,4 +129,4 @@ def random_bipartite_palindrome(rng: np.random.Generator,
         i, j = pairs[int(rng.integers(0, len(pairs)))]
         half.append(GateSpec(i, j, float(rng.uniform(-np.pi, np.pi)),
                              float(rng.uniform(-np.pi, np.pi))))
-    return build_palindrome(half, graph.n_nodes)
+    return PalindromicCircuit(graph.n_nodes, half)

@@ -15,16 +15,15 @@ all edge phases zero, which the test suite enforces.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .defaults import DEFAULTS
-from .graph import Edge, GraphSkeleton, WalkHamiltonian, skeleton
+from .graph import Edge, GraphSkeleton, WalkHamiltonian, fmt_real, skeleton
 from .propagator import decompose, probability_chunks
 
 TWO_PI = 2.0 * math.pi
@@ -38,11 +37,6 @@ class GaugePhase:
 
     def __len__(self) -> int:
         return len(self.phases)
-
-    def __add__(self, other: "GaugePhase") -> "GaugePhase":
-        if len(self) != len(other):
-            raise ValueError("gauge length mismatch")
-        return GaugePhase(tuple(a + b for a, b in zip(self.phases, other.phases)))
 
 
 class BipartiteCheck(NamedTuple):
@@ -240,20 +234,17 @@ def cycle_flux(hamiltonian: WalkHamiltonian, cycle: Sequence[int]) -> float:
     return reduced
 
 
-_REPORT_CSV_FIELDS = (
-    "structural_class", "n_nodes", "n_edges", "is_forest", "is_bipartite",
-    "structural_pts", "phase_dependent", "numeric_pts_residual",
-    "pts_symmetric_at_samples", "two_coloring", "odd_cycle",
-    "phase_removal_gauge", "negation_gauge", "labels",
-)
-
-
 def _yes_no(flag: bool) -> str:
     return "Yes" if flag else "No"
 
 
-def _join_reals(values) -> str:
-    return ";".join(format(float(v), ".17g") for v in values)
+def _joined(values, fmt=str) -> str:
+    """``;``-joined text of ``values``; ``""`` when they are absent."""
+    return "" if values is None else ";".join(fmt(v) for v in values)
+
+
+def _phases(gauge: GaugePhase | None) -> tuple[float, ...] | None:
+    return None if gauge is None else gauge.phases
 
 
 @dataclass(frozen=True)
@@ -275,37 +266,12 @@ class SymmetryReport:
     negation_gauge: GaugePhase | None = None
     labels: tuple[str, ...] | None = None
 
-    def to_text(self) -> str:
-        lines = [
-            f"structural_class={self.structural_class}",
-            f"n_nodes={self.n_nodes}",
-            f"n_edges={self.n_edges}",
-            f"is_forest={_yes_no(self.is_forest)}",
-            f"is_bipartite={_yes_no(self.is_bipartite)}",
-            f"structural_pts={_yes_no(self.structural_pts)}",
-            f"phase_dependent={_yes_no(self.phase_dependent)}",
-            f"numeric_pts_residual={format(self.numeric_pts_residual, '.17g')}",
-            f"pts_symmetric_at_samples={_yes_no(self.pts_symmetric_at_samples)}",
-        ]
-        if self.two_coloring is not None:
-            lines.append("two_coloring=" + ";".join(str(c) for c in self.two_coloring))
-        if self.odd_cycle is not None:
-            lines.append("odd_cycle=" + ";".join(str(v) for v in self.odd_cycle))
-        if self.phase_removal_gauge is not None:
-            lines.append("phase_removal_gauge=" + _join_reals(self.phase_removal_gauge.phases))
-        if self.negation_gauge is not None:
-            lines.append("negation_gauge=" + _join_reals(self.negation_gauge.phases))
-        if self.labels is not None:
-            lines.append("labels=" + ";".join(f"{name}:{k}"
-                                              for k, name in enumerate(self.labels)))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(_REPORT_CSV_FIELDS)
-
-    def to_csv_row(self) -> str:
-        values = {
+    def fields(self) -> dict[str, str]:
+        """Every field as its report text, in declaration order; an absent
+        certificate is ``""``."""
+        labels = None if self.labels is None else [
+            f"{name}:{k}" for k, name in enumerate(self.labels)]
+        return {
             "structural_class": self.structural_class,
             "n_nodes": str(self.n_nodes),
             "n_edges": str(self.n_edges),
@@ -313,23 +279,26 @@ class SymmetryReport:
             "is_bipartite": _yes_no(self.is_bipartite),
             "structural_pts": _yes_no(self.structural_pts),
             "phase_dependent": _yes_no(self.phase_dependent),
-            "numeric_pts_residual": format(self.numeric_pts_residual, ".17g"),
+            "numeric_pts_residual": fmt_real(self.numeric_pts_residual),
             "pts_symmetric_at_samples": _yes_no(self.pts_symmetric_at_samples),
-            "two_coloring": ";".join(str(c) for c in self.two_coloring)
-                            if self.two_coloring is not None else "",
-            "odd_cycle": ";".join(str(v) for v in self.odd_cycle)
-                         if self.odd_cycle is not None else "",
-            "phase_removal_gauge": _join_reals(self.phase_removal_gauge.phases)
-                                   if self.phase_removal_gauge is not None else "",
-            "negation_gauge": _join_reals(self.negation_gauge.phases)
-                              if self.negation_gauge is not None else "",
-            "labels": ";".join(f"{name}:{k}" for k, name in enumerate(self.labels))
-                      if self.labels is not None else "",
+            "two_coloring": _joined(self.two_coloring),
+            "odd_cycle": _joined(self.odd_cycle),
+            "phase_removal_gauge": _joined(_phases(self.phase_removal_gauge), fmt_real),
+            "negation_gauge": _joined(_phases(self.negation_gauge), fmt_real),
+            "labels": _joined(labels),
         }
+
+    def to_text(self) -> str:
+        return "".join(f"{name}={value}\n" for name, value in self.fields().items() if value)
+
+    @staticmethod
+    def csv_header() -> str:
+        return ",".join(field.name for field in dataclasses.fields(SymmetryReport))
+
+    def to_csv_row(self) -> str:
         # minimal quoting: only a field holding ',', '"' or a line break is quoted
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow(
-            values[field] for field in _REPORT_CSV_FIELDS)
+        csv.writer(buffer, lineterminator="\n").writerow(self.fields().values())
         return buffer.getvalue()[:-1]
 
 

@@ -130,7 +130,7 @@ def _measure_4(record):
     elapsed = time.perf_counter() - start
     for graph, t in ((uniform_triangle(0.0), PI / 3), (uniform_triangle(PI / 6), t_chiral)):
         u = propagate(graph, t)
-        record(unitaries=u.matrix, probabilities=np.abs(u.matrix) ** 2)
+        record(unitaries=u, probabilities=np.abs(u) ** 2)
     return p_symmetric, p_chiral, elapsed
 
 
@@ -168,10 +168,10 @@ def _measure_6(record):
         t = float(rng.uniform(-5.0, 5.0))
         u = propagate(graph, t)
         u_gauged = propagate(apply_gauge(graph, gauge), t)
-        record(unitaries=u.matrix, probabilities=np.abs(u.matrix) ** 2)
-        record(unitaries=u_gauged.matrix)
-        worst = max(worst, float(np.abs(np.abs(u.matrix) ** 2
-                                        - np.abs(u_gauged.matrix) ** 2).max()))
+        record(unitaries=u, probabilities=np.abs(u) ** 2)
+        record(unitaries=u_gauged)
+        worst = max(worst, float(np.abs(np.abs(u) ** 2
+                                        - np.abs(u_gauged) ** 2).max()))
     return worst
 
 
@@ -194,7 +194,7 @@ def _measure_8(record):
     for theta in (0.1, 0.05):
         ratios.append(trotter_error(graph, theta) / trotter_error(graph, theta / 2))
         target = propagate(graph, theta)
-        record(unitaries=target.matrix, probabilities=np.abs(target.matrix) ** 2)
+        record(unitaries=target, probabilities=np.abs(target) ** 2)
     return ratios
 
 
@@ -204,8 +204,8 @@ def _measure_9(record):
         for theta in EXPERIMENT_GRID:
             circuit = three_cycle_circuit(alpha, float(theta))
             block = apply_circuit(circuit, "qubit")
-            record(unitaries=block.matrix, probabilities=np.abs(block.matrix) ** 2)
-            leak = 1.0 - float((np.abs(block.matrix) ** 2).sum(axis=0).min())
+            record(unitaries=block, probabilities=np.abs(block) ** 2)
+            leak = 1.0 - float((np.abs(block) ** 2).sum(axis=0).min())
             worst_leak = max(worst_leak, abs(leak))
     return worst_leak
 

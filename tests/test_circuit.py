@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralwalk import (Edge, GateSpec, GraphFormatError, WalkHamiltonian,
-                        apply_circuit, build_palindrome,
+from chiralwalk import (Edge, GateSpec, GraphFormatError, PalindromicCircuit,
+                        WalkHamiltonian, apply_circuit,
                         excitation_preservation_check, fused_three_cycle_unitary,
-                        gate_node_space, gate_qubit_space, parse_circuit,
+                        gate_qubit_space, parse_circuit,
                         propagate, render_circuit, rz_decompose,
                         three_cycle_circuit, three_cycle_probabilities,
                         three_cycle_rotation_fusion, trotter_error)
@@ -29,14 +29,14 @@ angles = st.floats(min_value=-2 * PI, max_value=2 * PI,
 # --- single gates -----------------------------------------------------------
 
 def test_gate_node_zero_angle_is_identity():
-    u = gate_node_space(GateSpec(0, 1, 0.9, 0.0), 4)
-    assert np.array_equal(u.matrix, np.eye(4, dtype=complex))
+    u = gate_node_matrix(GateSpec(0, 1, 0.9, 0.0), 4)
+    assert np.array_equal(u, np.eye(4, dtype=complex))
 
 
 def test_gate_node_quarter_angle_swaps_probability():
-    u = gate_node_space(GateSpec(0, 1, 0.0, PI / 2), 2)
+    u = gate_node_matrix(GateSpec(0, 1, 0.0, PI / 2), 2)
     block = np.array([[0.0, -1j], [-1j, 0.0]])
-    assert np.abs(u.matrix - block).max() <= 1e-15
+    assert np.abs(u - block).max() <= 1e-15
 
 
 def test_single_gate_transfer_is_alpha_independent():
@@ -44,16 +44,16 @@ def test_single_gate_transfer_is_alpha_independent():
     for _ in range(25):
         alpha = float(rng.uniform(-2 * PI, 2 * PI))
         theta = float(rng.uniform(-2 * PI, 2 * PI))
-        u = gate_node_space(GateSpec(0, 1, alpha, theta), 2)
+        u = gate_node_matrix(GateSpec(0, 1, alpha, theta), 2)
         expected = math.sin(theta) ** 2
-        assert abs(abs(u.matrix[1, 0]) ** 2 - expected) <= 1e-12
-        assert abs(abs(u.matrix[0, 1]) ** 2 - expected) <= 1e-12
-        assert abs(np.abs(np.linalg.det(u.matrix)) - 1.0) <= 1e-12
+        assert abs(abs(u[1, 0]) ** 2 - expected) <= 1e-12
+        assert abs(abs(u[0, 1]) ** 2 - expected) <= 1e-12
+        assert abs(np.abs(np.linalg.det(u)) - 1.0) <= 1e-12
 
 
 def test_gate_orientation_flip_negates_alpha():
-    a = gate_node_space(GateSpec(0, 2, 0.8, 1.1), 3).matrix
-    b = gate_node_space(GateSpec(2, 0, -0.8, 1.1), 3).matrix
+    a = gate_node_matrix(GateSpec(0, 2, 0.8, 1.1), 3)
+    b = gate_node_matrix(GateSpec(2, 0, -0.8, 1.1), 3)
     assert np.array_equal(a, b)
 
 
@@ -88,7 +88,7 @@ def test_gate_qubit_restriction_equals_node_block():
         qubit = gate_qubit_space(gate)
         # single-excitation rows/cols: |10> (index 2) is node 0, |01> node 1
         restricted = qubit[np.ix_((2, 1), (2, 1))]
-        node = gate_node_space(gate, 2).matrix
+        node = gate_node_matrix(gate, 2)
         assert np.abs(restricted - node).max() <= 1e-12
 
 
@@ -119,14 +119,14 @@ def test_rotation_fusion_leaves_one_interior_pair():
         assert len(fused.symmetric_gates) == 6
         assert all(g.alpha == 0.0 for g in fused.symmetric_gates)
         assert fused.rotation_phase == pytest.approx(3 * alpha)
-        direct = apply_circuit(three_cycle_circuit(alpha, theta), "node").matrix
+        direct = apply_circuit(three_cycle_circuit(alpha, theta), "node")
         assert np.abs(fused_three_cycle_unitary(fused) - direct).max() <= 1e-12
 
 
 def test_fusion_boundary_diagonals_do_not_touch_probabilities():
     fused = three_cycle_rotation_fusion(0.53, 1.3)
     boundary = np.diag(np.exp(1j * np.array(fused.boundary_phases)))
-    u = apply_circuit(three_cycle_circuit(0.53, 1.3), "node").matrix
+    u = apply_circuit(three_cycle_circuit(0.53, 1.3), "node")
     stripped = boundary.conj().T @ u @ boundary
     assert np.abs(np.abs(stripped) ** 2 - np.abs(u) ** 2).max() <= 1e-12
 
@@ -134,9 +134,9 @@ def test_fusion_boundary_diagonals_do_not_touch_probabilities():
 # --- palindromes ------------------------------------------------------------
 
 def test_empty_palindrome_is_identity():
-    circuit = build_palindrome((), 3)
+    circuit = PalindromicCircuit(3, ())
     assert circuit.full == ()
-    assert np.array_equal(apply_circuit(circuit, "node").matrix,
+    assert np.array_equal(apply_circuit(circuit, "node"),
                           np.eye(3, dtype=complex))
 
 
@@ -150,10 +150,10 @@ def test_triangle_palindrome_shape():
 
 def test_support_graph_feeds_the_classifier():
     from chiralwalk import is_bipartite, is_forest
-    triangle_support = three_cycle_circuit(0.4, 0.9).support().to_skeleton()
+    triangle_support = three_cycle_circuit(0.4, 0.9).support()
     assert not is_bipartite(triangle_support).bipartite
-    chain = build_palindrome((GateSpec(0, 1, 0.2, 0.5), GateSpec(1, 2, -0.1, 0.4)), 3)
-    chain_support = chain.support().to_skeleton()
+    chain = PalindromicCircuit(3, (GateSpec(0, 1, 0.2, 0.5), GateSpec(1, 2, -0.1, 0.4)))
+    chain_support = chain.support()
     assert is_forest(chain_support)
     assert is_bipartite(chain_support).bipartite
 
@@ -168,7 +168,7 @@ def test_any_palindrome_equals_its_reverse(n, k, seed):
         j = int(rng.integers(i + 1, n))
         half.append(GateSpec(i, j, float(rng.uniform(-PI, PI)),
                              float(rng.uniform(-PI, PI))))
-    circuit = build_palindrome(half, n)
+    circuit = PalindromicCircuit(n, half)
     assert circuit.full == tuple(reversed(circuit.full))
 
 
@@ -186,7 +186,7 @@ def random_palindrome_with_repeats(rng, n):
         half.append(GateSpec(again.i, again.j, float(rng.uniform(-PI, PI)), again.theta))
     rng.shuffle(half)
     center = random_gate(rng, n) if rng.integers(2) else None
-    return build_palindrome(half, n, center=center)
+    return PalindromicCircuit(n, half, center)
 
 
 def test_row_update_engine_matches_gate_products():
@@ -197,7 +197,7 @@ def test_row_update_engine_matches_gate_products():
             product = np.eye(n, dtype=complex)
             for gate in circuit.full:
                 product = gate_node_matrix(gate, n) @ product
-            assert np.abs(apply_circuit(circuit, "node").matrix - product).max() <= 1e-13
+            assert np.abs(apply_circuit(circuit, "node") - product).max() <= 1e-13
 
 
 def test_column_transfer_equals_unitary_entry():
@@ -239,24 +239,24 @@ def test_qubit_columns_match_per_node_loop():
                 # one or two columns per node make the reference a matrix-vector
                 # product, which the BLAS rounds differently in the last place
                 assert np.abs(batched - reference).max() <= 1e-15
-    assert np.array_equal(_qubit_columns(build_palindrome((), 3)), np.eye(8)[:, [4, 2, 1]])
+    assert np.array_equal(_qubit_columns(PalindromicCircuit(3, ())), np.eye(8)[:, [4, 2, 1]])
 
 
 def test_apply_circuit_zero_angles_is_identity():
     circuit = three_cycle_circuit(0.7, 0.0)
-    assert np.abs(apply_circuit(circuit, "node").matrix - np.eye(3)).max() <= 1e-15
+    assert np.abs(apply_circuit(circuit, "node") - np.eye(3)).max() <= 1e-15
 
 
 def test_node_and_qubit_blocks_agree():
     circuit = three_cycle_circuit(0.9, 1.2)
-    node = apply_circuit(circuit, "node").matrix
-    qubit = apply_circuit(circuit, "qubit").matrix
+    node = apply_circuit(circuit, "node")
+    qubit = apply_circuit(circuit, "qubit")
     assert np.abs(node - qubit).max() <= 1e-10
 
 
 def test_symmetric_palindrome_has_symmetric_amplitudes():
     circuit = three_cycle_circuit(0.0, 0.8)
-    u = apply_circuit(circuit, "node").matrix
+    u = apply_circuit(circuit, "node")
     assert np.abs(u - u.T).max() <= 1e-12
 
 
@@ -264,14 +264,14 @@ def test_apply_circuit_rejects_unknown_space_and_large_registers():
     circuit = three_cycle_circuit(0.1, 0.2)
     with pytest.raises(ValueError, match="unknown space"):
         apply_circuit(circuit, "phase")
-    big = build_palindrome((GateSpec(0, 1, 0.1, 0.1),), 15)
+    big = PalindromicCircuit(15, (GateSpec(0, 1, 0.1, 0.1),))
     with pytest.raises(ValueError, match="limited"):
         apply_circuit(big, "qubit")
 
 
 def test_gate_out_of_range_rejected_at_build():
     with pytest.raises(ValueError, match="out of range"):
-        build_palindrome((GateSpec(0, 5, 0.1, 0.1),), 3)
+        PalindromicCircuit(3, (GateSpec(0, 5, 0.1, 0.1),))
 
 
 def test_gate_spec_validation():
@@ -284,8 +284,8 @@ def test_gate_spec_validation():
 # --- the triangle circuit ---------------------------------------------------
 
 def test_fused_center_gives_identical_unitary():
-    plain = apply_circuit(three_cycle_circuit(0.6, 1.1), "node").matrix
-    fused = apply_circuit(three_cycle_circuit(0.6, 1.1, fuse_center=True), "node").matrix
+    plain = apply_circuit(three_cycle_circuit(0.6, 1.1), "node")
+    fused = apply_circuit(three_cycle_circuit(0.6, 1.1, fuse_center=True), "node")
     assert len(three_cycle_circuit(0.6, 1.1, fuse_center=True).full) == 5
     assert np.abs(plain - fused).max() <= 1e-12
 
@@ -300,7 +300,7 @@ def test_batched_probabilities_match_gate_products():
     for a_index, alpha in enumerate(alphas):
         for t_index, theta in enumerate(thetas):
             u = apply_circuit(three_cycle_circuit(float(alpha), float(theta)),
-                              "node").matrix
+                              "node")
             assert np.abs(probs[a_index, t_index] - np.abs(u) ** 2).max() <= 1e-12
 
 
@@ -365,7 +365,7 @@ def test_splitting_approximates_the_walk():
     theta = 0.01
     circuit_error = trotter_error(graph, theta)
     assert circuit_error <= 1e-5
-    exact = propagate(graph, theta).matrix
+    exact = propagate(graph, theta)
     assert np.abs(exact).max() <= 1.0 + 1e-12
 
 
@@ -389,7 +389,7 @@ def test_triangle_circuit_preserves_excitation_number():
 
 
 def test_identity_circuit_has_zero_leakage():
-    assert excitation_preservation_check(build_palindrome((), 3)) == 0.0
+    assert excitation_preservation_check(PalindromicCircuit(3, ())) == 0.0
 
 
 def test_random_palindromes_preserve_excitation_number():
@@ -402,7 +402,7 @@ def test_random_palindromes_preserve_excitation_number():
             j = int(rng.integers(i + 1, n))
             half.append(GateSpec(i, j, float(rng.uniform(-PI, PI)),
                                  float(rng.uniform(-PI, PI))))
-        assert excitation_preservation_check(build_palindrome(half, n)) <= 1e-12
+        assert excitation_preservation_check(PalindromicCircuit(n, half)) <= 1e-12
 
 
 # --- circuit files ----------------------------------------------------------

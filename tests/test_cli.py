@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import chiralwalk
-from chiralwalk import validate_table_csv
+from chiralwalk import parse_graph, pts_numeric, validate_table_csv
 from chiralwalk.cli import _theta_grid, _transfer_csv, main
 from chiralwalk.properties import PROPERTY_SUITE
 
@@ -105,6 +105,80 @@ def test_classify_missing_file_exits_2(tmp_path, capsys):
 def test_classify_bad_tolerance_exits_2(triangle_file, capsys, tol):
     assert main(["classify", "--graph", str(triangle_file), f"--tol={tol}"]) == 2
     assert "--tol" in capsys.readouterr().err
+
+
+# One graph of each certificate kind: a tree with self-energies (phase-removal
+# gauge, self-edge odd cycle), a bipartite square (two-coloring, negation
+# gauge), the chiral triangle (odd cycle, no gauge) and a labelled path (both
+# gauges and labels).  The report bytes are frozen; only the residual, whose
+# last bits depend on the BLAS, is recomputed at test time.
+REPORT_GRAPHS = {
+    "tree": "nodes 4\nedge 0 1 1.0 0.7\nedge 1 2 0.5 -1.2\nedge 1 3 2.0 2.5\n"
+            "self 0 0.5\nself 2 -0.25\n",
+    "square": "nodes 4\nedge 0 1 1.0 0.3\nedge 1 2 1.0 -0.8\nedge 2 3 1.0 1.1\n"
+              "edge 3 0 1.0 0.4\n",
+    "triangle": "nodes 3\n" + "".join(f"edge {i} {j} 1.0 0.5235987755982988\n"
+                                      for i, j in ((0, 1), (1, 2), (2, 0))),
+    "labelled": "nodes 3\nedge a b 1.0 0.3\nedge b c 0.5 -0.2\n",
+}
+REPORT_TEXT = {
+    "tree": "structural_class=tree-with-self-edges\nn_nodes=4\nn_edges=3\n"
+            "is_forest=Yes\nis_bipartite=No\nstructural_pts=Yes\nphase_dependent=No\n"
+            "numeric_pts_residual={residual}\npts_symmetric_at_samples=Yes\n"
+            "odd_cycle=0;0\n"
+            "phase_removal_gauge=0;0.69999999999999996;-0.5;3.2000000000000002\n",
+    "square": "structural_class=bipartite-with-cycles\nn_nodes=4\nn_edges=4\n"
+              "is_forest=No\nis_bipartite=Yes\nstructural_pts=Yes\nphase_dependent=Yes\n"
+              "numeric_pts_residual={residual}\npts_symmetric_at_samples=Yes\n"
+              "two_coloring=0;1;0;1\n"
+              "negation_gauge=0;3.1415926535897931;0;3.1415926535897931\n",
+    "triangle": "structural_class=non-bipartite\nn_nodes=3\nn_edges=3\n"
+                "is_forest=No\nis_bipartite=No\nstructural_pts=No\nphase_dependent=Yes\n"
+                "numeric_pts_residual={residual}\npts_symmetric_at_samples=No\n"
+                "odd_cycle=0;1;2;0\n",
+    "labelled": "structural_class=tree\nn_nodes=3\nn_edges=2\n"
+                "is_forest=Yes\nis_bipartite=Yes\nstructural_pts=Yes\nphase_dependent=No\n"
+                "numeric_pts_residual={residual}\npts_symmetric_at_samples=Yes\n"
+                "two_coloring=0;1;0\n"
+                "phase_removal_gauge=0;0.29999999999999999;0.099999999999999978\n"
+                "negation_gauge=0;3.1415926535897931;0\nlabels=a:0;b:1;c:2\n",
+}
+REPORT_CSV = (
+    "structural_class,n_nodes,n_edges,is_forest,is_bipartite,structural_pts,"
+    "phase_dependent,numeric_pts_residual,pts_symmetric_at_samples,two_coloring,"
+    "odd_cycle,phase_removal_gauge,negation_gauge,labels\n"
+    "tree-with-self-edges,4,3,Yes,No,Yes,No,{tree},Yes,,0;0,"
+    "0;0.69999999999999996;-0.5;3.2000000000000002,,\n"
+    "bipartite-with-cycles,4,4,No,Yes,Yes,Yes,{square},Yes,0;1;0;1,,,"
+    "0;3.1415926535897931;0;3.1415926535897931,\n"
+    "non-bipartite,3,3,No,No,No,Yes,{triangle},No,,0;1;2;0,,,\n"
+    "tree,3,2,Yes,Yes,Yes,No,{labelled},Yes,0;1;0,,"
+    "0;0.29999999999999999;0.099999999999999978,0;3.1415926535897931;0,a:0;b:1;c:2\n"
+)
+
+
+def report_residual(name):
+    return format(pts_numeric(parse_graph(REPORT_GRAPHS[name])).residual, ".17g")
+
+
+@pytest.mark.parametrize("name", list(REPORT_GRAPHS))
+def test_classify_text_bytes_are_frozen(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.graph"
+    path.write_text(REPORT_GRAPHS[name])
+    assert main(["classify", "--graph", str(path)]) == 0
+    expected = REPORT_TEXT[name].format(residual=report_residual(name))
+    assert capsys.readouterr().out == expected
+
+
+def test_classify_csv_bytes_are_frozen(tmp_path, capsys):
+    argv = ["classify", "--csv"]
+    for name, text in REPORT_GRAPHS.items():
+        path = tmp_path / f"{name}.graph"
+        path.write_text(text)
+        argv += ["--graph", str(path)]
+    assert main(argv) == 0
+    expected = REPORT_CSV.format(**{name: report_residual(name) for name in REPORT_GRAPHS})
+    assert capsys.readouterr().out == expected
 
 
 # --- evolve -----------------------------------------------------------------
@@ -453,6 +527,14 @@ def test_trotter_check_halvings_out_of_range_exits_2(triangle_file, capsys, halv
     assert "--halvings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta_start, halvings", [("0", "4"), ("5e-324", "1")])
+def test_trotter_check_zero_theta_exits_2(triangle_file, capsys, theta_start, halvings):
+    # a zero angle gives rounding noise for errors and 0/0 for the ratios
+    assert main(["trotter-check", "--graph", str(triangle_file),
+                 "--theta-start", theta_start, "--halvings", halvings]) == 2
+    assert "--theta-start" in capsys.readouterr().err
+
+
 # --- properties -------------------------------------------------------------
 
 def test_properties_command_reports_and_passes(tmp_path):
@@ -501,6 +583,12 @@ def test_properties_unknown_trials_name_exits_2(capsys):
 def test_properties_zero_trials_exits_2(capsys):
     assert main(["properties", "--trials", "non-bipartite-asymmetry=0"]) == 2
     assert "non-bipartite-asymmetry=0" in capsys.readouterr().err
+
+
+def test_properties_repeated_trials_name_exits_2(capsys):
+    assert main(["properties", "--trials", "trotter-order=1",
+                 "--trials", "trotter-order=3"]) == 2
+    assert "'trotter-order'" in capsys.readouterr().err
 
 
 # --- benchmark trace spans --------------------------------------------------

@@ -1,0 +1,20 @@
+"""The public surface: every exported name resolves and has a caller."""
+
+import re
+from pathlib import Path
+
+import chiralwalk
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_export_resolves_and_has_a_caller():
+    sources = [ROOT / "src" / "chiralwalk" / "cli.py"]
+    sources += [path for path in (ROOT / "tests").rglob("*.py")
+                if path.name != "__init__.py"]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in sources)
+    unresolved = [name for name in chiralwalk.__all__ if not hasattr(chiralwalk, name)]
+    uncalled = [name for name in chiralwalk.__all__
+                if not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert unresolved == []
+    assert uncalled == []

@@ -142,6 +142,9 @@ def test_round_trip_preserves_17_digit_reals():
     ("nodes 2\nspin 0 1\n", "unknown declaration", 2),
     ("nodes 2\nedge a 1 1 0\n", "mix", 2),
     ("nodes 1\nedge a b 1 0\n", "exceeds declared node count", 2),
+    ("nodes 2\nedge a b 1 0\nedge b a 1 0\n", "duplicate edge", 3),
+    ("nodes 2\nself a 1\nself a 2\n", "duplicate self-energy", 3),
+    ("nodes 2\nedge a a 1 0\n", "coincide", 2),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment, line):
     with pytest.raises(GraphFormatError) as err:

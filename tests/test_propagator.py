@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from chiralwalk import (Edge, WalkHamiltonian, eig_hermitian, max_transfer,
-                        parse_graph, propagate, sweep_time,
-                        transition_probability, to_dense, validate_table_csv)
+                        parse_graph, propagate, sweep_time, to_dense,
+                        validate_table_csv)
 from chiralwalk import propagator
 from chiralwalk.cli import _transfer_csv
 from chiralwalk.propagator import TransportTable, chunk_length
@@ -80,20 +80,19 @@ def test_eig_reconstruction_and_orthonormality():
 
 def test_propagate_zero_time_is_identity():
     u = propagate(uniform_triangle(0.4), 0.0)
-    assert np.abs(u.matrix - np.eye(3)).max() <= 1e-12
+    assert np.abs(u - np.eye(3)).max() <= 1e-12
 
 
 def test_two_site_full_transfer_at_quarter_period():
     u = propagate(two_site(), PI / 2)
-    assert abs(transition_probability(u, 0, 1) - 1.0) <= 1e-12
+    assert abs(abs(u[1, 0]) ** 2 - 1.0) <= 1e-12
 
 
 def test_negative_time_is_adjoint():
     graph = uniform_triangle(0.9)
     forward = propagate(graph, 1.3)
     backward = propagate(graph, -1.3)
-    assert np.abs(backward.matrix - forward.matrix.conj().T).max() <= 1e-10
-    assert np.abs(backward.matrix - forward.dagger().matrix).max() <= 1e-10
+    assert np.abs(backward - forward.conj().T).max() <= 1e-10
 
 
 def test_group_property():
@@ -101,8 +100,8 @@ def test_group_property():
     graph = uniform_triangle(0.2)
     for _ in range(10):
         t1, t2 = rng.uniform(-3, 3, size=2)
-        joined = propagate(graph, float(t1 + t2)).matrix
-        split = propagate(graph, float(t1)).matrix @ propagate(graph, float(t2)).matrix
+        joined = propagate(graph, float(t1 + t2))
+        split = propagate(graph, float(t1)) @ propagate(graph, float(t2))
         assert np.abs(joined - split).max() <= 1e-9
 
 
@@ -116,15 +115,15 @@ def test_unitarity_random_instances():
                       if rng.random() < 0.4)
         graph = WalkHamiltonian(n, edges)
         u = propagate(graph, float(rng.uniform(-10, 10)))
-        assert u.unitarity_defect() <= 1e-10
+        assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-10
 
 
 def test_spectral_shift_changes_nothing_observable():
     graph = uniform_triangle(0.7)
     shifted = WalkHamiltonian(3, graph.edges, tuple((v, 2.5) for v in range(3)))
     for t in (0.3, 1.7, 4.0):
-        p = np.abs(propagate(graph, t).matrix) ** 2
-        p_shifted = np.abs(propagate(shifted, t).matrix) ** 2
+        p = np.abs(propagate(graph, t)) ** 2
+        p_shifted = np.abs(propagate(shifted, t)) ** 2
         assert np.abs(p - p_shifted).max() <= 1e-12
 
 
@@ -134,7 +133,7 @@ def test_matches_taylor_squaring_oracle():
         n = int(rng.integers(2, 9))
         matrix = random_hermitian(rng, n)
         t = float(rng.uniform(-4, 4))
-        via_spectrum = propagate(matrix, t).matrix
+        via_spectrum = propagate(matrix, t)
         via_taylor = expm_taylor(-1j * matrix * t)
         assert np.abs(via_spectrum - via_taylor).max() <= 1e-8
 
@@ -142,16 +141,8 @@ def test_matches_taylor_squaring_oracle():
 def test_triangle_transfer_matches_closed_form():
     graph = uniform_triangle(0.0)
     for t in np.linspace(0.0, 2 * PI, 41):
-        p = transition_probability(propagate(graph, float(t)), 0, 2)
+        p = abs(propagate(graph, float(t))[2, 0]) ** 2
         assert abs(p - triangle_probability_closed_form(float(t))) <= 1e-12
-
-
-def test_transition_probability_identity_cases():
-    u = propagate(uniform_triangle(0.1), 0.0)
-    assert transition_probability(u, 0, 1) <= 1e-24
-    assert abs(transition_probability(u, 2, 2) - 1.0) <= 1e-12
-    with pytest.raises(ValueError, match="out of range"):
-        transition_probability(u, 0, 3)
 
 
 # --- batched kernel ---------------------------------------------------------

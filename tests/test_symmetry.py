@@ -219,8 +219,8 @@ def test_negation_gauge_implies_time_reversal_pairing():
     graph = parse_graph("nodes 4\nedge 0 1 1 0.9\nedge 1 2 1 0.4\n"
                         "edge 2 3 1 1.3\nedge 3 0 1 -0.2\n")
     for t in (0.5, 1.9, 3.3):
-        forward = np.abs(propagate(graph, t).matrix)
-        backward = np.abs(propagate(graph, -t).matrix)
+        forward = np.abs(propagate(graph, t))
+        backward = np.abs(propagate(graph, -t))
         assert np.abs(forward - backward).max() <= 1e-12
 
 
@@ -238,7 +238,7 @@ def test_gauge_composition(lam1, lam2):
     graph = uniform_triangle(0.3)
     one_then_two = apply_gauge(apply_gauge(graph, GaugePhase(tuple(lam1))),
                                GaugePhase(tuple(lam2)))
-    combined = apply_gauge(graph, GaugePhase(tuple(lam1)) + GaugePhase(tuple(lam2)))
+    combined = apply_gauge(graph, GaugePhase(tuple(a + b for a, b in zip(lam1, lam2))))
     for left, right in zip(one_then_two.edges, combined.edges):
         assert abs(left.alpha - right.alpha) <= 1e-12
 
@@ -254,8 +254,8 @@ def test_gauge_preserves_transition_probabilities():
         graph = WalkHamiltonian(n, edges)
         gauge = GaugePhase(tuple(float(x) for x in rng.uniform(-PI, PI, n)))
         t = float(rng.uniform(-5, 5))
-        p = np.abs(propagate(graph, t).matrix) ** 2
-        p_gauged = np.abs(propagate(apply_gauge(graph, gauge), t).matrix) ** 2
+        p = np.abs(propagate(graph, t)) ** 2
+        p_gauged = np.abs(propagate(apply_gauge(graph, gauge), t)) ** 2
         assert np.abs(p - p_gauged).max() <= 1e-12
 
 
@@ -358,7 +358,7 @@ def test_parity_residual_is_half_the_probability_skew():
             continue
         graph = WalkHamiltonian(n, edges)
         t = float(rng.uniform(0.2, 4.0))
-        p = np.abs(propagate(graph, t).matrix) ** 2
+        p = np.abs(propagate(graph, t)) ** 2
         for i in range(n):
             for j in range(i + 1, n):
                 residual = eq_parity_residual(graph, t, i, j)
