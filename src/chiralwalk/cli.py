@@ -190,7 +190,7 @@ def _parse_trials(items) -> dict[str, int]:
     overrides = {}
     for item in items or ():
         name, _, value = item.partition("=")
-        if not value or not value.isdigit():
+        if not (value.isascii() and value.isdigit()):
             raise ValueError(f"bad --trials override {item!r} (expected NAME=COUNT)")
         if name not in suites:
             raise ValueError(f"bad --trials override {item!r}: unknown suite {name!r}")
@@ -203,6 +203,8 @@ def _parse_trials(items) -> dict[str, int]:
 
 
 def cmd_properties(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     results = run_property_suite(args.seed, _parse_trials(args.trials),
                                  inject_fault=args.inject_fault)
     _write_output(args.out, format_property_report(results, args.seed))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -134,11 +134,9 @@ class WalkHamiltonian:
             diag[node] = energy
         return diag
 
-    def with_edges(self, edges: Iterable) -> "WalkHamiltonian":
-        return WalkHamiltonian(self.n_nodes, tuple(edges), self.self_energies, self.labels)
-
     def zero_phase_copy(self) -> "WalkHamiltonian":
-        return self.with_edges(Edge(e.i, e.j, e.h, 0.0) for e in self.edges)
+        edges = tuple(Edge(e.i, e.j, e.h, 0.0) for e in self.edges)
+        return WalkHamiltonian(self.n_nodes, edges, self.self_energies, self.labels)
 
 
 @dataclass(frozen=True)

@@ -247,9 +247,6 @@ class TransportTable:
     def n(self) -> int:
         return self.probabilities.shape[1]
 
-    def probability(self, k: int, from_node: int, to_node: int) -> float:
-        return float(self.probabilities[k, to_node, from_node])
-
     def column_sum_defect(self) -> float:
         return float(np.abs(self.probabilities.sum(axis=1) - 1.0).max())
 

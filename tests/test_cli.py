@@ -575,6 +575,17 @@ def test_properties_bad_trials_exits_2(capsys):
     assert main(["properties", "--trials", "gauge-invariance=lots"]) == 2
 
 
+def test_properties_non_ascii_digit_trials_exits_2(capsys):
+    # '²'.isdigit() is True, but int() rejects it
+    assert main(["properties", "--trials", "gauge-invariance=²"]) == 2
+    assert "bad --trials override 'gauge-invariance=²'" in capsys.readouterr().err
+
+
+def test_properties_negative_seed_exits_2(capsys):
+    assert main(["properties", "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_properties_unknown_trials_name_exits_2(capsys):
     assert main(["properties", "--trials", "gauge-invarance=5"]) == 2
     assert "gauge-invarance=5" in capsys.readouterr().err
