@@ -76,23 +76,20 @@ class GateSpec:
 
 @dataclass(frozen=True)
 class PalindromicCircuit:
-    """Mirror-symmetric gate sequence: half, optional center, reversed half."""
+    """Mirror-symmetric gate sequence: a half, then the same half reversed."""
 
     n_nodes: int
     half: tuple[GateSpec, ...]
-    center: GateSpec | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "half", tuple(self.half))
-        gates = self.half + ((self.center,) if self.center is not None else ())
-        for gate in gates:
+        for gate in self.half:
             if gate.i >= self.n_nodes or gate.j >= self.n_nodes:
                 raise ValueError(f"gate {gate} out of range for {self.n_nodes} nodes")
 
     @property
     def full(self) -> tuple[GateSpec, ...]:
-        middle = (self.center,) if self.center is not None else ()
-        return self.half + middle + tuple(reversed(self.half))
+        return self.half + tuple(reversed(self.half))
 
     def support(self) -> GraphSkeleton:
         """Support skeleton: an edge wherever some gate acts."""
@@ -227,24 +224,19 @@ def excitation_preservation_check(circuit: PalindromicCircuit) -> float:
 # ---------------------------------------------------------------------------
 # the three-node palindrome
 
-def three_cycle_circuit(alpha: float, theta: float,
-                        fuse_center: bool = False) -> PalindromicCircuit:
+def three_cycle_circuit(alpha: float, theta: float) -> PalindromicCircuit:
     """Six-gate palindrome on the triangle, every gate sharing (alpha, theta).
 
     The smallest palindrome whose support has an odd cycle; its directed
     flux is three times the per-gate phase, so transport depends on alpha
-    only through ``3 * alpha mod 2*pi``.  With ``fuse_center`` the doubled
-    middle gate is merged into one gate at angle ``2 * theta`` (same
-    unitary, five gates).
+    only through ``3 * alpha mod 2*pi``.
     """
     gates = tuple(GateSpec(i, j, alpha, theta) for i, j in ((0, 1), (1, 2), (2, 0)))
-    if fuse_center:
-        return PalindromicCircuit(3, gates[:2], GateSpec(2, 0, alpha, 2.0 * theta))
     return PalindromicCircuit(3, gates)
 
 
 def _three_cycle_run(alphas: Sequence[float], thetas: Sequence[float],
-                     fuse_center: bool, start: np.ndarray) -> np.ndarray:
+                     start: np.ndarray) -> np.ndarray:
     """Triangle palindrome on ``start``, batched over the flattened grid.
 
     ``three_cycle_circuit(0, 1)`` gives each gate's alpha offset and theta
@@ -252,38 +244,34 @@ def _three_cycle_run(alphas: Sequence[float], thetas: Sequence[float],
     """
     alpha_grid, theta_grid = np.meshgrid(alphas, thetas, indexing="ij")
     state = np.repeat(np.asarray(start, dtype=complex)[..., None], alpha_grid.size, axis=-1)
-    template = three_cycle_circuit(0.0, 1.0, fuse_center).full
+    template = three_cycle_circuit(0.0, 1.0).full
     return _apply_gates(state, _gate_rows(template, alpha_grid.ravel(), theta_grid.ravel()))
 
 
-def three_cycle_unitaries(alphas: Sequence[float], thetas: Sequence[float],
-                          fuse_center: bool = False) -> np.ndarray:
+def three_cycle_unitaries(alphas: Sequence[float], thetas: Sequence[float]) -> np.ndarray:
     """Unitary stack ``u[a, k]`` (3x3 each) of the triangle palindrome, in one pass."""
-    state = _three_cycle_run(alphas, thetas, fuse_center, np.eye(3))
+    state = _three_cycle_run(alphas, thetas, np.eye(3))
     return np.moveaxis(state, -1, 0).reshape(len(alphas), len(thetas), 3, 3)
 
 
-def three_cycle_transfer(alphas: Sequence[float], thetas: Sequence[float],
-                         fuse_center: bool = False) -> np.ndarray:
+def three_cycle_transfer(alphas: Sequence[float], thetas: Sequence[float]) -> np.ndarray:
     """Transfer probability ``p[a, k]`` of ``0 -> 2``, propagating column 0 only."""
-    state = _three_cycle_run(alphas, thetas, fuse_center, np.eye(3)[:, 0])
+    state = _three_cycle_run(alphas, thetas, np.eye(3)[:, 0])
     return (np.abs(state[2]) ** 2).reshape(len(alphas), len(thetas))
 
 
-def three_cycle_probabilities(alphas: Sequence[float], thetas: Sequence[float],
-                              fuse_center: bool = False) -> np.ndarray:
+def three_cycle_probabilities(alphas: Sequence[float], thetas: Sequence[float]) -> np.ndarray:
     """Probability tensor ``p[a, k, to, from]`` for the triangle palindrome."""
-    return np.abs(three_cycle_unitaries(alphas, thetas, fuse_center)) ** 2
+    return np.abs(three_cycle_unitaries(alphas, thetas)) ** 2
 
 
-def circuit_sweep_table(alphas: Sequence[float], thetas: Sequence[float],
-                        fuse_center: bool = False) -> TransportTable:
+def circuit_sweep_table(alphas: Sequence[float], thetas: Sequence[float]) -> TransportTable:
     """Triangle-palindrome sweep as a circuit-schema TransportTable."""
     alphas = [float(a) for a in alphas]
     thetas_list = [float(t) for t in thetas]
     if not alphas or not thetas_list:
         raise ValueError("sweep grids must be nonempty")
-    probs = three_cycle_probabilities(alphas, thetas_list, fuse_center)
+    probs = three_cycle_probabilities(alphas, thetas_list)
     axes = tuple((a, t) for a in alphas for t in thetas_list)
     flat = probs.reshape(len(axes), 3, 3)
     return TransportTable("circuit", axes, _freeze(flat))
@@ -327,8 +315,7 @@ def fused_three_cycle_unitary(fused: FusedThreeCycle) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # splitting a Hamiltonian evolution into a gate palindrome
 
-def trotter_error(hamiltonian: WalkHamiltonian, scale: float,
-                  magnitude_tol: float = DEFAULTS.uniform_magnitude) -> float:
+def trotter_error(hamiltonian: WalkHamiltonian, scale: float) -> float:
     """Max-norm error of the symmetric edge-splitting palindrome.
 
     The half sequence holds one gate per edge at angle ``scale / 2``
@@ -340,9 +327,9 @@ def trotter_error(hamiltonian: WalkHamiltonian, scale: float,
     if not hamiltonian.edges:
         raise ValueError("splitting circuit needs at least one edge")
     magnitudes = [e.h for e in hamiltonian.edges]
-    if max(magnitudes) - min(magnitudes) > magnitude_tol * max(magnitudes):
+    if max(magnitudes) - min(magnitudes) > DEFAULTS.uniform_magnitude * max(magnitudes):
         raise ValueError("edge magnitudes must be uniform for the splitting circuit")
-    if np.abs(hamiltonian.diagonal()).max() > magnitude_tol:
+    if np.abs(hamiltonian.diagonal()).max() > DEFAULTS.uniform_magnitude:
         raise ValueError("splitting circuit does not represent self-energies")
     h = magnitudes[0]
     t = float(scale) / h
@@ -385,7 +372,5 @@ def parse_circuit(text: str, n_nodes: int | None = None) -> PalindromicCircuit:
 
 
 def render_circuit(circuit: PalindromicCircuit) -> str:
-    if circuit.center is not None:
-        raise ValueError("circuit files list a mirrored half; fused centers are not expressible")
     lines = [f"gate {g.i} {g.j} {fmt_real(g.alpha)} {fmt_real(g.theta)}" for g in circuit.half]
     return "\n".join(lines) + "\n"

@@ -115,7 +115,7 @@ def cmd_circuit_sweep(args) -> int:
     thetas = _theta_grid(_angle("--theta-min", args.theta_min, args.degrees),
                          _angle("--theta-max", args.theta_max, args.degrees),
                          _angle("--theta-step", args.theta_step, args.degrees))
-    table = circuit_sweep_table(alphas, thetas, fuse_center=args.fuse_center)
+    table = circuit_sweep_table(alphas, thetas)
     _write_output(args.out, table.to_csv())
     return EXIT_OK
 
@@ -194,11 +194,16 @@ def _parse_trials(items) -> dict[str, int]:
             raise ValueError(f"bad --trials override {item!r} (expected NAME=COUNT)")
         if name not in suites:
             raise ValueError(f"bad --trials override {item!r}: unknown suite {name!r}")
-        if int(value) < 1:
+        try:
+            count = int(value)
+        except ValueError:  # more digits than int() converts
+            raise ValueError(f"bad --trials override for suite {name!r}: COUNT has "
+                             f"{len(value)} digits") from None
+        if count < 1:
             raise ValueError(f"bad --trials override {item!r}: COUNT must be at least 1")
         if name in overrides:
             raise ValueError(f"bad --trials override {item!r}: suite {name!r} given twice")
-        overrides[name] = int(value)
+        overrides[name] = count
     return overrides
 
 
@@ -244,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=-PI)
     p.add_argument("--theta-max", type=float, default=PI)
     p.add_argument("--theta-step", type=float, default=PI / 18)
-    p.add_argument("--fuse-center", action="store_true",
-                   help="merge the doubled middle gate (same unitary)")
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_circuit_sweep)

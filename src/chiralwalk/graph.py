@@ -168,18 +168,17 @@ def to_dense(hamiltonian: WalkHamiltonian) -> np.ndarray:
     return matrix
 
 
-def skeleton(hamiltonian: WalkHamiltonian,
-             self_edge_tol: float = DEFAULTS.self_edge) -> GraphSkeleton:
+def skeleton(hamiltonian: WalkHamiltonian) -> GraphSkeleton:
     """Support graph of the Hamiltonian.
 
     A node carries a self-edge only when its energy exceeds the minimum
-    diagonal by more than ``self_edge_tol``: adding the same constant to
+    diagonal by more than ``DEFAULTS.self_edge``: adding the same constant to
     every self-energy does not change the walk, so a uniform diagonal is
     no structure at all.
     """
     diag = hamiltonian.diagonal()
     shifted = diag - diag.min()
-    self_nodes = tuple(int(i) for i in np.flatnonzero(shifted > self_edge_tol))
+    self_nodes = tuple(int(i) for i in np.flatnonzero(shifted > DEFAULTS.self_edge))
     edges = tuple((e.i, e.j) for e in hamiltonian.edges)
     return GraphSkeleton(hamiltonian.n_nodes, edges, self_nodes)
 

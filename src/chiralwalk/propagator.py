@@ -58,10 +58,6 @@ class SpectralDecomposition:
     def spectral_norm(self) -> float:
         return float(np.abs(self.eigenvalues).max()) if self.n else 0.0
 
-    def propagator_matrix(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
-
     def propagator_batch(self, times: np.ndarray) -> np.ndarray:
         """Stack of unitaries, shape (len(times), n, n), as one matrix product."""
         phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float),
@@ -85,14 +81,13 @@ def probability_chunks(dec: SpectralDecomposition,
         yield start, np.abs(dec.propagator_batch(times[start:start + step])) ** 2
 
 
-def eig_hermitian(matrix: np.ndarray,
-                  hermiticity_tol: float = DEFAULTS.hermiticity) -> SpectralDecomposition:
+def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition with an explicit Hermiticity gate on the input."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square matrix")
     asym = float(np.abs(matrix - matrix.conj().T).max()) if matrix.size else 0.0
-    if asym > hermiticity_tol:
+    if asym > DEFAULTS.hermiticity:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     return SpectralDecomposition(_freeze(eigenvalues), _freeze(eigenvectors))
@@ -109,7 +104,7 @@ def decompose(hamiltonian) -> SpectralDecomposition:
 
 def propagate(hamiltonian, t: float) -> np.ndarray:
     """U = exp(-iHt) through the spectral factorization, read-only."""
-    return _freeze(decompose(hamiltonian).propagator_matrix(float(t)))
+    return _freeze(decompose(hamiltonian).propagator_batch([float(t)])[0])
 
 
 def _render_rows(prefix_format: str, pieces: list[str],
@@ -312,13 +307,12 @@ def _golden_section_max(f, lo: float, hi: float, width: float) -> tuple[float, f
 
 
 def max_transfer(hamiltonian, from_node: int, to_node: int,
-                 t_range: tuple[float, float],
-                 scan_points: int = DEFAULTS.scan_points,
-                 refine_dt: float = DEFAULTS.refine_dt) -> tuple[float, float]:
+                 t_range: tuple[float, float]) -> tuple[float, float]:
     """Maximize the ``from -> to`` probability over a time window.
 
-    Coarse scan over ``scan_points`` samples, then golden-section refinement
-    of the best bracket down to ``refine_dt``.  Returns ``(t_star, p_star)``.
+    Coarse scan over ``DEFAULTS.scan_points`` samples, then golden-section
+    refinement of the best bracket down to ``DEFAULTS.refine_dt``.
+    Returns ``(t_star, p_star)``.
     """
     lo, hi = float(t_range[0]), float(t_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
@@ -332,12 +326,12 @@ def max_transfer(hamiltonian, from_node: int, to_node: int,
     def prob(t: float) -> float:
         return float(abs(np.dot(coeff, np.exp(-1j * dec.eigenvalues * t))) ** 2)
 
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(lo, hi, DEFAULTS.scan_points)
     values = np.abs(np.exp(-1j * np.outer(grid, dec.eigenvalues)) @ coeff) ** 2
     best = int(values.argmax())
     bracket_lo = grid[max(best - 1, 0)]
-    bracket_hi = grid[min(best + 1, scan_points - 1)]
-    t_star, p_star = _golden_section_max(prob, bracket_lo, bracket_hi, refine_dt)
+    bracket_hi = grid[min(best + 1, len(grid) - 1)]
+    t_star, p_star = _golden_section_max(prob, bracket_lo, bracket_hi, DEFAULTS.refine_dt)
     if values[best] > p_star:
         t_star, p_star = float(grid[best]), float(values[best])
     return t_star, p_star

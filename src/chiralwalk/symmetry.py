@@ -18,13 +18,12 @@ import csv
 import dataclasses
 import io
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .defaults import DEFAULTS
 from .graph import Edge, GraphSkeleton, WalkHamiltonian, fmt_real, skeleton
-from .propagator import decompose, probability_chunks
+from .propagator import decompose, probability_chunks, propagate
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,48 +75,53 @@ def _odd_walk(u: int, v: int, parent: list[int]) -> tuple[int, ...]:
     return tuple(reversed(path_u)) + tuple(path_v)
 
 
-def is_bipartite(skel: GraphSkeleton) -> BipartiteCheck:
-    """Breadth-first two-coloring; self-edges are length-1 odd cycles."""
-    if skel.self_nodes:
-        node = skel.self_nodes[0]
-        return BipartiteCheck(False, None, (node, node))
-    n = skel.n_nodes
+def _spanning_forest(skel: GraphSkeleton):
+    """Breadth-first spanning forest of the simple edges, roots in index order.
+
+    Returns ``(order, parent, color, odd_edge)``: the visit order, each
+    node's tree parent (-1 at a root), its depth parity, and the first edge
+    met that joins two nodes of one color (``None`` if there is none).
+    """
     adjacency = skel.adjacency()
-    color = [-1] * n
-    parent = [-1] * n
-    for root in range(n):
+    parent = [-1] * skel.n_nodes
+    color = [-1] * skel.n_nodes
+    order: list[int] = []  # also the queue: order[head:] waits to be expanded
+    head = 0
+    odd_edge = None
+    for root in range(skel.n_nodes):
         if color[root] != -1:
             continue
         color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
             for v in adjacency[u]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
                     parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return BipartiteCheck(False, None, _odd_walk(u, v, parent))
+                    order.append(v)
+                elif odd_edge is None and color[v] == color[u]:
+                    odd_edge = (u, v)
+    return order, parent, color, odd_edge
+
+
+def is_bipartite(skel: GraphSkeleton) -> BipartiteCheck:
+    """Two-coloring by depth parity; self-edges are length-1 odd cycles."""
+    if skel.self_nodes:
+        node = skel.self_nodes[0]
+        return BipartiteCheck(False, None, (node, node))
+    _, parent, color, odd_edge = _spanning_forest(skel)
+    if odd_edge is not None:
+        return BipartiteCheck(False, None, _odd_walk(*odd_edge, parent))
     return BipartiteCheck(True, tuple(color), None)
 
 
 def is_forest(skel: GraphSkeleton) -> bool:
-    """True when the simple edges are acyclic (self-edges do not count)."""
-    parent = list(range(skel.n_nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in skel.edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return False
-        parent[ri] = rj
-    return True
+    """True when the simple edges are acyclic (self-edges do not count):
+    a spanning forest of N nodes and C components has exactly N - C edges."""
+    _, parent, _, _ = _spanning_forest(skel)
+    return len(skel.edges) == skel.n_nodes - parent.count(-1)
 
 
 def tree_phase_removal(hamiltonian: WalkHamiltonian) -> GaugePhase:
@@ -130,37 +134,24 @@ def tree_phase_removal(hamiltonian: WalkHamiltonian) -> GaugePhase:
     skel = skeleton(hamiltonian)
     if not is_forest(skel):
         raise ValueError("support graph is not a forest")
-    n = hamiltonian.n_nodes
-    adjacency = skel.adjacency()
-    lam = [0.0] * n
-    visited = [False] * n
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if not visited[v]:
-                    visited[v] = True
-                    lam[v] = lam[u] + hamiltonian.directed_phase(u, v)
-                    queue.append(v)
+    order, parent, _, _ = _spanning_forest(skel)
+    lam = [0.0] * hamiltonian.n_nodes
+    for v in order:
+        if parent[v] != -1:
+            lam[v] = lam[parent[v]] + hamiltonian.directed_phase(parent[v], v)
     return GaugePhase(tuple(lam))
 
 
-def bipartite_negation_gauge(hamiltonian: WalkHamiltonian,
-                             self_edge_tol: float = DEFAULTS.self_edge) -> GaugePhase:
+def bipartite_negation_gauge(hamiltonian: WalkHamiltonian) -> GaugePhase:
     """Gauge with lambda = 0 / pi on the two color classes, flipping H's sign.
 
     Requires all self-energies equal: the sign flip acts on the Hamiltonian
     after its uniform diagonal has been removed.
     """
-    diag = hamiltonian.diagonal()
-    if diag.size and (diag.max() - diag.min()) > self_edge_tol:
+    skel = skeleton(hamiltonian)
+    if skel.self_nodes:
         raise ValueError("self-energies must all be equal for a negation gauge")
-    check = is_bipartite(GraphSkeleton(hamiltonian.n_nodes,
-                                       tuple((e.i, e.j) for e in hamiltonian.edges)))
+    check = is_bipartite(skel)
     if not check.bipartite:
         raise ValueError("support graph is not bipartite")
     return GaugePhase(tuple(math.pi * c for c in check.coloring))
@@ -207,7 +198,7 @@ def eq_parity_residual(hamiltonian, t: float, i: int, j: int) -> complex:
     n = dec.n
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("node index out of range")
-    u = dec.propagator_matrix(float(t))
+    u = propagate(dec, t)
     udag = u.conj().T
     even = (udag + u) / 2.0
     odd = (udag - u) / 2.0
@@ -302,9 +293,7 @@ class SymmetryReport:
         return buffer.getvalue()[:-1]
 
 
-def classify(hamiltonian: WalkHamiltonian,
-             t_samples: Sequence[float] | None = None,
-             tol: float = DEFAULTS.pts) -> SymmetryReport:
+def classify(hamiltonian: WalkHamiltonian, tol: float = DEFAULTS.pts) -> SymmetryReport:
     """Full structural + numeric symmetry report for one Hamiltonian."""
     skel = skeleton(hamiltonian)
     bipartite_check = is_bipartite(skel)
@@ -320,7 +309,7 @@ def classify(hamiltonian: WalkHamiltonian,
     phase_removal = tree_phase_removal(hamiltonian) if forest else None
     negation = (bipartite_negation_gauge(hamiltonian)
                 if bipartite_check.bipartite else None)
-    numeric = pts_numeric(hamiltonian, t_samples, tol)
+    numeric = pts_numeric(hamiltonian, tol=tol)
 
     return SymmetryReport(
         structural_class=structural_class,

@@ -178,15 +178,14 @@ def random_gate(rng, n):
 
 
 def random_palindrome_with_repeats(rng, n):
-    """Palindrome whose half repeats some gates and some pairs, with or without a centre."""
+    """Palindrome whose half repeats some gates and some pairs."""
     half = [random_gate(rng, n) for _ in range(int(rng.integers(1, 6)))]
     half += [half[int(rng.integers(len(half)))] for _ in range(int(rng.integers(0, 3)))]
     for _ in range(int(rng.integers(0, 3))):
         again = half[int(rng.integers(len(half)))]
         half.append(GateSpec(again.i, again.j, float(rng.uniform(-PI, PI)), again.theta))
     rng.shuffle(half)
-    center = random_gate(rng, n) if rng.integers(2) else None
-    return PalindromicCircuit(n, half, center)
+    return PalindromicCircuit(n, half)
 
 
 def test_row_update_engine_matches_gate_products():
@@ -204,11 +203,10 @@ def test_column_transfer_equals_unitary_entry():
     rng = np.random.default_rng(14)
     alphas = rng.uniform(0, 2 * PI, 5)
     thetas = rng.uniform(-PI, PI, 7)
-    for fuse_center in (False, True):
-        transfer = three_cycle_transfer(alphas, thetas, fuse_center)
-        unitaries = three_cycle_unitaries(alphas, thetas, fuse_center)
-        assert transfer.shape == (5, 7)
-        assert np.abs(transfer - np.abs(unitaries[..., 2, 0]) ** 2).max() <= 1e-15
+    transfer = three_cycle_transfer(alphas, thetas)
+    unitaries = three_cycle_unitaries(alphas, thetas)
+    assert transfer.shape == (5, 7)
+    assert np.abs(transfer - np.abs(unitaries[..., 2, 0]) ** 2).max() <= 1e-15
 
 
 def qubit_columns_reference(circuit):
@@ -283,20 +281,11 @@ def test_gate_spec_validation():
 
 # --- the triangle circuit ---------------------------------------------------
 
-def test_fused_center_gives_identical_unitary():
-    plain = apply_circuit(three_cycle_circuit(0.6, 1.1), "node")
-    fused = apply_circuit(three_cycle_circuit(0.6, 1.1, fuse_center=True), "node")
-    assert len(three_cycle_circuit(0.6, 1.1, fuse_center=True).full) == 5
-    assert np.abs(plain - fused).max() <= 1e-12
-
-
 def test_batched_probabilities_match_gate_products():
     rng = np.random.default_rng(9)
     alphas = rng.uniform(0, 2 * PI, 3)
     thetas = rng.uniform(-PI, PI, 5)
     probs = three_cycle_probabilities(alphas, thetas)
-    fused = three_cycle_probabilities(alphas, thetas, fuse_center=True)
-    assert np.abs(probs - fused).max() <= 1e-12
     for a_index, alpha in enumerate(alphas):
         for t_index, theta in enumerate(thetas):
             u = apply_circuit(three_cycle_circuit(float(alpha), float(theta)),
@@ -426,7 +415,3 @@ def test_parse_circuit_errors():
     with pytest.raises(GraphFormatError, match="differ"):
         parse_circuit("gate 1 1 0.0 0.5\n")
 
-
-def test_render_circuit_rejects_fused_center():
-    with pytest.raises(ValueError, match="not expressible"):
-        render_circuit(three_cycle_circuit(0.1, 0.2, fuse_center=True))

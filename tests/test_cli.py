@@ -319,15 +319,14 @@ def test_circuit_sweep_reflection_rows(tmp_path):
             assert abs(flipped[key][round(-theta, 12)] - value) <= 1e-12
 
 
-def test_circuit_sweep_fused_center_matches(tmp_path):
-    plain, fused = tmp_path / "plain.csv", tmp_path / "fused.csv"
-    assert main(["circuit-sweep", "--alpha", "1.1", "--out", str(plain)]) == 0
-    assert main(["circuit-sweep", "--alpha", "1.1", "--fuse-center",
-                 "--out", str(fused)]) == 0
-    _, rows_p = read_rows(plain.read_text())
-    _, rows_f = read_rows(fused.read_text())
-    worst = max(abs(float(a[-1]) - float(b[-1])) for a, b in zip(rows_p, rows_f))
-    assert worst <= 1e-12
+def test_circuit_sweep_fuse_center_flag_is_gone(tmp_path, capsys):
+    # the triangle palindrome has one gate sequence; argparse rejects the old flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(["circuit-sweep", "--alpha", "1.1", "--fuse-center",
+              "--out", str(tmp_path / "fused.csv")])
+    assert exit_info.value.code == 2
+    assert "--fuse-center" in capsys.readouterr().err
+    assert not (tmp_path / "fused.csv").exists()
 
 
 def test_circuit_sweep_degrees_flag(tmp_path):
@@ -573,6 +572,14 @@ def test_properties_fault_injection_exits_1(tmp_path, capsys):
 
 def test_properties_bad_trials_exits_2(capsys):
     assert main(["properties", "--trials", "gauge-invariance=lots"]) == 2
+
+
+def test_properties_trials_count_past_int_digit_limit_exits_2(capsys):
+    # int() refuses more than 4300 digits with a message naming neither flag nor suite
+    assert main(["properties", "--trials", "gauge-invariance=" + "9" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert "--trials" in err and "'gauge-invariance'" in err
+    assert "5000 digits" in err
 
 
 def test_properties_non_ascii_digit_trials_exits_2(capsys):

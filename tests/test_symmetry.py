@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from chiralwalk import (Edge, GaugePhase, WalkHamiltonian, apply_gauge,
                         bipartite_negation_gauge, classify, cycle_flux,
                         default_time_samples, eq_parity_residual, is_bipartite,
-                        parse_graph, propagate, pts_numeric,
+                        is_forest, parse_graph, propagate, pts_numeric,
                         skeleton, to_dense, tree_phase_removal)
+from chiralwalk import randgen
+from chiralwalk.graph import GraphSkeleton
 from chiralwalk.propagator import chunk_length, decompose
 
 PI = math.pi
@@ -293,7 +295,7 @@ def pts_reference(matrix, times):
     dec = decompose(matrix)
     worst = 0.0
     for t in times:
-        p = np.abs(dec.propagator_matrix(float(t))) ** 2
+        p = np.abs(propagate(dec, t)) ** 2
         worst = max(worst, float(np.abs(p - p.T).max()))
     return worst
 
@@ -401,3 +403,66 @@ def test_flux_errors():
         cycle_flux(graph, (0, 1, 2, 0))
     with pytest.raises(ValueError, match="closed walk"):
         cycle_flux(graph, (0, 1, 2))
+
+
+@pytest.mark.parametrize("skel, forest", [
+    (GraphSkeleton(4, ()), True),                                   # isolated nodes
+    (GraphSkeleton(5, ((0, 1), (2, 3), (3, 4))), True),             # two components
+    (GraphSkeleton(2, ((0, 1), (0, 1))), False),                    # repeated pair
+    (GraphSkeleton(3, ((0, 1), (1, 2), (0, 2))), False),            # triangle
+    (GraphSkeleton(3, ((0, 1), (1, 2)), (0, 2)), True),             # self-nodes on a path
+    (GraphSkeleton(6, ((0, 1), (2, 3), (3, 4), (2, 4))), False),    # cycle beside a tree
+])
+def test_is_forest_table(skel, forest):
+    # a forest on N nodes with C components has exactly N - C edges
+    assert is_forest(skel) is forest
+
+
+def disjoint_union(a, b):
+    shift = a.n_nodes
+    edges = a.edges + tuple(Edge(e.i + shift, e.j + shift, e.h, e.alpha) for e in b.edges)
+    selfs = a.self_energies + tuple((v + shift, x) for v, x in b.self_energies)
+    return WalkHamiltonian(a.n_nodes + b.n_nodes, edges, selfs)
+
+
+# every classify field but numeric_pts_residual, comma-joined in field order
+FROZEN_STRUCTURAL_ROWS = (
+    'tree-with-self-edges,6,5,Yes,No,Yes,No,Yes,,0;0,0;1.7286118688752445'
+        ';1.2687904540555497;2.2579423513037353;2.1853329003679112'
+        ';0.59578241714036184,,',
+    'tree-with-self-edges,2,0,Yes,No,Yes,No,Yes,,1;1,0;0,,',
+    'tree,3,2,Yes,Yes,Yes,No,Yes,0;1;0,,0;2.0566458760863622'
+        ';1.9730341483537983,0;3.1415926535897931;0,',
+    'tree,3,2,Yes,Yes,Yes,No,Yes,0;1;0,,0;2.8734166829758347'
+        ';2.250977846652205,0;3.1415926535897931;0,',
+    'tree,2,1,Yes,Yes,Yes,No,Yes,0;1,,0;-1.8948681472782301,0'
+        ';3.1415926535897931,',
+    'bipartite-with-cycles,7,4,No,Yes,Yes,Yes,Yes,0;0;1;0;1;0;0,,,0;0'
+        ';3.1415926535897931;0;3.1415926535897931;0;0,',
+    'tree,5,2,Yes,Yes,Yes,No,Yes,0;0;1;0;1,,0;0;2.6447402335780161;0'
+        ';-0.46697638326166935,0;0;3.1415926535897931;0;3.1415926535897931,',
+    'non-bipartite,4,5,No,No,No,Yes,No,,0;1;3;0,,,',
+    'non-bipartite,3,3,No,No,No,Yes,No,,0;1;2;0,,,',
+    'non-bipartite,5,6,No,No,No,Yes,No,,1;2;4;1,,,',
+    'non-bipartite,3,3,No,No,No,Yes,No,,0;1;2;0,,,',
+    'non-bipartite,5,7,No,No,No,Yes,No,,1;2;3;1,,,',
+    'bipartite-with-cycles,6,6,No,Yes,Yes,Yes,Yes,0;1;0;1;0;1,,,0'
+        ';3.1415926535897931;0;3.1415926535897931;0;3.1415926535897931,',
+    'non-bipartite,6,5,No,No,No,Yes,No,,3;4;5;3,,,',
+)
+
+
+def test_classify_structural_fields_are_frozen():
+    rng = np.random.default_rng(2361)
+    graphs = [randgen.random_forest(rng, 6, with_self_energies=True) for _ in range(4)]
+    graphs += [randgen.random_bipartite(rng, 8) for _ in range(3)]
+    graphs += [randgen.random_nonbipartite(rng, 6) for _ in range(3)]
+    graphs += [randgen.random_ring_with_chords(rng, 6)[0] for _ in range(3)]
+    graphs.append(disjoint_union(randgen.random_forest(rng, 4),
+                                 randgen.random_ring_with_chords(rng, 5)[0]))
+    rows = []
+    for graph in graphs:
+        fields = classify(graph).fields()
+        del fields["numeric_pts_residual"]
+        rows.append(",".join(fields.values()))
+    assert tuple(rows) == FROZEN_STRUCTURAL_ROWS
