@@ -18,10 +18,10 @@ from .graph import (Edge, GraphFormatError, WalkHamiltonian, load_graph,
 from .propagator import (TransportTable, eig_hermitian, max_transfer, propagate,
                          sweep_time, validate_table_csv)
 from .properties import format_property_report, run_property_suite
-from .symmetry import (GaugePhase, SymmetryReport, apply_gauge,
-                       bipartite_negation_gauge, classify, cycle_flux,
-                       default_time_samples, eq_parity_residual, is_bipartite,
-                       is_forest, pts_numeric, tree_phase_removal)
+from .symmetry import (SymmetryReport, apply_gauge, bipartite_negation_gauge,
+                       classify, cycle_flux, default_time_samples,
+                       eq_parity_residual, is_bipartite, is_forest, pts_numeric,
+                       tree_phase_removal)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "propagate",
     "sweep_time",
     "validate_table_csv",
-    "GaugePhase",
     "SymmetryReport",
     "apply_gauge",
     "bipartite_negation_gauge",

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .defaults import DEFAULTS
-from .graph import GraphFormatError, GraphSkeleton, WalkHamiltonian, fmt_real
+from .graph import GraphFormatError, GraphSkeleton, WalkHamiltonian, _parse_int, fmt_real
 from .propagator import TransportTable, _freeze, propagate
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -345,7 +345,7 @@ def trotter_error(hamiltonian: WalkHamiltonian, scale: float) -> float:
 # ---------------------------------------------------------------------------
 # circuit files
 
-def parse_circuit(text: str, n_nodes: int | None = None) -> PalindromicCircuit:
+def parse_circuit(text: str) -> PalindromicCircuit:
     """Parse 'gate <i> <j> <alpha> <theta>' lines as a palindrome half."""
     half: list[GateSpec] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -355,8 +355,8 @@ def parse_circuit(text: str, n_nodes: int | None = None) -> PalindromicCircuit:
         tokens = line.split()
         if tokens[0] != "gate" or len(tokens) != 5:
             raise GraphFormatError("expected 'gate <i> <j> <alpha> <theta>'", lineno)
+        i, j = (_parse_int(token, "gate endpoint", lineno) for token in tokens[1:3])
         try:
-            i, j = int(tokens[1]), int(tokens[2])
             alpha, theta = float(tokens[3]), float(tokens[4])
         except ValueError:
             raise GraphFormatError("bad gate parameters", lineno) from None
@@ -364,11 +364,9 @@ def parse_circuit(text: str, n_nodes: int | None = None) -> PalindromicCircuit:
             half.append(GateSpec(i, j, alpha, theta))
         except ValueError as exc:
             raise GraphFormatError(str(exc), lineno) from None
-    if not half and n_nodes is None:
+    if not half:
         raise GraphFormatError("empty circuit file")
-    if n_nodes is None:
-        n_nodes = max(max(g.i, g.j) for g in half) + 1
-    return PalindromicCircuit(n_nodes, half)
+    return PalindromicCircuit(max(max(g.i, g.j) for g in half) + 1, half)
 
 
 def render_circuit(circuit: PalindromicCircuit) -> str:

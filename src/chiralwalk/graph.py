@@ -11,8 +11,9 @@ dense matrix reconstructs conjugate pairs exactly rather than approximately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,11 +102,8 @@ class WalkHamiltonian:
             _add_edge(index, raw, self.n_nodes)
         object.__setattr__(self, "edges", tuple(sorted(index.values())))
 
-        energies = self.self_energies
-        if isinstance(energies, Mapping):
-            energies = energies.items()
         selfs: dict[int, float] = {}
-        for entry in energies:
+        for entry in self.self_energies:
             _add_self_energy(selfs, entry, self.n_nodes)
         object.__setattr__(self, "self_energies", tuple(sorted(selfs.items())))
 
@@ -134,6 +132,13 @@ class WalkHamiltonian:
             diag[node] = energy
         return diag
 
+    @cached_property
+    def _skeleton(self) -> GraphSkeleton:
+        diag = self.diagonal()
+        shifted = diag - diag.min()
+        self_nodes = tuple(int(i) for i in np.flatnonzero(shifted > DEFAULTS.self_edge))
+        return GraphSkeleton(self.n_nodes, tuple((e.i, e.j) for e in self.edges), self_nodes)
+
     def zero_phase_copy(self) -> "WalkHamiltonian":
         edges = tuple(Edge(e.i, e.j, e.h, 0.0) for e in self.edges)
         return WalkHamiltonian(self.n_nodes, edges, self.self_energies, self.labels)
@@ -141,18 +146,51 @@ class WalkHamiltonian:
 
 @dataclass(frozen=True)
 class GraphSkeleton:
-    """Unweighted support structure: simple edges plus self-edge markers."""
+    """Unweighted support structure: simple edges plus self-edge markers.
+
+    Construction lays the breadth-first spanning forest of the simple edges,
+    roots in index order: the visit ``order``, each node's tree ``parent``
+    (-1 at a root) and depth-parity ``color``, and the first ``odd_edge``
+    joining two nodes of one color (``None`` if none); equality ignores them.
+    """
 
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
     self_nodes: tuple[int, ...] = ()
+    order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    parent: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    color: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    odd_edge: tuple[int, int] | None = field(init=False, compare=False, repr=False)
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n_nodes)]
+    def __post_init__(self):
+        adjacency: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+        parent = [-1] * self.n_nodes
+        color = [-1] * self.n_nodes
+        order: list[int] = []  # also the queue: order[head:] waits to be expanded
+        head = 0
+        odd_edge = None
+        for root in range(self.n_nodes):
+            if color[root] != -1:
+                continue
+            color[root] = 0
+            order.append(root)
+            while head < len(order):
+                u = order[head]
+                head += 1
+                for v in adjacency[u]:
+                    if color[v] == -1:
+                        color[v] = 1 - color[u]
+                        parent[v] = u
+                        order.append(v)
+                    elif odd_edge is None and color[v] == color[u]:
+                        odd_edge = (u, v)
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "parent", tuple(parent))
+        object.__setattr__(self, "color", tuple(color))
+        object.__setattr__(self, "odd_edge", odd_edge)
 
 
 def to_dense(hamiltonian: WalkHamiltonian) -> np.ndarray:
@@ -169,18 +207,14 @@ def to_dense(hamiltonian: WalkHamiltonian) -> np.ndarray:
 
 
 def skeleton(hamiltonian: WalkHamiltonian) -> GraphSkeleton:
-    """Support graph of the Hamiltonian.
+    """Support graph of the Hamiltonian, built on first use and kept on it.
 
     A node carries a self-edge only when its energy exceeds the minimum
     diagonal by more than ``DEFAULTS.self_edge``: adding the same constant to
     every self-energy does not change the walk, so a uniform diagonal is
     no structure at all.
     """
-    diag = hamiltonian.diagonal()
-    shifted = diag - diag.min()
-    self_nodes = tuple(int(i) for i in np.flatnonzero(shifted > DEFAULTS.self_edge))
-    edges = tuple((e.i, e.j) for e in hamiltonian.edges)
-    return GraphSkeleton(hamiltonian.n_nodes, edges, self_nodes)
+    return hamiltonian._skeleton
 
 
 def fmt_real(x: float) -> str:
@@ -199,8 +233,18 @@ def render_graph(hamiltonian: WalkHamiltonian) -> str:
 
 
 def _looks_like_int(token: str) -> bool:
+    """An optional sign and ASCII digits: the integer rule of graph and circuit files."""
     body = token[1:] if token[:1] in "+-" else token
-    return body.isdigit() and body != ""
+    return body.isascii() and body.isdigit()
+
+
+def _parse_int(token: str, what: str, line: int) -> int:
+    if not _looks_like_int(token):
+        raise GraphFormatError(f"bad {what} {token!r}", line)
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise GraphFormatError(f"{what} has {len(token)} digits", line) from None
 
 
 class _NodeResolver:
@@ -221,7 +265,7 @@ class _NodeResolver:
             if self.mode == "label":
                 raise GraphFormatError("cannot mix integer indices and string labels", line)
             self.mode = "index"
-            index = int(token)
+            index = _parse_int(token, "node index", line)
             if not (0 <= index < self.n_nodes):
                 raise GraphFormatError(f"node index {index} out of range", line)
             return index
@@ -275,7 +319,7 @@ def parse_graph(text: str) -> WalkHamiltonian:
                 raise GraphFormatError("first declaration must be 'nodes <N>'", lineno)
             if len(tokens) != 2 or not _looks_like_int(tokens[1]):
                 raise GraphFormatError("expected 'nodes <N>'", lineno)
-            n_nodes = int(tokens[1])
+            n_nodes = _parse_int(tokens[1], "node count", lineno)
             if n_nodes < 1:
                 raise GraphFormatError("node count must be positive", lineno)
             resolver = _NodeResolver(n_nodes)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .circuit import GateSpec, PalindromicCircuit
 from .graph import Edge, GraphSkeleton, WalkHamiltonian
-from .symmetry import GaugePhase, is_bipartite
+from .symmetry import is_bipartite
 
 
 def _random_edge_params(rng: np.random.Generator) -> tuple[float, float]:
@@ -77,8 +77,8 @@ def random_hamiltonian(rng: np.random.Generator, n_max: int = 8,
     return WalkHamiltonian(n, tuple(edges), selfs)
 
 
-def random_gauge(rng: np.random.Generator, n: int) -> GaugePhase:
-    return GaugePhase(tuple(float(a) for a in rng.uniform(-np.pi, np.pi, size=n)))
+def random_gauge(rng: np.random.Generator, n: int) -> tuple[float, ...]:
+    return tuple(float(a) for a in rng.uniform(-np.pi, np.pi, size=n))
 
 
 def random_ring_with_chords(rng: np.random.Generator,

@@ -21,21 +21,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .defaults import DEFAULTS
 from .graph import Edge, GraphSkeleton, WalkHamiltonian, fmt_real, skeleton
 from .propagator import decompose, probability_chunks, propagate
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class GaugePhase:
-    """Per-node phase vector defining the diagonal unitary diag(e^{i lambda})."""
-
-    phases: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.phases)
 
 
 class BipartiteCheck(NamedTuple):
@@ -50,18 +42,17 @@ class PtsCheck(NamedTuple):
     t_samples: tuple[float, ...]
 
 
-def apply_gauge(hamiltonian: WalkHamiltonian, gauge: GaugePhase) -> WalkHamiltonian:
-    """Conjugate by the diagonal unitary; diagonals are untouched."""
-    if len(gauge) != hamiltonian.n_nodes:
-        raise ValueError(f"gauge has {len(gauge)} phases for {hamiltonian.n_nodes} nodes")
-    lam = gauge.phases
+def apply_gauge(hamiltonian: WalkHamiltonian, lam: Sequence[float]) -> WalkHamiltonian:
+    """Conjugate by the diagonal unitary diag(e^{i lam}); diagonals are untouched."""
+    if len(lam) != hamiltonian.n_nodes:
+        raise ValueError(f"gauge has {len(lam)} phases for {hamiltonian.n_nodes} nodes")
     new_edges = tuple(Edge(e.i, e.j, e.h, e.alpha + lam[e.i] - lam[e.j])
                       for e in hamiltonian.edges)
     return WalkHamiltonian(hamiltonian.n_nodes, new_edges,
                            hamiltonian.self_energies, hamiltonian.labels)
 
 
-def _odd_walk(u: int, v: int, parent: list[int]) -> tuple[int, ...]:
+def _odd_walk(u: int, v: int, parent: Sequence[int]) -> tuple[int, ...]:
     path_u = [u]
     while parent[path_u[-1]] != -1:
         path_u.append(parent[path_u[-1]])
@@ -75,56 +66,23 @@ def _odd_walk(u: int, v: int, parent: list[int]) -> tuple[int, ...]:
     return tuple(reversed(path_u)) + tuple(path_v)
 
 
-def _spanning_forest(skel: GraphSkeleton):
-    """Breadth-first spanning forest of the simple edges, roots in index order.
-
-    Returns ``(order, parent, color, odd_edge)``: the visit order, each
-    node's tree parent (-1 at a root), its depth parity, and the first edge
-    met that joins two nodes of one color (``None`` if there is none).
-    """
-    adjacency = skel.adjacency()
-    parent = [-1] * skel.n_nodes
-    color = [-1] * skel.n_nodes
-    order: list[int] = []  # also the queue: order[head:] waits to be expanded
-    head = 0
-    odd_edge = None
-    for root in range(skel.n_nodes):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        order.append(root)
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for v in adjacency[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    parent[v] = u
-                    order.append(v)
-                elif odd_edge is None and color[v] == color[u]:
-                    odd_edge = (u, v)
-    return order, parent, color, odd_edge
-
-
 def is_bipartite(skel: GraphSkeleton) -> BipartiteCheck:
     """Two-coloring by depth parity; self-edges are length-1 odd cycles."""
     if skel.self_nodes:
         node = skel.self_nodes[0]
         return BipartiteCheck(False, None, (node, node))
-    _, parent, color, odd_edge = _spanning_forest(skel)
-    if odd_edge is not None:
-        return BipartiteCheck(False, None, _odd_walk(*odd_edge, parent))
-    return BipartiteCheck(True, tuple(color), None)
+    if skel.odd_edge is not None:
+        return BipartiteCheck(False, None, _odd_walk(*skel.odd_edge, skel.parent))
+    return BipartiteCheck(True, skel.color, None)
 
 
 def is_forest(skel: GraphSkeleton) -> bool:
     """True when the simple edges are acyclic (self-edges do not count):
     a spanning forest of N nodes and C components has exactly N - C edges."""
-    _, parent, _, _ = _spanning_forest(skel)
-    return len(skel.edges) == skel.n_nodes - parent.count(-1)
+    return len(skel.edges) == skel.n_nodes - skel.parent.count(-1)
 
 
-def tree_phase_removal(hamiltonian: WalkHamiltonian) -> GaugePhase:
+def tree_phase_removal(hamiltonian: WalkHamiltonian) -> tuple[float, ...]:
     """Gauge zeroing every edge phase of a forest.
 
     Roots each component and propagates ``lambda_child = lambda_parent +
@@ -134,15 +92,15 @@ def tree_phase_removal(hamiltonian: WalkHamiltonian) -> GaugePhase:
     skel = skeleton(hamiltonian)
     if not is_forest(skel):
         raise ValueError("support graph is not a forest")
-    order, parent, _, _ = _spanning_forest(skel)
     lam = [0.0] * hamiltonian.n_nodes
-    for v in order:
-        if parent[v] != -1:
-            lam[v] = lam[parent[v]] + hamiltonian.directed_phase(parent[v], v)
-    return GaugePhase(tuple(lam))
+    for v in skel.order:
+        u = skel.parent[v]
+        if u != -1:
+            lam[v] = lam[u] + hamiltonian.directed_phase(u, v)
+    return tuple(lam)
 
 
-def bipartite_negation_gauge(hamiltonian: WalkHamiltonian) -> GaugePhase:
+def bipartite_negation_gauge(hamiltonian: WalkHamiltonian) -> tuple[float, ...]:
     """Gauge with lambda = 0 / pi on the two color classes, flipping H's sign.
 
     Requires all self-energies equal: the sign flip acts on the Hamiltonian
@@ -154,7 +112,7 @@ def bipartite_negation_gauge(hamiltonian: WalkHamiltonian) -> GaugePhase:
     check = is_bipartite(skel)
     if not check.bipartite:
         raise ValueError("support graph is not bipartite")
-    return GaugePhase(tuple(math.pi * c for c in check.coloring))
+    return tuple(math.pi * c for c in check.coloring)
 
 
 def default_time_samples(hamiltonian, count: int = DEFAULTS.pts_samples) -> tuple[float, ...]:
@@ -186,23 +144,19 @@ def pts_numeric(hamiltonian, t_samples: Sequence[float] | None = None,
     return PtsCheck(residual, residual <= tol, t_samples)
 
 
-def eq_parity_residual(hamiltonian, t: float, i: int, j: int) -> complex:
-    """Residual of the odd/even path-parity balance at one (t, i, j).
+def eq_parity_residual(hamiltonian, t: float) -> np.ndarray:
+    """Residual of the odd/even path-parity balance at time t, for every pair.
 
     Splits U = exp(-iHt) into its even part (U^dag + U)/2 and odd part
-    (U^dag - U)/2 and returns ``odd[j,i] * even[i,j] - odd[i,j] * even[j,i]``;
-    this vanishes exactly when the pair's transition probabilities are
-    time-symmetric at t.
+    (U^dag - U)/2 and returns the N x N matrix whose ``[i, j]`` entry is
+    ``odd[j,i] * even[i,j] - odd[i,j] * even[j,i]``; it vanishes exactly when
+    the pair's transition probabilities are time-symmetric at t.
     """
-    dec = decompose(hamiltonian)
-    n = dec.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError("node index out of range")
-    u = propagate(dec, t)
+    u = propagate(hamiltonian, t)
     udag = u.conj().T
     even = (udag + u) / 2.0
     odd = (udag - u) / 2.0
-    return complex(odd[j, i] * even[i, j] - odd[i, j] * even[j, i])
+    return odd.T * even - odd * even.T
 
 
 def cycle_flux(hamiltonian: WalkHamiltonian, cycle: Sequence[int]) -> float:
@@ -234,10 +188,6 @@ def _joined(values, fmt=str) -> str:
     return "" if values is None else ";".join(fmt(v) for v in values)
 
 
-def _phases(gauge: GaugePhase | None) -> tuple[float, ...] | None:
-    return None if gauge is None else gauge.phases
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     """Structural class, certificates and numeric residual for one Hamiltonian."""
@@ -253,8 +203,8 @@ class SymmetryReport:
     pts_symmetric_at_samples: bool
     two_coloring: tuple[int, ...] | None = None
     odd_cycle: tuple[int, ...] | None = None
-    phase_removal_gauge: GaugePhase | None = None
-    negation_gauge: GaugePhase | None = None
+    phase_removal_gauge: tuple[float, ...] | None = None
+    negation_gauge: tuple[float, ...] | None = None
     labels: tuple[str, ...] | None = None
 
     def fields(self) -> dict[str, str]:
@@ -274,8 +224,8 @@ class SymmetryReport:
             "pts_symmetric_at_samples": _yes_no(self.pts_symmetric_at_samples),
             "two_coloring": _joined(self.two_coloring),
             "odd_cycle": _joined(self.odd_cycle),
-            "phase_removal_gauge": _joined(_phases(self.phase_removal_gauge), fmt_real),
-            "negation_gauge": _joined(_phases(self.negation_gauge), fmt_real),
+            "phase_removal_gauge": _joined(self.phase_removal_gauge, fmt_real),
+            "negation_gauge": _joined(self.negation_gauge, fmt_real),
             "labels": _joined(labels),
         }
 

@@ -414,4 +414,9 @@ def test_parse_circuit_errors():
         parse_circuit("# nothing\n")
     with pytest.raises(GraphFormatError, match="differ"):
         parse_circuit("gate 1 1 0.0 0.5\n")
+    # endpoints follow the graph-file integer rule: ASCII digits only
+    with pytest.raises(GraphFormatError, match="bad gate endpoint '1_0'"):
+        parse_circuit("gate 1_0 2 0 0\n")
+    with pytest.raises(GraphFormatError, match="bad gate endpoint"):
+        parse_circuit("gate \u0660 1 0 0\n")
 

@@ -647,3 +647,34 @@ def test_circuit_commands_call_every_traced_circuit_function(triangle_file, tmp_
                  "--out", str(tmp_path / "t.txt")]) == 0
     assert called >= {"apply_circuit.node", "_qubit_columns", "excitation_preservation_check",
                       "trotter_error", "three_cycle_unitaries"}
+
+
+# symmetry functions the benchmark's traced run wraps at every module-level
+# binding; its run fails when one of them records no call on classify-batch
+TRACED_SYMMETRY_FUNCTIONS = ("classify", "pts_numeric", "is_bipartite", "is_forest",
+                             "tree_phase_removal", "bipartite_negation_gauge")
+
+
+def test_classify_calls_every_traced_symmetry_function(tmp_path, monkeypatch):
+    from chiralwalk import symmetry
+
+    called = set()
+    for name in TRACED_SYMMETRY_FUNCTIONS:
+        original = getattr(symmetry, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            called.add(_name)
+            return _original(*args, **kwargs)
+
+        bindings = [(module, attribute) for key, module in list(sys.modules.items())
+                    if key == "chiralwalk" or key.startswith("chiralwalk.")
+                    for attribute, value in vars(module).items() if value is original]
+        for module, attribute in bindings:
+            monkeypatch.setattr(module, attribute, counting)
+    graphs = []  # a bipartite forest and an odd cycle reach every structural step
+    for stem, text in (("chain", CHAIN), ("triangle", TRIANGLE)):
+        path = tmp_path / f"{stem}.graph"
+        path.write_text(text)
+        graphs += ["--graph", str(path)]
+    assert main(["classify", "--csv", *graphs, "--out", str(tmp_path / "c.csv")]) == 0
+    assert called == set(TRACED_SYMMETRY_FUNCTIONS)

@@ -145,6 +145,14 @@ def test_round_trip_preserves_17_digit_reals():
     ("nodes 2\nedge a b 1 0\nedge b a 1 0\n", "duplicate edge", 3),
     ("nodes 2\nself a 1\nself a 2\n", "duplicate self-energy", 3),
     ("nodes 2\nedge a a 1 0\n", "coincide", 2),
+    # integers are ASCII digits; a count or index int() refuses names its line
+    ("nodes \u00b2\n", "expected 'nodes", 1),
+    ("nodes 2\nedge 0 \u00b2 1 0\n", "mix", 2),
+    ("nodes 2\nedge \u0660 1 1 0\n", "mix", 2),
+    pytest.param("nodes " + "9" * 5000 + "\n", "node count has 5000 digits", 1,
+                 id="nodes-5000-digits"),
+    pytest.param("nodes 2\nedge 0 " + "9" * 5000 + " 1 0\n", "node index has 5000 digits", 2,
+                 id="edge-5000-digits"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment, line):
     with pytest.raises(GraphFormatError) as err:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralwalk import (Edge, GaugePhase, WalkHamiltonian, apply_gauge,
+from chiralwalk import (Edge, WalkHamiltonian, apply_gauge,
                         bipartite_negation_gauge, classify, cycle_flux,
                         default_time_samples, eq_parity_residual, is_bipartite,
                         is_forest, parse_graph, propagate, pts_numeric,
@@ -152,7 +152,7 @@ def test_odd_cycle_witnesses_are_valid_walks():
 def test_single_edge_phase_removal():
     graph = parse_graph("nodes 2\nedge 0 1 1.0 0.7\n")
     gauge = tree_phase_removal(graph)
-    assert gauge.phases == (0.0, 0.7)
+    assert gauge == (0.0, 0.7)
     assert abs(apply_gauge(graph, gauge).edges[0].alpha) <= 1e-15
 
 
@@ -167,7 +167,7 @@ def test_path_phase_removal_matches_propagation_rule():
     graph = parse_graph("nodes 3\nedge 0 1 1 0.78539816339744828\n"
                         "edge 1 2 1 -0.78539816339744828\n")
     gauge = tree_phase_removal(graph)
-    assert np.allclose(gauge.phases, (0.0, PI / 4, 0.0), atol=1e-15)
+    assert np.allclose(gauge, (0.0, PI / 4, 0.0), atol=1e-15)
     gauged = apply_gauge(graph, gauge)
     assert max(abs(e.alpha) for e in gauged.edges) <= 1e-12
 
@@ -193,7 +193,7 @@ def test_phase_removal_rejects_cycles():
 def test_two_site_negation_gauge():
     graph = parse_graph("nodes 2\nedge 0 1 1.0 0.4\n")
     gauge = bipartite_negation_gauge(graph)
-    assert gauge.phases == (0.0, PI)
+    assert gauge == (0.0, PI)
     flipped = to_dense(apply_gauge(graph, gauge))
     assert np.abs(flipped + to_dense(graph)).max() <= 1e-12
 
@@ -228,9 +228,9 @@ def test_negation_gauge_implies_time_reversal_pairing():
 
 def test_apply_gauge_identity_and_mismatch():
     graph = uniform_triangle(0.5)
-    assert apply_gauge(graph, GaugePhase((0.0, 0.0, 0.0))) == graph
+    assert apply_gauge(graph, (0.0, 0.0, 0.0)) == graph
     with pytest.raises(ValueError, match="gauge has"):
-        apply_gauge(graph, GaugePhase((0.0, 0.0)))
+        apply_gauge(graph, (0.0, 0.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,9 +238,8 @@ def test_apply_gauge_identity_and_mismatch():
        st.lists(st.floats(-10, 10), min_size=3, max_size=3))
 def test_gauge_composition(lam1, lam2):
     graph = uniform_triangle(0.3)
-    one_then_two = apply_gauge(apply_gauge(graph, GaugePhase(tuple(lam1))),
-                               GaugePhase(tuple(lam2)))
-    combined = apply_gauge(graph, GaugePhase(tuple(a + b for a, b in zip(lam1, lam2))))
+    one_then_two = apply_gauge(apply_gauge(graph, tuple(lam1)), tuple(lam2))
+    combined = apply_gauge(graph, tuple(a + b for a, b in zip(lam1, lam2)))
     for left, right in zip(one_then_two.edges, combined.edges):
         assert abs(left.alpha - right.alpha) <= 1e-12
 
@@ -254,7 +253,7 @@ def test_gauge_preserves_transition_probabilities():
                       for i in range(n) for j in range(i + 1, n)
                       if rng.random() < 0.5)
         graph = WalkHamiltonian(n, edges)
-        gauge = GaugePhase(tuple(float(x) for x in rng.uniform(-PI, PI, n)))
+        gauge = tuple(float(x) for x in rng.uniform(-PI, PI, n))
         t = float(rng.uniform(-5, 5))
         p = np.abs(propagate(graph, t)) ** 2
         p_gauged = np.abs(propagate(apply_gauge(graph, gauge), t)) ** 2
@@ -337,15 +336,15 @@ def test_parity_residual_vanishes_on_bipartite_graphs():
     for t in (0.4, 1.1, 2.7):
         for i in range(4):
             for j in range(i + 1, 4):
-                assert abs(eq_parity_residual(graph, t, i, j)) <= 1e-12
+                assert abs(eq_parity_residual(graph, t)[i, j]) <= 1e-12
 
 
 def test_parity_residual_zero_at_zero_time():
-    assert abs(eq_parity_residual(uniform_triangle(0.8), 0.0, 0, 2)) <= 1e-14
+    assert abs(eq_parity_residual(uniform_triangle(0.8), 0.0)[0, 2]) <= 1e-14
 
 
 def test_parity_residual_nonzero_for_chiral_triangle():
-    assert abs(eq_parity_residual(uniform_triangle(PI / 2), 0.9, 0, 2)) > 1e-3
+    assert abs(eq_parity_residual(uniform_triangle(PI / 2), 0.9)[0, 2]) > 1e-3
 
 
 def test_parity_residual_is_half_the_probability_skew():
@@ -363,7 +362,7 @@ def test_parity_residual_is_half_the_probability_skew():
         p = np.abs(propagate(graph, t)) ** 2
         for i in range(n):
             for j in range(i + 1, n):
-                residual = eq_parity_residual(graph, t, i, j)
+                residual = eq_parity_residual(graph, t)[i, j]
                 assert abs(2 * abs(residual) - abs(p[i, j] - p[j, i])) <= 1e-12
 
 
@@ -386,7 +385,7 @@ def test_flux_is_gauge_invariant():
     rng = np.random.default_rng(4)
     graph = uniform_triangle(0.77)
     for _ in range(20):
-        gauge = GaugePhase(tuple(float(x) for x in rng.uniform(-PI, PI, 3)))
+        gauge = tuple(float(x) for x in rng.uniform(-PI, PI, 3))
         flux = cycle_flux(apply_gauge(graph, gauge), (0, 1, 2, 0))
         base = cycle_flux(graph, (0, 1, 2, 0))
         assert abs(math.remainder(flux - base, 2 * PI)) <= 1e-12
@@ -466,3 +465,22 @@ def test_classify_structural_fields_are_frozen():
         del fields["numeric_pts_residual"]
         rows.append(",".join(fields.values()))
     assert tuple(rows) == FROZEN_STRUCTURAL_ROWS
+
+
+def test_one_skeleton_per_hamiltonian(monkeypatch):
+    # a bipartite forest with a uniform diagonal: every structural step runs
+    graph = WalkHamiltonian(4, (Edge(0, 1, 1.0, 0.3), Edge(1, 2, 0.8, -1.1),
+                                Edge(1, 3, 1.2, 2.0)), tuple((v, 0.5) for v in range(4)))
+    built = []
+    original = GraphSkeleton.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GraphSkeleton, "__post_init__", counting)
+    report = classify(graph)
+    assert report.is_forest and report.is_bipartite
+    assert len(built) == 1
+    assert skeleton(graph) is skeleton(graph)
+    assert len(built) == 1
