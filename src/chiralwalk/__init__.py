@@ -8,10 +8,9 @@ chirality is controlled by local z-rotations.
 
 from .circuit import (GateSpec, PalindromicCircuit, apply_circuit,
                       circuit_sweep_table, excitation_preservation_check,
-                      fused_three_cycle_unitary, gate_qubit_space, parse_circuit,
-                      render_circuit, rz_decompose, three_cycle_circuit,
-                      three_cycle_probabilities, three_cycle_rotation_fusion,
-                      three_cycle_unitaries, trotter_error)
+                      gate_qubit_space, parse_circuit, render_circuit,
+                      rz_decompose, three_cycle_circuit, three_cycle_unitaries,
+                      trotter_error)
 from .defaults import DEFAULTS
 from .graph import (Edge, GraphFormatError, WalkHamiltonian, load_graph,
                     parse_graph, render_graph, skeleton, to_dense)
@@ -57,15 +56,12 @@ __all__ = [
     "apply_circuit",
     "circuit_sweep_table",
     "excitation_preservation_check",
-    "fused_three_cycle_unitary",
     "gate_qubit_space",
     "parse_circuit",
     "render_circuit",
     "rz_decompose",
     "three_cycle_circuit",
-    "three_cycle_probabilities",
     "three_cycle_unitaries",
-    "three_cycle_rotation_fusion",
     "trotter_error",
     "format_property_report",
     "run_property_suite",

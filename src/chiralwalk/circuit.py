@@ -32,7 +32,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .defaults import DEFAULTS
-from .graph import GraphFormatError, GraphSkeleton, WalkHamiltonian, _parse_int, fmt_real
+from .graph import (GraphFormatError, GraphSkeleton, WalkHamiltonian, _parse_int, _parse_real,
+                    fmt_real, skeleton)
 from .propagator import TransportTable, _freeze, propagate
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -260,56 +261,16 @@ def three_cycle_transfer(alphas: Sequence[float], thetas: Sequence[float]) -> np
     return (np.abs(state[2]) ** 2).reshape(len(alphas), len(thetas))
 
 
-def three_cycle_probabilities(alphas: Sequence[float], thetas: Sequence[float]) -> np.ndarray:
-    """Probability tensor ``p[a, k, to, from]`` for the triangle palindrome."""
-    return np.abs(three_cycle_unitaries(alphas, thetas)) ** 2
-
-
 def circuit_sweep_table(alphas: Sequence[float], thetas: Sequence[float]) -> TransportTable:
     """Triangle-palindrome sweep as a circuit-schema TransportTable."""
     alphas = [float(a) for a in alphas]
     thetas_list = [float(t) for t in thetas]
     if not alphas or not thetas_list:
         raise ValueError("sweep grids must be nonempty")
-    probs = three_cycle_probabilities(alphas, thetas_list)
+    probs = np.abs(three_cycle_unitaries(alphas, thetas_list)) ** 2
     axes = tuple((a, t) for a in alphas for t in thetas_list)
     flat = probs.reshape(len(axes), 3, 3)
     return TransportTable("circuit", axes, _freeze(flat))
-
-
-@dataclass(frozen=True)
-class FusedThreeCycle:
-    """Triangle palindrome rewritten with a single interior rotation pair.
-
-    ``unitary = B @ S01 @ S12 @ P(-phi) @ S20 @ S20 @ P(+phi) @ S12 @ S01
-    @ B^dag`` where the S's are the symmetric (alpha = 0) gates, ``P`` puts
-    phase ``exp(-+1j*phi)`` on ``rotation_node`` (one z-rotation pair, angle
-    ``phi = 3 * alpha``), and ``B = diag(exp(1j * boundary_phases))``.  The
-    boundary diagonals never change site-basis transition probabilities.
-    """
-
-    boundary_phases: tuple[float, float, float]
-    rotation_node: int
-    rotation_phase: float
-    symmetric_gates: tuple[GateSpec, ...]
-
-
-def three_cycle_rotation_fusion(alpha: float, theta: float) -> FusedThreeCycle:
-    return FusedThreeCycle(boundary_phases=(-float(alpha), 0.0, float(alpha)),
-                           rotation_node=2,
-                           rotation_phase=3.0 * float(alpha),
-                           symmetric_gates=three_cycle_circuit(0.0, float(theta)).full)
-
-
-def fused_three_cycle_unitary(fused: FusedThreeCycle) -> np.ndarray:
-    boundary = np.exp(1j * np.array(fused.boundary_phases))
-    rows, node = _gate_rows(fused.symmetric_gates), fused.rotation_node
-    # applied right to left: B^dag, S01, S12, P(+phi), S20, S20, P(-phi), S12, S01, B
-    state = _apply_gates(np.diag(boundary.conj()), rows[:3:-1])
-    state[node] *= np.exp(1j * fused.rotation_phase)
-    _apply_gates(state, rows[3:1:-1])
-    state[node] *= np.exp(-1j * fused.rotation_phase)
-    return boundary[:, None] * _apply_gates(state, rows[1::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -318,27 +279,25 @@ def fused_three_cycle_unitary(fused: FusedThreeCycle) -> np.ndarray:
 def trotter_error(hamiltonian: WalkHamiltonian, scale: float) -> float:
     """Max-norm error of the symmetric edge-splitting palindrome.
 
-    The half sequence holds one gate per edge at angle ``scale / 2``
-    (the full palindrome applies each edge for the whole step), compared
-    against ``exp(-iHt)`` with ``t = scale / h``.  Requires uniform edge
-    magnitudes and a zero diagonal, which is what the construction can
-    express.
+    The half sequence holds one gate per edge ``e`` at angle
+    ``(scale / 2) * h_e / h_0`` (the full palindrome applies each edge for
+    the whole step), compared against ``exp(-iHt)`` with ``t = scale / h_0``,
+    where ``h_0`` is the magnitude of the first edge.  A graph with
+    self-edges is rejected; a uniform diagonal is a global phase that no
+    gate carries, so the comparison is against the edges alone.
     """
     if not hamiltonian.edges:
         raise ValueError("splitting circuit needs at least one edge")
-    magnitudes = [e.h for e in hamiltonian.edges]
-    if max(magnitudes) - min(magnitudes) > DEFAULTS.uniform_magnitude * max(magnitudes):
-        raise ValueError("edge magnitudes must be uniform for the splitting circuit")
-    if np.abs(hamiltonian.diagonal()).max() > DEFAULTS.uniform_magnitude:
+    if skeleton(hamiltonian).self_nodes:
         raise ValueError("splitting circuit does not represent self-energies")
-    h = magnitudes[0]
-    t = float(scale) / h
+    h0 = hamiltonian.edges[0].h
     # node gate carries exp(-1j*alpha) on its (i, j) entry, so the edge
     # phase enters negated to reproduce exp(-1j * H_edge * t / 2)
-    half = tuple(GateSpec(e.i, e.j, -e.alpha, float(scale) / 2.0)
+    half = tuple(GateSpec(e.i, e.j, -e.alpha, float(scale) / 2.0 * (e.h / h0))
                  for e in hamiltonian.edges)
     approx = apply_circuit(PalindromicCircuit(hamiltonian.n_nodes, half), "node")
-    exact = propagate(hamiltonian, t)
+    exact = propagate(WalkHamiltonian(hamiltonian.n_nodes, hamiltonian.edges),
+                      float(scale) / h0)
     return float(np.abs(approx - exact).max())
 
 
@@ -356,10 +315,7 @@ def parse_circuit(text: str) -> PalindromicCircuit:
         if tokens[0] != "gate" or len(tokens) != 5:
             raise GraphFormatError("expected 'gate <i> <j> <alpha> <theta>'", lineno)
         i, j = (_parse_int(token, "gate endpoint", lineno) for token in tokens[1:3])
-        try:
-            alpha, theta = float(tokens[3]), float(tokens[4])
-        except ValueError:
-            raise GraphFormatError("bad gate parameters", lineno) from None
+        alpha, theta = (_parse_real(token, "gate parameters", lineno) for token in tokens[3:5])
         try:
             half.append(GateSpec(i, j, alpha, theta))
         except ValueError as exc:

@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce_fig2)
 
     p = sub.add_parser("trotter-check",
-                       help="splitting-error ladder for a uniform-magnitude graph")
+                       help="splitting-error ladder for a graph without self-edges")
     p.add_argument("--graph", required=True)
     p.add_argument("--theta-start", type=float, default=0.2)
     p.add_argument("--halvings", type=int, default=4)

@@ -10,7 +10,6 @@ class NumericDefaults:
     # validation tolerances
     hermiticity: float = 1e-12        # max |M - M^dag| accepted by eig_hermitian
     self_edge: float = 1e-12          # shifted diagonal above this counts as a self-edge
-    uniform_magnitude: float = 1e-12  # edge-|h| spread accepted by the splitting circuit
 
     # contract tolerances
     pts: float = 1e-9                 # sampled probability-symmetry verdict

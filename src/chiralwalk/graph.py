@@ -285,6 +285,9 @@ class _NodeResolver:
 
 
 def _parse_real(token: str, what: str, line: int) -> float:
+    """The real rule of graph and circuit files: ``float()`` on ASCII without ``_``."""
+    if not token.isascii() or "_" in token:
+        raise GraphFormatError(f"bad {what} {token!r}", line)
     try:
         value = float(token)
     except ValueError:

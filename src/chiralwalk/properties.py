@@ -15,8 +15,8 @@ import numpy as np
 
 from . import randgen
 from .circuit import (GateSpec, PalindromicCircuit, apply_circuit,
-                      excitation_preservation_check, gate_node_matrix,
-                      gate_qubit_space, rz_decompose, three_cycle_probabilities,
+                      circuit_sweep_table, excitation_preservation_check,
+                      gate_node_matrix, gate_qubit_space, rz_decompose,
                       trotter_error)
 from .graph import Edge, WalkHamiltonian, fmt_real
 from .propagator import propagate, sweep_time
@@ -224,9 +224,9 @@ def _table_normalization(name: str, default_trials: int, bound: float):
     """Time sweeps, then one circuit grid drawn after them, have unit column sums."""
     def run(rng, trials: int = default_trials) -> PropertyResult:
         defects = _trials(_sweep_column_defect, rng, trials)
-        grid = three_cycle_probabilities(rng.uniform(0, TWO_PI, size=4),
-                                         rng.uniform(-np.pi, np.pi, size=16))
-        return _judge(name, trials, bound, defects + [_gap(grid.sum(axis=2), 1.0)])
+        grid = circuit_sweep_table(rng.uniform(0, TWO_PI, size=4),
+                                   rng.uniform(-np.pi, np.pi, size=16))
+        return _judge(name, trials, bound, defects + [grid.column_sum_defect()])
     return name, run
 
 

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from chiralwalk import (Edge, GateSpec, GraphFormatError, PalindromicCircuit,
                         WalkHamiltonian, apply_circuit,
-                        excitation_preservation_check, fused_three_cycle_unitary,
-                        gate_qubit_space, parse_circuit,
-                        propagate, render_circuit, rz_decompose,
-                        three_cycle_circuit, three_cycle_probabilities,
-                        three_cycle_rotation_fusion, trotter_error)
-from chiralwalk.circuit import (_qubit_columns, gate_node_matrix,
-                                three_cycle_transfer, three_cycle_unitaries)
+                        excitation_preservation_check, gate_qubit_space,
+                        parse_circuit, propagate, render_circuit, rz_decompose,
+                        three_cycle_circuit, three_cycle_unitaries, trotter_error)
+from chiralwalk.circuit import _qubit_columns, gate_node_matrix, three_cycle_transfer
 
 from .oracles import pair_gate_taylor, three_cycle_taylor
 
@@ -110,22 +107,22 @@ def test_rz_decompose_reproduces_the_gate(alpha, theta):
 
 
 def test_rotation_fusion_leaves_one_interior_pair():
+    # the triangle's chirality gauges onto the central (2, 0) pair alone:
+    # U(alpha, theta) = B P B^dag with B = diag(exp(1j * (-alpha, 0, alpha)))
     rng = np.random.default_rng(5)
     for _ in range(25):
         alpha = float(rng.uniform(-PI, PI))
         theta = float(rng.uniform(-PI, PI))
-        fused = three_cycle_rotation_fusion(alpha, theta)
-        # six symmetric gates, all alpha = 0, plus exactly one rotation pair
-        assert len(fused.symmetric_gates) == 6
-        assert all(g.alpha == 0.0 for g in fused.symmetric_gates)
-        assert fused.rotation_phase == pytest.approx(3 * alpha)
+        boundary = np.diag(np.exp(1j * np.array([-alpha, 0.0, alpha])))
+        fused = PalindromicCircuit(3, (GateSpec(0, 1, 0.0, theta), GateSpec(1, 2, 0.0, theta),
+                                       GateSpec(2, 0, 3 * alpha, theta)))
         direct = apply_circuit(three_cycle_circuit(alpha, theta), "node")
-        assert np.abs(fused_three_cycle_unitary(fused) - direct).max() <= 1e-12
+        gauged = boundary @ apply_circuit(fused, "node") @ boundary.conj().T
+        assert np.abs(gauged - direct).max() <= 1e-12
 
 
 def test_fusion_boundary_diagonals_do_not_touch_probabilities():
-    fused = three_cycle_rotation_fusion(0.53, 1.3)
-    boundary = np.diag(np.exp(1j * np.array(fused.boundary_phases)))
+    boundary = np.diag(np.exp(1j * np.array((-0.53, 0.0, 0.53))))
     u = apply_circuit(three_cycle_circuit(0.53, 1.3), "node")
     stripped = boundary.conj().T @ u @ boundary
     assert np.abs(np.abs(stripped) ** 2 - np.abs(u) ** 2).max() <= 1e-12
@@ -285,7 +282,7 @@ def test_batched_probabilities_match_gate_products():
     rng = np.random.default_rng(9)
     alphas = rng.uniform(0, 2 * PI, 3)
     thetas = rng.uniform(-PI, PI, 5)
-    probs = three_cycle_probabilities(alphas, thetas)
+    probs = np.abs(three_cycle_unitaries(alphas, thetas)) ** 2
     for a_index, alpha in enumerate(alphas):
         for t_index, theta in enumerate(thetas):
             u = apply_circuit(three_cycle_circuit(float(alpha), float(theta)),
@@ -298,19 +295,19 @@ def test_batched_probabilities_match_taylor_oracle():
     for _ in range(10):
         alpha = float(rng.uniform(0, 2 * PI))
         theta = float(rng.uniform(-PI, PI))
-        probs = three_cycle_probabilities([alpha], [theta])[0, 0]
+        probs = (np.abs(three_cycle_unitaries([alpha], [theta])) ** 2)[0, 0]
         oracle = np.abs(three_cycle_taylor(alpha, theta)) ** 2
         assert np.abs(probs - oracle).max() <= 1e-12
 
 
 def test_symmetric_slice_respects_point_six_bound():
-    probs = three_cycle_probabilities([0.0], EXPERIMENT_GRID)[0]
+    probs = (np.abs(three_cycle_unitaries([0.0], EXPERIMENT_GRID)) ** 2)[0]
     assert probs[:, 1, 0].max() <= 0.6
     assert probs[:, 2, 0].max() <= 0.6
 
 
 def test_chiral_slice_peak_value():
-    probs = three_cycle_probabilities([PI / 2], EXPERIMENT_GRID)[0]
+    probs = (np.abs(three_cycle_unitaries([PI / 2], EXPERIMENT_GRID)) ** 2)[0]
     # frozen pre-build oracle value: 243/256 at theta = -5*pi/6 and -pi/6
     assert abs(probs[:, 2, 0].max() - 0.94921875) <= 1e-9
 
@@ -319,8 +316,8 @@ def test_reflection_in_time():
     rng = np.random.default_rng(11)
     thetas = np.array(EXPERIMENT_GRID)
     for alpha in rng.uniform(0, 2 * PI, 6):
-        plus = three_cycle_probabilities([alpha + PI], thetas)[0]
-        minus = three_cycle_probabilities([alpha], -thetas)[0]
+        plus = (np.abs(three_cycle_unitaries([alpha + PI], thetas)) ** 2)[0]
+        minus = (np.abs(three_cycle_unitaries([alpha], -thetas)) ** 2)[0]
         assert np.abs(plus - minus).max() <= 1e-12
 
 
@@ -358,10 +355,26 @@ def test_splitting_approximates_the_walk():
     assert np.abs(exact).max() <= 1.0 + 1e-12
 
 
+def mixed_triangle(self_energies=()) -> WalkHamiltonian:
+    return WalkHamiltonian(3, (Edge(0, 1, 1.10, 0.3), Edge(1, 2, 0.65, -0.7),
+                               Edge(0, 2, 0.57, 1.1)), self_energies)
+
+
+def test_splitting_error_third_order_with_mixed_magnitudes():
+    thetas = [0.2 / 2 ** k for k in range(5)]
+    errors = [trotter_error(mixed_triangle(), theta) for theta in thetas]
+    ratios = [errors[k] / errors[k + 1] for k in range(4)]
+    assert all(7.0 <= r <= 9.0 for r in ratios)
+
+
+def test_splitting_error_ignores_a_uniform_diagonal():
+    # a uniform diagonal is a global phase, not a self-edge
+    shifted = mixed_triangle(((0, 0.7), (1, 0.7), (2, 0.7)))
+    for theta in (0.2, 0.05):
+        assert trotter_error(shifted, theta) == trotter_error(mixed_triangle(), theta)
+
+
 def test_splitting_rejections():
-    with pytest.raises(ValueError, match="uniform"):
-        trotter_error(WalkHamiltonian(3, (Edge(0, 1, 1.0, 0.0),
-                                          Edge(1, 2, 2.0, 0.0))), 0.1)
     with pytest.raises(ValueError, match="self-energies"):
         trotter_error(WalkHamiltonian(2, (Edge(0, 1, 1.0, 0.0),), ((0, 1.0),)), 0.1)
     with pytest.raises(ValueError, match="at least one edge"):
@@ -410,6 +423,11 @@ def test_parse_circuit_errors():
         parse_circuit("gate 0 1 0.5\n")
     with pytest.raises(GraphFormatError, match="bad gate parameters"):
         parse_circuit("gate 0 1 x 0.5\n")
+    # reals follow the graph-file real rule: ASCII, no underscores
+    with pytest.raises(GraphFormatError, match="bad gate parameters '1_0'"):
+        parse_circuit("gate 0 1 1_0 0.5\n")
+    with pytest.raises(GraphFormatError, match="bad gate parameters"):
+        parse_circuit("gate 0 1 0.5 \u0661\n")
     with pytest.raises(GraphFormatError, match="empty circuit"):
         parse_circuit("# nothing\n")
     with pytest.raises(GraphFormatError, match="differ"):

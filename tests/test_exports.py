@@ -1,9 +1,11 @@
 """The public surface: every exported name resolves and has a caller."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import chiralwalk
+from chiralwalk.defaults import NumericDefaults
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,3 +20,12 @@ def test_every_export_resolves_and_has_a_caller():
                 if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert unresolved == []
     assert uncalled == []
+
+
+def test_every_default_has_a_reader():
+    package = ROOT / "src" / "chiralwalk"
+    text = "\n".join(path.read_text(encoding="utf-8") for path in package.glob("*.py")
+                     if path.name != "defaults.py")
+    unread = [f.name for f in dataclasses.fields(NumericDefaults)
+              if not re.search(rf"\bDEFAULTS\.{re.escape(f.name)}\b", text)]
+    assert unread == []

@@ -149,6 +149,10 @@ def test_round_trip_preserves_17_digit_reals():
     ("nodes \u00b2\n", "expected 'nodes", 1),
     ("nodes 2\nedge 0 \u00b2 1 0\n", "mix", 2),
     ("nodes 2\nedge \u0660 1 1 0\n", "mix", 2),
+    # reals are ASCII without underscores, where float() alone reads both
+    ("nodes 2\nedge 0 1 1_0 1\n", "bad edge magnitude '1_0'", 2),
+    ("nodes 2\nedge 0 1 1 \u0661\n", "bad edge phase", 2),
+    ("nodes 2\nself 0 \u0663\n", "bad self-energy", 2),
     pytest.param("nodes " + "9" * 5000 + "\n", "node count has 5000 digits", 1,
                  id="nodes-5000-digits"),
     pytest.param("nodes 2\nedge 0 " + "9" * 5000 + " 1 0\n", "node index has 5000 digits", 2,
