@@ -290,14 +290,15 @@ def trotter_error(hamiltonian: WalkHamiltonian, scale: float) -> float:
         raise ValueError("splitting circuit needs at least one edge")
     if skeleton(hamiltonian).self_nodes:
         raise ValueError("splitting circuit does not represent self-energies")
+    if hamiltonian.self_energies:  # uniform, so a global phase: drop it
+        hamiltonian = WalkHamiltonian(hamiltonian.n_nodes, hamiltonian.edges)
     h0 = hamiltonian.edges[0].h
     # node gate carries exp(-1j*alpha) on its (i, j) entry, so the edge
     # phase enters negated to reproduce exp(-1j * H_edge * t / 2)
     half = tuple(GateSpec(e.i, e.j, -e.alpha, float(scale) / 2.0 * (e.h / h0))
                  for e in hamiltonian.edges)
     approx = apply_circuit(PalindromicCircuit(hamiltonian.n_nodes, half), "node")
-    exact = propagate(WalkHamiltonian(hamiltonian.n_nodes, hamiltonian.edges),
-                      float(scale) / h0)
+    exact = propagate(hamiltonian, float(scale) / h0)
     return float(np.abs(approx - exact).max())
 
 

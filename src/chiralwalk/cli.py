@@ -17,7 +17,7 @@ import numpy as np
 from .circuit import circuit_sweep_table, three_cycle_transfer, trotter_error
 from .defaults import DEFAULTS
 from .graph import GraphFormatError, fmt_real, load_graph
-from .propagator import CSV_HEADERS, render_csv, sweep_time
+from .propagator import CSV_HEADERS, render_csv, spectrum, sweep_time
 from .properties import PROPERTY_SUITE, format_property_report, run_property_suite
 from .symmetry import SymmetryReport, classify
 
@@ -102,6 +102,9 @@ def cmd_evolve(args) -> int:
         if not math.isfinite(step):
             raise ValueError("--t-max - --t-min overflows a float")
         grid = [args.t_min + k * step for k in range(args.t_count)]
+    if not math.isfinite(max(abs(args.t_min), abs(args.t_max))
+                         * spectrum(graph).spectral_norm):
+        raise ValueError("--t-min/--t-max times the graph's spectral norm overflows a float")
     table = sweep_time(graph, grid)
     _write_output(args.out, table.to_csv())
     return EXIT_OK

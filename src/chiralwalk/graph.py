@@ -115,10 +115,6 @@ class WalkHamiltonian:
 
         object.__setattr__(self, "_edge_index", index)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._edge_index  # type: ignore[attr-defined]
-
     def directed_phase(self, u: int, v: int) -> float:
         """Phase of the dense entry ``H[u, v]`` (raises if the edge is absent)."""
         edge = self._edge_index.get((u, v) if u < v else (v, u))  # type: ignore[attr-defined]

@@ -1,13 +1,14 @@
 """Exact evolution U = exp(-iHt) via Hermitian eigendecomposition.
 
-The spectrum is computed once per Hamiltonian and reused across every time
-sample.  After that O(N^3) factorization, a full unitary costs O(N^3) per
-time point (one matrix product), while ``max_transfer``'s scan of a single
-entry costs O(N) per point.  Stacks of unitaries over a time grid are built
-in t-chunks of at most ``CHUNK_BYTES`` complex bytes, so their peak memory is
-bounded by that budget, not by the grid length.  Probabilities follow the
-column convention ``p[to, from]``: entry ``|U[to, from]|^2`` is the
-probability of the transition ``from -> to``.
+Every spectral function takes a ``WalkHamiltonian`` and reads the spectrum
+that ``spectrum(H)`` computes on first use and keeps on it, so each
+Hamiltonian is eigendecomposed once.  After that O(N^3) factorization, a
+full unitary costs O(N^3) per time point (one matrix product), while
+``max_transfer``'s scan of a single entry costs O(N) per point.  Stacks of
+unitaries over a time grid are built in t-chunks of at most ``CHUNK_BYTES``
+complex bytes, so their peak memory is bounded by that budget, not by the
+grid length.  Probabilities follow the column convention ``p[to, from]``:
+entry ``|U[to, from]|^2`` is the probability of the transition ``from -> to``.
 
 Probability CSVs are rendered by ``render_csv`` on every CPU this process
 may run on: the outer grid is split into W contiguous blocks, W = min(CPUs
@@ -90,21 +91,23 @@ def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
     if asym > DEFAULTS.hermiticity:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    if not (np.isfinite(eigenvalues).all() and np.isfinite(eigenvectors).all()):
+        raise ValueError("eigendecomposition is not finite: matrix entries too large")
     return SpectralDecomposition(_freeze(eigenvalues), _freeze(eigenvectors))
 
 
-def decompose(hamiltonian) -> SpectralDecomposition:
-    """eig_hermitian of a WalkHamiltonian or of an already-dense matrix."""
-    if isinstance(hamiltonian, SpectralDecomposition):
-        return hamiltonian
-    if isinstance(hamiltonian, WalkHamiltonian):
-        return eig_hermitian(to_dense(hamiltonian))
-    return eig_hermitian(hamiltonian)
+def spectrum(hamiltonian: WalkHamiltonian) -> SpectralDecomposition:
+    """``eig_hermitian(to_dense(H))``, computed on first use and kept on ``H``."""
+    kept = hamiltonian.__dict__.get("_spectrum")
+    if kept is None:
+        kept = eig_hermitian(to_dense(hamiltonian))
+        object.__setattr__(hamiltonian, "_spectrum", kept)
+    return kept
 
 
-def propagate(hamiltonian, t: float) -> np.ndarray:
-    """U = exp(-iHt) through the spectral factorization, read-only."""
-    return _freeze(decompose(hamiltonian).propagator_batch([float(t)])[0])
+def propagate(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:
+    """U = exp(-iHt) through the kept spectral factorization, read-only."""
+    return _freeze(spectrum(hamiltonian).propagator_batch([float(t)])[0])
 
 
 def _render_rows(prefix_format: str, pieces: list[str],
@@ -255,12 +258,12 @@ class TransportTable:
         return render_csv(CSV_HEADERS[self.axis_kind], axes, pairs, values)
 
 
-def sweep_time(hamiltonian, t_grid: Sequence[float]) -> TransportTable:
-    """Probability tables over a time grid, one eigendecomposition total."""
+def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> TransportTable:
+    """Probability tables over a time grid from the kept spectrum."""
     t_grid = tuple(float(t) for t in t_grid)
     if not t_grid:
         raise ValueError("time grid must be nonempty")
-    dec = decompose(hamiltonian)
+    dec = spectrum(hamiltonian)
     probabilities = np.empty((len(t_grid), dec.n, dec.n))
     for start, chunk in probability_chunks(dec, t_grid):
         probabilities[start:start + len(chunk)] = chunk
@@ -306,7 +309,7 @@ def _golden_section_max(f, lo: float, hi: float, width: float) -> tuple[float, f
     return t, f(t)
 
 
-def max_transfer(hamiltonian, from_node: int, to_node: int,
+def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
                  t_range: tuple[float, float]) -> tuple[float, float]:
     """Maximize the ``from -> to`` probability over a time window.
 
@@ -317,7 +320,7 @@ def max_transfer(hamiltonian, from_node: int, to_node: int,
     lo, hi = float(t_range[0]), float(t_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         raise ValueError("t_range must be a finite interval of positive length")
-    dec = decompose(hamiltonian)
+    dec = spectrum(hamiltonian)
     n = dec.n
     if not (0 <= from_node < n and 0 <= to_node < n):
         raise ValueError("node index out of range")

@@ -61,8 +61,7 @@ def random_nonbipartite(rng: np.random.Generator, n_max: int = 12) -> WalkHamilt
     return WalkHamiltonian(n, edges)
 
 
-def random_hamiltonian(rng: np.random.Generator, n_max: int = 8,
-                       with_self_energies: bool = True) -> WalkHamiltonian:
+def random_hamiltonian(rng: np.random.Generator, n_max: int = 8) -> WalkHamiltonian:
     """Arbitrary-class random Hamiltonian (may be forest, bipartite, neither)."""
     n = int(rng.integers(2, n_max + 1))
     edges = [Edge(i, j, *_random_edge_params(rng))
@@ -71,7 +70,7 @@ def random_hamiltonian(rng: np.random.Generator, n_max: int = 8,
     if not edges:
         edges = [Edge(0, n - 1, *_random_edge_params(rng))]
     selfs = ()
-    if with_self_energies and rng.random() < 0.4:
+    if rng.random() < 0.4:
         selfs = tuple((v, float(rng.uniform(-1.0, 1.0)))
                       for v in range(n) if rng.random() < 0.5)
     return WalkHamiltonian(n, tuple(edges), selfs)

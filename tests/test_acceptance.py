@@ -19,15 +19,15 @@ import time
 import numpy as np
 import pytest
 
-from chiralwalk import (Edge, GateSpec, WalkHamiltonian, apply_circuit,
-                        apply_gauge, gate_qubit_space, max_transfer, propagate,
-                        pts_numeric, rz_decompose, three_cycle_circuit,
-                        three_cycle_unitaries, trotter_error)
-from chiralwalk.propagator import _golden_section_max, decompose
+from chiralwalk import (GateSpec, apply_circuit, apply_gauge, gate_qubit_space,
+                        max_transfer, propagate, pts_numeric, rz_decompose,
+                        three_cycle_circuit, three_cycle_unitaries, trotter_error)
+from chiralwalk.propagator import _golden_section_max, spectrum
 from chiralwalk.randgen import (random_bipartite, random_forest, random_gauge,
                                 random_hamiltonian, random_nonbipartite)
 from chiralwalk.symmetry import default_time_samples
 
+from .graphs import uniform_triangle
 from .oracles import three_cycle_taylor
 
 PI = math.pi
@@ -48,11 +48,6 @@ GOLDEN_CHIRAL_CONTINUOUS_PEAK = 0.98726287805
 
 def _report(criterion: str, ok: bool, detail: str):
     print(f"ACCEPTANCE {criterion} {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def uniform_triangle(alpha: float) -> WalkHamiltonian:
-    return WalkHamiltonian(3, (Edge(0, 1, 1.0, alpha), Edge(1, 2, 1.0, alpha),
-                               Edge(2, 0, 1.0, alpha)))
 
 
 def _chiral_transfer(theta: float) -> float:
@@ -140,13 +135,13 @@ def _measure_5(record):
     worst_forest = 0.0
     for _ in range(100):
         graph = random_forest(rng, n_max=12, with_self_energies=True)
-        batch = decompose(graph).propagator_batch(np.array(default_time_samples(graph)))
+        batch = spectrum(graph).propagator_batch(np.array(default_time_samples(graph)))
         record(unitaries=batch, probabilities=np.abs(batch) ** 2)
         worst_forest = max(worst_forest, pts_numeric(graph).residual)
     worst_bipartite = 0.0
     for _ in range(100):
         graph = random_bipartite(rng, n_max=12)
-        batch = decompose(graph).propagator_batch(np.array(default_time_samples(graph)))
+        batch = spectrum(graph).propagator_batch(np.array(default_time_samples(graph)))
         record(unitaries=batch, probabilities=np.abs(batch) ** 2)
         worst_bipartite = max(worst_bipartite, pts_numeric(graph).residual)
     detected = 0

@@ -14,6 +14,7 @@ from chiralwalk import (Edge, GateSpec, GraphFormatError, PalindromicCircuit,
                         three_cycle_circuit, three_cycle_unitaries, trotter_error)
 from chiralwalk.circuit import _qubit_columns, gate_node_matrix, three_cycle_transfer
 
+from .graphs import uniform_triangle
 from .oracles import pair_gate_taylor, three_cycle_taylor
 
 PI = math.pi
@@ -322,11 +323,6 @@ def test_reflection_in_time():
 
 
 # --- splitting error --------------------------------------------------------
-
-def uniform_triangle(alpha: float) -> WalkHamiltonian:
-    return WalkHamiltonian(3, (Edge(0, 1, 1.0, alpha), Edge(1, 2, 1.0, alpha),
-                               Edge(2, 0, 1.0, alpha)))
-
 
 def test_splitting_error_vanishes_at_zero_scale():
     assert trotter_error(uniform_triangle(0.3), 0.0) <= 1e-12

@@ -263,6 +263,37 @@ def test_evolve_single_time_ignoring_t_max_exits_2(triangle_file, tmp_path, caps
     assert {row[0] for row in rows} == {"5"}
 
 
+# finite edge magnitudes whose spectrum overflows float64
+OVERFLOWING_TRIANGLE = ("nodes 3\nedge 0 1 1e308 0.3\nedge 1 2 1e308 0.5\n"
+                        "edge 0 2 1e308 0.1\n")
+
+
+@pytest.mark.parametrize("command", [["classify"],
+                                     ["evolve", "--t-max", "1", "--t-count", "3"]])
+def test_overflowing_spectrum_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "huge.graph"
+    path.write_text(OVERFLOWING_TRIANGLE)
+    out = tmp_path / "out.txt"
+    assert main([command[0], "--graph", str(path), *command[1:], "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_overflowing_phase_exits_2(tmp_path, capsys):
+    path = tmp_path / "pair.graph"
+    path.write_text("nodes 2\nedge 0 1 2 0\n")  # spectral norm 2
+    out = tmp_path / "table.csv"
+    assert main(["evolve", "--graph", str(path), "--t-min", "1e308", "--t-max", "1e308",
+                 "--t-count", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--t-min" in err and "--t-max" in err
+    assert not out.exists()
+    # a large time whose phases stay finite still gives a valid table
+    assert main(["evolve", "--graph", str(path), "--t-min", "1e300", "--t-max", "1e300",
+                 "--t-count", "1", "--out", str(out)]) == 0
+    validate_table_csv(out.read_text())
+
+
 def test_evolve_bytes_do_not_depend_on_the_cpus_available(tmp_path):
     """A table of two rendering blocks, written by fresh interpreters that
     see one CPU and every CPU, so the real forked workers run."""
@@ -708,3 +739,30 @@ def test_classify_calls_every_traced_symmetry_function(tmp_path, monkeypatch):
         graphs += ["--graph", str(path)]
     assert main(["classify", "--csv", *graphs, "--out", str(tmp_path / "c.csv")]) == 0
     assert called == set(TRACED_SYMMETRY_FUNCTIONS)
+
+
+def test_each_command_eigendecomposes_each_graph_once(triangle_file, tmp_path,
+                                                      monkeypatch):
+    from chiralwalk import propagator
+
+    calls = []
+    original = propagator.eig_hermitian
+    monkeypatch.setattr(propagator, "eig_hermitian",
+                        lambda matrix: calls.append(len(matrix)) or original(matrix))
+    graphs = []
+    for stem, text in (("chain", CHAIN), ("triangle", TRIANGLE),
+                       ("square", "nodes 4\nedge 0 1 1 0.2\nedge 1 2 1 0.1\n"
+                                  "edge 2 3 1 -0.6\nedge 3 0 1 1.3\n")):
+        path = tmp_path / f"{stem}.graph"
+        path.write_text(text)
+        graphs += ["--graph", str(path)]
+    assert main(["classify", "--csv", *graphs, "--out", str(tmp_path / "c.csv")]) == 0
+    assert calls == [4, 3, 4]
+    calls.clear()
+    assert main(["evolve", "--graph", str(triangle_file), "--t-max", "2",
+                 "--out", str(tmp_path / "e.csv")]) == 0
+    assert calls == [3]
+    calls.clear()
+    assert main(["trotter-check", "--graph", str(triangle_file), "--halvings", "4",
+                 "--out", str(tmp_path / "t.txt")]) == 0
+    assert calls == [3]

@@ -8,31 +8,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chiralwalk import (Edge, WalkHamiltonian, eig_hermitian, max_transfer,
-                        parse_graph, propagate, sweep_time, to_dense,
+from chiralwalk import (Edge, WalkHamiltonian, apply_gauge, eig_hermitian,
+                        max_transfer, parse_graph, propagate, sweep_time, to_dense,
                         validate_table_csv)
 from chiralwalk import propagator
 from chiralwalk.cli import _transfer_csv
-from chiralwalk.propagator import TransportTable, chunk_length
+from chiralwalk.propagator import TransportTable, chunk_length, spectrum
 
+from .graphs import hermitian_graph, uniform_triangle
 from .oracles import expm_taylor, triangle_probability_closed_form, \
     circulant_triangle_eigenvalues
 
 PI = math.pi
 
 
-def uniform_triangle(alpha: float) -> WalkHamiltonian:
-    return WalkHamiltonian(3, (Edge(0, 1, 1.0, alpha), Edge(1, 2, 1.0, alpha),
-                               Edge(2, 0, 1.0, alpha)))
-
-
 def two_site() -> WalkHamiltonian:
     return WalkHamiltonian(2, (Edge(0, 1, 1.0, 0.0),))
-
-
-def random_hermitian(rng, n):
-    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (raw + raw.conj().T) / 2
 
 
 # --- eigendecomposition -----------------------------------------------------
@@ -55,6 +46,30 @@ def test_eig_triangle_spectra_match_circulant_formula():
         [-math.sqrt(3), 0.0, math.sqrt(3)], atol=1e-9)
 
 
+def test_eig_rejects_a_non_finite_spectrum():
+    # finite entries whose spectrum overflows float64
+    with pytest.raises(ValueError, match="not finite"):
+        eig_hermitian(to_dense(parse_graph(
+            "nodes 3\nedge 0 1 1e308 0.3\nedge 1 2 1e308 0.5\nedge 0 2 1e308 0.1\n")))
+
+
+def test_spectrum_is_kept_on_its_hamiltonian(monkeypatch):
+    calls = []
+    monkeypatch.setattr(propagator, "eig_hermitian",
+                        lambda matrix: calls.append(1) or eig_hermitian(matrix))
+    graph = uniform_triangle(0.4)
+    assert spectrum(graph) is spectrum(graph)
+    propagate(graph, 0.5)
+    sweep_time(graph, [0.1, 0.2])
+    max_transfer(graph, 0, 2, (0.0, 1.0))
+    assert len(calls) == 1
+    gauged = apply_gauge(graph, (0.3, -0.1, 0.7))
+    assert spectrum(gauged) is not spectrum(graph)
+    assert len(calls) == 2
+    assert np.allclose(spectrum(gauged).eigenvalues, spectrum(graph).eigenvalues,
+                       atol=1e-12)
+
+
 def test_eig_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         eig_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -66,7 +81,7 @@ def test_eig_reconstruction_and_orthonormality():
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(2, 17))
-        matrix = random_hermitian(rng, n)
+        matrix = to_dense(hermitian_graph(rng, n))
         dec = eig_hermitian(matrix)
         rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
         scale = max(1.0, float(np.abs(matrix).max()))
@@ -131,10 +146,10 @@ def test_matches_taylor_squaring_oracle():
     rng = np.random.default_rng(13)
     for _ in range(50):
         n = int(rng.integers(2, 9))
-        matrix = random_hermitian(rng, n)
+        graph = hermitian_graph(rng, n)
         t = float(rng.uniform(-4, 4))
-        via_spectrum = propagate(matrix, t)
-        via_taylor = expm_taylor(-1j * matrix * t)
+        via_spectrum = propagate(graph, t)
+        via_taylor = expm_taylor(-1j * to_dense(graph) * t)
         assert np.abs(via_spectrum - via_taylor).max() <= 1e-8
 
 
@@ -150,30 +165,28 @@ def test_triangle_transfer_matches_closed_form():
 def test_propagator_batch_matches_per_time_and_taylor_oracle():
     rng = np.random.default_rng(17)
     for n in (1, 2, 5, 9):
-        matrix = random_hermitian(rng, n)
-        dec = eig_hermitian(matrix)
+        graph = hermitian_graph(rng, n)
         times = rng.uniform(-2, 2, size=7)
-        batch = dec.propagator_batch(times)
+        batch = spectrum(graph).propagator_batch(times)
         assert batch.shape == (7, n, n)
         for t, u in zip(times, batch):
-            assert np.abs(u - propagate(dec, t)).max() <= 1e-12
-            assert np.abs(u - expm_taylor(-1j * matrix * t)).max() <= 1e-12
+            assert np.abs(u - propagate(graph, t)).max() <= 1e-12
+            assert np.abs(u - expm_taylor(-1j * to_dense(graph) * t)).max() <= 1e-12
 
 
-def sweep_reference(matrix, times):
-    dec = eig_hermitian(matrix)
-    return np.array([np.abs(propagate(dec, t)) ** 2 for t in times])
+def sweep_reference(graph, times):
+    return np.array([np.abs(propagate(graph, t)) ** 2 for t in times])
 
 
 @pytest.mark.parametrize("n, count", [(64, chunk_length(64) - 1), (64, chunk_length(64)),
                                       (64, chunk_length(64) + 1), (64, 1), (1, 1), (1, 5)])
 def test_sweep_matches_per_time_loop_across_chunk_edges(n, count):
     rng = np.random.default_rng(23)
-    matrix = random_hermitian(rng, n)
+    graph = hermitian_graph(rng, n)
     times = np.linspace(-3.0, 3.0, count)
-    probabilities = sweep_time(matrix, times).probabilities
+    probabilities = sweep_time(graph, times).probabilities
     assert probabilities.shape == (count, n, n)
-    assert np.abs(probabilities - sweep_reference(matrix, times)).max() <= 1e-12
+    assert np.abs(probabilities - sweep_reference(graph, times)).max() <= 1e-12
 
 
 def test_chunk_length_fills_the_budget():
@@ -277,7 +290,7 @@ def test_degenerate_table_csv_matches_reference_bytes(kind, axes):
 
 
 def test_table_csv_matches_reference_bytes_on_a_sweep():
-    table = sweep_time(random_hermitian(np.random.default_rng(41), 7),
+    table = sweep_time(hermitian_graph(np.random.default_rng(41), 7),
                        np.linspace(-2.0, 3.0, 11))
     assert table.to_csv() == reference_csv(table)
 

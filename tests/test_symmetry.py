@@ -15,14 +15,11 @@ from chiralwalk import (Edge, WalkHamiltonian, apply_gauge,
                         skeleton, to_dense, tree_phase_removal)
 from chiralwalk import randgen
 from chiralwalk.graph import GraphSkeleton
-from chiralwalk.propagator import chunk_length, decompose
+from chiralwalk.propagator import chunk_length
+
+from .graphs import hermitian_graph, uniform_triangle
 
 PI = math.pi
-
-
-def uniform_triangle(alpha):
-    return WalkHamiltonian(3, (Edge(0, 1, 1.0, alpha), Edge(1, 2, 1.0, alpha),
-                               Edge(2, 0, 1.0, alpha)))
 
 
 def random_forest_edges(rng, n):
@@ -285,16 +282,10 @@ def test_real_triangle_passes_pts():
     assert check.residual <= 1e-9
 
 
-def random_hermitian(rng, n):
-    raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (raw + raw.conj().T) / 2
-
-
-def pts_reference(matrix, times):
-    dec = decompose(matrix)
+def pts_reference(graph, times):
     worst = 0.0
     for t in times:
-        p = np.abs(propagate(dec, t)) ** 2
+        p = np.abs(propagate(graph, t)) ** 2
         worst = max(worst, float(np.abs(p - p.T).max()))
     return worst
 
@@ -302,18 +293,18 @@ def pts_reference(matrix, times):
 @pytest.mark.parametrize("n, count", [(48, chunk_length(48) - 1), (48, chunk_length(48)),
                                       (48, chunk_length(48) + 1), (48, 1), (1, 1), (1, 5)])
 def test_pts_residual_matches_per_time_loop_across_chunk_edges(n, count):
-    matrix = random_hermitian(np.random.default_rng(31), n)
+    graph = hermitian_graph(np.random.default_rng(31), n)
     times = np.linspace(0.05, 4.0, count)
-    check = pts_numeric(matrix, times)
+    check = pts_numeric(graph, times)
     assert len(check.t_samples) == count
-    assert abs(check.residual - pts_reference(matrix, times)) <= 1e-12
+    assert abs(check.residual - pts_reference(graph, times)) <= 1e-12
 
 
 def test_pts_numeric_peak_memory_is_bounded_by_the_chunk():
-    matrix = random_hermitian(np.random.default_rng(37), 200)
+    graph = hermitian_graph(np.random.default_rng(37), 200)
     tracemalloc.start()
     try:
-        check = pts_numeric(matrix)
+        check = pts_numeric(graph)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,7 +389,7 @@ def test_flux_orientation_flips_sign():
 
 def test_flux_errors():
     graph = parse_graph("nodes 3\nedge 0 1 1 0\nedge 1 2 1 0\n")
-    with pytest.raises(ValueError, match="missing edge"):
+    with pytest.raises(ValueError, match="no edge between 2 and 0"):
         cycle_flux(graph, (0, 1, 2, 0))
     with pytest.raises(ValueError, match="closed walk"):
         cycle_flux(graph, (0, 1, 2))
