@@ -199,20 +199,11 @@ def _qubit_columns(circuit: PalindromicCircuit) -> np.ndarray:
     return psi.reshape(1 << n, n)
 
 
-def apply_circuit(circuit: PalindromicCircuit, space: str = "node") -> np.ndarray:
-    """Ordered product of the full gate sequence, read-only.
-
-    ``space="node"`` rewrites two rows of the identity per gate.
-    ``space="qubit"`` runs dense statevectors and reports the N x N
-    single-excitation block
-    ``B[i, j] = <i excited| circuit |j excited>``.
-    """
-    if space == "node":
-        return _freeze(_apply_gates(np.eye(circuit.n_nodes, dtype=complex),
-                                    _gate_rows(circuit.full)))
-    if space == "qubit":
-        return _freeze(_qubit_columns(circuit)[_single_excitation_rows(circuit.n_nodes), :])
-    raise ValueError(f"unknown space {space!r} (expected 'node' or 'qubit')")
+def apply_circuit(circuit: PalindromicCircuit) -> np.ndarray:
+    """Ordered product of the full gate sequence, read-only: two rows of the
+    identity rewritten per gate."""
+    return _freeze(_apply_gates(np.eye(circuit.n_nodes, dtype=complex),
+                                _gate_rows(circuit.full)))
 
 
 def excitation_preservation_check(circuit: PalindromicCircuit) -> float:
@@ -297,7 +288,7 @@ def trotter_error(hamiltonian: WalkHamiltonian, scale: float) -> float:
     # phase enters negated to reproduce exp(-1j * H_edge * t / 2)
     half = tuple(GateSpec(e.i, e.j, -e.alpha, float(scale) / 2.0 * (e.h / h0))
                  for e in hamiltonian.edges)
-    approx = apply_circuit(PalindromicCircuit(hamiltonian.n_nodes, half), "node")
+    approx = apply_circuit(PalindromicCircuit(hamiltonian.n_nodes, half))
     exact = propagate(hamiltonian, float(scale) / h0)
     return float(np.abs(approx - exact).max())
 

@@ -138,8 +138,8 @@ def cmd_reproduce_fig2(args) -> int:
     surface_alphas = [k * 2 * PI / count for k in range(count)]
     surface_thetas = [-PI + (k + 1) * 2 * PI / count for k in range(count)]
     transfer = three_cycle_transfer(surface_alphas, surface_thetas)
-    (out_dir / "surface.csv").write_text(
-        _transfer_csv(surface_alphas, surface_thetas, transfer), encoding="utf-8")
+    _write_output(str(out_dir / "surface.csv"),
+                  _transfer_csv(surface_alphas, surface_thetas, transfer))
 
     slice_thetas = experiment_theta_grid()
     slice_alphas = list(DEFAULT_SWEEP_ALPHAS)
@@ -147,8 +147,7 @@ def cmd_reproduce_fig2(args) -> int:
     slice_names = ("slice_alpha_0.csv", "slice_alpha_pi_over_2.csv",
                    "slice_alpha_pi.csv", "slice_alpha_3pi_over_2.csv")
     for name, alpha, row in zip(slice_names, slice_alphas, slices):
-        (out_dir / name).write_text(
-            _transfer_csv([alpha], slice_thetas, row[None]), encoding="utf-8")
+        _write_output(str(out_dir / name), _transfer_csv([alpha], slice_thetas, row[None]))
 
     a_star, t_star = np.unravel_index(np.argmax(transfer), transfer.shape)
     slice_max = slices.max(axis=1)
@@ -163,7 +162,7 @@ def cmd_reproduce_fig2(args) -> int:
         summary.append(f"{name}: alpha={fmt_real(alpha)} max={fmt_real(value)}")
     summary.append(f"symmetric_slice_bound=0.6 "
                    f"(observed {fmt_real(slice_max[0])} at alpha=0)")
-    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    _write_output(str(out_dir / "summary.txt"), "\n".join(summary) + "\n")
     return EXIT_OK
 
 
@@ -177,6 +176,13 @@ def cmd_trotter_check(args) -> int:
         raise ValueError(f"--theta-start must be nonzero, and stay nonzero over "
                          f"{args.halvings} halvings; got {theta_start!r}")
     graph = load_graph(args.graph)
+    # the reference propagates the edges alone to t = theta / h_0 (h_0 the first
+    # edge's magnitude); a uniform diagonal it drops moves the norm by at most its size
+    norm = spectrum(graph).spectral_norm + max((abs(e) for _, e in graph.self_energies),
+                                               default=0.0)
+    if graph.edges and not math.isfinite(abs(theta_start) / graph.edges[0].h * norm):
+        raise ValueError("--theta-start over the first edge's magnitude, times the "
+                         "graph's spectral norm, overflows a float")
     errors = [trotter_error(graph, theta) for theta in thetas]
     lines = ["# symmetric splitting error ladder", "# theta error"]
     lines += [f"{fmt_real(th)} {fmt_real(err)}" for th, err in zip(thetas, errors)]

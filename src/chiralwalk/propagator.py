@@ -21,6 +21,7 @@ depend on W.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -291,12 +292,16 @@ def validate_table_csv(text: str) -> None:
 
 
 def _golden_section_max(f, lo: float, hi: float, width: float) -> tuple[float, float]:
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    """Golden-section search, a fixed number of steps: the count that shrinks
+    ``hi - lo`` to ``width``, so it ends even where floats near ``hi`` are
+    spaced wider than ``width``."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    steps = math.ceil(math.log(width / (hi - lo), inv_phi)) if hi - lo > width else 0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > width:
+    for _ in range(steps):
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)

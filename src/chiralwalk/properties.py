@@ -149,12 +149,12 @@ def _palindrome_amplitude_symmetry(rng) -> float:
     n = int(rng.integers(2, 7))
     circuit = randgen.random_palindrome(rng, n, int(rng.integers(1, 7)),
                                         zero_alpha=True)
-    u = apply_circuit(circuit, "node")
+    u = apply_circuit(circuit)
     return _gap(u, u.T)
 
 
 def _circuit_pts_residual(circuit) -> float:
-    p = np.abs(apply_circuit(circuit, "node")) ** 2
+    p = np.abs(apply_circuit(circuit)) ** 2
     return _gap(p, p.T)
 
 
@@ -181,7 +181,7 @@ def _flux_dependence(rng, inject_fault: bool = False) -> float:
         half = (GateSpec(0, 1, float(assignment[0]), theta),
                 GateSpec(1, 2, float(assignment[1]), theta),
                 GateSpec(2, 0, float(assignment[2]), theta))
-        u = apply_circuit(PalindromicCircuit(3, half), "node")
+        u = apply_circuit(PalindromicCircuit(3, half))
         tables.append(np.abs(u) ** 2)
     return _gap(tables[0], tables[1])
 
@@ -206,8 +206,7 @@ def _nonbipartite_asymmetry(name: str, default_trials: int, threshold: float):
     """Odd cycles with generic flux break symmetry detectably (statistical)."""
     def run(rng, trials: int = default_trials) -> PropertyResult:
         residuals = _trials(
-            lambda r: pts_numeric(randgen.random_nonbipartite(r, 12)).residual,
-            rng, trials)
+            lambda r: pts_numeric(randgen.random_nonbipartite(r, 12)), rng, trials)
         detected = sum(residual > threshold for residual in residuals)
         return PropertyResult(name, trials, float(np.min(residuals, initial=math.inf)),
                               threshold, detected >= int(0.95 * trials),
@@ -233,9 +232,9 @@ def _table_normalization(name: str, default_trials: int, bound: float):
 PROPERTY_SUITE: tuple[tuple[str, Callable], ...] = (
     _suite("gauge-invariance", 200, 1e-12, _gauge_invariance),
     _suite("forest-pts", 100, 1e-9, lambda rng: pts_numeric(
-        randgen.random_forest(rng, n_max=12, with_self_energies=True)).residual),
+        randgen.random_forest(rng, n_max=12, with_self_energies=True))),
     _suite("bipartite-pts", 100, 1e-9,
-           lambda rng: pts_numeric(randgen.random_bipartite(rng, 12)).residual),
+           lambda rng: pts_numeric(randgen.random_bipartite(rng, 12))),
     _suite("forest-phase-independence", 100, 1e-9, _forest_phase_independence),
     _suite("parity-split-agreement", 60, 1e-12, _parity_split_agreement),
     _suite("negation-time-reversal", 100, 1e-12, _negation_time_reversal),

@@ -6,7 +6,6 @@ import numpy as np
 
 from .circuit import GateSpec, PalindromicCircuit
 from .graph import Edge, GraphSkeleton, WalkHamiltonian
-from .symmetry import is_bipartite
 
 
 def _random_edge_params(rng: np.random.Generator) -> tuple[float, float]:
@@ -52,7 +51,7 @@ def random_nonbipartite(rng: np.random.Generator, n_max: int = 12) -> WalkHamilt
     pairs = set(random_tree_edges(rng, n))
     while True:
         skel = GraphSkeleton(n, tuple(sorted(pairs)))
-        if not is_bipartite(skel).bipartite:
+        if skel.odd_edge is not None:
             break
         i = int(rng.integers(0, n - 1))
         j = int(rng.integers(i + 1, n))

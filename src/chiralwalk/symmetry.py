@@ -36,12 +36,6 @@ class BipartiteCheck(NamedTuple):
     odd_cycle: tuple[int, ...] | None
 
 
-class PtsCheck(NamedTuple):
-    residual: float
-    symmetric: bool
-    t_samples: tuple[float, ...]
-
-
 def apply_gauge(hamiltonian: WalkHamiltonian, lam: Sequence[float]) -> WalkHamiltonian:
     """Conjugate by the diagonal unitary diag(e^{i lam}); diagonals are untouched."""
     if len(lam) != hamiltonian.n_nodes:
@@ -125,23 +119,22 @@ def default_time_samples(hamiltonian: WalkHamiltonian,
     return tuple(horizon * k / count for k in range(1, count + 1))
 
 
-def pts_numeric(hamiltonian: WalkHamiltonian, t_samples: Sequence[float] | None = None,
-                tol: float = DEFAULTS.pts) -> PtsCheck:
-    """Sampled probability-symmetry test (evidence, not a proof).
+def pts_numeric(hamiltonian: WalkHamiltonian,
+                t_samples: Sequence[float] | None = None) -> float:
+    """Sampled probability-symmetry residual (evidence, not a proof).
 
-    Residual is the worst ``| |U(t)[i, j]|^2 - |U(t)[j, i]|^2 |`` over the
-    sample times and all node pairs, kept as a running maximum over t-chunks.
+    The worst ``|U(t)[i, j]|^2 - |U(t)[j, i]|^2`` over the sample times and
+    all node pairs: the largest of the per-chunk maxima, NaN when any chunk
+    holds a NaN.  ``classify`` judges it against a tolerance.
     """
     if t_samples is None:
         t_samples = default_time_samples(hamiltonian)
     t_samples = tuple(float(t) for t in t_samples)
     if not t_samples:
         raise ValueError("t_samples must be nonempty")
-    residual = 0.0
-    for _, probs in probability_chunks(spectrum(hamiltonian), t_samples):
-        # p - p^T is exactly antisymmetric, so its max is its max magnitude
-        residual = max(residual, float((probs - probs.transpose(0, 2, 1)).max()))
-    return PtsCheck(residual, residual <= tol, t_samples)
+    # p - p^T is exactly antisymmetric, so its max is its max magnitude
+    return float(np.max([(probs - probs.transpose(0, 2, 1)).max()
+                         for _, probs in probability_chunks(spectrum(hamiltonian), t_samples)]))
 
 
 def eq_parity_residual(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:
@@ -257,7 +250,7 @@ def classify(hamiltonian: WalkHamiltonian, tol: float = DEFAULTS.pts) -> Symmetr
     phase_removal = tree_phase_removal(hamiltonian) if forest else None
     negation = (bipartite_negation_gauge(hamiltonian)
                 if bipartite_check.bipartite else None)
-    numeric = pts_numeric(hamiltonian, tol=tol)
+    residual = pts_numeric(hamiltonian)
 
     return SymmetryReport(
         structural_class=structural_class,
@@ -267,8 +260,8 @@ def classify(hamiltonian: WalkHamiltonian, tol: float = DEFAULTS.pts) -> Symmetr
         is_bipartite=bipartite_check.bipartite,
         structural_pts=forest or bipartite_check.bipartite,
         phase_dependent=not forest,
-        numeric_pts_residual=numeric.residual,
-        pts_symmetric_at_samples=numeric.symmetric,
+        numeric_pts_residual=residual,
+        pts_symmetric_at_samples=residual <= tol,
         two_coloring=bipartite_check.coloring,
         odd_cycle=bipartite_check.odd_cycle,
         phase_removal_gauge=phase_removal,

@@ -1,10 +1,12 @@
-"""Test graphs shared by the test modules, built as WalkHamiltonians."""
+"""Test graphs shared by the test modules, built as WalkHamiltonians, and
+the qubit-space reading of a circuit's node block."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from chiralwalk import Edge, WalkHamiltonian
+from chiralwalk import Edge, PalindromicCircuit, WalkHamiltonian
+from chiralwalk.circuit import _qubit_columns, _single_excitation_rows
 
 
 def uniform_triangle(alpha: float) -> WalkHamiltonian:
@@ -21,3 +23,9 @@ def hermitian_graph(rng: np.random.Generator, n: int) -> WalkHamiltonian:
                   for i in range(n) for j in range(i + 1, n))
     selfs = tuple((v, float(rng.normal())) for v in range(n))
     return WalkHamiltonian(n, edges, selfs)
+
+
+def qubit_block(circuit: PalindromicCircuit) -> np.ndarray:
+    """N x N single-excitation block of the qubit statevector run,
+    ``B[i, j] = <i excited| circuit |j excited>``: the node-space unitary."""
+    return _qubit_columns(circuit)[_single_excitation_rows(circuit.n_nodes)]

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from chiralwalk import (GateSpec, apply_circuit, apply_gauge, gate_qubit_space,
+from chiralwalk import (GateSpec, apply_gauge, gate_qubit_space,
                         max_transfer, propagate, pts_numeric, rz_decompose,
                         three_cycle_circuit, three_cycle_unitaries, trotter_error)
 from chiralwalk.propagator import _golden_section_max, spectrum
@@ -27,7 +27,7 @@ from chiralwalk.randgen import (random_bipartite, random_forest, random_gauge,
                                 random_hamiltonian, random_nonbipartite)
 from chiralwalk.symmetry import default_time_samples
 
-from .graphs import uniform_triangle
+from .graphs import qubit_block, uniform_triangle
 from .oracles import three_cycle_taylor
 
 PI = math.pi
@@ -137,17 +137,17 @@ def _measure_5(record):
         graph = random_forest(rng, n_max=12, with_self_energies=True)
         batch = spectrum(graph).propagator_batch(np.array(default_time_samples(graph)))
         record(unitaries=batch, probabilities=np.abs(batch) ** 2)
-        worst_forest = max(worst_forest, pts_numeric(graph).residual)
+        worst_forest = max(worst_forest, pts_numeric(graph))
     worst_bipartite = 0.0
     for _ in range(100):
         graph = random_bipartite(rng, n_max=12)
         batch = spectrum(graph).propagator_batch(np.array(default_time_samples(graph)))
         record(unitaries=batch, probabilities=np.abs(batch) ** 2)
-        worst_bipartite = max(worst_bipartite, pts_numeric(graph).residual)
+        worst_bipartite = max(worst_bipartite, pts_numeric(graph))
     detected = 0
     for _ in range(100):
         graph = random_nonbipartite(rng, n_max=12)
-        residual = pts_numeric(graph).residual
+        residual = pts_numeric(graph)
         if residual > 1e-3:
             detected += 1
     elapsed = time.perf_counter() - start
@@ -198,7 +198,7 @@ def _measure_9(record):
     for alpha in (0.0, PI / 2, PI, 3 * PI / 2):
         for theta in EXPERIMENT_GRID:
             circuit = three_cycle_circuit(alpha, float(theta))
-            block = apply_circuit(circuit, "qubit")
+            block = qubit_block(circuit)
             record(unitaries=block, probabilities=np.abs(block) ** 2)
             leak = 1.0 - float((np.abs(block) ** 2).sum(axis=0).min())
             worst_leak = max(worst_leak, abs(leak))

@@ -14,7 +14,7 @@ from chiralwalk import (Edge, GateSpec, GraphFormatError, PalindromicCircuit,
                         three_cycle_circuit, three_cycle_unitaries, trotter_error)
 from chiralwalk.circuit import _qubit_columns, gate_node_matrix, three_cycle_transfer
 
-from .graphs import uniform_triangle
+from .graphs import qubit_block, uniform_triangle
 from .oracles import pair_gate_taylor, three_cycle_taylor
 
 PI = math.pi
@@ -117,14 +117,14 @@ def test_rotation_fusion_leaves_one_interior_pair():
         boundary = np.diag(np.exp(1j * np.array([-alpha, 0.0, alpha])))
         fused = PalindromicCircuit(3, (GateSpec(0, 1, 0.0, theta), GateSpec(1, 2, 0.0, theta),
                                        GateSpec(2, 0, 3 * alpha, theta)))
-        direct = apply_circuit(three_cycle_circuit(alpha, theta), "node")
-        gauged = boundary @ apply_circuit(fused, "node") @ boundary.conj().T
+        direct = apply_circuit(three_cycle_circuit(alpha, theta))
+        gauged = boundary @ apply_circuit(fused) @ boundary.conj().T
         assert np.abs(gauged - direct).max() <= 1e-12
 
 
 def test_fusion_boundary_diagonals_do_not_touch_probabilities():
     boundary = np.diag(np.exp(1j * np.array((-0.53, 0.0, 0.53))))
-    u = apply_circuit(three_cycle_circuit(0.53, 1.3), "node")
+    u = apply_circuit(three_cycle_circuit(0.53, 1.3))
     stripped = boundary.conj().T @ u @ boundary
     assert np.abs(np.abs(stripped) ** 2 - np.abs(u) ** 2).max() <= 1e-12
 
@@ -134,8 +134,7 @@ def test_fusion_boundary_diagonals_do_not_touch_probabilities():
 def test_empty_palindrome_is_identity():
     circuit = PalindromicCircuit(3, ())
     assert circuit.full == ()
-    assert np.array_equal(apply_circuit(circuit, "node"),
-                          np.eye(3, dtype=complex))
+    assert np.array_equal(apply_circuit(circuit), np.eye(3, dtype=complex))
 
 
 def test_triangle_palindrome_shape():
@@ -194,7 +193,7 @@ def test_row_update_engine_matches_gate_products():
             product = np.eye(n, dtype=complex)
             for gate in circuit.full:
                 product = gate_node_matrix(gate, n) @ product
-            assert np.abs(apply_circuit(circuit, "node") - product).max() <= 1e-13
+            assert np.abs(apply_circuit(circuit) - product).max() <= 1e-13
 
 
 def test_column_transfer_equals_unitary_entry():
@@ -240,29 +239,26 @@ def test_qubit_columns_match_per_node_loop():
 
 def test_apply_circuit_zero_angles_is_identity():
     circuit = three_cycle_circuit(0.7, 0.0)
-    assert np.abs(apply_circuit(circuit, "node") - np.eye(3)).max() <= 1e-15
+    assert np.abs(apply_circuit(circuit) - np.eye(3)).max() <= 1e-15
 
 
 def test_node_and_qubit_blocks_agree():
     circuit = three_cycle_circuit(0.9, 1.2)
-    node = apply_circuit(circuit, "node")
-    qubit = apply_circuit(circuit, "qubit")
+    node = apply_circuit(circuit)
+    qubit = qubit_block(circuit)
     assert np.abs(node - qubit).max() <= 1e-10
 
 
 def test_symmetric_palindrome_has_symmetric_amplitudes():
     circuit = three_cycle_circuit(0.0, 0.8)
-    u = apply_circuit(circuit, "node")
+    u = apply_circuit(circuit)
     assert np.abs(u - u.T).max() <= 1e-12
 
 
-def test_apply_circuit_rejects_unknown_space_and_large_registers():
-    circuit = three_cycle_circuit(0.1, 0.2)
-    with pytest.raises(ValueError, match="unknown space"):
-        apply_circuit(circuit, "phase")
+def test_qubit_space_rejects_large_registers():
     big = PalindromicCircuit(15, (GateSpec(0, 1, 0.1, 0.1),))
     with pytest.raises(ValueError, match="limited"):
-        apply_circuit(big, "qubit")
+        qubit_block(big)
 
 
 def test_gate_out_of_range_rejected_at_build():
@@ -286,8 +282,7 @@ def test_batched_probabilities_match_gate_products():
     probs = np.abs(three_cycle_unitaries(alphas, thetas)) ** 2
     for a_index, alpha in enumerate(alphas):
         for t_index, theta in enumerate(thetas):
-            u = apply_circuit(three_cycle_circuit(float(alpha), float(theta)),
-                              "node")
+            u = apply_circuit(three_cycle_circuit(float(alpha), float(theta)))
             assert np.abs(probs[a_index, t_index] - np.abs(u) ** 2).max() <= 1e-12
 
 

@@ -158,7 +158,7 @@ REPORT_CSV = (
 
 
 def report_residual(name):
-    return format(pts_numeric(parse_graph(REPORT_GRAPHS[name])).residual, ".17g")
+    return format(pts_numeric(parse_graph(REPORT_GRAPHS[name])), ".17g")
 
 
 @pytest.mark.parametrize("name", list(REPORT_GRAPHS))
@@ -595,6 +595,27 @@ def test_trotter_check_zero_theta_exits_2(triangle_file, capsys, theta_start, ha
     assert "--theta-start" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, theta_start", [
+    # t = 1.7 / 1e-10 times the star's spectral norm (~1.7e298) overflows
+    ("nodes 5\nedge 0 1 1e-10 0\n"
+     + "".join(f"edge 1 {leaf} 1e298 0\n" for leaf in (2, 3, 4)), "1.7"),
+    # t = 1 / 1e-10 times ||H|| = 1.5e298 is finite, but the reference drops the
+    # uniform diagonal, and the edges alone have norm 2e298
+    ("nodes 4\nedge 0 1 1e-10 0\nedge 1 2 1e298 0\nedge 2 3 1e298 0\nedge 1 3 1e298 0\n"
+     + "".join(f"self {node} -0.5e298\n" for node in range(4)), "1"),
+], ids=["star", "uniform-diagonal"])
+def test_trotter_check_overflowing_reference_phase_exits_2(tmp_path, capsys, text,
+                                                           theta_start):
+    # every gate angle is finite; the reference propagator's phases are not
+    path = tmp_path / "overflow.graph"
+    path.write_text(text)
+    out = tmp_path / "ladder.txt"
+    assert main(["trotter-check", "--graph", str(path), "--theta-start", theta_start,
+                 "--halvings", "1", "--out", str(out)]) == 2
+    assert "--theta-start" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- properties -------------------------------------------------------------
 
 def test_properties_command_reports_and_passes(tmp_path):
@@ -688,8 +709,6 @@ def test_circuit_commands_call_every_traced_circuit_function(triangle_file, tmp_
         original = getattr(circuit, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
-            if _name == "apply_circuit":  # the benchmark names this span by its space
-                _name += "." + kwargs.get("space", args[1] if len(args) > 1 else "node")
             called.add(_name)
             return _original(*args, **kwargs)
 
@@ -706,8 +725,7 @@ def test_circuit_commands_call_every_traced_circuit_function(triangle_file, tmp_
     assert main(["reproduce-fig2", "--grid", "2", "--out", str(tmp_path / "fig2")]) == 0
     assert main(["trotter-check", "--graph", str(triangle_file), "--halvings", "1",
                  "--out", str(tmp_path / "t.txt")]) == 0
-    assert called >= {"apply_circuit.node", "_qubit_columns", "excitation_preservation_check",
-                      "trotter_error", "three_cycle_unitaries"}
+    assert called == set(TRACED_CIRCUIT_FUNCTIONS)
 
 
 # symmetry functions the benchmark's traced run wraps at every module-level

@@ -471,6 +471,21 @@ def test_max_transfer_chiral_triangle_is_near_perfect():
     assert p_star_edgewise >= 0.999
 
 
+def test_golden_section_stops_where_floats_are_spaced_wider_than_the_width():
+    # adjacent floats near 1e9 are 1.2e-7 apart, so no bracket there is ever
+    # 1e-8 wide, and the search must stop all the same
+    calls = []
+
+    def peak(t):
+        calls.append(t)
+        if len(calls) > 500:
+            raise RuntimeError("golden-section search did not stop")
+        return -(t - (1e9 + 0.3)) ** 2
+
+    t_star, _ = propagator._golden_section_max(peak, 1e9, 1e9 + 1.0, 1e-8)
+    assert abs(t_star - (1e9 + 0.3)) <= 1e-6
+
+
 def test_max_transfer_validates_range():
     with pytest.raises(ValueError, match="positive length"):
         max_transfer(two_site(), 0, 1, (1.0, 1.0))

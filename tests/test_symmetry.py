@@ -13,7 +13,8 @@ from chiralwalk import (Edge, WalkHamiltonian, apply_gauge,
                         default_time_samples, eq_parity_residual, is_bipartite,
                         is_forest, parse_graph, propagate, pts_numeric,
                         skeleton, to_dense, tree_phase_removal)
-from chiralwalk import randgen
+from chiralwalk import randgen, symmetry
+from chiralwalk.defaults import DEFAULTS
 from chiralwalk.graph import GraphSkeleton
 from chiralwalk.propagator import chunk_length
 
@@ -264,22 +265,21 @@ def test_tree_pts_residual_is_tiny():
     graph = WalkHamiltonian(6, tuple(
         Edge(i, j, float(rng.uniform(0.5, 1.5)), float(rng.uniform(-PI, PI)))
         for i, j in random_forest_edges(rng, 6)))
-    check = pts_numeric(graph)
-    assert check.residual <= 1e-9
-    assert check.symmetric
+    residual = pts_numeric(graph)
+    assert residual <= 1e-9
+    assert residual <= DEFAULTS.pts
 
 
 def test_chiral_triangle_fails_pts_on_coarse_grid():
     graph = uniform_triangle(PI / 6)  # total flux pi/2
     times = [2 * PI * k / 64 for k in range(1, 65)]
-    check = pts_numeric(graph, times)
-    assert check.residual > 0.1
-    assert not check.symmetric
+    residual = pts_numeric(graph, times)
+    assert residual > 0.1
+    assert not residual <= DEFAULTS.pts
 
 
 def test_real_triangle_passes_pts():
-    check = pts_numeric(uniform_triangle(0.0))
-    assert check.residual <= 1e-9
+    assert pts_numeric(uniform_triangle(0.0)) <= 1e-9
 
 
 def pts_reference(graph, times):
@@ -295,22 +295,37 @@ def pts_reference(graph, times):
 def test_pts_residual_matches_per_time_loop_across_chunk_edges(n, count):
     graph = hermitian_graph(np.random.default_rng(31), n)
     times = np.linspace(0.05, 4.0, count)
-    check = pts_numeric(graph, times)
-    assert len(check.t_samples) == count
-    assert abs(check.residual - pts_reference(graph, times)) <= 1e-12
+    assert abs(pts_numeric(graph, times) - pts_reference(graph, times)) <= 1e-12
 
 
 def test_pts_numeric_peak_memory_is_bounded_by_the_chunk():
     graph = hermitian_graph(np.random.default_rng(37), 200)
     tracemalloc.start()
     try:
-        check = pts_numeric(graph)
+        residual = pts_numeric(graph)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(check.t_samples) == 64
+    assert residual == pts_numeric(graph, default_time_samples(graph))
     # the unchunked 64 x 200 x 200 complex stack alone is 41 MB
     assert peak < 32e6
+
+
+CHIRAL_TRIANGLE = "nodes 3\nedge 0 1 2 0.3\nedge 1 2 2 0.5\nedge 0 2 2 0.1\n"
+
+
+def test_pts_residual_keeps_a_nan_chunk_and_classify_reads_it_as_asymmetric(monkeypatch):
+    graph = parse_graph(CHIRAL_TRIANGLE)
+    assert pts_numeric(graph, [0.7]) > 0.5
+    # t = 1e308 overflows the phases E * t on purpose, so the chunk holds NaN
+    samples = [0.7, 1e308]
+    monkeypatch.setattr(symmetry, "default_time_samples", lambda hamiltonian: samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = pts_numeric(graph, samples)
+        report = classify(graph)
+    assert math.isnan(residual)
+    assert math.isnan(report.numeric_pts_residual)
+    assert not report.pts_symmetric_at_samples
 
 
 def test_default_time_samples_scale_with_spectrum():
