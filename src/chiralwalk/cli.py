@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .circuit import circuit_sweep_table, three_cycle_transfer, trotter_error
 from .defaults import DEFAULTS
-from .graph import GraphFormatError, fmt_real, load_graph
-from .propagator import CSV_HEADERS, render_csv, spectrum, sweep_time
+from .graph import GraphFormatError, WalkHamiltonian, fmt_real, load_graph, skeleton
+from .propagator import CSV_HEADERS, chunk_length, render_csv, spectrum, sweep_time
 from .properties import PROPERTY_SUITE, format_property_report, run_property_suite
 from .symmetry import SymmetryReport, classify
 
@@ -32,11 +34,32 @@ DEFAULT_SWEEP_ALPHAS = (0.0, PI / 2, PI, 3 * PI / 2)
 MAX_HALVINGS = 1023
 
 
-def _write_output(target: str | None, text: str) -> None:
-    if target is None or target == "-":
-        sys.stdout.write(text)
+def _write_output(target: str | None, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of strings written in order as
+    each is produced, as UTF-8 to stdout (``None`` or ``-``) or to ``target``.
+    A regular file is written to a sibling that replaces it once complete, so
+    a failure leaves no partial file; another target (``/dev/null``, a pipe)
+    is written directly."""
+    pieces = (text,) if isinstance(text, str) else text
+    path = None if target in (None, "-") else os.path.realpath(target)
+    if path is None:
+        sys.stdout.writelines(pieces)
+    elif os.path.exists(path) and not os.path.isfile(path):
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
     else:
-        Path(target).write_text(text, encoding="utf-8")
+        partial = f"{path}.{os.getpid()}.partial"
+        try:
+            with open(partial, "w", encoding="utf-8") as handle:
+                handle.writelines(pieces)
+            os.replace(partial, path)
+        except OSError as exc:  # name the target, not the sibling
+            if exc.filename != partial:
+                raise
+            raise type(exc)(exc.errno, exc.strerror, target) from None
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
 
 
 def _finite(flag: str, value: float) -> float:
@@ -96,18 +119,27 @@ def cmd_evolve(args) -> int:
     if args.t_count == 1:
         if args.t_max != args.t_min:
             raise ValueError("--t-count 1 samples only --t-min; --t-max must equal it")
-        grid = [args.t_min]
+        step = -0.0  # t_min + 0 * -0.0 is t_min, also for t_min = -0.0
     else:
         step = (args.t_max - args.t_min) / (args.t_count - 1)
         if not math.isfinite(step):
             raise ValueError("--t-max - --t-min overflows a float")
-        grid = [args.t_min + k * step for k in range(args.t_count)]
     if not math.isfinite(max(abs(args.t_min), abs(args.t_max))
                          * spectrum(graph).spectral_norm):
         raise ValueError("--t-min/--t-max times the graph's spectral norm overflows a float")
-    table = sweep_time(graph, grid)
-    _write_output(args.out, table.to_csv())
+    _write_output(args.out, _time_table_blocks(graph, args.t_min, step, args.t_count))
     return EXIT_OK
+
+
+def _time_table_blocks(graph: WalkHamiltonian, t_min: float, step: float,
+                       count: int) -> Iterable[str]:
+    """The ``evolve`` CSV over ``t_min + k * step``, ``k < count``, one t-chunk
+    of the grid at a time; only the first block keeps its header."""
+    length = chunk_length(graph.n_nodes)
+    for start in range(0, count, length):
+        grid = [t_min + k * step for k in range(start, min(start + length, count))]
+        text = sweep_time(graph, grid).to_csv()
+        yield text if start == 0 else text[text.index("\n") + 1:]
 
 
 def cmd_circuit_sweep(args) -> int:
@@ -176,10 +208,11 @@ def cmd_trotter_check(args) -> int:
         raise ValueError(f"--theta-start must be nonzero, and stay nonzero over "
                          f"{args.halvings} halvings; got {theta_start!r}")
     graph = load_graph(args.graph)
-    # the reference propagates the edges alone to t = theta / h_0 (h_0 the first
-    # edge's magnitude); a uniform diagonal it drops moves the norm by at most its size
-    norm = spectrum(graph).spectral_norm + max((abs(e) for _, e in graph.self_energies),
-                                               default=0.0)
+    if graph.self_energies and not skeleton(graph).self_nodes:
+        # a uniform diagonal is a global phase; one edges-only copy serves every step
+        graph = WalkHamiltonian(graph.n_nodes, graph.edges)
+    # the reference propagates the edges to t = theta / h_0 (h_0 the first edge's magnitude)
+    norm = spectrum(graph).spectral_norm
     if graph.edges and not math.isfinite(abs(theta_start) / graph.edges[0].h * norm):
         raise ValueError("--theta-start over the first edge's magnitude, times the "
                          "graph's spectral norm, overflows a float")

@@ -7,8 +7,10 @@ full unitary costs O(N^3) per time point (one matrix product), while
 ``max_transfer``'s scan of a single entry costs O(N) per point.  Stacks of
 unitaries over a time grid are built in t-chunks of at most ``CHUNK_BYTES``
 complex bytes, so their peak memory is bounded by that budget, not by the
-grid length.  Probabilities follow the column convention ``p[to, from]``:
-entry ``|U[to, from]|^2`` is the probability of the transition ``from -> to``.
+grid length; ``evolve`` streams its table one t-chunk per block, so its
+memory does not grow with ``--t-count``.  Probabilities follow the column
+convention ``p[to, from]``: entry ``|U[to, from]|^2`` is the probability of
+the transition ``from -> to``.
 
 Probability CSVs are rendered by ``render_csv`` on every CPU this process
 may run on: the outer grid is split into W contiguous blocks, W = min(CPUs
@@ -326,6 +328,10 @@ def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         raise ValueError("t_range must be a finite interval of positive length")
     dec = spectrum(hamiltonian)
+    if not (math.isfinite(hi - lo)
+            and math.isfinite(max(abs(lo), abs(hi)) * dec.spectral_norm)):
+        raise ValueError("t_range's length, or its ends times the spectral norm, "
+                         "overflows a float")
     n = dec.n
     if not (0 <= from_node < n and 0 <= to_node < n):
         raise ValueError("node index out of range")

@@ -7,17 +7,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chiralwalk
-from chiralwalk import parse_graph, pts_numeric, validate_table_csv
+from chiralwalk import parse_graph, pts_numeric, sweep_time, validate_table_csv
 from chiralwalk.cli import _theta_grid, _transfer_csv, main
 from chiralwalk.properties import PROPERTY_SUITE
 
 from .oracles import three_cycle_taylor
+from .test_propagator import force_workers
 
 PI = math.pi
 
@@ -295,8 +297,9 @@ def test_evolve_overflowing_phase_exits_2(tmp_path, capsys):
 
 
 def test_evolve_bytes_do_not_depend_on_the_cpus_available(tmp_path):
-    """A table of two rendering blocks, written by fresh interpreters that
-    see one CPU and every CPU, so the real forked workers run."""
+    """Tables of one t-chunk (1024 points at N=16) and of two, written by
+    fresh interpreters that see one CPU and every CPU, so real forked workers
+    render a full chunk in two blocks."""
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no os.sched_setaffinity")
     graph = tmp_path / "ring.graph"
@@ -306,15 +309,105 @@ def test_evolve_bytes_do_not_depend_on_the_cpus_available(tmp_path):
         filter(None, (str(Path(chiralwalk.__file__).parents[1]),
                       os.environ.get("PYTHONPATH")))))
     cpu = min(os.sched_getaffinity(0))
-    digests = []
-    for name, pin in (("one.csv", lambda: os.sched_setaffinity(0, {cpu})), ("all.csv", None)):
-        out = tmp_path / name
-        subprocess.run([sys.executable, "-m", "chiralwalk.cli", "evolve", "--graph",
-                        str(graph), "--t-max", "7", "--t-count", "600", "--out", str(out)],
-                       env=env, preexec_fn=pin, check=True, timeout=120)
-        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert out.read_text().count("\n") == 1 + 600 * 16 * 16
-    assert digests[0] == digests[1]
+    for count in (600, 1100):
+        digests = []
+        for name, pin in (("one.csv", lambda: os.sched_setaffinity(0, {cpu})),
+                          ("all.csv", None)):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "chiralwalk.cli", "evolve", "--graph",
+                            str(graph), "--t-max", "7", "--t-count", str(count),
+                            "--out", str(out)],
+                           env=env, preexec_fn=pin, check=True, timeout=120)
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert out.read_text().count("\n") == 1 + count * 16 * 16
+        assert digests[0] == digests[1]
+
+
+def chain_grid(t_min, t_max, count):
+    if count == 1:
+        return [t_min]
+    step = (t_max - t_min) / (count - 1)
+    return [t_min + k * step for k in range(count)]
+
+
+@pytest.mark.parametrize("per_block", [1, 3, None])  # None: every time point in one block
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("out", ["file", "-"])
+@pytest.mark.parametrize("t_min, t_max, count", [(-0.5, 2.0, 7), (-0.0, -0.0, 1)])
+def test_evolve_streams_the_bytes_of_one_table(tmp_path, capsys, monkeypatch, per_block,
+                                               workers, out, t_min, t_max, count):
+    from chiralwalk import propagator
+
+    path = tmp_path / "chain.graph"
+    path.write_text(CHAIN)
+    if per_block is not None:  # t-chunks, and so stream blocks, of per_block points
+        monkeypatch.setattr(propagator, "CHUNK_BYTES", per_block * 16 * 4 ** 2)
+    force_workers(monkeypatch, workers)
+    expected = sweep_time(parse_graph(CHAIN), chain_grid(t_min, t_max, count)).to_csv()
+    target = tmp_path / "table.csv" if out == "file" else "-"
+    assert main(["evolve", "--graph", str(path), f"--t-min={t_min!r}", f"--t-max={t_max!r}",
+                 "--t-count", str(count), "--out", str(target)]) == 0
+    text = target.read_text() if out == "file" else capsys.readouterr().out
+    assert text == expected
+    assert not list(tmp_path.glob("*.partial"))
+
+
+def test_evolve_failing_on_a_later_block_leaves_no_partial_table(tmp_path, capsys,
+                                                                 monkeypatch):
+    from chiralwalk import cli, propagator
+
+    path = tmp_path / "chain.graph"
+    path.write_text(CHAIN)
+    monkeypatch.setattr(propagator, "CHUNK_BYTES", 3 * 16 * 4 ** 2)  # 3 points a block
+    blocks = []
+
+    def failing_second(hamiltonian, grid):
+        blocks.append(len(grid))
+        if len(blocks) == 2:
+            raise ValueError("render failed")
+        return sweep_time(hamiltonian, grid)
+
+    monkeypatch.setattr(cli, "sweep_time", failing_second)
+    argv = ["evolve", "--graph", str(path), "--t-max", "2", "--t-count", "7", "--out"]
+    out = tmp_path / "table.csv"
+    assert main([*argv, str(out)]) == 2
+    assert "render failed" in capsys.readouterr().err
+    assert blocks == [3, 3]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph"]
+    # an earlier table at the target is left whole
+    out.write_text("earlier\n")
+    blocks.clear()
+    assert main([*argv, str(out)]) == 2
+    assert out.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph", "table.csv"]
+    # a target that is not a regular file is written in place, never replaced
+    monkeypatch.setattr(cli, "sweep_time", sweep_time)
+    monkeypatch.setattr(os, "replace", lambda *paths: pytest.fail(f"replaced {paths}"))
+    assert main([*argv, os.devnull]) == 0
+
+
+def test_evolve_into_a_missing_directory_names_the_target(triangle_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "table.csv"
+    assert main(["evolve", "--graph", str(triangle_file), "--t-max", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"'{out}'")
+
+
+def test_evolve_peak_memory_does_not_grow_with_the_time_count(tmp_path):
+    path = tmp_path / "ring.graph"
+    path.write_text("nodes 32\n" + "".join(f"edge {k} {(k + 1) % 32} 1.0 {0.1 * k}\n"
+                                             for k in range(32)))
+    peaks = []
+    for count in (512, 4096):  # 2 and 16 t-chunks of 256 points
+        tracemalloc.start()
+        try:
+            assert main(["evolve", "--graph", str(path), "--t-max", "9", "--t-count",
+                         str(count), "--out", os.devnull]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one table held whole reads 57 MB against 451 MB
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 # --- circuit-sweep ----------------------------------------------------------
@@ -781,6 +874,14 @@ def test_each_command_eigendecomposes_each_graph_once(triangle_file, tmp_path,
                  "--out", str(tmp_path / "e.csv")]) == 0
     assert calls == [3]
     calls.clear()
-    assert main(["trotter-check", "--graph", str(triangle_file), "--halvings", "4",
-                 "--out", str(tmp_path / "t.txt")]) == 0
+    monkeypatch.setattr(propagator, "CHUNK_BYTES", 10 * 16 * 3 ** 2)  # 26 t-chunks
+    assert main(["evolve", "--graph", str(triangle_file), "--t-max", "2",
+                 "--out", str(tmp_path / "e.csv")]) == 0
     assert calls == [3]
+    calls.clear()
+    shifted = tmp_path / "shifted.graph"  # a uniform diagonal, dropped as a global phase
+    shifted.write_text(TRIANGLE + "".join(f"self {node} 0.4\n" for node in range(3)))
+    for graph in (triangle_file, shifted):
+        assert main(["trotter-check", "--graph", str(graph), "--halvings", "4",
+                     "--out", str(tmp_path / "t.txt")]) == 0
+    assert calls == [3, 3]

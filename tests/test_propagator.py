@@ -491,3 +491,10 @@ def test_max_transfer_validates_range():
         max_transfer(two_site(), 0, 1, (1.0, 1.0))
     with pytest.raises(ValueError, match="out of range"):
         max_transfer(two_site(), 0, 5, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("t_range", [(-1e308, 1e308), (1e308, 1.5e308)])
+def test_max_transfer_rejects_an_overflowing_range(t_range):
+    # both ends are finite, but the span, or t times the spectral norm 2, is not
+    with pytest.raises(ValueError, match="overflows"):
+        max_transfer(uniform_triangle(0.0), 0, 2, t_range)
