@@ -1,6 +1,7 @@
 """Batch command-line front end: file-to-file, deterministic, scriptable.
 
-Exit codes: 0 success, 1 property violation, 2 usage or parse error.
+Exit codes: 0 success, 1 property violation, 2 usage, parse, I/O or
+out-of-memory error.
 All angles are radians unless ``--degrees`` is given, which converts at
 the argument boundary only.
 """
@@ -330,6 +331,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GraphFormatError, OSError, ValueError) as exc:
         print(f"chiralwalk: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:  # often bare, so its text says nothing
+        print(f"chiralwalk: error: {args.command} ran out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

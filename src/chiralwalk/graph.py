@@ -42,13 +42,17 @@ def _check_finite_real(value, what: str) -> float:
     return value
 
 
+def _check_node(value, what: str) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _add_edge(index: dict[tuple[int, int], Edge], raw, n_nodes: int) -> None:
     """Validate one ``(i, j, h, alpha)`` and store it canonically (``i < j``)
     in ``index``; the one edge check of both the constructor and the parser."""
     i, j, h, alpha = raw
-    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
-        raise ValueError(f"edge endpoints must be integers, got {raw!r}")
-    i, j = int(i), int(j)
+    i, j = _check_node(i, "edge endpoint"), _check_node(j, "edge endpoint")
     if i == j:
         raise ValueError(f"self-coupling ({i}, {j}): endpoints coincide; use a self-energy")
     if not (0 <= i < n_nodes and 0 <= j < n_nodes):
@@ -69,7 +73,7 @@ def _add_edge(index: dict[tuple[int, int], Edge], raw, n_nodes: int) -> None:
 def _add_self_energy(selfs: dict[int, float], entry, n_nodes: int) -> None:
     """Validate one real ``(node, energy)`` and store it in ``selfs``."""
     node, energy = entry
-    node = int(node)
+    node = _check_node(node, "self-energy node")
     if not (0 <= node < n_nodes):
         raise ValueError(f"self-energy node {node} out of range")
     if node in selfs:

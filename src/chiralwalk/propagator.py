@@ -12,19 +12,15 @@ memory does not grow with ``--t-count``.  Probabilities follow the column
 convention ``p[to, from]``: entry ``|U[to, from]|^2`` is the probability of
 the transition ``from -> to``.
 
-Probability CSVs are rendered by ``render_csv`` on every CPU this process
-may run on: the outer grid is split into W contiguous blocks, W = min(CPUs
-in ``os.sched_getaffinity(0)``, outer points), and each block after the
-first is rendered by a forked worker.  Each block gets at least
-``PARALLEL_MIN_VALUES`` values, so smaller tables, and platforms without
-``os.fork`` or ``os.sched_getaffinity``, use W = 1.  The bytes do not
-depend on W.
+Probability CSVs are rendered by ``render_csv``, split over forked workers
+when the table is large enough; the bytes do not depend on their number.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import signal
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -128,48 +124,6 @@ def _worker_count(outer_points: int, value_count: int) -> int:
                       value_count // PARALLEL_MIN_VALUES))
 
 
-def _fork_block(render, inherited_fds: list[int]) -> tuple[int, int]:
-    """Run ``render()`` in a forked worker that writes its ASCII text to a
-    pipe; returns ``(pid, read_fd)``.
-
-    The worker closes ``inherited_fds``, the read ends of earlier workers'
-    pipes, so that closing a read end in this process is enough to stop the
-    worker that writes to it.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            for fd in (read_fd, *inherited_fds):
-                os.close(fd)
-            data = "".join(render()).encode("ascii")
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _collect_block(pid: int, read_fd: int) -> str:
-    """Read a worker's text to end of file, reap it, and check its status."""
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        raise RuntimeError(f"CSV worker {pid} failed with exit status {code}")
-    return data.decode("ascii")
-
-
 def render_csv(header: str, outer: Sequence[tuple[float, ...]],
                inner: Sequence[tuple[float, ...]], values: np.ndarray) -> str:
     """Probability CSV: ``header``, then row ``outer[k]..., inner[m]..., values[k, m]``
@@ -183,11 +137,13 @@ def render_csv(header: str, outer: Sequence[tuple[float, ...]],
     The outer points are split into W contiguous blocks, W = min(CPUs in
     ``os.sched_getaffinity(0)``, ``len(outer)``), but no more blocks than
     whole multiples of ``PARALLEL_MIN_VALUES`` values, so W = 1 below it;
-    W = 1 also without ``os.fork`` or ``os.sched_getaffinity``.  Block 0 is
-    rendered here; each other block by a forked worker that writes it
-    through a pipe.  The blocks are joined in order, so the text is the same
-    for every W.  A worker that fails raises ``RuntimeError`` once every
-    worker has been reaped; no partial text is returned.
+    W = 1 also without ``os.fork`` or ``os.sched_getaffinity``.  Each block
+    after the first is rendered by a forked worker that writes its ASCII
+    text to a pipe and exits; block 0 is rendered here, then the workers are
+    read and reaped in block order, so the text is the same for every W.  A
+    worker that fails raises ``ChildProcessError``.  On any exception, every
+    worker not yet reaped is killed (SIGKILL), its pipe closed and the
+    worker reaped, so no worker, pipe or partial text outlives the call.
     """
     if not inner or not outer:
         return header + "\n"
@@ -200,16 +156,41 @@ def render_csv(header: str, outer: Sequence[tuple[float, ...]],
         block = slice(bounds[b], bounds[b + 1])
         return _render_rows(prefix_format, pieces, outer[block], values[block])
 
-    started = []
+    started = []  # (pid, read_fd) of every worker not yet reaped, in block order
     try:
         for b in range(1, workers):
-            started.append(_fork_block(lambda b=b: render(b),
-                                       [fd for _, fd in started]))
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)  # if this process dies, the write fails, not hangs
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write("".join(render(b)).encode("ascii"))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            started.append((pid, read_fd))
         parts = [header, "\n", *render(0)]
         while started:
-            parts.append(_collect_block(*started.pop(0)))
+            pid, read_fd = started[0]
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del started[0]
+            os.close(read_fd)
+            if code != 0:
+                raise ChildProcessError(f"CSV worker {pid} failed with exit status {code}")
+            parts.append(data.decode("ascii"))
     finally:
         for pid, read_fd in started:
+            os.kill(pid, signal.SIGKILL)
             os.close(read_fd)
             os.waitpid(pid, 0)
     return "".join(parts)

@@ -19,7 +19,7 @@ from chiralwalk.cli import _theta_grid, _transfer_csv, main
 from chiralwalk.properties import PROPERTY_SUITE
 
 from .oracles import three_cycle_taylor
-from .test_propagator import force_workers
+from .test_propagator import failing_second_fork, force_workers
 
 PI = math.pi
 
@@ -386,6 +386,45 @@ def test_evolve_failing_on_a_later_block_leaves_no_partial_table(tmp_path, capsy
     assert main([*argv, os.devnull]) == 0
 
 
+def test_evolve_with_a_failing_csv_worker_exits_2_and_leaves_no_file(tmp_path, capsys,
+                                                                     monkeypatch):
+    from chiralwalk import propagator
+
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    path = tmp_path / "chain.graph"
+    path.write_text(CHAIN)
+    force_workers(monkeypatch, 2)
+    parent = os.getpid()
+    render_rows = propagator._render_rows
+
+    def failing_in_worker(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return render_rows(*args)
+
+    monkeypatch.setattr(propagator, "_render_rows", failing_in_worker)
+    assert main(["evolve", "--graph", str(path), "--t-max", "2", "--t-count", "7",
+                 "--out", str(tmp_path / "table.csv")]) == 2
+    assert "CSV worker" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph"]
+
+
+def test_evolve_with_a_failing_fork_exits_2_and_leaves_no_file(tmp_path, capsys,
+                                                               monkeypatch):
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    path = tmp_path / "chain.graph"
+    path.write_text(CHAIN)
+    force_workers(monkeypatch, 3)
+    pids, _ = failing_second_fork(monkeypatch)
+    assert main(["evolve", "--graph", str(path), "--t-max", "2", "--t-count", "7",
+                 "--out", str(tmp_path / "table.csv")]) == 2
+    assert "injected fork failure" in capsys.readouterr().err
+    assert len(pids) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph"]
+
+
 def test_evolve_into_a_missing_directory_names_the_target(triangle_file, tmp_path, capsys):
     out = tmp_path / "missing" / "table.csv"
     assert main(["evolve", "--graph", str(triangle_file), "--t-max", "1",
@@ -526,6 +565,19 @@ def test_reproduce_fig2_outputs(tmp_path):
     assert abs(float(values["surface_max_alpha"]) - PI / 2) <= 1e-12
     _, rows = read_rows((out_dir / "surface.csv").read_text())
     assert len(rows) == 64 * 64
+
+
+def test_running_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    from chiralwalk import cli
+
+    def out_of_memory(alphas, thetas):
+        raise MemoryError  # bare, as numpy's allocation failures may be
+
+    monkeypatch.setattr(cli, "three_cycle_transfer", out_of_memory)
+    out_dir = tmp_path / "fig2"
+    assert main(["reproduce-fig2", "--out", str(out_dir), "--grid", "1000000"]) == 2
+    assert "reproduce-fig2 ran out of memory" in capsys.readouterr().err
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 def test_fig2_surface_is_periodic_in_alpha(tmp_path):

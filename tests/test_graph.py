@@ -192,6 +192,22 @@ def test_constructor_rejects_bad_edges():
         WalkHamiltonian(0)
 
 
+@pytest.mark.parametrize("node", [1.7, 1.0, np.float64(1.0)])
+def test_nodes_must_be_integers(node):
+    with pytest.raises(ValueError, match="self-energy node must be an integer"):
+        WalkHamiltonian(3, (), ((node, 0.5),))
+    with pytest.raises(ValueError, match="edge endpoint must be an integer"):
+        WalkHamiltonian(3, (Edge(0, node, 1.0, 0.0),))
+
+
+def test_numpy_integer_nodes_are_accepted():
+    graph = WalkHamiltonian(3, (Edge(np.int64(0), np.int64(2), 1.0, 0.0),),
+                            ((np.int64(1), 0.5),))
+    assert graph.edges == (Edge(0, 2, 1.0, 0.0),)
+    assert graph.self_energies == ((1, 0.5),)
+    assert all(type(e) is int for e in (graph.edges[0].i, graph.self_energies[0][0]))
+
+
 def test_directed_phase_orientation():
     graph = parse_graph("nodes 2\nedge 0 1 1.0 0.7\n")
     assert graph.directed_phase(0, 1) == 0.7

@@ -1,8 +1,10 @@
 """Spectral evolution, transition probabilities, sweeps, maximization."""
 
+import errno
 import math
 import os
 import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -400,7 +402,7 @@ def test_failed_csv_worker_raises_and_leaves_no_child_or_pipe(monkeypatch):
     monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(os, "pipe", recording_pipe)
     table = TransportTable("time", AWKWARD, awkward_probabilities(len(AWKWARD), 2))
-    with pytest.raises(RuntimeError, match="CSV worker .* exit status 1"):
+    with pytest.raises(ChildProcessError, match="CSV worker .* exit status 1"):
         table.to_csv()
     assert len(pids) == 2 and len(fds) == 4
     for pid in pids:
@@ -438,6 +440,74 @@ def test_failed_parent_block_stops_every_csv_worker(monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_failed_parent_block_kills_a_worker_still_rendering(monkeypatch):
+    # a worker's block would take 30 s; the parent's failure must not wait for it
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    force_workers(monkeypatch, 2)
+    parent = os.getpid()
+    render_rows = propagator._render_rows
+
+    def slow_in_worker(*args):
+        if os.getpid() == parent:
+            raise KeyError("injected parent failure")
+        time.sleep(30)
+        return render_rows(*args)
+
+    def hung(signum, frame):
+        raise TimeoutError("render_csv waited for a worker still rendering")
+
+    monkeypatch.setattr(propagator, "_render_rows", slow_in_worker)
+    table = TransportTable("time", AWKWARD, awkward_probabilities(len(AWKWARD), 2))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(KeyError, match="injected"):
+            table.to_csv()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def failing_second_fork(monkeypatch):
+    """Make ``os.fork`` raise on its second call; returns the pids it started
+    and every fd that ``os.pipe`` returned."""
+    fork, pipe = os.fork, os.pipe
+    pids, fds = [], []
+
+    def recording_fork():
+        if pids:
+            raise OSError(errno.EAGAIN, "injected fork failure")
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def recording_pipe():
+        fds.extend(pipe())
+        return fds[-2:]
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    return pids, fds
+
+
+def test_failed_fork_kills_the_started_worker_and_closes_every_pipe(monkeypatch):
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+    force_workers(monkeypatch, 3)
+    pids, fds = failing_second_fork(monkeypatch)
+    table = TransportTable("time", AWKWARD, awkward_probabilities(len(AWKWARD), 2))
+    with pytest.raises(OSError, match="injected fork failure"):
+        table.to_csv()
+    assert len(pids) == 1 and len(fds) == 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_csv_validator_rejects_malformed_tables():
