@@ -32,8 +32,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .defaults import DEFAULTS
-from .graph import (GraphFormatError, GraphSkeleton, WalkHamiltonian, _parse_int, _parse_real,
-                    fmt_real, skeleton)
+from .graph import (GraphFormatError, GraphSkeleton, WalkHamiltonian, _check_finite_real,
+                    _check_node, _parse_int, _parse_real, fmt_real, skeleton)
 from .propagator import TransportTable, _freeze, propagate
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -56,20 +56,14 @@ class GateSpec:
     theta: float
 
     def __post_init__(self):
-        if not (isinstance(self.i, (int, np.integer))
-                and isinstance(self.j, (int, np.integer))):
-            raise ValueError("gate endpoints must be integers")
-        object.__setattr__(self, "i", int(self.i))
-        object.__setattr__(self, "j", int(self.j))
+        object.__setattr__(self, "i", _check_node(self.i, "gate endpoint"))
+        object.__setattr__(self, "j", _check_node(self.j, "gate endpoint"))
         if self.i == self.j:
             raise ValueError(f"gate endpoints must differ, got ({self.i}, {self.j})")
         if self.i < 0 or self.j < 0:
             raise ValueError("gate endpoints must be nonnegative")
-        for angle in (self.alpha, self.theta):
-            if not math.isfinite(float(angle)):
-                raise ValueError("gate angles must be finite")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "alpha", _check_finite_real(self.alpha, "gate alpha"))
+        object.__setattr__(self, "theta", _check_finite_real(self.theta, "gate theta"))
 
     def pair(self) -> tuple[int, int]:
         return (self.i, self.j) if self.i < self.j else (self.j, self.i)
@@ -83,6 +77,9 @@ class PalindromicCircuit:
     half: tuple[GateSpec, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_nodes", _check_node(self.n_nodes, "n_nodes"))
+        if self.n_nodes < 1:
+            raise ValueError("n_nodes must be a positive integer")
         object.__setattr__(self, "half", tuple(self.half))
         for gate in self.half:
             if gate.i >= self.n_nodes or gate.j >= self.n_nodes:

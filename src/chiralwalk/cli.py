@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 property violation, 2 usage, parse, I/O or
 out-of-memory error.
-All angles are radians unless ``--degrees`` is given, which converts at
-the argument boundary only.
+All angles are radians; ``circuit-sweep --degrees`` reads its angle flags
+in degrees, converting at the argument boundary only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from .circuit import circuit_sweep_table, three_cycle_transfer, trotter_error
 from .defaults import DEFAULTS
-from .graph import GraphFormatError, WalkHamiltonian, fmt_real, load_graph, skeleton
+from .graph import (GraphFormatError, WalkHamiltonian, _check_finite_real, fmt_real, load_graph,
+                    skeleton)
 from .propagator import CSV_HEADERS, chunk_length, render_csv, spectrum, sweep_time
 from .properties import PROPERTY_SUITE, format_property_report, run_property_suite
 from .symmetry import SymmetryReport, classify
@@ -63,22 +64,16 @@ def _write_output(target: str | None, text: str | Iterable[str]) -> None:
                 os.unlink(partial)
 
 
-def _finite(flag: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"{flag} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _angle(flag: str, value: float, degrees: bool) -> float:
-    value = _finite(flag, value)
+    value = _check_finite_real(value, flag)
     return math.radians(value) if degrees else value
 
 
 def _theta_grid(theta_min: float, theta_max: float, theta_step: float) -> list[float]:
     if theta_step <= 0:
-        raise ValueError("theta step must be positive")
+        raise ValueError("--theta-step must be positive")
     if theta_max < theta_min:
-        raise ValueError("theta range is empty")
+        raise ValueError("--theta-max must not be below --theta-min")
     # floor, not round, so no point lands past theta_max; the relative slack
     # keeps an endpoint that rounding puts a few ulps short of an integer ratio
     ratio = (theta_max - theta_min) / theta_step
@@ -97,7 +92,7 @@ def experiment_theta_grid() -> list[float]:
 # subcommands
 
 def cmd_classify(args) -> int:
-    if _finite("--tol", args.tol) < 0:
+    if _check_finite_real(args.tol, "--tol") < 0:
         raise ValueError(f"--tol must not be negative, got {args.tol!r}")
     reports: list[SymmetryReport] = []
     for path in args.graph:
@@ -112,11 +107,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    _finite("--t-min", args.t_min)
-    _finite("--t-max", args.t_max)
+    _check_finite_real(args.t_min, "--t-min")
+    _check_finite_real(args.t_max, "--t-max")
     graph = load_graph(args.graph)
     if args.t_count < 1:
-        raise ValueError("t-count must be at least 1")
+        raise ValueError(f"--t-count must be at least 1, got {args.t_count}")
     if args.t_count == 1:
         if args.t_max != args.t_min:
             raise ValueError("--t-count 1 samples only --t-min; --t-max must equal it")
@@ -164,15 +159,12 @@ def _transfer_csv(alphas, thetas, transfer) -> str:
 
 def cmd_reproduce_fig2(args) -> int:
     if args.grid < 2:
-        raise ValueError("surface grid must have at least 2 points per axis")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        raise ValueError(f"--grid must be at least 2 points per axis, got {args.grid}")
     count = args.grid
     surface_alphas = [k * 2 * PI / count for k in range(count)]
     surface_thetas = [-PI + (k + 1) * 2 * PI / count for k in range(count)]
     transfer = three_cycle_transfer(surface_alphas, surface_thetas)
-    _write_output(str(out_dir / "surface.csv"),
-                  _transfer_csv(surface_alphas, surface_thetas, transfer))
+    outputs = {"surface.csv": _transfer_csv(surface_alphas, surface_thetas, transfer)}
 
     slice_thetas = experiment_theta_grid()
     slice_alphas = list(DEFAULT_SWEEP_ALPHAS)
@@ -180,7 +172,7 @@ def cmd_reproduce_fig2(args) -> int:
     slice_names = ("slice_alpha_0.csv", "slice_alpha_pi_over_2.csv",
                    "slice_alpha_pi.csv", "slice_alpha_3pi_over_2.csv")
     for name, alpha, row in zip(slice_names, slice_alphas, slices):
-        _write_output(str(out_dir / name), _transfer_csv([alpha], slice_thetas, row[None]))
+        outputs[name] = _transfer_csv([alpha], slice_thetas, row[None])
 
     a_star, t_star = np.unravel_index(np.argmax(transfer), transfer.shape)
     slice_max = slices.max(axis=1)
@@ -195,12 +187,18 @@ def cmd_reproduce_fig2(args) -> int:
         summary.append(f"{name}: alpha={fmt_real(alpha)} max={fmt_real(value)}")
     summary.append(f"symmetric_slice_bound=0.6 "
                    f"(observed {fmt_real(slice_max[0])} at alpha=0)")
-    _write_output(str(out_dir / "summary.txt"), "\n".join(summary) + "\n")
+    outputs["summary.txt"] = "\n".join(summary) + "\n"
+
+    # everything is computed before the directory exists, so a failure leaves none
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        _write_output(str(out_dir / name), text)
     return EXIT_OK
 
 
 def cmd_trotter_check(args) -> int:
-    theta_start = _finite("--theta-start", args.theta_start)
+    theta_start = _check_finite_real(args.theta_start, "--theta-start")
     if not 1 <= args.halvings <= MAX_HALVINGS:
         raise ValueError(f"--halvings must be between 1 and {MAX_HALVINGS}, "
                          f"got {args.halvings}")
@@ -332,8 +330,9 @@ def main(argv=None) -> int:
     except (GraphFormatError, OSError, ValueError) as exc:
         print(f"chiralwalk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:  # often bare, so its text says nothing
-        print(f"chiralwalk: error: {args.command} ran out of memory", file=sys.stderr)
+    except MemoryError as exc:  # often bare; append its text when it has one
+        detail = f": {exc}" if str(exc) else ""
+        print(f"chiralwalk: error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

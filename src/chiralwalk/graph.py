@@ -36,6 +36,8 @@ class GraphFormatError(ValueError):
 
 
 def _check_finite_real(value, what: str) -> float:
+    if isinstance(value, (complex, np.complexfloating)):
+        raise ValueError(f"{what} must be real, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
@@ -78,8 +80,6 @@ def _add_self_energy(selfs: dict[int, float], entry, n_nodes: int) -> None:
         raise ValueError(f"self-energy node {node} out of range")
     if node in selfs:
         raise ValueError(f"duplicate self-energy for node {node}")
-    if isinstance(energy, complex) and energy.imag != 0.0:
-        raise ValueError(f"self-energy of node {node} must be real, got {energy!r}")
     selfs[node] = _check_finite_real(energy, "self-energy")
 
 
@@ -99,7 +99,8 @@ class WalkHamiltonian:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n_nodes, int) or self.n_nodes < 1:
+        object.__setattr__(self, "n_nodes", _check_node(self.n_nodes, "n_nodes"))
+        if self.n_nodes < 1:
             raise ValueError("n_nodes must be a positive integer")
         index: dict[tuple[int, int], Edge] = {}
         for raw in self.edges:
@@ -265,10 +266,7 @@ class _NodeResolver:
             if self.mode == "label":
                 raise GraphFormatError("cannot mix integer indices and string labels", line)
             self.mode = "index"
-            index = _parse_int(token, "node index", line)
-            if not (0 <= index < self.n_nodes):
-                raise GraphFormatError(f"node index {index} out of range", line)
-            return index
+            return _parse_int(token, "node index", line)
         if self.mode == "index":
             raise GraphFormatError("cannot mix integer indices and string labels", line)
         self.mode = "label"
@@ -289,12 +287,9 @@ def _parse_real(token: str, what: str, line: int) -> float:
     if not token.isascii() or "_" in token:
         raise GraphFormatError(f"bad {what} {token!r}", line)
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
         raise GraphFormatError(f"bad {what} {token!r}", line) from None
-    if not math.isfinite(value):
-        raise GraphFormatError(f"{what} must be finite, got {token!r}", line)
-    return value
 
 
 def parse_graph(text: str) -> WalkHamiltonian:

@@ -37,6 +37,9 @@ CHUNK_BYTES = 4 * 2 ** 20
 # its pipe cost about 5 ms, more than rendering a smaller block saves.
 PARALLEL_MIN_VALUES = 2 ** 16
 
+# Exit status of a ``render_csv`` worker out of memory; any other failure exits 1.
+_WORKER_OUT_OF_MEMORY = 3
+
 
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
@@ -141,9 +144,10 @@ def render_csv(header: str, outer: Sequence[tuple[float, ...]],
     after the first is rendered by a forked worker that writes its ASCII
     text to a pipe and exits; block 0 is rendered here, then the workers are
     read and reaped in block order, so the text is the same for every W.  A
-    worker that fails raises ``ChildProcessError``.  On any exception, every
-    worker not yet reaped is killed (SIGKILL), its pipe closed and the
-    worker reaped, so no worker, pipe or partial text outlives the call.
+    worker that runs out of memory raises ``MemoryError``, and one that fails
+    otherwise ``ChildProcessError``.  On any exception, every worker not yet
+    reaped is killed (SIGKILL), its pipe closed and the worker reaped, so no
+    worker, pipe or partial text outlives the call.
     """
     if not inner or not outer:
         return header + "\n"
@@ -173,6 +177,8 @@ def render_csv(header: str, outer: Sequence[tuple[float, ...]],
                     with os.fdopen(write_fd, "wb") as pipe:
                         pipe.write("".join(render(b)).encode("ascii"))
                     status = 0
+                except MemoryError:
+                    status = _WORKER_OUT_OF_MEMORY
                 finally:
                     os._exit(status)
             os.close(write_fd)
@@ -185,6 +191,8 @@ def render_csv(header: str, outer: Sequence[tuple[float, ...]],
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del started[0]
             os.close(read_fd)
+            if code == _WORKER_OUT_OF_MEMORY:
+                raise MemoryError(f"CSV worker {pid} ran out of memory")
             if code != 0:
                 raise ChildProcessError(f"CSV worker {pid} failed with exit status {code}")
             parts.append(data.decode("ascii"))

@@ -273,6 +273,36 @@ def test_gate_spec_validation():
         GateSpec(0, 1, math.inf, 0.0)
 
 
+@pytest.mark.parametrize("value", [1 + 0j, 0.5 + 1j, np.complex128(1.0),
+                                   np.complex128(0.5 + 1j)])
+def test_gate_spec_refuses_complex_angles(value):
+    with pytest.raises(ValueError, match="gate alpha must be real"):
+        GateSpec(0, 1, value, 0.0)
+    with pytest.raises(ValueError, match="gate theta must be real"):
+        GateSpec(0, 1, 0.0, value)
+
+
+@pytest.mark.parametrize("endpoints", [(0.0, 1), (0, np.float64(1.0)), (0, "1")])
+def test_gate_spec_endpoints_are_integers(endpoints):
+    with pytest.raises(ValueError, match="gate endpoint must be an integer"):
+        GateSpec(*endpoints, 0.0, 0.0)
+    gate = GateSpec(np.int64(2), np.int32(0), np.float32(0.5), 1)
+    assert (gate.i, gate.j, gate.alpha, gate.theta) == (2, 0, 0.5, 1.0)
+    assert type(gate.i) is int and type(gate.theta) is float
+
+
+@pytest.mark.parametrize("n_nodes, message", [(2.5, "an integer"), (0, "a positive integer"),
+                                              (-1, "a positive integer")])
+def test_palindrome_node_count_is_a_positive_integer(n_nodes, message):
+    with pytest.raises(ValueError, match=f"n_nodes must be {message}"):
+        PalindromicCircuit(n_nodes, ())
+
+
+def test_palindrome_takes_a_numpy_integer_node_count():
+    circuit = PalindromicCircuit(np.int64(2), (GateSpec(0, 1, 0.0, PI / 2),))
+    assert circuit == PalindromicCircuit(2, (GateSpec(0, 1, 0.0, PI / 2),))
+
+
 # --- the triangle circuit ---------------------------------------------------
 
 def test_batched_probabilities_match_gate_products():
@@ -428,4 +458,9 @@ def test_parse_circuit_errors():
         parse_circuit("gate 1_0 2 0 0\n")
     with pytest.raises(GraphFormatError, match="bad gate endpoint"):
         parse_circuit("gate \u0660 1 0 0\n")
+
+
+def test_parse_circuit_reports_a_non_finite_angle_by_the_gate_check():
+    with pytest.raises(GraphFormatError, match="line 2: gate theta must be finite, got inf"):
+        parse_circuit("gate 0 1 0 0\ngate 1 2 0.5 inf\n")
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -406,7 +407,9 @@ def test_evolve_with_a_failing_csv_worker_exits_2_and_leaves_no_file(tmp_path, c
     monkeypatch.setattr(propagator, "_render_rows", failing_in_worker)
     assert main(["evolve", "--graph", str(path), "--t-max", "2", "--t-count", "7",
                  "--out", str(tmp_path / "table.csv")]) == 2
-    assert "CSV worker" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "CSV worker" in err
+    assert re.search(r"evolve ran out of memory: CSV worker \d+ ran out of memory", err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph"]
 
 
@@ -506,6 +509,20 @@ def test_circuit_sweep_degrees_flag(tmp_path):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["evolve", "--graph", "GRAPH", "--t-max", "1", "--t-count", "0"], ["--t-count"]),
+    (["reproduce-fig2", "--out", "OUT", "--grid", "1"], ["--grid"]),
+    (["circuit-sweep", "--theta-step", "0"], ["--theta-step"]),
+    (["circuit-sweep", "--theta-step=-1"], ["--theta-step"]),
+    (["circuit-sweep", "--theta-min", "1", "--theta-max", "0"], ["--theta-min", "--theta-max"]),
+])
+def test_bad_counts_and_ranges_name_their_flag(triangle_file, tmp_path, capsys, argv, flags):
+    places = {"GRAPH": str(triangle_file), "OUT": str(tmp_path / "fig2")}
+    assert main([places.get(arg, arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags), err
+
+
 def test_circuit_sweep_bad_step_exits_2(capsys):
     assert main(["circuit-sweep", "--theta-step", "0"]) == 2
     assert "positive" in capsys.readouterr().err
@@ -578,6 +595,17 @@ def test_running_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["reproduce-fig2", "--out", str(out_dir), "--grid", "1000000"]) == 2
     assert "reproduce-fig2 ran out of memory" in capsys.readouterr().err
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+def test_reproduce_fig2_failure_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    from chiralwalk import cli
+
+    def out_of_memory(alphas, thetas):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "three_cycle_transfer", out_of_memory)
+    assert main(["reproduce-fig2", "--out", str(tmp_path / "fig2"), "--grid", "8"]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fig2_surface_is_periodic_in_alpha(tmp_path):

@@ -153,6 +153,14 @@ def test_round_trip_preserves_17_digit_reals():
     ("nodes 2\nedge 0 1 1_0 1\n", "bad edge magnitude '1_0'", 2),
     ("nodes 2\nedge 0 1 1 \u0661\n", "bad edge phase", 2),
     ("nodes 2\nself 0 \u0663\n", "bad self-energy", 2),
+    # a non-finite real is the entry's own check, quoted as a value
+    ("nodes 2\nedge 0 1 inf 0\n", "edge magnitude must be finite, got inf", 2),
+    ("nodes 2\nedge 0 1 1 nan\n", "edge phase must be finite, got nan", 2),
+    ("nodes 2\nself 0 -inf\n", "self-energy must be finite, got -inf", 2),
+    # the entry range-checks its indices, after the parser has read every real
+    ("nodes 2\nedge 0 5 x 0\n", "bad edge magnitude 'x'", 2),
+    ("nodes 2\nedge 0 5 1 0\n", "edge (0, 5) index out of range for 2 nodes", 2),
+    ("nodes 2\nself -1 0\n", "self-energy node -1 out of range", 2),
     pytest.param("nodes " + "9" * 5000 + "\n", "node count has 5000 digits", 1,
                  id="nodes-5000-digits"),
     pytest.param("nodes 2\nedge 0 " + "9" * 5000 + " 1 0\n", "node index has 5000 digits", 2,
@@ -190,6 +198,26 @@ def test_constructor_rejects_bad_edges():
         WalkHamiltonian(1, (), ((0, 1 + 2j),))
     with pytest.raises(ValueError, match="positive integer"):
         WalkHamiltonian(0)
+
+
+@pytest.mark.parametrize("value", [1 + 0j, 0.5 + 1j, np.complex128(1.0),
+                                   np.complex128(0.5 + 1j)])
+def test_complex_reals_are_refused(value):
+    # float() raises TypeError on a Python complex and truncates a numpy one
+    with pytest.raises(ValueError, match="edge magnitude must be real"):
+        WalkHamiltonian(2, (Edge(0, 1, value, 0.0),))
+    with pytest.raises(ValueError, match="edge phase must be real"):
+        WalkHamiltonian(2, (Edge(0, 1, 1.0, value),))
+    with pytest.raises(ValueError, match="self-energy must be real"):
+        WalkHamiltonian(2, (), ((0, value),))
+
+
+def test_numpy_integer_node_count_is_accepted():
+    graph = WalkHamiltonian(np.int64(3), (Edge(0, 2, 1.0, 0.5),))
+    assert graph == WalkHamiltonian(3, (Edge(0, 2, 1.0, 0.5),))
+    assert type(graph.n_nodes) is int
+    with pytest.raises(ValueError, match="n_nodes must be an integer"):
+        WalkHamiltonian(2.0)
 
 
 @pytest.mark.parametrize("node", [1.7, 1.0, np.float64(1.0)])
