@@ -33,7 +33,7 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .graph import (GraphFormatError, GraphSkeleton, WalkHamiltonian, _check_finite_real,
-                    _check_node, _parse_int, _parse_real, fmt_real, skeleton)
+                    _check_node, _parse_int, _parse_real, _read_lines, fmt_real, skeleton)
 from .propagator import TransportTable, _freeze, propagate
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -296,19 +296,15 @@ def trotter_error(hamiltonian: WalkHamiltonian, scale: float) -> float:
 def parse_circuit(text: str) -> PalindromicCircuit:
     """Parse 'gate <i> <j> <alpha> <theta>' lines as a palindrome half."""
     half: list[GateSpec] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+
+    def read(tokens: list[str]) -> None:
         if tokens[0] != "gate" or len(tokens) != 5:
-            raise GraphFormatError("expected 'gate <i> <j> <alpha> <theta>'", lineno)
-        i, j = (_parse_int(token, "gate endpoint", lineno) for token in tokens[1:3])
-        alpha, theta = (_parse_real(token, "gate parameters", lineno) for token in tokens[3:5])
-        try:
-            half.append(GateSpec(i, j, alpha, theta))
-        except ValueError as exc:
-            raise GraphFormatError(str(exc), lineno) from None
+            raise ValueError("expected 'gate <i> <j> <alpha> <theta>'")
+        i, j = (_parse_int(token, "gate endpoint") for token in tokens[1:3])
+        alpha, theta = (_parse_real(token, "gate parameters") for token in tokens[3:5])
+        half.append(GateSpec(i, j, alpha, theta))
+
+    _read_lines(text, read)
     if not half:
         raise GraphFormatError("empty circuit file")
     return PalindromicCircuit(max(max(g.i, g.j) for g in half) + 1, half)

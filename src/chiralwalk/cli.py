@@ -19,8 +19,7 @@ import numpy as np
 
 from .circuit import circuit_sweep_table, three_cycle_transfer, trotter_error
 from .defaults import DEFAULTS
-from .graph import (GraphFormatError, WalkHamiltonian, _check_finite_real, fmt_real, load_graph,
-                    skeleton)
+from .graph import WalkHamiltonian, _check_finite_real, fmt_real, load_graph, skeleton
 from .propagator import CSV_HEADERS, chunk_length, render_csv, spectrum, sweep_time
 from .properties import PROPERTY_SUITE, format_property_report, run_property_suite
 from .symmetry import SymmetryReport, classify
@@ -327,7 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"chiralwalk: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:  # often bare; append its text when it has one

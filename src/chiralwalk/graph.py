@@ -6,6 +6,9 @@ with ``H[j, i]`` its complex conjugate; the diagonal holds real
 self-energies.  Hermiticity is structural: edges are canonicalized to
 ``i < j`` (declaring ``(j, i, h, a)`` stores ``(i, j, h, -a)``), so the
 dense matrix reconstructs conjugate pairs exactly rather than approximately.
+
+Graph and circuit files are read line by line through ``_read_lines``, so
+every per-line error of either names its line.
 """
 
 from __future__ import annotations
@@ -239,57 +242,36 @@ def _looks_like_int(token: str) -> bool:
     return body.isascii() and body.isdigit()
 
 
-def _parse_int(token: str, what: str, line: int) -> int:
+def _parse_int(token: str, what: str) -> int:
     if not _looks_like_int(token):
-        raise GraphFormatError(f"bad {what} {token!r}", line)
+        raise ValueError(f"bad {what} {token!r}")
     try:
         return int(token)
     except ValueError:  # more digits than int() converts
-        raise GraphFormatError(f"{what} has {len(token)} digits", line) from None
+        raise ValueError(f"{what} has {len(token)} digits") from None
 
 
-class _NodeResolver:
-    """Maps node tokens to dense indices.
-
-    Integer tokens are indices directly; non-integer tokens are string
-    labels assigned indices in order of first appearance.  The two styles
-    cannot be mixed within one file.
-    """
-
-    def __init__(self, n_nodes: int):
-        self.n_nodes = n_nodes
-        self.mode: str | None = None
-        self.label_map: dict[str, int] = {}
-
-    def resolve(self, token: str, line: int) -> int:
-        if _looks_like_int(token):
-            if self.mode == "label":
-                raise GraphFormatError("cannot mix integer indices and string labels", line)
-            self.mode = "index"
-            return _parse_int(token, "node index", line)
-        if self.mode == "index":
-            raise GraphFormatError("cannot mix integer indices and string labels", line)
-        self.mode = "label"
-        if token not in self.label_map:
-            if len(self.label_map) >= self.n_nodes:
-                raise GraphFormatError(f"label {token!r} exceeds declared node count", line)
-            self.label_map[token] = len(self.label_map)
-        return self.label_map[token]
-
-    def labels(self) -> tuple[str, ...] | None:
-        if self.mode != "label":
-            return None
-        return tuple(sorted(self.label_map, key=self.label_map.get))
-
-
-def _parse_real(token: str, what: str, line: int) -> float:
+def _parse_real(token: str, what: str) -> float:
     """The real rule of graph and circuit files: ``float()`` on ASCII without ``_``."""
     if not token.isascii() or "_" in token:
-        raise GraphFormatError(f"bad {what} {token!r}", line)
+        raise ValueError(f"bad {what} {token!r}")
     try:
         return float(token)
     except ValueError:
-        raise GraphFormatError(f"bad {what} {token!r}", line) from None
+        raise ValueError(f"bad {what} {token!r}") from None
+
+
+def _read_lines(text: str, read) -> None:
+    """Call ``read(tokens)`` on each line of ``text`` that holds a token after
+    its ``#`` comment is cut.  A ``ValueError`` from ``read`` becomes a
+    ``GraphFormatError`` naming the line: the one place a file error gets it."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            try:
+                read(tokens)
+            except ValueError as exc:
+                raise GraphFormatError(str(exc), lineno) from None
 
 
 def parse_graph(text: str) -> WalkHamiltonian:
@@ -300,54 +282,66 @@ def parse_graph(text: str) -> WalkHamiltonian:
         nodes <N>
         edge <i> <j> <h> <alpha>     # h > 0, alpha in radians
         self <i> <energy>
+
+    Node tokens are integer indices, or string labels numbered in order of
+    first appearance; one file uses one style.
     """
     n_nodes: int | None = None
-    resolver: _NodeResolver | None = None
+    known: dict[str, int] = {}  # node token -> index, in order of first appearance
+    labelled = False  # the style of the first node token, which the file keeps
     edges: dict[tuple[int, int], Edge] = {}
     selfs: dict[int, float] = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    def node(token: str) -> int:
+        nonlocal labelled
+        index = known.get(token)
+        if index is None:
+            label = not _looks_like_int(token)
+            if not known:
+                labelled = label
+            elif label != labelled:
+                raise ValueError("cannot mix integer indices and string labels")
+            if not label:
+                index = _parse_int(token, "node index")
+            elif len(known) >= n_nodes:
+                raise ValueError(f"label {token!r} exceeds declared node count")
+            else:
+                index = len(known)
+            known[token] = index
+        return index
+
+    def read(tokens: list[str]) -> None:
+        nonlocal n_nodes
         keyword = tokens[0]
         if n_nodes is None:
             if keyword != "nodes":
-                raise GraphFormatError("first declaration must be 'nodes <N>'", lineno)
+                raise ValueError("first declaration must be 'nodes <N>'")
             if len(tokens) != 2 or not _looks_like_int(tokens[1]):
-                raise GraphFormatError("expected 'nodes <N>'", lineno)
-            n_nodes = _parse_int(tokens[1], "node count", lineno)
+                raise ValueError("expected 'nodes <N>'")
+            n_nodes = _parse_int(tokens[1], "node count")
             if n_nodes < 1:
-                raise GraphFormatError("node count must be positive", lineno)
-            resolver = _NodeResolver(n_nodes)
-            continue
-        if keyword == "nodes":
-            raise GraphFormatError("duplicate 'nodes' declaration", lineno)
-        if keyword == "edge":
+                raise ValueError("node count must be positive")
+        elif keyword == "edge":
             if len(tokens) != 5:
-                raise GraphFormatError("expected 'edge <i> <j> <h> <alpha>'", lineno)
-            entry = (resolver.resolve(tokens[1], lineno), resolver.resolve(tokens[2], lineno),
-                     _parse_real(tokens[3], "edge magnitude", lineno),
-                     _parse_real(tokens[4], "edge phase", lineno))
-            add, target = _add_edge, edges
+                raise ValueError("expected 'edge <i> <j> <h> <alpha>'")
+            _add_edge(edges, (node(tokens[1]), node(tokens[2]),
+                              _parse_real(tokens[3], "edge magnitude"),
+                              _parse_real(tokens[4], "edge phase")), n_nodes)
         elif keyword == "self":
             if len(tokens) != 3:
-                raise GraphFormatError("expected 'self <i> <energy>'", lineno)
-            entry = (resolver.resolve(tokens[1], lineno),
-                     _parse_real(tokens[2], "self-energy", lineno))
-            add, target = _add_self_energy, selfs
+                raise ValueError("expected 'self <i> <energy>'")
+            _add_self_energy(selfs, (node(tokens[1]), _parse_real(tokens[2], "self-energy")),
+                             n_nodes)
+        elif keyword == "nodes":
+            raise ValueError("duplicate 'nodes' declaration")
         else:
-            raise GraphFormatError(f"unknown declaration {keyword!r}", lineno)
-        try:
-            add(target, entry, n_nodes)
-        except ValueError as exc:
-            raise GraphFormatError(str(exc), lineno) from None
+            raise ValueError(f"unknown declaration {keyword!r}")
 
+    _read_lines(text, read)
     if n_nodes is None:
         raise GraphFormatError("empty graph file (missing 'nodes <N>')")
     return WalkHamiltonian(n_nodes, tuple(edges.values()), tuple(selfs.items()),
-                           resolver.labels())
+                           tuple(known) if labelled else None)
 
 
 def load_graph(path) -> WalkHamiltonian:

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .defaults import DEFAULTS
-from .graph import WalkHamiltonian, to_dense
+from .graph import WalkHamiltonian, _check_finite_real, to_dense
 
 # Complex bytes of one t-chunk of a T x N x N unitary stack; the number of
 # times per chunk follows from it for each N.
@@ -109,7 +109,7 @@ def spectrum(hamiltonian: WalkHamiltonian) -> SpectralDecomposition:
 
 def propagate(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:
     """U = exp(-iHt) through the kept spectral factorization, read-only."""
-    return _freeze(spectrum(hamiltonian).propagator_batch([float(t)])[0])
+    return _freeze(spectrum(hamiltonian).propagator_batch([_check_finite_real(t, "time")])[0])
 
 
 def _render_rows(prefix_format: str, pieces: list[str],
@@ -252,7 +252,7 @@ class TransportTable:
 
 def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> TransportTable:
     """Probability tables over a time grid from the kept spectrum."""
-    t_grid = tuple(float(t) for t in t_grid)
+    t_grid = tuple(_check_finite_real(t, "time") for t in t_grid)
     if not t_grid:
         raise ValueError("time grid must be nonempty")
     dec = spectrum(hamiltonian)
@@ -313,8 +313,8 @@ def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
     refinement of the best bracket down to ``DEFAULTS.refine_dt``.
     Returns ``(t_star, p_star)``.
     """
-    lo, hi = float(t_range[0]), float(t_range[1])
-    if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
+    lo, hi = (_check_finite_real(t, "t_range end") for t in t_range)
+    if hi <= lo:
         raise ValueError("t_range must be a finite interval of positive length")
     dec = spectrum(hamiltonian)
     if not (math.isfinite(hi - lo)

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .defaults import DEFAULTS
-from .graph import Edge, GraphSkeleton, WalkHamiltonian, fmt_real, skeleton
+from .graph import Edge, GraphSkeleton, WalkHamiltonian, _check_finite_real, fmt_real, skeleton
 from .propagator import probability_chunks, propagate, spectrum
 
 TWO_PI = 2.0 * math.pi
@@ -129,7 +129,7 @@ def pts_numeric(hamiltonian: WalkHamiltonian,
     """
     if t_samples is None:
         t_samples = default_time_samples(hamiltonian)
-    t_samples = tuple(float(t) for t in t_samples)
+    t_samples = tuple(_check_finite_real(t, "sample time") for t in t_samples)
     if not t_samples:
         raise ValueError("t_samples must be nonempty")
     # p - p^T is exactly antisymmetric, so its max is its max magnitude
@@ -170,13 +170,16 @@ def cycle_flux(hamiltonian: WalkHamiltonian, cycle: Sequence[int]) -> float:
     return reduced
 
 
-def _yes_no(flag: bool) -> str:
-    return "Yes" if flag else "No"
-
-
-def _joined(values, fmt=str) -> str:
-    """``;``-joined text of ``values``; ``""`` when they are absent."""
-    return "" if values is None else ";".join(fmt(v) for v in values)
+def _report_text(value) -> str:
+    """One report value as text: absent ``""``, a tuple ``;``-joined, a flag
+    ``Yes``/``No`` (numpy's too), a real through ``fmt_real``."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ";".join(map(_report_text, value))
+    if isinstance(value, (bool, np.bool_)):
+        return "Yes" if value else "No"
+    return fmt_real(value) if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
@@ -200,25 +203,11 @@ class SymmetryReport:
 
     def fields(self) -> dict[str, str]:
         """Every field as its report text, in declaration order; an absent
-        certificate is ``""``."""
-        labels = None if self.labels is None else [
-            f"{name}:{k}" for k, name in enumerate(self.labels)]
-        return {
-            "structural_class": self.structural_class,
-            "n_nodes": str(self.n_nodes),
-            "n_edges": str(self.n_edges),
-            "is_forest": _yes_no(self.is_forest),
-            "is_bipartite": _yes_no(self.is_bipartite),
-            "structural_pts": _yes_no(self.structural_pts),
-            "phase_dependent": _yes_no(self.phase_dependent),
-            "numeric_pts_residual": fmt_real(self.numeric_pts_residual),
-            "pts_symmetric_at_samples": _yes_no(self.pts_symmetric_at_samples),
-            "two_coloring": _joined(self.two_coloring),
-            "odd_cycle": _joined(self.odd_cycle),
-            "phase_removal_gauge": _joined(self.phase_removal_gauge, fmt_real),
-            "negation_gauge": _joined(self.negation_gauge, fmt_real),
-            "labels": _joined(labels),
-        }
+        certificate is ``""`` and ``labels`` read ``name:index``."""
+        values = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        if self.labels is not None:
+            values["labels"] = tuple(f"{name}:{k}" for k, name in enumerate(self.labels))
+        return {name: _report_text(value) for name, value in values.items()}
 
     def to_text(self) -> str:
         return "".join(f"{name}={value}\n" for name, value in self.fields().items() if value)

@@ -460,6 +460,24 @@ def test_parse_circuit_errors():
         parse_circuit("gate \u0660 1 0 0\n")
 
 
+@pytest.mark.parametrize("text, fragment, line", [
+    ("# half\ngate 0 x 0 0\n", "bad gate endpoint 'x'", 2),
+    ("gate 0 1 0 0\n\ngate 2 2 0 0\n", "gate endpoints must differ, got (2, 2)", 3),
+    ("gate 0 1 nan 0\n", "gate alpha must be finite, got nan", 1),
+    ("gate 0 1 0 0\ngate 1 2 0.5\n", "expected 'gate", 2),
+    ("gate 0 1 0 0 0\n", "expected 'gate", 1),
+    ("gate 0 1 0 0\nnodes 3\n", "expected 'gate", 2),
+    ("gate 0 1 0 0\ngate -1 2 0 0\n", "nonnegative", 2),
+    ("\n  # note\n\ngate 0 1 1_0 0  # cut\n", "bad gate parameters '1_0'", 4),
+])
+def test_parse_circuit_errors_carry_line_numbers(text, fragment, line):
+    with pytest.raises(GraphFormatError) as err:
+        parse_circuit(text)
+    assert fragment in str(err.value)
+    assert str(err.value).startswith(f"line {line}: ")
+    assert err.value.line == line
+
+
 def test_parse_circuit_reports_a_non_finite_angle_by_the_gate_check():
     with pytest.raises(GraphFormatError, match="line 2: gate theta must be finite, got inf"):
         parse_circuit("gate 0 1 0 0\ngate 1 2 0.5 inf\n")

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralwalk import (Edge, GraphFormatError, WalkHamiltonian, parse_graph,
-                        render_graph, skeleton, to_dense)
+from chiralwalk import (Edge, GraphFormatError, WalkHamiltonian, parse_circuit,
+                        parse_graph, render_graph, skeleton, to_dense)
 
 TRIANGLE = "nodes 3\nedge 0 1 1.0 0.0\nedge 1 2 1.0 0.0\nedge 2 0 1.0 0.0\n"
 
@@ -171,6 +171,37 @@ def test_parse_errors_carry_line_numbers(text, fragment, line):
         parse_graph(text)
     assert fragment in str(err.value)
     assert err.value.line == line
+
+
+_NODE = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["a", "b", "c", "d"]))
+_REAL = st.one_of(st.floats(-2.0, 2.0).map(repr), st.sampled_from(["1", "0", "-1e308"]))
+_TOKEN = st.one_of(
+    _NODE, _REAL,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1_0", "\u00b2", "\u0661", "x#y", "9" * 5000, "--1", "+2", "nodes"]),
+)
+_LINE = st.one_of(
+    st.just("nodes 3"),
+    st.builds("edge {} {} {} {}".format, _NODE, _NODE, _REAL, _REAL),
+    st.builds("self {} {}".format, _NODE, _REAL),
+    st.builds("gate {} {} {} {}".format, _NODE, _NODE, _REAL, _REAL),
+    st.builds(" ".join, st.lists(_TOKEN, min_size=1, max_size=5)),
+    st.sampled_from(["", "   ", "# comment", "\tspin 0 1 # junk keyword"]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_LINE, max_size=8).map("\n".join))
+def test_file_errors_name_a_line_that_holds_a_token(text):
+    for parse in (parse_graph, parse_circuit):
+        try:
+            parse(text)
+        except GraphFormatError as err:
+            if err.line is None:
+                assert str(err).startswith("empty ")
+                continue
+            assert str(err).startswith(f"line {err.line}: ")
+            assert text.splitlines()[err.line - 1].split("#", 1)[0].split()
 
 
 def test_parse_empty_file_is_an_error():

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from chiralwalk import (Edge, WalkHamiltonian, apply_gauge, eig_hermitian,
-                        max_transfer, parse_graph, propagate, sweep_time, to_dense,
-                        validate_table_csv)
+                        max_transfer, parse_graph, propagate, pts_numeric, sweep_time,
+                        to_dense, validate_table_csv)
 from chiralwalk import propagator
 from chiralwalk.cli import _transfer_csv
 from chiralwalk.propagator import TransportTable, chunk_length, spectrum
@@ -561,6 +561,23 @@ def test_max_transfer_validates_range():
         max_transfer(two_site(), 0, 1, (1.0, 1.0))
     with pytest.raises(ValueError, match="out of range"):
         max_transfer(two_site(), 0, 5, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda graph: sweep_time(graph, [math.nan, 1.0]), "must be finite"),
+    (lambda graph: propagate(graph, math.nan), "must be finite"),
+    (lambda graph: pts_numeric(graph, [math.nan]), "must be finite"),
+    (lambda graph: max_transfer(graph, 0, 1, (math.nan, 1.0)), "must be finite"),
+    (lambda graph: max_transfer(graph, 0, 1, (0.0, math.inf)), "must be finite"),
+    (lambda graph: sweep_time(graph, [1j]), "must be real"),
+    (lambda graph: propagate(graph, 1 + 0j), "must be real"),
+    (lambda graph: pts_numeric(graph, [np.complex128(1.0)]), "must be real"),
+    (lambda graph: max_transfer(graph, 0, 1, (0.0, 1j)), "must be real"),
+], ids=["sweep-nan", "propagate-nan", "pts-nan", "max-transfer-nan", "max-transfer-inf",
+        "sweep-complex", "propagate-complex", "pts-complex", "max-transfer-complex"])
+def test_spectral_entry_points_read_times_by_the_real_rule(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call(two_site())
 
 
 @pytest.mark.parametrize("t_range", [(-1e308, 1e308), (1e308, 1.5e308)])

@@ -1,0 +1,33 @@
+"""Rules of the source itself, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chiralwalk"
+
+
+def _line_carrying_errors(tree: ast.AST) -> list[tuple[str | None, int]]:
+    """``(enclosing function, source line)`` of each ``GraphFormatError``
+    call given more than its message."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if callee == "GraphFormatError" and (len(node.args) != 1 or node.keywords):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_line_reader_gives_a_file_error_its_line():
+    found = {path.name: _line_carrying_errors(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, _ in found.pop("graph.py")] == ["_read_lines"]
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -1,5 +1,6 @@
 """Structural classification, gauges, and numeric symmetry checks."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -101,6 +102,23 @@ def test_report_text_and_csv_round_trip_keys():
     header = report.csv_header().split(",")
     row = report.to_csv_row().split(",")
     assert len(header) == len(row)
+
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("nodes 3\nedge 0 1 1 0.1\nedge 1 2 1 0.2\n", "Yes"),
+    ("nodes 3\nedge 0 1 2 0.3\nedge 1 2 2 0.5\nedge 0 2 2 0.1\n", "No"),
+])
+def test_report_text_from_a_numpy_tolerance_reads_yes_no(text, verdict):
+    # a numpy tolerance makes the verdict a numpy bool, still written Yes/No
+    report = classify(parse_graph(text), np.float64(1e-9))
+    flags = [f.name for f in dataclasses.fields(report) if f.type in ("bool", bool)]
+    assert "is_forest" in flags
+    lines = dict(line.split("=", 1) for line in report.to_text().splitlines())
+    row = dict(zip(report.csv_header().split(","), report.to_csv_row().split(",")))
+    for fields in (lines, row):
+        assert fields["pts_symmetric_at_samples"] == verdict
+        assert {fields[name] for name in flags} <= {"Yes", "No"}
 
 
 # --- bipartiteness ----------------------------------------------------------
