@@ -33,7 +33,8 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .graph import (GraphFormatError, GraphSkeleton, WalkHamiltonian, _check_finite_real,
-                    _check_node, _parse_int, _parse_real, _read_lines, fmt_real, skeleton)
+                    _check_node, _check_node_count, _parse_int, _parse_real, _read_lines,
+                    fmt_real, skeleton)
 from .propagator import TransportTable, _freeze, propagate
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -77,9 +78,7 @@ class PalindromicCircuit:
     half: tuple[GateSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_nodes", _check_node(self.n_nodes, "n_nodes"))
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be a positive integer")
+        object.__setattr__(self, "n_nodes", _check_node_count(self.n_nodes, "n_nodes"))
         object.__setattr__(self, "half", tuple(self.half))
         for gate in self.half:
             if gate.i >= self.n_nodes or gate.j >= self.n_nodes:
@@ -251,8 +250,8 @@ def three_cycle_transfer(alphas: Sequence[float], thetas: Sequence[float]) -> np
 
 def circuit_sweep_table(alphas: Sequence[float], thetas: Sequence[float]) -> TransportTable:
     """Triangle-palindrome sweep as a circuit-schema TransportTable."""
-    alphas = [float(a) for a in alphas]
-    thetas_list = [float(t) for t in thetas]
+    alphas = [_check_finite_real(a, "sweep alpha") for a in alphas]
+    thetas_list = [_check_finite_real(t, "sweep theta") for t in thetas]
     if not alphas or not thetas_list:
         raise ValueError("sweep grids must be nonempty")
     probs = np.abs(three_cycle_unitaries(alphas, thetas_list)) ** 2
@@ -303,6 +302,7 @@ def parse_circuit(text: str) -> PalindromicCircuit:
         i, j = (_parse_int(token, "gate endpoint") for token in tokens[1:3])
         alpha, theta = (_parse_real(token, "gate parameters") for token in tokens[3:5])
         half.append(GateSpec(i, j, alpha, theta))
+        _check_node_count(max(i, j) + 1, "circuit node count")
 
     _read_lines(text, read)
     if not half:

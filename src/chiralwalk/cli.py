@@ -13,16 +13,14 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from .circuit import circuit_sweep_table, three_cycle_transfer, trotter_error
+# each command imports the numeric modules it calls when it runs, so help and
+# usage errors never load numpy
 from .defaults import DEFAULTS
-from .graph import WalkHamiltonian, _check_finite_real, fmt_real, load_graph, skeleton
-from .propagator import CSV_HEADERS, chunk_length, render_csv, spectrum, sweep_time
-from .properties import PROPERTY_SUITE, format_property_report, run_property_suite
-from .symmetry import SymmetryReport, classify
+
+if TYPE_CHECKING:
+    from .graph import WalkHamiltonian
 
 PI = math.pi
 
@@ -64,11 +62,17 @@ def _write_output(target: str | None, text: str | Iterable[str]) -> None:
 
 
 def _angle(flag: str, value: float, degrees: bool) -> float:
+    from .graph import _check_finite_real
+
     value = _check_finite_real(value, flag)
     return math.radians(value) if degrees else value
 
 
-def _theta_grid(theta_min: float, theta_max: float, theta_step: float) -> list[float]:
+def _theta_grid(theta_min: float, theta_max: float, theta_step: float,
+                alphas: int = 1) -> list[float]:
+    """The theta axis of a sweep over ``alphas`` chirality phases."""
+    from .graph import _check_dense_size
+
     if theta_step <= 0:
         raise ValueError("--theta-step must be positive")
     if theta_max < theta_min:
@@ -79,6 +83,9 @@ def _theta_grid(theta_min: float, theta_max: float, theta_step: float) -> list[f
     if not math.isfinite(ratio):
         raise ValueError("theta range over --theta-step overflows a float")
     count = math.floor(ratio * (1.0 + 1e-12)) + 1
+    # the sweep keeps one 3x3 unitary per (alpha, theta) point
+    _check_dense_size(f"circuit-sweep grid of {alphas} alphas x {count} thetas "
+                      f"(--theta-step)", 9 * alphas * count)
     return [theta_min + k * theta_step for k in range(count)]
 
 
@@ -91,11 +98,12 @@ def experiment_theta_grid() -> list[float]:
 # subcommands
 
 def cmd_classify(args) -> int:
+    from .graph import _check_finite_real, load_graph
+    from .symmetry import SymmetryReport, classify
+
     if _check_finite_real(args.tol, "--tol") < 0:
         raise ValueError(f"--tol must not be negative, got {args.tol!r}")
-    reports: list[SymmetryReport] = []
-    for path in args.graph:
-        reports.append(classify(load_graph(path), tol=args.tol))
+    reports = [classify(load_graph(path), tol=args.tol) for path in args.graph]
     if args.csv or len(reports) > 1:
         lines = [SymmetryReport.csv_header()]
         lines += [report.to_csv_row() for report in reports]
@@ -106,6 +114,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from .graph import _check_finite_real, load_graph
+    from .propagator import spectrum
+
     _check_finite_real(args.t_min, "--t-min")
     _check_finite_real(args.t_max, "--t-max")
     graph = load_graph(args.graph)
@@ -130,6 +141,8 @@ def _time_table_blocks(graph: WalkHamiltonian, t_min: float, step: float,
                        count: int) -> Iterable[str]:
     """The ``evolve`` CSV over ``t_min + k * step``, ``k < count``, one t-chunk
     of the grid at a time; only the first block keeps its header."""
+    from .propagator import chunk_length, sweep_time
+
     length = chunk_length(graph.n_nodes)
     for start in range(0, count, length):
         grid = [t_min + k * step for k in range(start, min(start + length, count))]
@@ -138,13 +151,15 @@ def _time_table_blocks(graph: WalkHamiltonian, t_min: float, step: float,
 
 
 def cmd_circuit_sweep(args) -> int:
+    from .circuit import circuit_sweep_table
+
     if args.alpha:
         alphas = [_angle("--alpha", a, args.degrees) for a in args.alpha]
     else:
         alphas = list(DEFAULT_SWEEP_ALPHAS)
     thetas = _theta_grid(_angle("--theta-min", args.theta_min, args.degrees),
                          _angle("--theta-max", args.theta_max, args.degrees),
-                         _angle("--theta-step", args.theta_step, args.degrees))
+                         _angle("--theta-step", args.theta_step, args.degrees), len(alphas))
     table = circuit_sweep_table(alphas, thetas)
     _write_output(args.out, table.to_csv())
     return EXIT_OK
@@ -152,14 +167,21 @@ def cmd_circuit_sweep(args) -> int:
 
 def _transfer_csv(alphas, thetas, transfer) -> str:
     """Circuit-schema rows of the ``0 -> 2`` transfer ``transfer[a, k]``."""
+    from .propagator import CSV_HEADERS, render_csv
+
     return render_csv(CSV_HEADERS["circuit"], [(alpha,) for alpha in alphas],
                       [(theta, 0, 2) for theta in thetas], transfer)
 
 
 def cmd_reproduce_fig2(args) -> int:
+    from .circuit import three_cycle_transfer
+    from .graph import _check_dense_size, fmt_real
+
     if args.grid < 2:
         raise ValueError(f"--grid must be at least 2 points per axis, got {args.grid}")
     count = args.grid
+    # the surface's state holds three amplitudes per (alpha, theta) point
+    _check_dense_size(f"--grid {count}", 3 * count * count)
     surface_alphas = [k * 2 * PI / count for k in range(count)]
     surface_thetas = [-PI + (k + 1) * 2 * PI / count for k in range(count)]
     transfer = three_cycle_transfer(surface_alphas, surface_thetas)
@@ -173,7 +195,7 @@ def cmd_reproduce_fig2(args) -> int:
     for name, alpha, row in zip(slice_names, slice_alphas, slices):
         outputs[name] = _transfer_csv([alpha], slice_thetas, row[None])
 
-    a_star, t_star = np.unravel_index(np.argmax(transfer), transfer.shape)
+    a_star, t_star = divmod(int(transfer.argmax()), count)
     slice_max = slices.max(axis=1)
     summary = [
         "# transfer summary for the three-node palindrome, start node 0 -> node 2",
@@ -197,6 +219,10 @@ def cmd_reproduce_fig2(args) -> int:
 
 
 def cmd_trotter_check(args) -> int:
+    from .circuit import trotter_error
+    from .graph import WalkHamiltonian, _check_finite_real, fmt_real, load_graph, skeleton
+    from .propagator import spectrum
+
     theta_start = _check_finite_real(args.theta_start, "--theta-start")
     if not 1 <= args.halvings <= MAX_HALVINGS:
         raise ValueError(f"--halvings must be between 1 and {MAX_HALVINGS}, "
@@ -226,6 +252,8 @@ def cmd_trotter_check(args) -> int:
 
 
 def _parse_trials(items) -> dict[str, int]:
+    from .properties import PROPERTY_SUITE
+
     suites = {name for name, _ in PROPERTY_SUITE}
     overrides = {}
     for item in items or ():
@@ -248,6 +276,8 @@ def _parse_trials(items) -> dict[str, int]:
 
 
 def cmd_properties(args) -> int:
+    from .properties import format_property_report, run_property_suite
+
     if args.seed < 0:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     results = run_property_suite(args.seed, _parse_trials(args.trials),

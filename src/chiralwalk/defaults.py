@@ -19,6 +19,7 @@ class NumericDefaults:
     scan_points: int = 4096           # coarse grid for max_transfer
     refine_dt: float = 1e-8           # golden-section bracket width target
     qubit_space_max: int = 14         # dense statevector limit (2^n amplitudes)
+    dense_bytes: int = 2 ** 31        # largest dense array a node count or grid may ask for
 
 
 DEFAULTS = NumericDefaults()

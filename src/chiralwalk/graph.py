@@ -53,6 +53,23 @@ def _check_node(value, what: str) -> int:
     return int(value)
 
 
+def _check_dense_size(what: str, entries: int) -> None:
+    """The size rule: refuse, before anything is allocated, a size whose dense
+    complex array of ``entries`` values would exceed ``DEFAULTS.dense_bytes``."""
+    if 16 * entries > DEFAULTS.dense_bytes:
+        raise ValueError(f"{what} needs a dense array of {16 * entries} bytes, over "
+                         f"the {DEFAULTS.dense_bytes}-byte budget")
+
+
+def _check_node_count(value, what: str) -> int:
+    """The node-count rule: a positive integer whose N x N matrix fits the budget."""
+    n = _check_node(value, what)
+    if n < 1:
+        raise ValueError(f"{what} must be a positive integer")
+    _check_dense_size(f"{what} {n}", n * n)
+    return n
+
+
 def _add_edge(index: dict[tuple[int, int], Edge], raw, n_nodes: int) -> None:
     """Validate one ``(i, j, h, alpha)`` and store it canonically (``i < j``)
     in ``index``; the one edge check of both the constructor and the parser."""
@@ -102,9 +119,7 @@ class WalkHamiltonian:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_nodes", _check_node(self.n_nodes, "n_nodes"))
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be a positive integer")
+        object.__setattr__(self, "n_nodes", _check_node_count(self.n_nodes, "n_nodes"))
         index: dict[tuple[int, int], Edge] = {}
         for raw in self.edges:
             _add_edge(index, raw, self.n_nodes)
@@ -318,9 +333,7 @@ def parse_graph(text: str) -> WalkHamiltonian:
                 raise ValueError("first declaration must be 'nodes <N>'")
             if len(tokens) != 2 or not _looks_like_int(tokens[1]):
                 raise ValueError("expected 'nodes <N>'")
-            n_nodes = _parse_int(tokens[1], "node count")
-            if n_nodes < 1:
-                raise ValueError("node count must be positive")
+            n_nodes = _check_node_count(_parse_int(tokens[1], "node count"), "node count")
         elif keyword == "edge":
             if len(tokens) != 5:
                 raise ValueError("expected 'edge <i> <j> <h> <alpha>'")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiralwalk import (Edge, GateSpec, GraphFormatError, PalindromicCircuit,
-                        WalkHamiltonian, apply_circuit,
+                        WalkHamiltonian, apply_circuit, circuit_sweep_table,
                         excitation_preservation_check, gate_qubit_space,
                         parse_circuit, propagate, render_circuit, rz_decompose,
                         three_cycle_circuit, three_cycle_unitaries, trotter_error)
@@ -347,6 +347,18 @@ def test_reflection_in_time():
         assert np.abs(plus - minus).max() <= 1e-12
 
 
+@pytest.mark.parametrize("alphas, thetas, message", [
+    ([math.nan], [1.0], "sweep alpha must be finite, got nan"),
+    ([0.5], [1.0, math.inf], "sweep theta must be finite, got inf"),
+    ([0.5 + 1j], [1.0], "sweep alpha must be real"),
+    ([0.5], [np.complex128(1.0)], "sweep theta must be real"),
+])
+def test_sweep_grids_follow_the_real_rule(alphas, thetas, message):
+    # a NaN grid value would give rows validate_table_csv refuses
+    with pytest.raises(ValueError, match=message):
+        circuit_sweep_table(alphas, thetas)
+
+
 # --- splitting error --------------------------------------------------------
 
 def test_splitting_error_vanishes_at_zero_scale():
@@ -469,6 +481,8 @@ def test_parse_circuit_errors():
     ("gate 0 1 0 0\nnodes 3\n", "expected 'gate", 2),
     ("gate 0 1 0 0\ngate -1 2 0 0\n", "nonnegative", 2),
     ("\n  # note\n\ngate 0 1 1_0 0  # cut\n", "bad gate parameters '1_0'", 4),
+    ("gate 0 1 0 0\ngate 0 3000000000 0 0\n",
+     "circuit node count 3000000001 needs a dense array", 2),
 ])
 def test_parse_circuit_errors_carry_line_numbers(text, fragment, line):
     with pytest.raises(GraphFormatError) as err:

@@ -355,7 +355,7 @@ def test_evolve_streams_the_bytes_of_one_table(tmp_path, capsys, monkeypatch, pe
 
 def test_evolve_failing_on_a_later_block_leaves_no_partial_table(tmp_path, capsys,
                                                                  monkeypatch):
-    from chiralwalk import cli, propagator
+    from chiralwalk import propagator
 
     path = tmp_path / "chain.graph"
     path.write_text(CHAIN)
@@ -368,7 +368,7 @@ def test_evolve_failing_on_a_later_block_leaves_no_partial_table(tmp_path, capsy
             raise ValueError("render failed")
         return sweep_time(hamiltonian, grid)
 
-    monkeypatch.setattr(cli, "sweep_time", failing_second)
+    monkeypatch.setattr(propagator, "sweep_time", failing_second)
     argv = ["evolve", "--graph", str(path), "--t-max", "2", "--t-count", "7", "--out"]
     out = tmp_path / "table.csv"
     assert main([*argv, str(out)]) == 2
@@ -382,7 +382,7 @@ def test_evolve_failing_on_a_later_block_leaves_no_partial_table(tmp_path, capsy
     assert out.read_text() == "earlier\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph", "table.csv"]
     # a target that is not a regular file is written in place, never replaced
-    monkeypatch.setattr(cli, "sweep_time", sweep_time)
+    monkeypatch.setattr(propagator, "sweep_time", sweep_time)
     monkeypatch.setattr(os, "replace", lambda *paths: pytest.fail(f"replaced {paths}"))
     assert main([*argv, os.devnull]) == 0
 
@@ -585,25 +585,25 @@ def test_reproduce_fig2_outputs(tmp_path):
 
 
 def test_running_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
-    from chiralwalk import cli
+    from chiralwalk import circuit
 
     def out_of_memory(alphas, thetas):
         raise MemoryError  # bare, as numpy's allocation failures may be
 
-    monkeypatch.setattr(cli, "three_cycle_transfer", out_of_memory)
+    monkeypatch.setattr(circuit, "three_cycle_transfer", out_of_memory)
     out_dir = tmp_path / "fig2"
-    assert main(["reproduce-fig2", "--out", str(out_dir), "--grid", "1000000"]) == 2
+    assert main(["reproduce-fig2", "--out", str(out_dir), "--grid", "1000"]) == 2
     assert "reproduce-fig2 ran out of memory" in capsys.readouterr().err
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 def test_reproduce_fig2_failure_leaves_no_directory(tmp_path, capsys, monkeypatch):
-    from chiralwalk import cli
+    from chiralwalk import circuit
 
     def out_of_memory(alphas, thetas):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "three_cycle_transfer", out_of_memory)
+    monkeypatch.setattr(circuit, "three_cycle_transfer", out_of_memory)
     assert main(["reproduce-fig2", "--out", str(tmp_path / "fig2"), "--grid", "8"]) == 2
     assert list(tmp_path.iterdir()) == []
 

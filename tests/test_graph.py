@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiralwalk import (Edge, GraphFormatError, WalkHamiltonian, parse_circuit,
-                        parse_graph, render_graph, skeleton, to_dense)
+from chiralwalk import (DEFAULTS, Edge, GraphFormatError, PalindromicCircuit,
+                        WalkHamiltonian, parse_circuit, parse_graph, render_graph, skeleton,
+                        to_dense)
 
 TRIANGLE = "nodes 3\nedge 0 1 1.0 0.0\nedge 1 2 1.0 0.0\nedge 2 0 1.0 0.0\n"
 
@@ -163,6 +164,8 @@ def test_round_trip_preserves_17_digit_reals():
     ("nodes 2\nself -1 0\n", "self-energy node -1 out of range", 2),
     pytest.param("nodes " + "9" * 5000 + "\n", "node count has 5000 digits", 1,
                  id="nodes-5000-digits"),
+    pytest.param("nodes 3000000000\n", "node count 3000000000 needs a dense array", 1,
+                 id="nodes-over-budget"),
     pytest.param("nodes 2\nedge 0 " + "9" * 5000 + " 1 0\n", "node index has 5000 digits", 2,
                  id="edge-5000-digits"),
 ])
@@ -249,6 +252,15 @@ def test_numpy_integer_node_count_is_accepted():
     assert type(graph.n_nodes) is int
     with pytest.raises(ValueError, match="n_nodes must be an integer"):
         WalkHamiltonian(2.0)
+
+
+def test_node_counts_over_the_dense_budget_are_refused():
+    # one past the largest N whose N x N complex matrix fits the budget
+    n = math.isqrt(DEFAULTS.dense_bytes // 16) + 1
+    for build in (WalkHamiltonian, lambda count: PalindromicCircuit(count, ())):
+        with pytest.raises(ValueError, match=f"n_nodes {n} needs a dense array"):
+            build(n)
+        assert build(n - 1).n_nodes == n - 1  # nothing dense is built yet
 
 
 @pytest.mark.parametrize("node", [1.7, 1.0, np.float64(1.0)])
