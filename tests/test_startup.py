@@ -125,4 +125,4 @@ def test_each_export_is_the_object_of_its_home_module():
 def test_dir_lists_every_export_and_an_unknown_name_raises():
     assert set(chiralwalk.__all__) <= set(dir(chiralwalk))
     with pytest.raises(AttributeError, match="no_such_name"):
-        chiralwalk.no_such_name  # noqa: B018
+        chiralwalk.no_such_name
