@@ -139,15 +139,15 @@ def cmd_evolve(args) -> int:
 
 def _time_table_blocks(graph: WalkHamiltonian, t_min: float, step: float,
                        count: int) -> Iterable[str]:
-    """The ``evolve`` CSV over ``t_min + k * step``, ``k < count``, one t-chunk
-    of the grid at a time; only the first block keeps its header."""
-    from .propagator import chunk_length, sweep_time
+    """The ``evolve`` CSV over ``t_min + k * step``, ``k < count``: its header,
+    then the rows of one t-chunk of the grid at a time."""
+    from .propagator import CSV_HEADERS, chunk_length, sweep_time
 
+    yield CSV_HEADERS["time"] + "\n"
     length = chunk_length(graph.n_nodes)
     for start in range(0, count, length):
         grid = [t_min + k * step for k in range(start, min(start + length, count))]
-        text = sweep_time(graph, grid).to_csv()
-        yield text if start == 0 else text[text.index("\n") + 1:]
+        yield sweep_time(graph, grid).to_csv(header=False)
 
 
 def cmd_circuit_sweep(args) -> int:
@@ -169,7 +169,7 @@ def _transfer_csv(alphas, thetas, transfer) -> str:
     """Circuit-schema rows of the ``0 -> 2`` transfer ``transfer[a, k]``."""
     from .propagator import CSV_HEADERS, render_csv
 
-    return render_csv(CSV_HEADERS["circuit"], [(alpha,) for alpha in alphas],
+    return render_csv(CSV_HEADERS["circuit"] + "\n", [(alpha,) for alpha in alphas],
                       [(theta, 0, 2) for theta in thetas], transfer)
 
 

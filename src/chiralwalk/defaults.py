@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class NumericDefaults:
+class NumericDefaults(NamedTuple):
     # validation tolerances
     hermiticity: float = 1e-12        # max |M - M^dag| accepted by eig_hermitian
     self_edge: float = 1e-12          # shifted diagonal above this counts as a self-edge

@@ -12,33 +12,30 @@ memory does not grow with ``--t-count``.  Probabilities follow the column
 convention ``p[to, from]``: entry ``|U[to, from]|^2`` is the probability of
 the transition ``from -> to``.
 
-Probability CSVs are rendered by ``render_csv``, split over forked workers
-when the table is large enough; the bytes do not depend on their number.
+Probability CSVs are rendered by ``render_csv``: the values go through the
+array kernel ``graph._fmt_real_block`` one block of ``CSV_BLOCK_VALUES`` at a
+time, and every value outside the kernel's exact range through
+``graph.fmt_real``, so the memory beyond the text is bounded by the block.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import signal
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .defaults import DEFAULTS
-from .graph import WalkHamiltonian, _check_finite_real, to_dense
+from .graph import WalkHamiltonian, _check_finite_real, _fmt_real_block, to_dense
 
 # Complex bytes of one t-chunk of a T x N x N unitary stack; the number of
 # times per chunk follows from it for each N.
 CHUNK_BYTES = 4 * 2 ** 20
 
-# Fewest values ``render_csv`` gives each of its blocks: a forked worker and
-# its pipe cost about 5 ms, more than rendering a smaller block saves.
-PARALLEL_MIN_VALUES = 2 ** 16
-
-# Exit status of a ``render_csv`` worker out of memory; any other failure exits 1.
-_WORKER_OUT_OF_MEMORY = 3
+# Values per ``graph._fmt_real_block`` call in ``render_csv``: the kernel's
+# temporaries (about 150 bytes a value) and each block's text stay small.
+CSV_BLOCK_VALUES = 2 ** 13
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -112,95 +109,38 @@ def propagate(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:
     return _freeze(spectrum(hamiltonian).propagator_batch([_check_finite_real(t, "time")])[0])
 
 
-def _render_rows(prefix_format: str, pieces: list[str],
-                 outer: Sequence[tuple[float, ...]], values: np.ndarray) -> list[str]:
-    """Rows of each outer point: one template, its prefix joined with every
-    inner piece, filled by a single ``%`` (formatted numbers hold no ``%``)."""
-    return [(prefix + prefix.join(pieces)) % tuple(row.tolist())
-            for prefix, row in zip((prefix_format % fields for fields in outer), values)]
+def _byte_rows(texts: list[str]) -> np.ndarray:
+    """ASCII ``texts`` as the NUL-padded rows of a uint8 array."""
+    return np.array(texts, dtype=bytes)[:, None].view(np.uint8)
 
 
-def _worker_count(outer_points: int, value_count: int) -> int:
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), outer_points,
-                      value_count // PARALLEL_MIN_VALUES))
-
-
-def render_csv(header: str, outer: Sequence[tuple[float, ...]],
+def render_csv(head: str, outer: Sequence[tuple[float, ...]],
                inner: Sequence[tuple[float, ...]], values: np.ndarray) -> str:
-    """Probability CSV: ``header``, then row ``outer[k]..., inner[m]..., values[k, m]``
+    """Probability CSV: ``head``, then row ``outer[k]..., inner[m]..., values[k, m]``
     for each ``k`` and within it each ``m``.
 
-    Every field is ``"%.17g" % x``: ``graph.fmt_real(x)`` for a float
-    (17 digits round-trip a float64), plain digits for a node index.  Each
-    inner piece is formatted once; each outer point's rows are one template,
-    its prefix joined with every piece, filled by a single ``%``.
-
-    The outer points are split into W contiguous blocks, W = min(CPUs in
-    ``os.sched_getaffinity(0)``, ``len(outer)``), but no more blocks than
-    whole multiples of ``PARALLEL_MIN_VALUES`` values, so W = 1 below it;
-    W = 1 also without ``os.fork`` or ``os.sched_getaffinity``.  Each block
-    after the first is rendered by a forked worker that writes its ASCII
-    text to a pipe and exits; block 0 is rendered here, then the workers are
-    read and reaped in block order, so the text is the same for every W.  A
-    worker that runs out of memory raises ``MemoryError``, and one that fails
-    otherwise ``ChildProcessError``.  On any exception, every worker not yet
-    reaped is killed (SIGKILL), its pipe closed and the worker reaped, so no
-    worker, pipe or partial text outlives the call.
+    Every field is ``graph.fmt_real(x)`` for a float (17 digits round-trip a
+    float64), plain digits for a node index.  Each outer and inner point's
+    fields are formatted once.  The values go through the kernel
+    ``graph._fmt_real_block`` ``CSV_BLOCK_VALUES`` at a time, which computes
+    the texts in its exact range and calls ``fmt_real`` for the rest; each
+    block's rows are laid out as NUL-padded bytes (outer fields, inner
+    fields, value, newline) and the NULs deleted.  So the memory beyond the
+    text is bounded by the block, and the bytes do not depend on its length.
     """
     if not inner or not outer:
-        return header + "\n"
-    pieces = [("%.17g," * len(fields)) % fields + "%.17g\n" for fields in inner]
-    prefix_format = "%.17g," * len(outer[0])
-    workers = _worker_count(len(outer), len(outer) * len(inner))
-    bounds = [len(outer) * b // workers for b in range(workers + 1)]
-
-    def render(b: int) -> list[str]:
-        block = slice(bounds[b], bounds[b + 1])
-        return _render_rows(prefix_format, pieces, outer[block], values[block])
-
-    started = []  # (pid, read_fd) of every worker not yet reaped, in block order
-    try:
-        for b in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)  # if this process dies, the write fails, not hangs
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write("".join(render(b)).encode("ascii"))
-                    status = 0
-                except MemoryError:
-                    status = _WORKER_OUT_OF_MEMORY
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            started.append((pid, read_fd))
-        parts = [header, "\n", *render(0)]
-        while started:
-            pid, read_fd = started[0]
-            with open(read_fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del started[0]
-            os.close(read_fd)
-            if code == _WORKER_OUT_OF_MEMORY:
-                raise MemoryError(f"CSV worker {pid} ran out of memory")
-            if code != 0:
-                raise ChildProcessError(f"CSV worker {pid} failed with exit status {code}")
-            parts.append(data.decode("ascii"))
-    finally:
-        for pid, read_fd in started:
-            os.kill(pid, signal.SIGKILL)
-            os.close(read_fd)
-            os.waitpid(pid, 0)
+        return head
+    prefixes = _byte_rows(["%.17g," * len(fields) % fields for fields in outer])
+    pieces = _byte_rows(["%.17g," * len(fields) % fields for fields in inner])
+    values = np.asarray(values, dtype=float).reshape(-1)
+    parts = [head]
+    for start in range(0, len(values), CSV_BLOCK_VALUES):
+        index = np.arange(start, min(start + CSV_BLOCK_VALUES, len(values)))
+        rows = np.concatenate([np.take(prefixes, index // len(inner), axis=0),
+                               np.take(pieces, index % len(inner), axis=0),
+                               _fmt_real_block(values[start:start + len(index)]),
+                               np.full((len(index), 1), ord("\n"), np.uint8)], axis=1)
+        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts)
 
 
@@ -240,14 +180,16 @@ class TransportTable:
     def column_sum_defect(self) -> float:
         return float(np.abs(self.probabilities.sum(axis=1) - 1.0).max())
 
-    def to_csv(self) -> str:
+    def to_csv(self, header: bool = True) -> str:
+        """The table's CSV; without its header line when ``header`` is false."""
         if self.axis_kind == "time":
             axes = [(float(t),) for t in self.axes]
         else:
             axes = [(float(alpha), float(theta)) for alpha, theta in self.axes]
         pairs = [(frm, to) for frm in range(self.n) for to in range(self.n)]
         values = self.probabilities.transpose(0, 2, 1).reshape(len(axes), self.n ** 2)
-        return render_csv(CSV_HEADERS[self.axis_kind], axes, pairs, values)
+        head = CSV_HEADERS[self.axis_kind] + "\n" if header else ""
+        return render_csv(head, axes, pairs, values)
 
 
 def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> TransportTable:

@@ -5,11 +5,8 @@ import hashlib
 import io
 import math
 import os
-import re
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +17,6 @@ from chiralwalk.cli import _theta_grid, _transfer_csv, main
 from chiralwalk.properties import PROPERTY_SUITE
 
 from .oracles import three_cycle_taylor
-from .test_propagator import failing_second_fork, force_workers
 
 PI = math.pi
 
@@ -297,33 +293,6 @@ def test_evolve_overflowing_phase_exits_2(tmp_path, capsys):
     validate_table_csv(out.read_text())
 
 
-def test_evolve_bytes_do_not_depend_on_the_cpus_available(tmp_path):
-    """Tables of one t-chunk (1024 points at N=16) and of two, written by
-    fresh interpreters that see one CPU and every CPU, so real forked workers
-    render a full chunk in two blocks."""
-    if not hasattr(os, "sched_setaffinity"):
-        pytest.skip("no os.sched_setaffinity")
-    graph = tmp_path / "ring.graph"
-    graph.write_text("nodes 16\n" + "".join(f"edge {k} {(k + 1) % 16} 1.0 {0.1 * k}\n"
-                                             for k in range(16)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(Path(chiralwalk.__file__).parents[1]),
-                      os.environ.get("PYTHONPATH")))))
-    cpu = min(os.sched_getaffinity(0))
-    for count in (600, 1100):
-        digests = []
-        for name, pin in (("one.csv", lambda: os.sched_setaffinity(0, {cpu})),
-                          ("all.csv", None)):
-            out = tmp_path / name
-            subprocess.run([sys.executable, "-m", "chiralwalk.cli", "evolve", "--graph",
-                            str(graph), "--t-max", "7", "--t-count", str(count),
-                            "--out", str(out)],
-                           env=env, preexec_fn=pin, check=True, timeout=120)
-            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-        assert out.read_text().count("\n") == 1 + count * 16 * 16
-        assert digests[0] == digests[1]
-
-
 def chain_grid(t_min, t_max, count):
     if count == 1:
         return [t_min]
@@ -332,18 +301,18 @@ def chain_grid(t_min, t_max, count):
 
 
 @pytest.mark.parametrize("per_block", [1, 3, None])  # None: every time point in one block
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("block", [1, 2, 13])  # values per CSV kernel call
 @pytest.mark.parametrize("out", ["file", "-"])
 @pytest.mark.parametrize("t_min, t_max, count", [(-0.5, 2.0, 7), (-0.0, -0.0, 1)])
 def test_evolve_streams_the_bytes_of_one_table(tmp_path, capsys, monkeypatch, per_block,
-                                               workers, out, t_min, t_max, count):
+                                               block, out, t_min, t_max, count):
     from chiralwalk import propagator
 
     path = tmp_path / "chain.graph"
     path.write_text(CHAIN)
     if per_block is not None:  # t-chunks, and so stream blocks, of per_block points
         monkeypatch.setattr(propagator, "CHUNK_BYTES", per_block * 16 * 4 ** 2)
-    force_workers(monkeypatch, workers)
+    monkeypatch.setattr(propagator, "CSV_BLOCK_VALUES", block)
     expected = sweep_time(parse_graph(CHAIN), chain_grid(t_min, t_max, count)).to_csv()
     target = tmp_path / "table.csv" if out == "file" else "-"
     assert main(["evolve", "--graph", str(path), f"--t-min={t_min!r}", f"--t-max={t_max!r}",
@@ -389,42 +358,25 @@ def test_evolve_failing_on_a_later_block_leaves_no_partial_table(tmp_path, capsy
 
 def test_evolve_with_a_failing_csv_worker_exits_2_and_leaves_no_file(tmp_path, capsys,
                                                                      monkeypatch):
+    # the CSV kernel runs out of memory on its third block of the table
     from chiralwalk import propagator
 
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
     path = tmp_path / "chain.graph"
     path.write_text(CHAIN)
-    force_workers(monkeypatch, 2)
-    parent = os.getpid()
-    render_rows = propagator._render_rows
+    monkeypatch.setattr(propagator, "CSV_BLOCK_VALUES", 5)
+    kernel, calls = propagator._fmt_real_block, []
 
-    def failing_in_worker(*args):
-        if os.getpid() != parent:
+    def failing_third(values):
+        calls.append(len(values))
+        if len(calls) == 3:
             raise MemoryError
-        return render_rows(*args)
+        return kernel(values)
 
-    monkeypatch.setattr(propagator, "_render_rows", failing_in_worker)
+    monkeypatch.setattr(propagator, "_fmt_real_block", failing_third)
     assert main(["evolve", "--graph", str(path), "--t-max", "2", "--t-count", "7",
                  "--out", str(tmp_path / "table.csv")]) == 2
-    err = capsys.readouterr().err
-    assert "CSV worker" in err
-    assert re.search(r"evolve ran out of memory: CSV worker \d+ ran out of memory", err)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph"]
-
-
-def test_evolve_with_a_failing_fork_exits_2_and_leaves_no_file(tmp_path, capsys,
-                                                               monkeypatch):
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    path = tmp_path / "chain.graph"
-    path.write_text(CHAIN)
-    force_workers(monkeypatch, 3)
-    pids, _ = failing_second_fork(monkeypatch)
-    assert main(["evolve", "--graph", str(path), "--t-max", "2", "--t-count", "7",
-                 "--out", str(tmp_path / "table.csv")]) == 2
-    assert "injected fork failure" in capsys.readouterr().err
-    assert len(pids) == 1
+    assert capsys.readouterr().err == "chiralwalk: error: evolve ran out of memory\n"
+    assert calls == [5, 5, 5]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph"]
 
 
@@ -435,12 +387,15 @@ def test_evolve_into_a_missing_directory_names_the_target(triangle_file, tmp_pat
     assert capsys.readouterr().err.rstrip().endswith(f"'{out}'")
 
 
-def test_evolve_peak_memory_does_not_grow_with_the_time_count(tmp_path):
+def test_evolve_peak_memory_does_not_grow_with_the_time_count(tmp_path, monkeypatch):
+    from chiralwalk import propagator
+
+    monkeypatch.setattr(propagator, "CHUNK_BYTES", 32 * 16 * 32 ** 2)  # 32 points a t-chunk
     path = tmp_path / "ring.graph"
     path.write_text("nodes 32\n" + "".join(f"edge {k} {(k + 1) % 32} 1.0 {0.1 * k}\n"
                                              for k in range(32)))
     peaks = []
-    for count in (512, 4096):  # 2 and 16 t-chunks of 256 points
+    for count in (64, 512):  # 2 and 16 t-chunks
         tracemalloc.start()
         try:
             assert main(["evolve", "--graph", str(path), "--t-max", "9", "--t-count",
@@ -448,7 +403,7 @@ def test_evolve_peak_memory_does_not_grow_with_the_time_count(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # one table held whole reads 57 MB against 451 MB
+    # 4.3-4.5 MB; one table held whole reads 57 MB at 512 points
     assert peaks[1] <= 1.5 * peaks[0]
 
 

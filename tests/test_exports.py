@@ -1,6 +1,5 @@
 """The public surface: every exported name resolves and has a caller."""
 
-import dataclasses
 import re
 from pathlib import Path
 
@@ -26,6 +25,6 @@ def test_every_default_has_a_reader():
     package = ROOT / "src" / "chiralwalk"
     text = "\n".join(path.read_text(encoding="utf-8") for path in package.glob("*.py")
                      if path.name != "defaults.py")
-    unread = [f.name for f in dataclasses.fields(NumericDefaults)
-              if not re.search(rf"\bDEFAULTS\.{re.escape(f.name)}\b", text)]
+    unread = [name for name in NumericDefaults._fields
+              if not re.search(rf"\bDEFAULTS\.{re.escape(name)}\b", text)]
     assert unread == []

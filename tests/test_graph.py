@@ -1,6 +1,8 @@
 """Graph model, file format, and structural validation."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from chiralwalk import (DEFAULTS, Edge, GraphFormatError, PalindromicCircuit,
                         WalkHamiltonian, parse_circuit, parse_graph, render_graph, skeleton,
                         to_dense)
+from chiralwalk.graph import _fmt_real_block
 
 TRIANGLE = "nodes 3\nedge 0 1 1.0 0.0\nedge 1 2 1.0 0.0\nedge 2 0 1.0 0.0\n"
 
@@ -123,6 +126,46 @@ def test_render_parse_round_trip(graph):
 def test_round_trip_preserves_17_digit_reals():
     graph = WalkHamiltonian(2, (Edge(0, 1, 1 / 3, math.pi),), ((1, -2 / 7),))
     assert parse_graph(render_graph(graph)) == graph
+
+
+def assert_block_is_fmt_real(values):
+    """``_fmt_real_block`` gives ``format(x, ".17g")`` of every value and no RuntimeWarning."""
+    values = np.asarray(values, dtype=float)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = _fmt_real_block(values)
+    lines = np.concatenate([rows, np.full((len(rows), 1), ord("\n"), np.uint8)], axis=1)
+    assert lines.tobytes().translate(None, b"\0").decode("ascii") == \
+        "%.17g\n" * len(values) % tuple(values.tolist())
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=16))
+def test_real_block_kernel_matches_fmt_real_on_any_floats(values):
+    assert_block_is_fmt_real(values)
+
+
+def test_real_block_kernel_matches_fmt_real():
+    # random bit patterns, in blocks; half are negative, most outside (0, 1)
+    bits = np.random.default_rng(20261019).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    for start in range(0, len(bits), 2 ** 17):
+        assert_block_is_fmt_real(bits[start:start + 2 ** 17].view(np.float64))
+    # every decade boundary 10^k, k = -324..308, and 2 ulps either side
+    centers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    boundaries = [centers]
+    for direction in (math.inf, -math.inf):
+        near = centers
+        for _ in range(2):
+            near = np.nextafter(near, direction)
+            boundaries.append(near)
+    assert_block_is_fmt_real(np.concatenate(boundaries))
+    # rounding ties to 17 digits: x * 10^(16 - decade) ends in exactly .5
+    ties = [1 + 2 ** -17, 3 * 2.0 ** -30, 26215 * 2.0 ** -18, 262143 * 2.0 ** -18,
+            43 * 2.0 ** -22, 419 * 2.0 ** -22]
+    specials = [0.0, -0.0, 1.0, 1 - 2 ** -53, 5e-324, sys.float_info.max]
+    assert_block_is_fmt_real(ties + specials)
 
 
 @pytest.mark.parametrize("text, fragment, line", [

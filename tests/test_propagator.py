@@ -1,10 +1,6 @@
 """Spectral evolution, transition probabilities, sweeps, maximization."""
 
-import errno
 import math
-import os
-import signal
-import time
 import tracemalloc
 
 import numpy as np
@@ -313,31 +309,24 @@ def test_table_csv_peak_memory_is_bounded():
     assert peak < 85e6
 
 
-def force_workers(monkeypatch, workers):
-    """Split every table over ``workers`` blocks, whatever its size or host."""
-    monkeypatch.setattr(propagator, "PARALLEL_MIN_VALUES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
-                        raising=False)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("block", [1, 2, 3, 13])
 @pytest.mark.parametrize("kind", ["time", "circuit"])
-def test_table_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers, kind):
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    force_workers(monkeypatch, workers)
-    for count in sorted({1, max(workers - 1, 1), workers, workers + 1, 13}):
+def test_table_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, block, kind):
+    # blocks of the values kernel that end inside a grid point and across
+    # several; each table holds values the kernel computes and values it hands
+    # to fmt_real
+    monkeypatch.setattr(propagator, "CSV_BLOCK_VALUES", block)
+    for count in (1, 2, 5, 13):
         axes = tuple(np.linspace(-PI, 1 / 3, count))
         if kind == "circuit":
             axes = tuple((alpha, alpha / 7) for alpha in axes)
         table = TransportTable(kind, axes, awkward_probabilities(count, 3))
         assert table.to_csv() == reference_csv(table)
+        assert table.to_csv(header=False) == reference_csv(table).split("\n", 1)[1]
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_transfer_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers):
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
+@pytest.mark.parametrize("block", [1, 2, 3, 13])
+def test_transfer_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, block):
     fmt = lambda x: format(float(x), ".17g")  # noqa: E731
     alphas = [0.0, 1 / 3, PI, 5e-324, 2.5]
     thetas = [-PI, 0.0, 1 - 2 ** -53]
@@ -345,169 +334,10 @@ def test_transfer_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, worke
     rows = [[f"{fmt(alpha)},{fmt(theta)},0,2,{fmt(transfer[a, k])}\n"
              for k, theta in enumerate(thetas)] for a, alpha in enumerate(alphas)]
     header = "alpha,theta,from,to,probability\n"
-    force_workers(monkeypatch, workers)
+    monkeypatch.setattr(propagator, "CSV_BLOCK_VALUES", block)
     # the fig2 surface, and one of its constant-alpha slices
     assert _transfer_csv(alphas, thetas, transfer) == header + "".join(sum(rows, []))
     assert _transfer_csv(alphas[1:2], thetas, transfer[1][None]) == header + "".join(rows[1])
-
-
-@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
-def test_table_csv_renders_in_one_block_without_fork_or_affinity(monkeypatch, missing):
-    force_workers(monkeypatch, 4)
-    monkeypatch.delattr(os, missing, raising=False)
-    monkeypatch.setattr(os, "pipe", lambda: pytest.fail("a worker was started"))
-    table = TransportTable("time", AWKWARD, awkward_probabilities(len(AWKWARD), 2))
-    assert table.to_csv() == reference_csv(table)
-
-
-@pytest.mark.parametrize("blocks, workers", [(0.99, 1), (1, 1), (2.5, 2), (4, 4), (9, 4)])
-def test_every_csv_block_holds_at_least_the_floor(monkeypatch, blocks, workers):
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    monkeypatch.setattr(propagator, "PARALLEL_MIN_VALUES", 400)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    pipe, pipes = os.pipe, []
-    monkeypatch.setattr(os, "pipe", lambda: pipes.append(1) or pipe())
-    count = int(blocks * 400) // 4
-    table = TransportTable("time", tuple(range(count)), np.full((count, 2, 2), 0.25))
-    assert table.to_csv() == reference_csv(table)
-    assert len(pipes) == workers - 1
-
-
-def test_failed_csv_worker_raises_and_leaves_no_child_or_pipe(monkeypatch):
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    force_workers(monkeypatch, 3)
-    parent = os.getpid()
-    render_rows = propagator._render_rows
-    fork, pipe = os.fork, os.pipe
-    pids, fds = [], []
-
-    def failing_in_worker(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("injected worker failure")
-        return render_rows(*args)
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    def recording_pipe():
-        fds.extend(pipe())
-        return fds[-2:]
-
-    monkeypatch.setattr(propagator, "_render_rows", failing_in_worker)
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(os, "pipe", recording_pipe)
-    table = TransportTable("time", AWKWARD, awkward_probabilities(len(AWKWARD), 2))
-    with pytest.raises(ChildProcessError, match="CSV worker .* exit status 1"):
-        table.to_csv()
-    assert len(pids) == 2 and len(fds) == 4
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-    for fd in fds:
-        with pytest.raises(OSError):
-            os.fstat(fd)
-
-
-def test_failed_parent_block_stops_every_csv_worker(monkeypatch):
-    # each worker's block overfills its pipe, so a worker stops only when
-    # every copy of its pipe's read end is closed
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    force_workers(monkeypatch, 3)
-    parent = os.getpid()
-    render_rows = propagator._render_rows
-
-    def failing_in_parent(*args):
-        if os.getpid() == parent:
-            raise KeyError("injected parent failure")
-        return render_rows(*args)
-
-    def hung(signum, frame):
-        raise TimeoutError("render_csv did not stop its workers")
-
-    monkeypatch.setattr(propagator, "_render_rows", failing_in_parent)
-    table = TransportTable("time", tuple(range(30)), np.full((30, 20, 20), 1 / 3))
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(20)
-    try:
-        with pytest.raises(KeyError, match="injected"):
-            table.to_csv()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_failed_parent_block_kills_a_worker_still_rendering(monkeypatch):
-    # a worker's block would take 30 s; the parent's failure must not wait for it
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    force_workers(monkeypatch, 2)
-    parent = os.getpid()
-    render_rows = propagator._render_rows
-
-    def slow_in_worker(*args):
-        if os.getpid() == parent:
-            raise KeyError("injected parent failure")
-        time.sleep(30)
-        return render_rows(*args)
-
-    def hung(signum, frame):
-        raise TimeoutError("render_csv waited for a worker still rendering")
-
-    monkeypatch.setattr(propagator, "_render_rows", slow_in_worker)
-    table = TransportTable("time", AWKWARD, awkward_probabilities(len(AWKWARD), 2))
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(5)
-    try:
-        with pytest.raises(KeyError, match="injected"):
-            table.to_csv()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def failing_second_fork(monkeypatch):
-    """Make ``os.fork`` raise on its second call; returns the pids it started
-    and every fd that ``os.pipe`` returned."""
-    fork, pipe = os.fork, os.pipe
-    pids, fds = [], []
-
-    def recording_fork():
-        if pids:
-            raise OSError(errno.EAGAIN, "injected fork failure")
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    def recording_pipe():
-        fds.extend(pipe())
-        return fds[-2:]
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(os, "pipe", recording_pipe)
-    return pids, fds
-
-
-def test_failed_fork_kills_the_started_worker_and_closes_every_pipe(monkeypatch):
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork")
-    force_workers(monkeypatch, 3)
-    pids, fds = failing_second_fork(monkeypatch)
-    table = TransportTable("time", AWKWARD, awkward_probabilities(len(AWKWARD), 2))
-    with pytest.raises(OSError, match="injected fork failure"):
-        table.to_csv()
-    assert len(pids) == 1 and len(fds) == 4
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pids[0], os.WNOHANG)
-    for fd in fds:
-        with pytest.raises(OSError):
-            os.fstat(fd)
 
 
 def test_csv_validator_rejects_malformed_tables():

@@ -61,6 +61,7 @@ def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, code):
     assert returncode == code, err
     assert package_modules(loaded) == FRONT_END
     assert not loads_numpy(loaded)
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 TRIANGLE = "nodes 3\nedge 0 1 1.0 0.3\nedge 1 2 1.0 0.0\nedge 2 0 1.0 0.0\n"
