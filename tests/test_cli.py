@@ -5,8 +5,10 @@ import hashlib
 import io
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +293,33 @@ def test_evolve_overflowing_phase_exits_2(tmp_path, capsys):
     assert main(["evolve", "--graph", str(path), "--t-min", "1e300", "--t-max", "1e300",
                  "--t-count", "1", "--out", str(out)]) == 0
     validate_table_csv(out.read_text())
+
+
+def test_evolve_bytes_do_not_depend_on_the_cpus_available(tmp_path):
+    """Tables of one t-chunk (1024 points at N=16) and of two, written by
+    fresh interpreters that see one CPU and every CPU, so neither the spectral
+    step's threads nor the CSV blocks can change a byte."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no os.sched_setaffinity")
+    graph = tmp_path / "ring.graph"
+    graph.write_text("nodes 16\n" + "".join(f"edge {k} {(k + 1) % 16} 1.0 {0.1 * k}\n"
+                                             for k in range(16)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(Path(chiralwalk.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")))))
+    cpu = min(os.sched_getaffinity(0))
+    for count in (600, 1100):
+        digests = []
+        for name, pin in (("one.csv", lambda: os.sched_setaffinity(0, {cpu})),
+                          ("all.csv", None)):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "chiralwalk.cli", "evolve", "--graph",
+                            str(graph), "--t-max", "7", "--t-count", str(count),
+                            "--out", str(out)],
+                           env=env, preexec_fn=pin, check=True, timeout=120)
+            digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert out.read_text().count("\n") == 1 + count * 16 * 16
+        assert digests[0] == digests[1]
 
 
 def chain_grid(t_min, t_max, count):

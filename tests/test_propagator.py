@@ -1,6 +1,7 @@
 """Spectral evolution, transition probabilities, sweeps, maximization."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -309,7 +310,7 @@ def test_table_csv_peak_memory_is_bounded():
     assert peak < 85e6
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 13])
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 13])
 @pytest.mark.parametrize("kind", ["time", "circuit"])
 def test_table_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, block, kind):
     # blocks of the values kernel that end inside a grid point and across
@@ -325,7 +326,7 @@ def test_table_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, block, k
         assert table.to_csv(header=False) == reference_csv(table).split("\n", 1)[1]
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 13])
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 13])
 def test_transfer_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, block):
     fmt = lambda x: format(float(x), ".17g")  # noqa: E731
     alphas = [0.0, 1 / 3, PI, 5e-324, 2.5]
@@ -338,6 +339,17 @@ def test_transfer_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, block
     # the fig2 surface, and one of its constant-alpha slices
     assert _transfer_csv(alphas, thetas, transfer) == header + "".join(sum(rows, []))
     assert _transfer_csv(alphas[1:2], thetas, transfer[1][None]) == header + "".join(rows[1])
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_table_csv_renders_in_one_block_without_fork_or_affinity(monkeypatch, missing):
+    # rendering stays in this process: it needs neither os.fork nor the CPU
+    # affinity, and opens no pipe
+    monkeypatch.delattr(os, missing, raising=False)
+    monkeypatch.setattr(os, "pipe", lambda: pytest.fail("a pipe was opened"))
+    table = TransportTable("time", AWKWARD, awkward_probabilities(len(AWKWARD), 2))
+    assert table.probabilities.size <= propagator.CSV_BLOCK_VALUES
+    assert table.to_csv() == reference_csv(table)
 
 
 def test_csv_validator_rejects_malformed_tables():
