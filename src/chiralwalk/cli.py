@@ -9,18 +9,16 @@ in degrees, converting at the argument boundary only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import BinaryIO, Iterator
 
 # each command imports the numeric modules it calls when it runs, so help and
 # usage errors never load numpy
 from .defaults import DEFAULTS
-
-if TYPE_CHECKING:
-    from .graph import WalkHamiltonian
 
 PI = math.pi
 
@@ -33,32 +31,34 @@ DEFAULT_SWEEP_ALPHAS = (0.0, PI / 2, PI, 3 * PI / 2)
 MAX_HALVINGS = 1023
 
 
-def _write_output(target: str | None, text: str | Iterable[str]) -> None:
-    """Write ``text``, a string or an iterable of strings written in order as
-    each is produced, as UTF-8 to stdout (``None`` or ``-``) or to ``target``.
-    A regular file is written to a sibling that replaces it once complete, so
-    a failure leaves no partial file; another target (``/dev/null``, a pipe)
-    is written directly."""
-    pieces = (text,) if isinstance(text, str) else text
-    path = None if target in (None, "-") else os.path.realpath(target)
-    if path is None:
-        sys.stdout.writelines(pieces)
-    elif os.path.exists(path) and not os.path.isfile(path):
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
-    else:
-        partial = f"{path}.{os.getpid()}.partial"
-        try:
-            with open(partial, "w", encoding="utf-8") as handle:
-                handle.writelines(pieces)
-            os.replace(partial, path)
-        except OSError as exc:  # name the target, not the sibling
-            if exc.filename != partial:
-                raise
-            raise type(exc)(exc.errno, exc.strerror, target) from None
-        finally:
-            if os.path.exists(partial):
-                os.unlink(partial)
+@contextlib.contextmanager
+def _output(target: str | None) -> Iterator[BinaryIO]:
+    """A binary handle for an output: stdout's buffer (``None`` or ``-``), or
+    ``target``.  A regular file is written to a sibling that replaces it on a
+    clean exit and is removed on any exception, so a failure leaves no partial
+    file; another target (``/dev/null``, a pipe) is written in place."""
+    if target in (None, "-"):
+        sys.stdout.flush()  # keep whatever was printed as text before these bytes
+        yield sys.stdout.buffer
+        sys.stdout.buffer.flush()
+        return
+    path = os.path.realpath(target)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(target, "wb") as handle:
+            yield handle
+        return
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        with open(partial, "wb") as handle:
+            yield handle
+        os.replace(partial, path)
+    except OSError as exc:  # name the target, not the sibling
+        if exc.filename != partial:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, target) from None
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
 
 
 def _angle(flag: str, value: float, degrees: bool) -> float:
@@ -107,15 +107,17 @@ def cmd_classify(args) -> int:
     if args.csv or len(reports) > 1:
         lines = [SymmetryReport.csv_header()]
         lines += [report.to_csv_row() for report in reports]
-        _write_output(args.out, "\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
     else:
-        _write_output(args.out, reports[0].to_text())
+        text = reports[0].to_text()
+    with _output(args.out) as out:
+        out.write(text.encode("utf-8"))
     return EXIT_OK
 
 
 def cmd_evolve(args) -> int:
     from .graph import _check_finite_real, load_graph
-    from .propagator import spectrum
+    from .propagator import chunk_length, spectrum, sweep_time
 
     _check_finite_real(args.t_min, "--t-min")
     _check_finite_real(args.t_max, "--t-max")
@@ -133,21 +135,14 @@ def cmd_evolve(args) -> int:
     if not math.isfinite(max(abs(args.t_min), abs(args.t_max))
                          * spectrum(graph).spectral_norm):
         raise ValueError("--t-min/--t-max times the graph's spectral norm overflows a float")
-    _write_output(args.out, _time_table_blocks(graph, args.t_min, step, args.t_count))
-    return EXIT_OK
-
-
-def _time_table_blocks(graph: WalkHamiltonian, t_min: float, step: float,
-                       count: int) -> Iterable[str]:
-    """The ``evolve`` CSV over ``t_min + k * step``, ``k < count``: its header,
-    then the rows of one t-chunk of the grid at a time."""
-    from .propagator import CSV_HEADERS, chunk_length, sweep_time
-
-    yield CSV_HEADERS["time"] + "\n"
+    # the table is written one t-chunk at a time, so it never exists whole
     length = chunk_length(graph.n_nodes)
-    for start in range(0, count, length):
-        grid = [t_min + k * step for k in range(start, min(start + length, count))]
-        yield sweep_time(graph, grid).to_csv(header=False)
+    with _output(args.out) as out:
+        for start in range(0, args.t_count, length):
+            grid = [args.t_min + k * step
+                    for k in range(start, min(start + length, args.t_count))]
+            sweep_time(graph, grid).to_csv(out, header=start == 0)
+    return EXIT_OK
 
 
 def cmd_circuit_sweep(args) -> int:
@@ -161,16 +156,18 @@ def cmd_circuit_sweep(args) -> int:
                          _angle("--theta-max", args.theta_max, args.degrees),
                          _angle("--theta-step", args.theta_step, args.degrees), len(alphas))
     table = circuit_sweep_table(alphas, thetas)
-    _write_output(args.out, table.to_csv())
+    with _output(args.out) as out:
+        table.to_csv(out)
     return EXIT_OK
 
 
-def _transfer_csv(alphas, thetas, transfer) -> str:
-    """Circuit-schema rows of the ``0 -> 2`` transfer ``transfer[a, k]``."""
+def _transfer_csv(alphas, thetas, transfer) -> bytes:
+    """Circuit-schema CSV of the ``0 -> 2`` transfer ``transfer[a, k]``."""
     from .propagator import CSV_HEADERS, render_csv
 
-    return render_csv(CSV_HEADERS["circuit"] + "\n", [(alpha,) for alpha in alphas],
-                      [(theta, 0, 2) for theta in thetas], transfer)
+    rows = render_csv([(alpha,) for alpha in alphas], [(theta, 0, 2) for theta in thetas],
+                      transfer)
+    return b"".join([CSV_HEADERS["circuit"].encode("ascii") + b"\n", *rows])
 
 
 def cmd_reproduce_fig2(args) -> int:
@@ -208,13 +205,14 @@ def cmd_reproduce_fig2(args) -> int:
         summary.append(f"{name}: alpha={fmt_real(alpha)} max={fmt_real(value)}")
     summary.append(f"symmetric_slice_bound=0.6 "
                    f"(observed {fmt_real(slice_max[0])} at alpha=0)")
-    outputs["summary.txt"] = "\n".join(summary) + "\n"
+    outputs["summary.txt"] = ("\n".join(summary) + "\n").encode("utf-8")
 
     # everything is computed before the directory exists, so a failure leaves none
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in outputs.items():
-        _write_output(str(out_dir / name), text)
+    for name, data in outputs.items():
+        with _output(str(out_dir / name)) as out:
+            out.write(data)
     return EXIT_OK
 
 
@@ -247,7 +245,8 @@ def cmd_trotter_check(args) -> int:
     for k in range(len(thetas) - 1):
         ratio = errors[k] / errors[k + 1] if errors[k + 1] > 0 else math.inf
         lines.append(f"{fmt_real(thetas[k])}/{fmt_real(thetas[k + 1])} {fmt_real(ratio)}")
-    _write_output(args.out, "\n".join(lines) + "\n")
+    with _output(args.out) as out:
+        out.write(("\n".join(lines) + "\n").encode("utf-8"))
     return EXIT_OK
 
 
@@ -282,7 +281,8 @@ def cmd_properties(args) -> int:
         raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     results = run_property_suite(args.seed, _parse_trials(args.trials),
                                  inject_fault=args.inject_fault)
-    _write_output(args.out, format_property_report(results, args.seed))
+    with _output(args.out) as out:
+        out.write(format_property_report(results, args.seed).encode("utf-8"))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION
 
 

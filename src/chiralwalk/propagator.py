@@ -12,17 +12,19 @@ memory does not grow with ``--t-count``.  Probabilities follow the column
 convention ``p[to, from]``: entry ``|U[to, from]|^2`` is the probability of
 the transition ``from -> to``.
 
-Probability CSVs are rendered by ``render_csv``: the values go through the
-array kernel ``graph._fmt_real_block`` one block of ``CSV_BLOCK_VALUES`` at a
-time, and every value outside the kernel's exact range through
-``graph.fmt_real``, so the memory beyond the text is bounded by the block.
+Probability CSVs are rendered by ``render_csv`` as ASCII blocks of
+``CSV_BLOCK_VALUES`` rows: the values go through the array kernel
+``graph._fmt_real_block``, and every value outside the kernel's exact range
+through ``graph.fmt_real``.  ``TransportTable.to_csv`` writes each block to a
+binary file as soon as it is rendered, so no table's text exists whole and
+the memory beyond the probabilities is bounded by the block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -33,8 +35,9 @@ from .graph import WalkHamiltonian, _check_finite_real, _fmt_real_block, to_dens
 # times per chunk follows from it for each N.
 CHUNK_BYTES = 4 * 2 ** 20
 
-# Values per ``graph._fmt_real_block`` call in ``render_csv``: the kernel's
-# temporaries (about 150 bytes a value) and each block's text stay small.
+# Values per ``graph._fmt_real_block`` call, and rows per block, in
+# ``render_csv``: the kernel's temporaries (about 150 bytes a value) and each
+# block's text stay small.
 CSV_BLOCK_VALUES = 2 ** 13
 
 
@@ -114,34 +117,33 @@ def _byte_rows(texts: list[str]) -> np.ndarray:
     return np.array(texts, dtype=bytes)[:, None].view(np.uint8)
 
 
-def render_csv(head: str, outer: Sequence[tuple[float, ...]],
-               inner: Sequence[tuple[float, ...]], values: np.ndarray) -> str:
-    """Probability CSV: ``head``, then row ``outer[k]..., inner[m]..., values[k, m]``
-    for each ``k`` and within it each ``m``.
+def render_csv(outer: Sequence[tuple[float, ...]], inner: Sequence[tuple[float, ...]],
+               values: np.ndarray) -> Iterator[bytes]:
+    """Probability CSV rows ``outer[k]..., inner[m]..., values[k, m]`` for
+    each ``k`` and within it each ``m``, as ASCII blocks of
+    ``CSV_BLOCK_VALUES`` rows each, yielded as each is rendered.
 
     Every field is ``graph.fmt_real(x)`` for a float (17 digits round-trip a
     float64), plain digits for a node index.  Each outer and inner point's
-    fields are formatted once.  The values go through the kernel
-    ``graph._fmt_real_block`` ``CSV_BLOCK_VALUES`` at a time, which computes
-    the texts in its exact range and calls ``fmt_real`` for the rest; each
-    block's rows are laid out as NUL-padded bytes (outer fields, inner
-    fields, value, newline) and the NULs deleted.  So the memory beyond the
-    text is bounded by the block, and the bytes do not depend on its length.
+    fields are formatted once.  Each block's values go through the kernel
+    ``graph._fmt_real_block``, which computes the texts in its exact range
+    and calls ``fmt_real`` for the rest; its rows are laid out as NUL-padded
+    bytes (outer fields, inner fields, value, newline) and the NULs deleted.
+    So the memory beyond ``values`` is bounded by the block, and the bytes
+    do not depend on its length.
     """
     if not inner or not outer:
-        return head
+        return
     prefixes = _byte_rows(["%.17g," * len(fields) % fields for fields in outer])
     pieces = _byte_rows(["%.17g," * len(fields) % fields for fields in inner])
     values = np.asarray(values, dtype=float).reshape(-1)
-    parts = [head]
     for start in range(0, len(values), CSV_BLOCK_VALUES):
         index = np.arange(start, min(start + CSV_BLOCK_VALUES, len(values)))
         rows = np.concatenate([np.take(prefixes, index // len(inner), axis=0),
                                np.take(pieces, index % len(inner), axis=0),
                                _fmt_real_block(values[start:start + len(index)]),
                                np.full((len(index), 1), ord("\n"), np.uint8)], axis=1)
-        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(parts)
+        yield rows.tobytes().translate(None, b"\0")
 
 
 CSV_HEADERS = {"time": "axis,from,to,probability",
@@ -157,10 +159,11 @@ class TransportTable:
     ``axis,from,to,probability``; ``"circuit"`` rows carry the gate
     parameters, ``alpha,theta,from,to,probability``.
 
-    Byte contract of ``to_csv``: the header, then for each grid point every
-    ``from`` in ascending order and within it every ``to``, each row ending
-    in a newline, and every real written as ``graph.fmt_real(x)``.
-    The text is fixed by the float64 values alone.
+    Byte contract of ``to_csv``: the ASCII header, then for each grid point
+    every ``from`` in ascending order and within it every ``to``, each row
+    ending in a newline, and every real written as ``graph.fmt_real(x)``.
+    The bytes are fixed by the float64 values alone; they are written in
+    ``render_csv``'s blocks, each as soon as it is rendered.
     """
 
     axis_kind: str
@@ -180,16 +183,18 @@ class TransportTable:
     def column_sum_defect(self) -> float:
         return float(np.abs(self.probabilities.sum(axis=1) - 1.0).max())
 
-    def to_csv(self, header: bool = True) -> str:
-        """The table's CSV; without its header line when ``header`` is false."""
+    def to_csv(self, file: BinaryIO, header: bool = True) -> None:
+        """Write the table's CSV to the binary ``file``, one ``render_csv``
+        block at a time; without its header line when ``header`` is false."""
         if self.axis_kind == "time":
             axes = [(float(t),) for t in self.axes]
         else:
             axes = [(float(alpha), float(theta)) for alpha, theta in self.axes]
         pairs = [(frm, to) for frm in range(self.n) for to in range(self.n)]
         values = self.probabilities.transpose(0, 2, 1).reshape(len(axes), self.n ** 2)
-        head = CSV_HEADERS[self.axis_kind] + "\n" if header else ""
-        return render_csv(head, axes, pairs, values)
+        if header:
+            file.write(CSV_HEADERS[self.axis_kind].encode("ascii") + b"\n")
+        file.writelines(render_csv(axes, pairs, values))
 
 
 def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> TransportTable:

@@ -1,11 +1,13 @@
-"""Test graphs shared by the test modules, built as WalkHamiltonians, and
-the qubit-space reading of a circuit's node block."""
+"""Test graphs shared by the test modules, built as WalkHamiltonians, the
+qubit-space reading of a circuit's node block, and a table's CSV as text."""
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
-from chiralwalk import Edge, PalindromicCircuit, WalkHamiltonian
+from chiralwalk import Edge, PalindromicCircuit, TransportTable, WalkHamiltonian
 from chiralwalk.circuit import _qubit_columns, _single_excitation_rows
 
 
@@ -29,3 +31,10 @@ def qubit_block(circuit: PalindromicCircuit) -> np.ndarray:
     """N x N single-excitation block of the qubit statevector run,
     ``B[i, j] = <i excited| circuit |j excited>``: the node-space unitary."""
     return _qubit_columns(circuit)[_single_excitation_rows(circuit.n_nodes)]
+
+
+def csv_text(table: TransportTable, header: bool = True) -> str:
+    """The bytes ``table.to_csv`` writes, read back as text."""
+    buffer = io.BytesIO()
+    table.to_csv(buffer, header=header)
+    return buffer.getvalue().decode("ascii")

@@ -18,6 +18,7 @@ from chiralwalk import parse_graph, pts_numeric, sweep_time, validate_table_csv
 from chiralwalk.cli import _theta_grid, _transfer_csv, main
 from chiralwalk.properties import PROPERTY_SUITE
 
+from .graphs import csv_text
 from .oracles import three_cycle_taylor
 
 PI = math.pi
@@ -295,6 +296,13 @@ def test_evolve_overflowing_phase_exits_2(tmp_path, capsys):
     validate_table_csv(out.read_text())
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a fresh ``python -m chiralwalk.cli`` child."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(Path(chiralwalk.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH")))))
+
+
 def test_evolve_bytes_do_not_depend_on_the_cpus_available(tmp_path):
     """Tables of one t-chunk (1024 points at N=16) and of two, written by
     fresh interpreters that see one CPU and every CPU, so neither the spectral
@@ -304,9 +312,7 @@ def test_evolve_bytes_do_not_depend_on_the_cpus_available(tmp_path):
     graph = tmp_path / "ring.graph"
     graph.write_text("nodes 16\n" + "".join(f"edge {k} {(k + 1) % 16} 1.0 {0.1 * k}\n"
                                              for k in range(16)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(Path(chiralwalk.__file__).parents[1]),
-                      os.environ.get("PYTHONPATH")))))
+    env = child_env()
     cpu = min(os.sched_getaffinity(0))
     for count in (600, 1100):
         digests = []
@@ -342,13 +348,60 @@ def test_evolve_streams_the_bytes_of_one_table(tmp_path, capsys, monkeypatch, pe
     if per_block is not None:  # t-chunks, and so stream blocks, of per_block points
         monkeypatch.setattr(propagator, "CHUNK_BYTES", per_block * 16 * 4 ** 2)
     monkeypatch.setattr(propagator, "CSV_BLOCK_VALUES", block)
-    expected = sweep_time(parse_graph(CHAIN), chain_grid(t_min, t_max, count)).to_csv()
+    expected = csv_text(sweep_time(parse_graph(CHAIN), chain_grid(t_min, t_max, count)))
     target = tmp_path / "table.csv" if out == "file" else "-"
     assert main(["evolve", "--graph", str(path), f"--t-min={t_min!r}", f"--t-max={t_max!r}",
                  "--t-count", str(count), "--out", str(target)]) == 0
     text = target.read_text() if out == "file" else capsys.readouterr().out
     assert text == expected
     assert not list(tmp_path.glob("*.partial"))
+
+
+# outputs frozen at the text writer that stdout's byte handle replaced: the
+# circuit-sweep table by digest, and classify's CSV of non-ASCII labels whole
+STDOUT_CASES = {
+    "circuit-sweep": (["circuit-sweep", "--alpha", "0.5", "--theta-min", "0",
+                       "--theta-max", "1", "--theta-step", "0.5"],
+                      "9a6b09a947d688b750ac7946c73243d5a71699b5c176a3817b1d4b2c54452a24"),
+    "classify-csv": (["classify", "--csv", "--graph", "{graph}"], hashlib.sha256(
+        b"structural_class,n_nodes,n_edges,is_forest,is_bipartite,structural_pts,"
+        b"phase_dependent,numeric_pts_residual,pts_symmetric_at_samples,two_coloring,"
+        b"odd_cycle,phase_removal_gauge,negation_gauge,labels\n"
+        b"tree,2,1,Yes,Yes,Yes,No,2.7755575615628914e-16,Yes,0;1,,"
+        b"0;0.29999999999999999,0;3.1415926535897931,\xce\xb1:0;\xce\xb2:1\n").hexdigest()),
+}
+
+
+@pytest.mark.parametrize("name", list(STDOUT_CASES))
+def test_stdout_gets_the_bytes_written_to_a_file(tmp_path, capsysbinary, name):
+    graph = tmp_path / "labels.graph"
+    graph.write_text("nodes 2\nedge \u03b1 \u03b2 1 0.3\n", encoding="utf-8")
+    argv, digest = STDOUT_CASES[name]
+    argv = [arg.format(graph=graph) for arg in argv]
+    target = tmp_path / "out"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert main([*argv, "--out", "-"]) == 0
+    assert capsysbinary.readouterr().out == target.read_bytes()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_evolve_into_a_closed_pipe_exits_2_without_a_traceback(tmp_path):
+    # the reader leaves after one line, as in ``evolve --out - | head -1``
+    path = tmp_path / "ring.graph"
+    path.write_text("nodes 16\n" + "".join(f"edge {k} {(k + 1) % 16} 1.0 0.2\n"
+                                             for k in range(16)))
+    child = subprocess.Popen([sys.executable, "-m", "chiralwalk.cli", "evolve", "--graph",
+                              str(path), "--t-max", "5", "--t-count", "400", "--out", "-"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    try:
+        assert child.stdout.readline() == b"axis,from,to,probability\n"
+        child.stdout.close()
+        err = child.stderr.read()
+    finally:
+        child.stderr.close()
+        child.wait(timeout=120)
+    assert child.returncode == 2
+    assert err == b"chiralwalk: error: [Errno 32] Broken pipe\n"
 
 
 def test_evolve_failing_on_a_later_block_leaves_no_partial_table(tmp_path, capsys,
@@ -621,7 +674,8 @@ def test_transfer_csv_matches_reference_bytes():
         for t_index, theta in enumerate(thetas):
             p = probs[a_index, t_index, 2, 0]
             lines.append(f"{fmt(alpha)},{fmt(theta)},0,2,{fmt(p)}")
-    assert _transfer_csv(alphas, thetas, probs[:, :, 2, 0]) == "\n".join(lines) + "\n"
+    assert _transfer_csv(alphas, thetas, probs[:, :, 2, 0]).decode("ascii") == \
+        "\n".join(lines) + "\n"
 
 
 def taylor_transfer(alpha, theta):
@@ -883,6 +937,43 @@ def test_circuit_commands_call_every_traced_circuit_function(triangle_file, tmp_
     assert main(["trotter-check", "--graph", str(triangle_file), "--halvings", "1",
                  "--out", str(tmp_path / "t.txt")]) == 0
     assert called == set(TRACED_CIRCUIT_FUNCTIONS)
+
+
+def test_table_commands_call_every_traced_table_function(triangle_file, tmp_path,
+                                                        monkeypatch):
+    # the benchmark's traced run wraps sweep_time at every module-level binding
+    # and TransportTable.to_csv on its class, and counts text in what to_csv
+    # returns; its run fails when a span records no call
+    from chiralwalk import propagator
+
+    called, returned = [], []
+    original = propagator.sweep_time
+
+    def counting(*args, **kwargs):
+        called.append("sweep_time")
+        return original(*args, **kwargs)
+
+    bindings = [(module, attribute) for key, module in list(sys.modules.items())
+                if key == "chiralwalk" or key.startswith("chiralwalk.")
+                for attribute, value in vars(module).items() if value is original]
+    for module, attribute in bindings:
+        monkeypatch.setattr(module, attribute, counting)
+    to_csv = propagator.TransportTable.to_csv
+
+    def recording(*args, **kwargs):
+        called.append("to_csv")
+        returned.append(to_csv(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(propagator.TransportTable, "to_csv", recording)
+    assert main(["evolve", "--graph", str(triangle_file), "--t-max", "2",
+                 "--out", str(tmp_path / "e.csv")]) == 0
+    assert called == ["sweep_time", "to_csv"]
+    called.clear()
+    assert main(["circuit-sweep", "--alpha", "0.5", "--theta-min", "0", "--theta-max",
+                 "1", "--theta-step", "0.5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert called == ["to_csv"]
+    assert returned == [None, None]
 
 
 # symmetry functions the benchmark's traced run wraps at every module-level

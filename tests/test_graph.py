@@ -148,10 +148,17 @@ def test_real_block_kernel_matches_fmt_real_on_any_floats(values):
 
 
 def test_real_block_kernel_matches_fmt_real():
-    # random bit patterns, in blocks; half are negative, most outside (0, 1)
-    bits = np.random.default_rng(20261019).integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
-    for start in range(0, len(bits), 2 ** 17):
-        assert_block_is_fmt_real(bits[start:start + 2 ** 17].view(np.float64))
+    rng = np.random.default_rng(20261019)
+    # random positive patterns with exponent fields 59..1022, [2^-964, 1): the
+    # kernel's own range [1e-290, 1) and the bottom of the binade below it
+    exponents = rng.integers(59, 1023, 2 ** 18, dtype=np.uint64)
+    mantissas = rng.integers(0, 2 ** 52, 2 ** 18, dtype=np.uint64)
+    inside = (exponents << np.uint64(52)) | mantissas
+    # arbitrary bit patterns, most of them for the fmt_real fallback
+    anywhere = rng.integers(0, 2 ** 64, 2 ** 16, dtype=np.uint64)
+    for bits in (inside, anywhere):
+        for start in range(0, len(bits), 2 ** 17):
+            assert_block_is_fmt_real(bits[start:start + 2 ** 17].view(np.float64))
     # every decade boundary 10^k, k = -324..308, and 2 ulps either side
     centers = np.array([float(f"1e{k}") for k in range(-324, 309)])
     boundaries = [centers]

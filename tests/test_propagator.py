@@ -14,7 +14,7 @@ from chiralwalk import propagator
 from chiralwalk.cli import _transfer_csv
 from chiralwalk.propagator import TransportTable, chunk_length, spectrum
 
-from .graphs import hermitian_graph, uniform_triangle
+from .graphs import csv_text, hermitian_graph, uniform_triangle
 from .oracles import expm_taylor, triangle_probability_closed_form, \
     circulant_triangle_eigenvalues
 
@@ -224,7 +224,7 @@ def test_sweep_requires_nonempty_grid():
 
 def test_table_csv_schema_and_precision():
     table = sweep_time(two_site(), [0.0, 0.25, 1 / 3])
-    text = table.to_csv()
+    text = csv_text(table)
     validate_table_csv(text)
     lines = text.strip().split("\n")
     assert lines[0] == "axis,from,to,probability"
@@ -264,7 +264,7 @@ def awkward_probabilities(count, n):
 def test_time_table_csv_matches_reference_bytes():
     axes = (-PI,) + AWKWARD
     table = TransportTable("time", axes, awkward_probabilities(len(axes), 3))
-    text = table.to_csv()
+    text = csv_text(table)
     assert text == reference_csv(table)
     assert text.split("\n")[1] == "-3.1415926535897931,0,0,0"
     assert "4.9406564584124654e-324" in text
@@ -275,7 +275,7 @@ def test_circuit_table_csv_matches_reference_bytes():
     axes = tuple((alpha, theta) for alpha in (-PI, 1 / 3)
                  for theta in (5e-324, 0.0, 1 - 2 ** -53))
     table = TransportTable("circuit", axes, awkward_probabilities(len(axes), 2))
-    text = table.to_csv()
+    text = csv_text(table)
     assert text == reference_csv(table)
     assert text.split("\n")[1] == "-3.1415926535897931,4.9406564584124654e-324,0,0,0"
 
@@ -285,13 +285,13 @@ def test_circuit_table_csv_matches_reference_bytes():
 def test_degenerate_table_csv_matches_reference_bytes(kind, axes):
     # no grid points, or no nodes: the header alone
     table = TransportTable(kind, axes, np.zeros((len(axes), 0, 0)))
-    assert table.to_csv() == reference_csv(table)
+    assert csv_text(table) == reference_csv(table)
 
 
 def test_table_csv_matches_reference_bytes_on_a_sweep():
     table = sweep_time(hermitian_graph(np.random.default_rng(41), 7),
                        np.linspace(-2.0, 3.0, 11))
-    assert table.to_csv() == reference_csv(table)
+    assert csv_text(table) == reference_csv(table)
 
 
 def test_table_csv_peak_memory_is_bounded():
@@ -302,7 +302,7 @@ def test_table_csv_peak_memory_is_bounded():
                            probabilities)
     tracemalloc.start()
     try:
-        text = table.to_csv()
+        text = csv_text(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,8 +322,8 @@ def test_table_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, block, k
         if kind == "circuit":
             axes = tuple((alpha, alpha / 7) for alpha in axes)
         table = TransportTable(kind, axes, awkward_probabilities(count, 3))
-        assert table.to_csv() == reference_csv(table)
-        assert table.to_csv(header=False) == reference_csv(table).split("\n", 1)[1]
+        assert csv_text(table) == reference_csv(table)
+        assert csv_text(table, header=False) == reference_csv(table).split("\n", 1)[1]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 13])
@@ -337,8 +337,10 @@ def test_transfer_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, block
     header = "alpha,theta,from,to,probability\n"
     monkeypatch.setattr(propagator, "CSV_BLOCK_VALUES", block)
     # the fig2 surface, and one of its constant-alpha slices
-    assert _transfer_csv(alphas, thetas, transfer) == header + "".join(sum(rows, []))
-    assert _transfer_csv(alphas[1:2], thetas, transfer[1][None]) == header + "".join(rows[1])
+    assert _transfer_csv(alphas, thetas, transfer).decode("ascii") == \
+        header + "".join(sum(rows, []))
+    assert _transfer_csv(alphas[1:2], thetas, transfer[1][None]).decode("ascii") == \
+        header + "".join(rows[1])
 
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
@@ -349,7 +351,7 @@ def test_table_csv_renders_in_one_block_without_fork_or_affinity(monkeypatch, mi
     monkeypatch.setattr(os, "pipe", lambda: pytest.fail("a pipe was opened"))
     table = TransportTable("time", AWKWARD, awkward_probabilities(len(AWKWARD), 2))
     assert table.probabilities.size <= propagator.CSV_BLOCK_VALUES
-    assert table.to_csv() == reference_csv(table)
+    assert csv_text(table) == reference_csv(table)
 
 
 def test_csv_validator_rejects_malformed_tables():
