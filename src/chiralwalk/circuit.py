@@ -127,16 +127,6 @@ def _apply_gates(state: np.ndarray, rows: Iterable[tuple]) -> np.ndarray:
     return state
 
 
-def gate_node_matrix(gate: GateSpec, n_nodes: int) -> np.ndarray:
-    if gate.i >= n_nodes or gate.j >= n_nodes:
-        raise ValueError(f"gate {gate} out of range for {n_nodes} nodes")
-    u = np.eye(n_nodes, dtype=complex)
-    c, upper, lower = _gate_coefficients(gate.alpha, gate.theta)
-    u[gate.i, gate.i] = u[gate.j, gate.j] = c
-    u[gate.i, gate.j], u[gate.j, gate.i] = upper, lower
-    return u
-
-
 # ---------------------------------------------------------------------------
 # qubit-space action
 

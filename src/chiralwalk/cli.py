@@ -103,7 +103,12 @@ def cmd_classify(args) -> int:
 
     if _check_finite_real(args.tol, "--tol") < 0:
         raise ValueError(f"--tol must not be negative, got {args.tol!r}")
-    reports = [classify(load_graph(path), tol=args.tol) for path in args.graph]
+    reports = []
+    for path in args.graph:
+        try:
+            reports.append(classify(load_graph(path), tol=args.tol))
+        except ValueError as exc:  # one of many files: name it
+            raise ValueError(f"{path}: {exc}") from None
     if args.csv or len(reports) > 1:
         lines = [SymmetryReport.csv_header()]
         lines += [report.to_csv_row() for report in reports]
@@ -117,7 +122,7 @@ def cmd_classify(args) -> int:
 
 def cmd_evolve(args) -> int:
     from .graph import _check_finite_real, load_graph
-    from .propagator import chunk_length, spectrum, sweep_time
+    from .propagator import _check_phases, chunk_length, sweep_time
 
     _check_finite_real(args.t_min, "--t-min")
     _check_finite_real(args.t_max, "--t-max")
@@ -132,9 +137,7 @@ def cmd_evolve(args) -> int:
         step = (args.t_max - args.t_min) / (args.t_count - 1)
         if not math.isfinite(step):
             raise ValueError("--t-max - --t-min overflows a float")
-    if not math.isfinite(max(abs(args.t_min), abs(args.t_max))
-                         * spectrum(graph).spectral_norm):
-        raise ValueError("--t-min/--t-max times the graph's spectral norm overflows a float")
+    _check_phases(graph, (args.t_min, args.t_max), "--t-min/--t-max")
     # the table is written one t-chunk at a time, so it never exists whole
     length = chunk_length(graph.n_nodes)
     with _output(args.out) as out:
@@ -163,11 +166,10 @@ def cmd_circuit_sweep(args) -> int:
 
 def _transfer_csv(alphas, thetas, transfer) -> bytes:
     """Circuit-schema CSV of the ``0 -> 2`` transfer ``transfer[a, k]``."""
-    from .propagator import CSV_HEADERS, render_csv
+    from .propagator import render_csv
 
-    rows = render_csv([(alpha,) for alpha in alphas], [(theta, 0, 2) for theta in thetas],
-                      transfer)
-    return b"".join([CSV_HEADERS["circuit"].encode("ascii") + b"\n", *rows])
+    return b"".join(render_csv("circuit", [(alpha,) for alpha in alphas],
+                               [(theta, 0, 2) for theta in thetas], transfer))
 
 
 def cmd_reproduce_fig2(args) -> int:
@@ -219,7 +221,7 @@ def cmd_reproduce_fig2(args) -> int:
 def cmd_trotter_check(args) -> int:
     from .circuit import trotter_error
     from .graph import WalkHamiltonian, _check_finite_real, fmt_real, load_graph, skeleton
-    from .propagator import spectrum
+    from .propagator import _check_phases
 
     theta_start = _check_finite_real(args.theta_start, "--theta-start")
     if not 1 <= args.halvings <= MAX_HALVINGS:
@@ -233,11 +235,9 @@ def cmd_trotter_check(args) -> int:
     if graph.self_energies and not skeleton(graph).self_nodes:
         # a uniform diagonal is a global phase; one edges-only copy serves every step
         graph = WalkHamiltonian(graph.n_nodes, graph.edges)
-    # the reference propagates the edges to t = theta / h_0 (h_0 the first edge's magnitude)
-    norm = spectrum(graph).spectral_norm
-    if graph.edges and not math.isfinite(abs(theta_start) / graph.edges[0].h * norm):
-        raise ValueError("--theta-start over the first edge's magnitude, times the "
-                         "graph's spectral norm, overflows a float")
+    if graph.edges:  # the reference propagates the edges to t = theta / h_0
+        _check_phases(graph, (theta_start / graph.edges[0].h,),
+                      "--theta-start over the first edge's magnitude")
     errors = [trotter_error(graph, theta) for theta in thetas]
     lines = ["# symmetric splitting error ladder", "# theta error"]
     lines += [f"{fmt_real(th)} {fmt_real(err)}" for th, err in zip(thetas, errors)]

@@ -377,15 +377,18 @@ def _parse_real(token: str, what: str) -> float:
 
 def _read_lines(text: str, read) -> None:
     """Call ``read(tokens)`` on each line of ``text`` that holds a token after
-    its ``#`` comment is cut.  A ``ValueError`` from ``read`` becomes a
+    its ``#`` comment is cut.  A ``ValueError`` from ``read``, or a line that
+    does not encode as UTF-8 (``load_graph``'s undecodable bytes), becomes a
     ``GraphFormatError`` naming the line: the one place a file error gets it."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            try:
+        try:
+            raw.encode("utf-8")
+            if tokens:
                 read(tokens)
-            except ValueError as exc:
-                raise GraphFormatError(str(exc), lineno) from None
+        except ValueError as exc:
+            message = "not UTF-8 text" if isinstance(exc, UnicodeEncodeError) else str(exc)
+            raise GraphFormatError(message, lineno) from None
 
 
 def parse_graph(text: str) -> WalkHamiltonian:
@@ -457,5 +460,5 @@ def parse_graph(text: str) -> WalkHamiltonian:
 
 
 def load_graph(path) -> WalkHamiltonian:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         return parse_graph(handle.read())

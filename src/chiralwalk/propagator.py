@@ -12,9 +12,9 @@ memory does not grow with ``--t-count``.  Probabilities follow the column
 convention ``p[to, from]``: entry ``|U[to, from]|^2`` is the probability of
 the transition ``from -> to``.
 
-Probability CSVs are rendered by ``render_csv`` as ASCII blocks of
-``CSV_BLOCK_VALUES`` rows: the values go through the array kernel
-``graph._fmt_real_block``, and every value outside the kernel's exact range
+Probability CSVs, header line included, are rendered by ``render_csv`` as
+ASCII blocks of ``CSV_BLOCK_VALUES`` rows: the values go through the array
+kernel ``graph._fmt_real_block``, and every value outside its exact range
 through ``graph.fmt_real``.  ``TransportTable.to_csv`` writes each block to a
 binary file as soon as it is rendered, so no table's text exists whole and
 the memory beyond the probabilities is bounded by the block.
@@ -107,6 +107,12 @@ def spectrum(hamiltonian: WalkHamiltonian) -> SpectralDecomposition:
     return kept
 
 
+def _check_phases(hamiltonian: WalkHamiltonian, times: Sequence[float], what: str) -> None:
+    """Refuse ``times`` whose largest phase ``max|t| * ||H||`` is not a finite float."""
+    if not math.isfinite(max(abs(t) for t in times) * spectrum(hamiltonian).spectral_norm):
+        raise ValueError(f"{what} times the graph's spectral norm overflows a float")
+
+
 def propagate(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:
     """U = exp(-iHt) through the kept spectral factorization, read-only."""
     return _freeze(spectrum(hamiltonian).propagator_batch([_check_finite_real(t, "time")])[0])
@@ -117,11 +123,15 @@ def _byte_rows(texts: list[str]) -> np.ndarray:
     return np.array(texts, dtype=bytes)[:, None].view(np.uint8)
 
 
-def render_csv(outer: Sequence[tuple[float, ...]], inner: Sequence[tuple[float, ...]],
-               values: np.ndarray) -> Iterator[bytes]:
-    """Probability CSV rows ``outer[k]..., inner[m]..., values[k, m]`` for
-    each ``k`` and within it each ``m``, as ASCII blocks of
-    ``CSV_BLOCK_VALUES`` rows each, yielded as each is rendered.
+CSV_HEADERS = {"time": "axis,from,to,probability",
+               "circuit": "alpha,theta,from,to,probability"}
+
+
+def render_csv(kind: str | None, outer: Sequence[tuple[float, ...]],
+               inner: Sequence[tuple[float, ...]], values: np.ndarray) -> Iterator[bytes]:
+    """The ``CSV_HEADERS[kind]`` line (none for ``kind=None``), then rows
+    ``outer[k]..., inner[m]..., values[k, m]`` in ``(k, m)`` order, as ASCII
+    blocks of ``CSV_BLOCK_VALUES`` rows, each yielded as it is rendered.
 
     Every field is ``graph.fmt_real(x)`` for a float (17 digits round-trip a
     float64), plain digits for a node index.  Each outer and inner point's
@@ -132,6 +142,8 @@ def render_csv(outer: Sequence[tuple[float, ...]], inner: Sequence[tuple[float, 
     So the memory beyond ``values`` is bounded by the block, and the bytes
     do not depend on its length.
     """
+    if kind is not None:
+        yield CSV_HEADERS[kind].encode("ascii") + b"\n"
     if not inner or not outer:
         return
     prefixes = _byte_rows(["%.17g," * len(fields) % fields for fields in outer])
@@ -144,10 +156,6 @@ def render_csv(outer: Sequence[tuple[float, ...]], inner: Sequence[tuple[float, 
                                _fmt_real_block(values[start:start + len(index)]),
                                np.full((len(index), 1), ord("\n"), np.uint8)], axis=1)
         yield rows.tobytes().translate(None, b"\0")
-
-
-CSV_HEADERS = {"time": "axis,from,to,probability",
-               "circuit": "alpha,theta,from,to,probability"}
 
 
 @dataclass(frozen=True)
@@ -192,9 +200,7 @@ class TransportTable:
             axes = [(float(alpha), float(theta)) for alpha, theta in self.axes]
         pairs = [(frm, to) for frm in range(self.n) for to in range(self.n)]
         values = self.probabilities.transpose(0, 2, 1).reshape(len(axes), self.n ** 2)
-        if header:
-            file.write(CSV_HEADERS[self.axis_kind].encode("ascii") + b"\n")
-        file.writelines(render_csv(axes, pairs, values))
+        file.writelines(render_csv(self.axis_kind if header else None, axes, pairs, values))
 
 
 def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> TransportTable:
@@ -257,17 +263,16 @@ def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
     """Maximize the ``from -> to`` probability over a time window.
 
     Coarse scan over ``DEFAULTS.scan_points`` samples, then golden-section
-    refinement of the best bracket down to ``DEFAULTS.refine_dt``.
-    Returns ``(t_star, p_star)``.
+    refinement of the best bracket down to ``DEFAULTS.refine_dt``.  Returns
+    ``(t_star, p_star)``; refuses a window whose length or phases overflow.
     """
     lo, hi = (_check_finite_real(t, "t_range end") for t in t_range)
     if hi <= lo:
         raise ValueError("t_range must be a finite interval of positive length")
+    if not math.isfinite(hi - lo):
+        raise ValueError("t_range's length overflows a float")
+    _check_phases(hamiltonian, (lo, hi), "t_range's ends")
     dec = spectrum(hamiltonian)
-    if not (math.isfinite(hi - lo)
-            and math.isfinite(max(abs(lo), abs(hi)) * dec.spectral_norm)):
-        raise ValueError("t_range's length, or its ends times the spectral norm, "
-                         "overflows a float")
     n = dec.n
     if not (0 <= from_node < n and 0 <= to_node < n):
         raise ValueError("node index out of range")

@@ -14,10 +14,10 @@ from typing import Callable
 import numpy as np
 
 from . import randgen
-from .circuit import (GateSpec, PalindromicCircuit, apply_circuit,
-                      circuit_sweep_table, excitation_preservation_check,
-                      gate_node_matrix, gate_qubit_space, rz_decompose,
-                      trotter_error)
+from .circuit import (GateSpec, PalindromicCircuit, _apply_gates, _gate_rows,
+                      apply_circuit, circuit_sweep_table,
+                      excitation_preservation_check, gate_qubit_space,
+                      rz_decompose, trotter_error)
 from .graph import Edge, WalkHamiltonian, fmt_real
 from .propagator import propagate, sweep_time
 from .symmetry import (apply_gauge, cycle_flux, default_time_samples,
@@ -138,11 +138,11 @@ def _rz_conjugation_identity(rng) -> float:
 
 
 def _gate_embedding(rng) -> float:
-    """Qubit gate restricted to {|10>, |01>} equals the node-space block."""
+    """Qubit gate restricted to {|10>, |01>} equals the node engine's gate."""
     gate = _random_gate(rng)
     # basis order |00>, |01>, |10>, |11>: indices 2 and 1 are nodes i, j
     restricted = gate_qubit_space(gate)[np.ix_((2, 1), (2, 1))]
-    return _gap(restricted, gate_node_matrix(gate, 2))
+    return _gap(restricted, _apply_gates(np.eye(2, dtype=complex), _gate_rows([gate])))
 
 
 def _palindrome_amplitude_symmetry(rng) -> float:

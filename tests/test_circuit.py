@@ -12,7 +12,7 @@ from chiralwalk import (Edge, GateSpec, GraphFormatError, PalindromicCircuit,
                         excitation_preservation_check, gate_qubit_space,
                         parse_circuit, propagate, render_circuit, rz_decompose,
                         three_cycle_circuit, three_cycle_unitaries, trotter_error)
-from chiralwalk.circuit import _qubit_columns, gate_node_matrix, three_cycle_transfer
+from chiralwalk.circuit import _apply_gates, _gate_rows, _qubit_columns, three_cycle_transfer
 
 from .graphs import qubit_block, uniform_triangle
 from .oracles import pair_gate_taylor, three_cycle_taylor
@@ -26,13 +26,18 @@ angles = st.floats(min_value=-2 * PI, max_value=2 * PI,
 
 # --- single gates -----------------------------------------------------------
 
+def node_gate(gate, n):
+    """The one gate's N x N unitary, as the node engine applies it."""
+    return _apply_gates(np.eye(n, dtype=complex), _gate_rows([gate]))
+
+
 def test_gate_node_zero_angle_is_identity():
-    u = gate_node_matrix(GateSpec(0, 1, 0.9, 0.0), 4)
+    u = node_gate(GateSpec(0, 1, 0.9, 0.0), 4)
     assert np.array_equal(u, np.eye(4, dtype=complex))
 
 
 def test_gate_node_quarter_angle_swaps_probability():
-    u = gate_node_matrix(GateSpec(0, 1, 0.0, PI / 2), 2)
+    u = node_gate(GateSpec(0, 1, 0.0, PI / 2), 2)
     block = np.array([[0.0, -1j], [-1j, 0.0]])
     assert np.abs(u - block).max() <= 1e-15
 
@@ -42,7 +47,7 @@ def test_single_gate_transfer_is_alpha_independent():
     for _ in range(25):
         alpha = float(rng.uniform(-2 * PI, 2 * PI))
         theta = float(rng.uniform(-2 * PI, 2 * PI))
-        u = gate_node_matrix(GateSpec(0, 1, alpha, theta), 2)
+        u = node_gate(GateSpec(0, 1, alpha, theta), 2)
         expected = math.sin(theta) ** 2
         assert abs(abs(u[1, 0]) ** 2 - expected) <= 1e-12
         assert abs(abs(u[0, 1]) ** 2 - expected) <= 1e-12
@@ -50,8 +55,8 @@ def test_single_gate_transfer_is_alpha_independent():
 
 
 def test_gate_orientation_flip_negates_alpha():
-    a = gate_node_matrix(GateSpec(0, 2, 0.8, 1.1), 3)
-    b = gate_node_matrix(GateSpec(2, 0, -0.8, 1.1), 3)
+    a = node_gate(GateSpec(0, 2, 0.8, 1.1), 3)
+    b = node_gate(GateSpec(2, 0, -0.8, 1.1), 3)
     assert np.array_equal(a, b)
 
 
@@ -86,7 +91,7 @@ def test_gate_qubit_restriction_equals_node_block():
         qubit = gate_qubit_space(gate)
         # single-excitation rows/cols: |10> (index 2) is node 0, |01> node 1
         restricted = qubit[np.ix_((2, 1), (2, 1))]
-        node = gate_node_matrix(gate, 2)
+        node = node_gate(gate, 2)
         assert np.abs(restricted - node).max() <= 1e-12
 
 
@@ -192,7 +197,7 @@ def test_row_update_engine_matches_gate_products():
             circuit = random_palindrome_with_repeats(rng, n)
             product = np.eye(n, dtype=complex)
             for gate in circuit.full:
-                product = gate_node_matrix(gate, n) @ product
+                product = node_gate(gate, n) @ product
             assert np.abs(apply_circuit(circuit) - product).max() <= 1e-13
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import chiralwalk
-from chiralwalk import parse_graph, pts_numeric, sweep_time, validate_table_csv
+from chiralwalk import max_transfer, parse_graph, pts_numeric, sweep_time, validate_table_csv
 from chiralwalk.cli import _theta_grid, _transfer_csv, main
 from chiralwalk.properties import PROPERTY_SUITE
 
@@ -97,6 +97,24 @@ def test_classify_parse_error_exits_2(tmp_path, capsys):
     path.write_text("nodes 2\nedge 0 1 0 0\n")
     assert main(["classify", "--graph", str(path)]) == 2
     assert "zero-magnitude" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"nodes 2\nedge 0 1 1 0\nedge 0 5 1 0\n",
+     "line 3: edge (0, 5) index out of range for 2 nodes"),
+    (b"nodes 2\nedge 0 1 1 0\n# caf\xe9\n", "line 3: not UTF-8 text"),
+    (b"nodes 3\nedge 0 1 1e308 0.3\nedge 1 2 1e308 0.5\nedge 0 2 1e308 0.1\n",
+     "eigendecomposition is not finite: matrix entries too large"),
+], ids=["parse", "undecodable", "numeric"])
+def test_classify_error_names_its_file(tmp_path, capsys, triangle_file, data, message):
+    # one of several --graph files fails, by its text or by its numbers
+    path = tmp_path / "bad.graph"
+    path.write_bytes(data)
+    out = tmp_path / "report.csv"
+    assert main(["classify", "--graph", str(triangle_file), "--graph", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"chiralwalk: error: {path}: {message}\n"
+    assert not out.exists()
 
 
 def test_classify_missing_file_exits_2(tmp_path, capsys):
@@ -438,7 +456,7 @@ def test_evolve_failing_on_a_later_block_leaves_no_partial_table(tmp_path, capsy
     assert main([*argv, os.devnull]) == 0
 
 
-def test_evolve_with_a_failing_csv_worker_exits_2_and_leaves_no_file(tmp_path, capsys,
+def test_evolve_with_a_failing_csv_kernel_exits_2_and_leaves_no_file(tmp_path, capsys,
                                                                      monkeypatch):
     # the CSV kernel runs out of memory on its third block of the table
     from chiralwalk import propagator
@@ -825,6 +843,34 @@ def test_trotter_check_overflowing_reference_phase_exits_2(tmp_path, capsys, tex
                  "--halvings", "1", "--out", str(out)]) == 2
     assert "--theta-start" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _overflow_message(tmp_path, capsys, case) -> str:
+    """The error of one phase-overflowing input: a CLI run's message, or
+    ``max_transfer``'s."""
+    path = tmp_path / "overflow.graph"
+    if case == "max-transfer":
+        with pytest.raises(ValueError) as err:
+            max_transfer(parse_graph("nodes 2\nedge 0 1 2 0\n"), 0, 1, (1e308, 1.5e308))
+        return str(err.value)
+    if case == "evolve":
+        path.write_text("nodes 2\nedge 0 1 2 0\n")  # spectral norm 2
+        argv = ["evolve", "--t-min", "1e308", "--t-max", "1e308", "--t-count", "1"]
+    else:  # the star case of the trotter-check overflow test
+        path.write_text("nodes 5\nedge 0 1 1e-10 0\n"
+                        + "".join(f"edge 1 {leaf} 1e298 0\n" for leaf in (2, 3, 4)))
+        argv = ["trotter-check", "--theta-start", "1.7", "--halvings", "1"]
+    assert main([*argv, "--graph", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chiralwalk: error: ") and err.endswith("\n")
+    return err[len("chiralwalk: error: "):-1]
+
+
+@pytest.mark.parametrize("case", ["evolve", "trotter-check", "max-transfer"])
+def test_every_phase_overflow_reads_one_rule(tmp_path, capsys, case):
+    # evolve, trotter-check and max_transfer refuse an overflowing phase by one check
+    message = _overflow_message(tmp_path, capsys, case)
+    assert message.endswith(" times the graph's spectral norm overflows a float")
 
 
 # --- properties -------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chiralwalk import (DEFAULTS, Edge, GraphFormatError, PalindromicCircuit,
                         WalkHamiltonian, parse_circuit, parse_graph, render_graph, skeleton,
                         to_dense)
-from chiralwalk.graph import _fmt_real_block
+from chiralwalk.graph import _fmt_real_block, load_graph
 
 TRIANGLE = "nodes 3\nedge 0 1 1.0 0.0\nedge 1 2 1.0 0.0\nedge 2 0 1.0 0.0\n"
 
@@ -223,6 +223,20 @@ def test_parse_errors_carry_line_numbers(text, fragment, line):
     with pytest.raises(GraphFormatError) as err:
         parse_graph(text)
     assert fragment in str(err.value)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"nodes 2\nedge 0 1 1 0\n# caf\xe9\n", 3),  # Latin-1, even in a comment
+    (b"nodes 2\nedge 0 1 \xff 0\n", 2),
+    (b"\x80nodes 2\n", 1),
+])
+def test_undecodable_bytes_carry_their_line(tmp_path, data, line):
+    path = tmp_path / "bytes.graph"
+    path.write_bytes(data)
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(path)
+    assert str(err.value) == f"line {line}: not UTF-8 text"
     assert err.value.line == line
 
 

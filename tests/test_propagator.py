@@ -312,7 +312,7 @@ def test_table_csv_peak_memory_is_bounded():
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 13])
 @pytest.mark.parametrize("kind", ["time", "circuit"])
-def test_table_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, block, kind):
+def test_table_csv_bytes_do_not_depend_on_the_block_length(monkeypatch, block, kind):
     # blocks of the values kernel that end inside a grid point and across
     # several; each table holds values the kernel computes and values it hands
     # to fmt_real
@@ -327,7 +327,7 @@ def test_table_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, block, k
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 13])
-def test_transfer_csv_bytes_do_not_depend_on_the_worker_count(monkeypatch, block):
+def test_transfer_csv_bytes_do_not_depend_on_the_block_length(monkeypatch, block):
     fmt = lambda x: format(float(x), ".17g")  # noqa: E731
     alphas = [0.0, 1 / 3, PI, 5e-324, 2.5]
     thetas = [-PI, 0.0, 1 - 2 ** -53]

@@ -31,3 +31,21 @@ def test_only_the_line_reader_gives_a_file_error_its_line():
              for path in sorted(PACKAGE.glob("*.py"))}
     assert [name for name, _ in found.pop("graph.py")] == ["_read_lines"]
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def _reads(tree: ast.AST, name: str) -> bool:
+    """Whether ``tree`` names ``name``: as a variable, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == name:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        if isinstance(node, ast.alias) and name in (node.name, node.asname):
+            return True
+    return False
+
+
+def test_only_the_csv_writer_reads_the_csv_headers():
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if _reads(ast.parse(path.read_text(encoding="utf-8")), "CSV_HEADERS")]
+    assert readers == ["propagator.py"]
