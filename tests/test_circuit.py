@@ -190,6 +190,15 @@ def random_palindrome_with_repeats(rng, n):
     return PalindromicCircuit(n, half)
 
 
+def embedded_qubit_gate(gate, n):
+    """The gate's N x N unitary built from its qubit matrix, not by the node
+    engine: the |10>, |01> block at rows and columns (i, j) of the identity."""
+    u = np.eye(n, dtype=complex)
+    u[np.ix_((gate.i, gate.j), (gate.i, gate.j))] = \
+        gate_qubit_space(gate)[np.ix_((2, 1), (2, 1))]
+    return u
+
+
 def test_row_update_engine_matches_gate_products():
     rng = np.random.default_rng(13)
     for n in range(2, 9):
@@ -197,7 +206,7 @@ def test_row_update_engine_matches_gate_products():
             circuit = random_palindrome_with_repeats(rng, n)
             product = np.eye(n, dtype=complex)
             for gate in circuit.full:
-                product = node_gate(gate, n) @ product
+                product = embedded_qubit_gate(gate, n) @ product
             assert np.abs(apply_circuit(circuit) - product).max() <= 1e-13
 
 
