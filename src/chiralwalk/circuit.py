@@ -215,27 +215,30 @@ def three_cycle_circuit(alpha: float, theta: float) -> PalindromicCircuit:
 
 def _three_cycle_run(alphas: Sequence[float], thetas: Sequence[float],
                      start: np.ndarray) -> np.ndarray:
-    """Triangle palindrome on ``start``, batched over the flattened grid.
+    """Triangle palindrome on ``start``, batched over the (alpha, theta) grid.
 
     ``three_cycle_circuit(0, 1)`` gives each gate's alpha offset and theta
-    multiple; the alpha-major grid becomes the last axis of the state.
+    multiple; the grid becomes the last two axes of the state.  The alphas go
+    in as a column and the thetas as a row, so each gate's ``exp`` runs once
+    per alpha and its ``sin``/``cos`` once per theta, and their products
+    broadcast over the grid.
     """
-    alpha_grid, theta_grid = np.meshgrid(alphas, thetas, indexing="ij")
-    state = np.repeat(np.asarray(start, dtype=complex)[..., None], alpha_grid.size, axis=-1)
+    alphas = np.asarray(alphas, dtype=float)[:, None]
+    thetas = np.asarray(thetas, dtype=float)[None, :]
+    start = np.asarray(start, dtype=complex)[..., None, None]
+    state = np.broadcast_to(start, start.shape[:-2] + (alphas.size, thetas.size)).copy()
     template = three_cycle_circuit(0.0, 1.0).full
-    return _apply_gates(state, _gate_rows(template, alpha_grid.ravel(), theta_grid.ravel()))
+    return _apply_gates(state, _gate_rows(template, alphas, thetas))
 
 
 def three_cycle_unitaries(alphas: Sequence[float], thetas: Sequence[float]) -> np.ndarray:
     """Unitary stack ``u[a, k]`` (3x3 each) of the triangle palindrome, in one pass."""
-    state = _three_cycle_run(alphas, thetas, np.eye(3))
-    return np.moveaxis(state, -1, 0).reshape(len(alphas), len(thetas), 3, 3)
+    return np.moveaxis(_three_cycle_run(alphas, thetas, np.eye(3)), (-2, -1), (0, 1))
 
 
 def three_cycle_transfer(alphas: Sequence[float], thetas: Sequence[float]) -> np.ndarray:
     """Transfer probability ``p[a, k]`` of ``0 -> 2``, propagating column 0 only."""
-    state = _three_cycle_run(alphas, thetas, np.eye(3)[:, 0])
-    return (np.abs(state[2]) ** 2).reshape(len(alphas), len(thetas))
+    return np.abs(_three_cycle_run(alphas, thetas, np.eye(3)[:, 0])[2]) ** 2
 
 
 def circuit_sweep_table(alphas: Sequence[float], thetas: Sequence[float]) -> TransportTable:

@@ -166,10 +166,10 @@ def cmd_circuit_sweep(args) -> int:
 
 def _transfer_csv(alphas, thetas, transfer) -> bytes:
     """Circuit-schema CSV of the ``0 -> 2`` transfer ``transfer[a, k]``."""
-    from .propagator import render_csv
+    from .propagator import field_rows, render_csv
 
-    return b"".join(render_csv("circuit", [(alpha,) for alpha in alphas],
-                               [(theta, 0, 2) for theta in thetas], transfer))
+    return b"".join(render_csv("circuit", field_rows([(alpha,) for alpha in alphas]),
+                               field_rows([(theta, 0, 2) for theta in thetas]), transfer))
 
 
 def cmd_reproduce_fig2(args) -> int:

@@ -460,5 +460,5 @@ def parse_graph(text: str) -> WalkHamiltonian:
 
 
 def load_graph(path) -> WalkHamiltonian:
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         return parse_graph(handle.read())

@@ -6,8 +6,9 @@ Hamiltonian is eigendecomposed once.  After that O(N^3) factorization, a
 full unitary costs O(N^3) per time point (one matrix product), while
 ``max_transfer``'s scan of a single entry costs O(N) per point.  Stacks of
 unitaries over a time grid are built in t-chunks of at most ``CHUNK_BYTES``
-complex bytes, so their peak memory is bounded by that budget, not by the
-grid length; ``evolve`` streams its table one t-chunk per block, so its
+(1 MiB) complex bytes, so their peak memory is bounded by that budget, not by
+the grid length, and one chunk's U, ``|U|^2`` and ``p - p^T`` come to about
+a 2 MiB L2 cache; ``evolve`` streams its table one t-chunk per block, so its
 memory does not grow with ``--t-count``.  Probabilities follow the column
 convention ``p[to, from]``: entry ``|U[to, from]|^2`` is the probability of
 the transition ``from -> to``.
@@ -15,7 +16,9 @@ the transition ``from -> to``.
 Probability CSVs, header line included, are rendered by ``render_csv`` as
 ASCII blocks of ``CSV_BLOCK_VALUES`` rows: the values go through the array
 kernel ``graph._fmt_real_block``, and every value outside its exact range
-through ``graph.fmt_real``.  ``TransportTable.to_csv`` writes each block to a
+through ``graph.fmt_real``; each row's leading fields are formatted once per
+point by ``field_rows``, and a table's ``from,to`` pairs once per node count,
+not once per t-chunk.  ``TransportTable.to_csv`` writes each block to a
 binary file as soon as it is rendered, so no table's text exists whole and
 the memory beyond the probabilities is bounded by the block.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
@@ -32,8 +36,10 @@ from .defaults import DEFAULTS
 from .graph import WalkHamiltonian, _check_finite_real, _fmt_real_block, to_dense
 
 # Complex bytes of one t-chunk of a T x N x N unitary stack; the number of
-# times per chunk follows from it for each N.
-CHUNK_BYTES = 4 * 2 ** 20
+# times per chunk follows from it for each N.  At 1 MiB a chunk's U and its
+# |U|^2 and p - p^T (half as large each) come to about a 2 MiB L2 cache; a
+# larger budget does the same flops per time with a working set out of cache.
+CHUNK_BYTES = 2 ** 20
 
 # Values per ``graph._fmt_real_block`` call, and rows per block, in
 # ``render_csv``: the kernel's temporaries (about 150 bytes a value) and each
@@ -61,17 +67,25 @@ class SpectralDecomposition:
     def spectral_norm(self) -> float:
         return float(np.abs(self.eigenvalues).max()) if self.n else 0.0
 
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        """V^H, read-only: the transposed view of one conjugated copy of V,
+        made on first use and kept, so each t-chunk reuses it."""
+        return _freeze(self.eigenvectors.conj()).T
+
     def propagator_batch(self, times: np.ndarray) -> np.ndarray:
         """Stack of unitaries, shape (len(times), n, n), as one matrix product."""
         phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float),
                                        self.eigenvalues))
         n = self.n
         scaled = (self.eigenvectors * phases[:, None, :]).reshape(-1, n)
-        return (scaled @ self.eigenvectors.conj().T).reshape(-1, n, n)
+        return (scaled @ self.adjoint).reshape(-1, n, n)
 
 
 def chunk_length(n: int) -> int:
-    """Times per chunk: as many N x N complex matrices as fit ``CHUNK_BYTES``."""
+    """Times per chunk: as many N x N complex matrices as fit ``CHUNK_BYTES``
+    (1 MiB, so a chunk's unitaries and probabilities come to about a 2 MiB
+    L2 cache), and at least one."""
     return max(1, CHUNK_BYTES // (16 * max(n, 1) ** 2))
 
 
@@ -118,24 +132,35 @@ def propagate(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:
     return _freeze(spectrum(hamiltonian).propagator_batch([_check_finite_real(t, "time")])[0])
 
 
-def _byte_rows(texts: list[str]) -> np.ndarray:
-    """ASCII ``texts`` as the NUL-padded rows of a uint8 array."""
-    return np.array(texts, dtype=bytes)[:, None].view(np.uint8)
+def field_rows(points: Sequence[tuple[float, ...]]) -> np.ndarray:
+    """Each point's leading CSV fields, ``%.17g,`` per value, as one
+    NUL-padded row of a uint8 array."""
+    texts = ["%.17g," * len(fields) % fields for fields in points]
+    return np.array(texts, dtype=bytes).reshape(-1, 1).view(np.uint8)
+
+
+@lru_cache(maxsize=1)
+def _pair_rows(n: int) -> np.ndarray:
+    """Read-only ``field_rows`` of every ``(from, to)`` pair, from-major: a
+    table streamed in t-chunks formats its N^2 pair fields once, and only the
+    last node count's rows are kept."""
+    return _freeze(field_rows([(frm, to) for frm in range(n) for to in range(n)]))
 
 
 CSV_HEADERS = {"time": "axis,from,to,probability",
                "circuit": "alpha,theta,from,to,probability"}
 
 
-def render_csv(kind: str | None, outer: Sequence[tuple[float, ...]],
-               inner: Sequence[tuple[float, ...]], values: np.ndarray) -> Iterator[bytes]:
+def render_csv(kind: str | None, outer: np.ndarray, inner: np.ndarray,
+               values: np.ndarray) -> Iterator[bytes]:
     """The ``CSV_HEADERS[kind]`` line (none for ``kind=None``), then rows
-    ``outer[k]..., inner[m]..., values[k, m]`` in ``(k, m)`` order, as ASCII
+    ``outer[k], inner[m], values[k, m]`` in ``(k, m)`` order, as ASCII
     blocks of ``CSV_BLOCK_VALUES`` rows, each yielded as it is rendered.
 
-    Every field is ``graph.fmt_real(x)`` for a float (17 digits round-trip a
-    float64), plain digits for a node index.  Each outer and inner point's
-    fields are formatted once.  Each block's values go through the kernel
+    ``outer`` and ``inner`` are the ``field_rows`` of the outer and inner
+    points, so each point's fields are formatted once: ``graph.fmt_real(x)``
+    for a float (17 digits round-trip a float64), plain digits for a node
+    index.  Each block's values go through the kernel
     ``graph._fmt_real_block``, which computes the texts in its exact range
     and calls ``fmt_real`` for the rest; its rows are laid out as NUL-padded
     bytes (outer fields, inner fields, value, newline) and the NULs deleted.
@@ -144,15 +169,13 @@ def render_csv(kind: str | None, outer: Sequence[tuple[float, ...]],
     """
     if kind is not None:
         yield CSV_HEADERS[kind].encode("ascii") + b"\n"
-    if not inner or not outer:
+    if len(inner) == 0 or len(outer) == 0:
         return
-    prefixes = _byte_rows(["%.17g," * len(fields) % fields for fields in outer])
-    pieces = _byte_rows(["%.17g," * len(fields) % fields for fields in inner])
     values = np.asarray(values, dtype=float).reshape(-1)
     for start in range(0, len(values), CSV_BLOCK_VALUES):
         index = np.arange(start, min(start + CSV_BLOCK_VALUES, len(values)))
-        rows = np.concatenate([np.take(prefixes, index // len(inner), axis=0),
-                               np.take(pieces, index % len(inner), axis=0),
+        rows = np.concatenate([np.take(outer, index // len(inner), axis=0),
+                               np.take(inner, index % len(inner), axis=0),
                                _fmt_real_block(values[start:start + len(index)]),
                                np.full((len(index), 1), ord("\n"), np.uint8)], axis=1)
         yield rows.tobytes().translate(None, b"\0")
@@ -198,9 +221,9 @@ class TransportTable:
             axes = [(float(t),) for t in self.axes]
         else:
             axes = [(float(alpha), float(theta)) for alpha, theta in self.axes]
-        pairs = [(frm, to) for frm in range(self.n) for to in range(self.n)]
         values = self.probabilities.transpose(0, 2, 1).reshape(len(axes), self.n ** 2)
-        file.writelines(render_csv(self.axis_kind if header else None, axes, pairs, values))
+        file.writelines(render_csv(self.axis_kind if header else None, field_rows(axes),
+                                   _pair_rows(self.n), values))
 
 
 def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> TransportTable:

@@ -240,6 +240,12 @@ def test_undecodable_bytes_carry_their_line(tmp_path, data, line):
     assert err.value.line == line
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "bom.graph"
+    path.write_bytes(b"\xef\xbb\xbfnodes 2\nedge 0 1 1 0\n")
+    assert load_graph(path) == parse_graph("nodes 2\nedge 0 1 1 0\n")
+
+
 _NODE = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["a", "b", "c", "d"]))
 _REAL = st.one_of(st.floats(-2.0, 2.0).map(repr), st.sampled_from(["1", "0", "-1e308"]))
 _TOKEN = st.one_of(

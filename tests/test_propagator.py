@@ -177,8 +177,9 @@ def sweep_reference(graph, times):
     return np.array([np.abs(propagate(graph, t)) ** 2 for t in times])
 
 
-@pytest.mark.parametrize("n, count", [(64, chunk_length(64) - 1), (64, chunk_length(64)),
-                                      (64, chunk_length(64) + 1), (64, 1), (1, 1), (1, 5)])
+# several full t-chunks, then a last one short by one, full, or of one time
+@pytest.mark.parametrize("n, count", [(64, 4 * chunk_length(64) - 1), (64, 4 * chunk_length(64)),
+                                      (64, 4 * chunk_length(64) + 1), (64, 1), (1, 1), (1, 5)])
 def test_sweep_matches_per_time_loop_across_chunk_edges(n, count):
     rng = np.random.default_rng(23)
     graph = hermitian_graph(rng, n)
@@ -189,7 +190,7 @@ def test_sweep_matches_per_time_loop_across_chunk_edges(n, count):
 
 
 def test_chunk_length_fills_the_budget():
-    assert chunk_length(64) == 64           # 4 MiB / (16 bytes * 64^2)
+    assert chunk_length(64) == 16           # 1 MiB / (16 bytes * 64^2)
     assert chunk_length(1000) == 1          # one matrix even above the budget
     assert chunk_length(1) >= 1 and chunk_length(0) >= 1
 

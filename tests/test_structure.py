@@ -33,19 +33,35 @@ def test_only_the_line_reader_gives_a_file_error_its_line():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
-def _reads(tree: ast.AST, name: str) -> bool:
-    """Whether ``tree`` names ``name``: as a variable, an attribute or an import."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == name:
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == name:
-            return True
-        if isinstance(node, ast.alias) and name in (node.name, node.asname):
-            return True
-    return False
+def _readers(tree: ast.AST, name: str) -> set[str | None]:
+    """Enclosing function of each place ``tree`` reads ``name``: as a
+    variable, an attribute or an import (``None`` at module level)."""
+    found = set()
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if ((isinstance(node, ast.Name) and node.id == name
+             and not isinstance(node.ctx, ast.Store))
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and name in (node.name, node.asname))):
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def _readers_by_module(name: str) -> dict[str, set[str | None]]:
+    found = {path.name: _readers(ast.parse(path.read_text(encoding="utf-8")), name)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    return {module: functions for module, functions in found.items() if functions}
 
 
 def test_only_the_csv_writer_reads_the_csv_headers():
-    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
-               if _reads(ast.parse(path.read_text(encoding="utf-8")), "CSV_HEADERS")]
-    assert readers == ["propagator.py"]
+    assert list(_readers_by_module("CSV_HEADERS")) == ["propagator.py"]
+
+
+def test_only_chunk_length_reads_the_chunk_budget():
+    assert _readers_by_module("CHUNK_BYTES") == {"propagator.py": {"chunk_length"}}

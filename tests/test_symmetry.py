@@ -17,7 +17,7 @@ from chiralwalk import (Edge, WalkHamiltonian, apply_gauge,
 from chiralwalk import randgen, symmetry
 from chiralwalk.defaults import DEFAULTS
 from chiralwalk.graph import GraphSkeleton
-from chiralwalk.propagator import chunk_length
+from chiralwalk.propagator import chunk_length, spectrum
 
 from .graphs import hermitian_graph, uniform_triangle
 
@@ -308,8 +308,9 @@ def pts_reference(graph, times):
     return worst
 
 
-@pytest.mark.parametrize("n, count", [(48, chunk_length(48) - 1), (48, chunk_length(48)),
-                                      (48, chunk_length(48) + 1), (48, 1), (1, 1), (1, 5)])
+# several full t-chunks, then a last one short by one, full, or of one time
+@pytest.mark.parametrize("n, count", [(48, 4 * chunk_length(48) - 1), (48, 4 * chunk_length(48)),
+                                      (48, 4 * chunk_length(48) + 1), (48, 1), (1, 1), (1, 5)])
 def test_pts_residual_matches_per_time_loop_across_chunk_edges(n, count):
     graph = hermitian_graph(np.random.default_rng(31), n)
     times = np.linspace(0.05, 4.0, count)
@@ -327,6 +328,21 @@ def test_pts_numeric_peak_memory_is_bounded_by_the_chunk():
     assert residual == pts_numeric(graph, default_time_samples(graph))
     # the unchunked 64 x 200 x 200 complex stack alone is 41 MB
     assert peak < 32e6
+
+
+def test_pts_sweep_working_set_is_one_cache_sized_chunk():
+    graph = hermitian_graph(np.random.default_rng(41), 192)
+    spectrum(graph)
+    tracemalloc.start()
+    try:
+        pts_numeric(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 1 MiB chunk at N = 192 is one time: U, V scaled by its phases and
+    # the kept V^H (0.59 MB each) and |U|^2, p - p^T (0.29 MB each) read
+    # 2.07 MB; 4 MiB chunks of 7 times read 10.9 MB
+    assert peak < 3e6
 
 
 CHIRAL_TRIANGLE = "nodes 3\nedge 0 1 2 0.3\nedge 1 2 2 0.5\nedge 0 2 2 0.1\n"
