@@ -68,6 +68,13 @@ def _angle(flag: str, value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _axis(start: float, step: float, stop: float, ks: range) -> list[float]:
+    """``start + k * step`` for each ``k``; a point that rounding puts past ``stop``
+    (in the direction of ``step``) is ``stop``, and a tie keeps ``-0`` as it is."""
+    clamp = min if step > 0 else max
+    return [clamp(start + k * step, stop) for k in ks]
+
+
 def _theta_grid(theta_min: float, theta_max: float, theta_step: float,
                 alphas: int = 1) -> list[float]:
     """The theta axis of a sweep over ``alphas`` chirality phases."""
@@ -77,8 +84,8 @@ def _theta_grid(theta_min: float, theta_max: float, theta_step: float,
         raise ValueError("--theta-step must be positive")
     if theta_max < theta_min:
         raise ValueError("--theta-max must not be below --theta-min")
-    # floor, not round, so no point lands past theta_max; the relative slack
-    # keeps an endpoint that rounding puts a few ulps short of an integer ratio
+    # floor, not round, then _axis's clamp: no point lands past theta_max; the
+    # slack keeps an endpoint that rounding puts a few ulps short of an integer ratio
     ratio = (theta_max - theta_min) / theta_step
     if not math.isfinite(ratio):
         raise ValueError("theta range over --theta-step overflows a float")
@@ -86,7 +93,7 @@ def _theta_grid(theta_min: float, theta_max: float, theta_step: float,
     # the sweep keeps one 3x3 unitary per (alpha, theta) point
     _check_dense_size(f"circuit-sweep grid of {alphas} alphas x {count} thetas "
                       f"(--theta-step)", 9 * alphas * count)
-    return [theta_min + k * theta_step for k in range(count)]
+    return _axis(theta_min, theta_step, theta_max, range(count))
 
 
 def experiment_theta_grid() -> list[float]:
@@ -142,8 +149,8 @@ def cmd_evolve(args) -> int:
     length = chunk_length(graph.n_nodes)
     with _output(args.out) as out:
         for start in range(0, args.t_count, length):
-            grid = [args.t_min + k * step
-                    for k in range(start, min(start + length, args.t_count))]
+            grid = _axis(args.t_min, step, args.t_max,
+                         range(start, min(start + length, args.t_count)))
             sweep_time(graph, grid).to_csv(out, header=start == 0)
     return EXIT_OK
 

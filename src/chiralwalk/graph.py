@@ -8,14 +8,15 @@ self-energies.  Hermiticity is structural: edges are canonicalized to
 dense matrix reconstructs conjugate pairs exactly rather than approximately.
 
 Graph and circuit files are read line by line through ``_read_lines``, so
-every per-line error of either names its line.
+every per-line error of either names its line, and every real is written by
+``fmt_real`` (probability CSVs by ``propagator.render_csv``'s array kernel).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -238,106 +239,9 @@ def skeleton(hamiltonian: WalkHamiltonian) -> GraphSkeleton:
 
 def fmt_real(x: float) -> str:
     """17 significant digits: the shortest fixed width that round-trips every
-    float64.  Arrays go through ``_fmt_real_block``, which calls this for the
-    values outside its exact range."""
+    float64.  Probability CSVs get the same bytes from the array kernel
+    ``propagator._fmt_real_block``, which calls this outside its exact range."""
     return format(float(x), ".17g")
-
-
-# ``_fmt_real_block`` computes 10^-_BLOCK_DECADES <= x < 1 itself; a value's
-# text fits 8 bytes of lead ("0.000d" or "d."), 16 digits and 8 of exponent.
-_BLOCK_DECADES = 290
-_BLOCK_WIDTH = 32
-
-
-@cache
-def _decade_tables() -> tuple[np.ndarray, ...]:
-    """For the decades 10^-n, n = _BLOCK_DECADES..1, built with int arithmetic:
-    the smallest double >= 10^-n (then 1.0), and 10^(16 + n) as ``hi + lo``
-    with the Dekker halves of ``hi``."""
-    floors, scales = [], []
-    for n in range(_BLOCK_DECADES, 0, -1):
-        floor = 1 / 10 ** n  # int true division rounds correctly
-        num, den = floor.as_integer_ratio()
-        floors.append(floor if num * 10 ** n >= den else math.nextafter(floor, 1.0))
-        power = 10 ** (16 + n)
-        hi = float(power)
-        mantissa, exponent = math.frexp(hi)
-        split = mantissa * 134217729.0  # 2^27 + 1
-        head = split - (split - mantissa)
-        scales.append((hi, float(power - int(hi)), math.ldexp(head, exponent),
-                       math.ldexp(mantissa - head, exponent)))
-    return (np.array(floors + [1.0]), *np.array(scales).T)
-
-
-@cache
-def _text_tables() -> tuple[np.ndarray, ...]:
-    """NUL-padded ASCII pieces of ``_fmt_real_block``'s texts, as integers:
-    the lead ``[6 * digit + form]`` (forms "0.d" to "0.000d", "d." and "d"),
-    four digits ``[g]`` and, trailing zeros dropped, ``[g + 10^4]``, and the
-    exponent ``[-power]`` ("" down to 10^-4)."""
-    leads = [[f"0.{'0' * zeros}{d}" for zeros in range(4)] + [f"{d}.", f"{d}"]
-             for d in range(10)]
-    pairs = [f"{i:02d}" for i in range(100)]
-    quads = [high + low for high in pairs for low in pairs]
-    exponents = [f"e-{p:02d}" if p > 4 else "" for p in range(_BLOCK_DECADES + 1)]
-    return (np.array(leads, dtype="S8").view(np.uint64).reshape(-1),
-            np.array(quads + [q.rstrip("0") for q in quads], dtype="S4").view(np.uint32),
-            np.array(exponents, dtype="S8").view(np.uint64))
-
-
-def _fmt_real_block(values: np.ndarray) -> np.ndarray:
-    """``fmt_real`` of each value of a float64 block, as a uint8 array of
-    shape ``(len(values), _BLOCK_WIDTH)`` whose row's non-NUL bytes, in
-    order, are that value's text.
-
-    For 10^-_BLOCK_DECADES <= x < 1 the decade comes from the table of exact
-    decade floors, and the 17 digits from rounding the error-free
-    double-double product x * 10^(16 - decade) (Dekker's two-product) to
-    nearest; the text is laid out as %g does, "0.000ddd" down to 1e-4 and
-    "d.ddde-XX" below, from tables of its lead, of four digits with and
-    without trailing zeros, and of its exponent.  Every other value (zero,
-    negative, non-finite, subnormal, tiny, 1 or more), and every product
-    within 1e-6 of a rounding tie, goes through ``fmt_real``.
-    """
-    floors, hi, lo, hi_head, hi_tail = _decade_tables()
-    lead_texts, quad_texts, exponent_texts = _text_tables()
-    values = np.asarray(values, dtype=float)
-    exact = (values >= floors[0]) & (values < 1.0)
-    x = np.where(exact, values, 0.5)
-    decade = np.floor((np.frexp(x)[1] - 1) * math.log10(2)).astype(np.intp) + _BLOCK_DECADES
-    decade += x >= floors[decade + 1]  # now floors[decade] <= x < floors[decade + 1]
-    split = x * 134217729.0
-    head = split - (split - x)
-    tail = x - head
-    a, b = hi_head[decade], hi_tail[decade]
-    product = x * hi[decade]  # x * 10^(16 - decade) = product + error, exactly
-    error = ((head * a - product) + head * b + tail * a) + tail * b + x * lo[decade]
-    rounding = np.rint(error)
-    exact &= np.abs(error - rounding) < 0.5 - 1e-6
-    digits = product.astype(np.int64) + rounding.astype(np.int64)
-    power = decade - _BLOCK_DECADES
-    carry = digits == 10 ** 17  # rounded up to the next decade
-    digits[carry] = 10 ** 16
-    power += carry
-    lead = digits // 10 ** 16
-    rest = digits - lead * 10 ** 16
-    upper = rest // 10 ** 8
-    lower = rest - upper * 10 ** 8
-    out = np.empty((len(x), _BLOCK_WIDTH // 8), np.uint64)
-    quads = out.view(np.uint32)
-    strip = np.full(len(x), 10 ** 4)  # every later group of four digits is zero
-    for column, group in ((5, lower % 10 ** 4), (4, lower // 10 ** 4),
-                          (3, upper % 10 ** 4), (2, upper // 10 ** 4)):
-        quads[:, column] = quad_texts[group + strip]
-        strip *= group == 0
-    form = np.where(power >= -4, -1 - power, 4 + (rest == 0))
-    out[:, 0] = lead_texts[6 * lead + form]
-    out[:, 3] = exponent_texts[-power]
-    out = out.view(np.uint8)
-    others = np.flatnonzero(~exact)
-    texts = np.array([fmt_real(v) for v in values[others].tolist()], dtype=f"S{_BLOCK_WIDTH}")
-    out[others] = texts.view(np.uint8).reshape(-1, _BLOCK_WIDTH)
-    return out
 
 
 def render_graph(hamiltonian: WalkHamiltonian) -> str:

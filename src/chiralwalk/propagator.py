@@ -15,7 +15,7 @@ the transition ``from -> to``.
 
 Probability CSVs, header line included, are rendered by ``render_csv`` as
 ASCII blocks of ``CSV_BLOCK_VALUES`` rows: the values go through the array
-kernel ``graph._fmt_real_block``, and every value outside its exact range
+kernel ``_fmt_real_block`` beside it, and every value outside its exact range
 through ``graph.fmt_real``; each row's leading fields are formatted once per
 point by ``field_rows``, and a table's ``from,to`` pairs once per node count,
 not once per t-chunk.  ``TransportTable.to_csv`` writes each block to a
@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
 from .defaults import DEFAULTS
-from .graph import WalkHamiltonian, _check_finite_real, _fmt_real_block, to_dense
+from .graph import WalkHamiltonian, _check_finite_real, fmt_real, to_dense
 
 # Complex bytes of one t-chunk of a T x N x N unitary stack; the number of
 # times per chunk follows from it for each N.  At 1 MiB a chunk's U and its
@@ -41,7 +41,7 @@ from .graph import WalkHamiltonian, _check_finite_real, _fmt_real_block, to_dens
 # larger budget does the same flops per time with a working set out of cache.
 CHUNK_BYTES = 2 ** 20
 
-# Values per ``graph._fmt_real_block`` call, and rows per block, in
+# Values per ``_fmt_real_block`` call, and rows per block, in
 # ``render_csv``: the kernel's temporaries (about 150 bytes a value) and each
 # block's text stay small.
 CSV_BLOCK_VALUES = 2 ** 13
@@ -147,6 +147,103 @@ def _pair_rows(n: int) -> np.ndarray:
     return _freeze(field_rows([(frm, to) for frm in range(n) for to in range(n)]))
 
 
+# ``_fmt_real_block`` computes 10^-_BLOCK_DECADES <= x < 1 itself; a value's
+# text fits 8 bytes of lead ("0.000d" or "d."), 16 digits and 8 of exponent.
+_BLOCK_DECADES = 290
+_BLOCK_WIDTH = 32
+
+
+@cache
+def _decade_tables() -> tuple[np.ndarray, ...]:
+    """For the decades 10^-n, n = _BLOCK_DECADES..1, built with int arithmetic:
+    the smallest double >= 10^-n (then 1.0), and 10^(16 + n) as ``hi + lo``
+    with the Dekker halves of ``hi``."""
+    floors, scales = [], []
+    for n in range(_BLOCK_DECADES, 0, -1):
+        floor = 1 / 10 ** n  # int true division rounds correctly
+        num, den = floor.as_integer_ratio()
+        floors.append(floor if num * 10 ** n >= den else math.nextafter(floor, 1.0))
+        power = 10 ** (16 + n)
+        hi = float(power)
+        mantissa, exponent = math.frexp(hi)
+        split = mantissa * 134217729.0  # 2^27 + 1
+        head = split - (split - mantissa)
+        scales.append((hi, float(power - int(hi)), math.ldexp(head, exponent),
+                       math.ldexp(mantissa - head, exponent)))
+    return (np.array(floors + [1.0]), *np.array(scales).T)
+
+
+@cache
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """NUL-padded ASCII pieces of ``_fmt_real_block``'s texts, as integers:
+    the lead ``[6 * digit + form]`` (forms "0.d" to "0.000d", "d." and "d"),
+    four digits ``[g]`` and, trailing zeros dropped, ``[g + 10^4]``, and the
+    exponent ``[-power]`` ("" down to 10^-4)."""
+    leads = [[f"0.{'0' * zeros}{d}" for zeros in range(4)] + [f"{d}.", f"{d}"]
+             for d in range(10)]
+    pairs = [f"{i:02d}" for i in range(100)]
+    quads = [high + low for high in pairs for low in pairs]
+    exponents = [f"e-{p:02d}" if p > 4 else "" for p in range(_BLOCK_DECADES + 1)]
+    return (np.array(leads, dtype="S8").view(np.uint64).reshape(-1),
+            np.array(quads + [q.rstrip("0") for q in quads], dtype="S4").view(np.uint32),
+            np.array(exponents, dtype="S8").view(np.uint64))
+
+
+def _fmt_real_block(values: np.ndarray) -> np.ndarray:
+    """``fmt_real`` of each value of a float64 block, as a uint8 array of
+    shape ``(len(values), _BLOCK_WIDTH)`` whose row's non-NUL bytes, in
+    order, are that value's text.
+
+    For 10^-_BLOCK_DECADES <= x < 1 the decade comes from the table of exact
+    decade floors, and the 17 digits from rounding the error-free
+    double-double product x * 10^(16 - decade) (Dekker's two-product) to
+    nearest; the text is laid out as %g does, "0.000ddd" down to 1e-4 and
+    "d.ddde-XX" below, from tables of its lead, of four digits with and
+    without trailing zeros, and of its exponent.  Every other value (zero,
+    negative, non-finite, subnormal, tiny, 1 or more), and every product
+    within 1e-6 of a rounding tie, goes through ``fmt_real``.
+    """
+    floors, hi, lo, hi_head, hi_tail = _decade_tables()
+    lead_texts, quad_texts, exponent_texts = _text_tables()
+    values = np.asarray(values, dtype=float)
+    exact = (values >= floors[0]) & (values < 1.0)
+    x = np.where(exact, values, 0.5)
+    decade = np.floor((np.frexp(x)[1] - 1) * math.log10(2)).astype(np.intp) + _BLOCK_DECADES
+    decade += x >= floors[decade + 1]  # now floors[decade] <= x < floors[decade + 1]
+    split = x * 134217729.0
+    head = split - (split - x)
+    tail = x - head
+    a, b = hi_head[decade], hi_tail[decade]
+    product = x * hi[decade]  # x * 10^(16 - decade) = product + error, exactly
+    error = ((head * a - product) + head * b + tail * a) + tail * b + x * lo[decade]
+    rounding = np.rint(error)
+    exact &= np.abs(error - rounding) < 0.5 - 1e-6
+    digits = product.astype(np.int64) + rounding.astype(np.int64)
+    power = decade - _BLOCK_DECADES
+    carry = digits == 10 ** 17  # rounded up to the next decade
+    digits[carry] = 10 ** 16
+    power += carry
+    lead = digits // 10 ** 16
+    rest = digits - lead * 10 ** 16
+    upper = rest // 10 ** 8
+    lower = rest - upper * 10 ** 8
+    out = np.empty((len(x), _BLOCK_WIDTH // 8), np.uint64)
+    quads = out.view(np.uint32)
+    strip = np.full(len(x), 10 ** 4)  # every later group of four digits is zero
+    for column, group in ((5, lower % 10 ** 4), (4, lower // 10 ** 4),
+                          (3, upper % 10 ** 4), (2, upper // 10 ** 4)):
+        quads[:, column] = quad_texts[group + strip]
+        strip *= group == 0
+    form = np.where(power >= -4, -1 - power, 4 + (rest == 0))
+    out[:, 0] = lead_texts[6 * lead + form]
+    out[:, 3] = exponent_texts[-power]
+    out = out.view(np.uint8)
+    others = np.flatnonzero(~exact)
+    texts = np.array([fmt_real(v) for v in values[others].tolist()], dtype=f"S{_BLOCK_WIDTH}")
+    out[others] = texts.view(np.uint8).reshape(-1, _BLOCK_WIDTH)
+    return out
+
+
 CSV_HEADERS = {"time": "axis,from,to,probability",
                "circuit": "alpha,theta,from,to,probability"}
 
@@ -161,7 +258,7 @@ def render_csv(kind: str | None, outer: np.ndarray, inner: np.ndarray,
     points, so each point's fields are formatted once: ``graph.fmt_real(x)``
     for a float (17 digits round-trip a float64), plain digits for a node
     index.  Each block's values go through the kernel
-    ``graph._fmt_real_block``, which computes the texts in its exact range
+    ``_fmt_real_block``, which computes the texts in its exact range
     and calls ``fmt_real`` for the rest; its rows are laid out as NUL-padded
     bytes (outer fields, inner fields, value, newline) and the NULs deleted.
     So the memory beyond ``values`` is bounded by the block, and the bytes
@@ -217,10 +314,8 @@ class TransportTable:
     def to_csv(self, file: BinaryIO, header: bool = True) -> None:
         """Write the table's CSV to the binary ``file``, one ``render_csv``
         block at a time; without its header line when ``header`` is false."""
-        if self.axis_kind == "time":
-            axes = [(float(t),) for t in self.axes]
-        else:
-            axes = [(float(alpha), float(theta)) for alpha, theta in self.axes]
+        axes = ([(t,) for t in self.axes] if self.axis_kind == "time"
+                else [(alpha, theta) for alpha, theta in self.axes])
         values = self.probabilities.transpose(0, 2, 1).reshape(len(axes), self.n ** 2)
         file.writelines(render_csv(self.axis_kind if header else None, field_rows(axes),
                                    _pair_rows(self.n), values))
@@ -301,15 +396,15 @@ def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
         raise ValueError("node index out of range")
     coeff = dec.eigenvectors[to_node, :] * dec.eigenvectors[from_node, :].conj()
 
-    def prob(t: float) -> float:
-        return float(abs(np.dot(coeff, np.exp(-1j * dec.eigenvalues * t))) ** 2)
+    def prob(times):  # |U(t)[to, from]|^2 at a time or at each of an array of times
+        return np.abs(np.exp(-1j * np.multiply.outer(times, dec.eigenvalues)) @ coeff) ** 2
 
     grid = np.linspace(lo, hi, DEFAULTS.scan_points)
-    values = np.abs(np.exp(-1j * np.outer(grid, dec.eigenvalues)) @ coeff) ** 2
+    values = prob(grid)
     best = int(values.argmax())
     bracket_lo = grid[max(best - 1, 0)]
     bracket_hi = grid[min(best + 1, len(grid) - 1)]
     t_star, p_star = _golden_section_max(prob, bracket_lo, bracket_hi, DEFAULTS.refine_dt)
     if values[best] > p_star:
-        t_star, p_star = float(grid[best]), float(values[best])
-    return t_star, p_star
+        t_star, p_star = grid[best], values[best]
+    return float(t_star), float(p_star)

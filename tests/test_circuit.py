@@ -64,7 +64,7 @@ def test_gate_qubit_zero_angle_is_identity():
     assert np.abs(gate_qubit_space(GateSpec(0, 1, 1.2, 0.0)) - np.eye(4)).max() == 0.0
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(angles, angles)
 def test_gate_qubit_fixes_empty_and_double_occupation(alpha, theta):
     u = gate_qubit_space(GateSpec(0, 1, alpha, theta))
@@ -104,7 +104,7 @@ def test_rz_decompose_trivial_at_zero_alpha():
     assert np.abs(sym - gate_qubit_space(GateSpec(0, 1, 0.0, 0.7))).max() == 0.0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(angles, angles)
 def test_rz_decompose_reproduces_the_gate(alpha, theta):
     gate = GateSpec(0, 1, alpha, theta)
@@ -160,7 +160,7 @@ def test_support_graph_feeds_the_classifier():
     assert is_bipartite(chain_support).bipartite
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(2, 5), st.integers(0, 5), st.integers(0, 10 ** 6))
 def test_any_palindrome_equals_its_reverse(n, k, seed):
     rng = np.random.default_rng(seed)

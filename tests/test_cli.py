@@ -1,5 +1,6 @@
 """Command-line front end: schemas, exit codes, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chiralwalk
 from chiralwalk import parse_graph, pts_numeric, sweep_time, validate_table_csv
@@ -610,6 +613,88 @@ def test_theta_grid_never_passes_theta_max():
     fine = _theta_grid(-PI, PI, float(format(PI / 900, ".17g")))
     assert len(fine) == 1801
     assert abs(fine[-1] - PI) <= 1e-12
+    # -0.124 + 403 * 0.441 rounds to 177.59900000000002, past the end
+    grid = _theta_grid(-0.124, 177.599, 0.441)
+    assert len(grid) == 404
+    assert grid[-1] == 177.599
+
+
+def run_to_stdout(argv) -> tuple[int, bytes]:
+    """``main(argv + ["--out", "-"])`` in process: exit code and stdout bytes."""
+    stream = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    with contextlib.redirect_stdout(stream):
+        code = main([*argv, "--out", "-"])
+    return code, stream.buffer.getvalue()
+
+
+def axis_values(table: bytes, column: int) -> list[str]:
+    return [row.split(",")[column] for row in table.decode("ascii").splitlines()[1:]]
+
+
+@pytest.mark.parametrize("t_min, t_max, count, last", [
+    ("-4.17", "-0.271", 530, "-0.27100000000000002"),  # was -0.27099999999999991
+    ("0", "2.225e-309", 5, "2.2249999999999994e-309"),  # was 2.2250000000000093e-309
+    ("5", "1", 3, "1"),  # descending: 5, 3, 1
+    ("-0", "0", 1, "-0"),
+])
+def test_evolve_times_never_leave_the_range(triangle_file, t_min, t_max, count, last):
+    code, table = run_to_stdout(["evolve", "--graph", str(triangle_file),
+                                 f"--t-min={t_min}", f"--t-max={t_max}",
+                                 "--t-count", str(count)])
+    assert code == 0
+    times = list(dict.fromkeys(axis_values(table, 0)))
+    assert len(times) == count
+    assert times[-1] == last
+    low, high = sorted((float(t_min), float(t_max)))
+    assert all(low <= float(t) <= high for t in times)
+
+
+# reals of 1 to 4 significant digits, and any float of magnitude up to 1e6
+short_reals = st.builds(lambda digits, exponent: float(f"{digits}e{exponent}"),
+                        st.integers(-9999, 9999), st.integers(-6, 3))
+ends = st.one_of(short_reals, st.floats(-1e6, 1e6))
+
+
+@pytest.fixture(scope="module")
+def chiral_triangle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("range") / "triangle.graph"
+    path.write_text("nodes 3\nedge 0 1 1.0 0.3\nedge 1 2 1.0 0.0\nedge 2 0 1.0 0.0\n")
+    return path
+
+
+@st.composite
+def table_requests(draw):
+    """``(argv, axis column, low, high, rows)`` of an ``evolve`` or a
+    ``circuit-sweep`` table over a generated range, either direction for
+    ``evolve``, of 1 to 40 points."""
+    first, second = draw(ends), draw(ends)
+    count = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        t_max = first if count == 1 else second
+        argv = ["evolve", f"--t-min={first!r}", f"--t-max={t_max!r}", "--t-count", str(count)]
+        return argv, 0, min(first, t_max), max(first, t_max), 9 * count
+    low, high = sorted((first, second))
+    # a short step of at least (high - low) / (count - 1), so at most count points
+    least = max((high - low) / max(count - 1, 1), 1e-6)
+    step = draw(st.integers(1000, 9999)) * 10.0 ** math.ceil(math.log10(least) - 3)
+    points = math.floor((high - low) / step * (1 + 1e-12)) + 1
+    argv = ["circuit-sweep", "--alpha", "0", f"--theta-min={low!r}", f"--theta-max={high!r}",
+            f"--theta-step={step!r}"]
+    return argv, 1, low, high, 9 * points
+
+
+@settings(max_examples=200)
+@given(table_requests())
+def test_table_axes_stay_inside_the_requested_range(chiral_triangle, case):
+    argv, column, low, high, rows = case
+    if argv[0] == "evolve":
+        argv = [*argv, "--graph", str(chiral_triangle)]
+    code, table = run_to_stdout(argv)
+    assert code == 0
+    validate_table_csv(table.decode("ascii"))
+    values = [float(value) for value in axis_values(table, column)]
+    assert len(values) == rows
+    assert all(low <= value <= high for value in values)
 
 
 def test_sweep_is_byte_deterministic(tmp_path):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from chiralwalk import (DEFAULTS, Edge, GraphFormatError, PalindromicCircuit,
                         WalkHamiltonian, parse_circuit, parse_graph, render_graph, skeleton,
                         to_dense)
-from chiralwalk.graph import _fmt_real_block, load_graph
+from chiralwalk.graph import load_graph
+from chiralwalk.propagator import _fmt_real_block
 
 TRIANGLE = "nodes 3\nedge 0 1 1.0 0.0\nedge 1 2 1.0 0.0\nedge 2 0 1.0 0.0\n"
 
@@ -113,7 +114,7 @@ def hamiltonians(draw):
     return WalkHamiltonian(n, edges, selfs)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(hamiltonians())
 def test_render_parse_round_trip(graph):
     again = parse_graph(render_graph(graph))
@@ -140,7 +141,7 @@ def assert_block_is_fmt_real(values):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
                 max_size=16))
 def test_real_block_kernel_matches_fmt_real_on_any_floats(values):
@@ -263,7 +264,7 @@ _LINE = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.lists(_LINE, max_size=8).map("\n".join))
 def test_file_errors_name_a_line_that_holds_a_token(text):
     for parse in (parse_graph, parse_circuit):

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chiralwalk"
 
 
@@ -65,3 +67,20 @@ def test_only_the_csv_writer_reads_the_csv_headers():
 
 def test_only_chunk_length_reads_the_chunk_budget():
     assert _readers_by_module("CHUNK_BYTES") == {"propagator.py": {"chunk_length"}}
+
+
+def _defines(tree: ast.AST, name: str) -> bool:
+    """Whether ``tree`` defines ``name``: a function, a class or an assignment."""
+    return any((isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+               or (isinstance(node, ast.Name) and node.id == name
+                   and isinstance(node.ctx, ast.Store))
+               for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("name", ["_fmt_real_block", "_decade_tables", "_text_tables",
+                                  "_BLOCK_DECADES", "_BLOCK_WIDTH"])
+def test_the_real_block_kernel_lives_beside_the_csv_writer(name):
+    definers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                if _defines(ast.parse(path.read_text(encoding="utf-8")), name)]
+    assert definers == ["propagator.py"]
+    assert list(_readers_by_module(name)) == ["propagator.py"]

@@ -249,7 +249,7 @@ def test_apply_gauge_identity_and_mismatch():
         apply_gauge(graph, (0.0, 0.0))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(st.floats(-10, 10), min_size=3, max_size=3),
        st.lists(st.floats(-10, 10), min_size=3, max_size=3))
 def test_gauge_composition(lam1, lam2):
