@@ -18,7 +18,7 @@ _EXPORTS = {
     "graph": ("Edge", "GraphFormatError", "WalkHamiltonian", "load_graph", "parse_graph",
               "render_graph", "skeleton", "to_dense"),
     "propagator": ("TransportTable", "eig_hermitian", "max_transfer", "propagate",
-                   "sweep_time", "validate_table_csv"),
+                   "sweep_time"),
     "symmetry": ("SymmetryReport", "apply_gauge", "bipartite_negation_gauge", "classify",
                  "cycle_flux", "default_time_samples", "eq_parity_residual", "is_bipartite",
                  "is_forest", "pts_numeric", "tree_phase_removal"),

@@ -19,14 +19,20 @@ factor 0 leftmost; walk node ``|k>`` is the basis state with qubit k in
 ``|1>`` and the rest in ``|0>``.
 
 Costs: in node space a gate rewrites rows i and j of the state, O(N) per
-gate per batch element (so a G-gate unitary is O(G N)); in qubit space all n
-start nodes share one statevector array, O(G 2^n n) for the circuit.
+gate per batch element (so a G-gate unitary is O(G N)), and a batch may
+hold many palindromes of one node count and half length, each with its own
+endpoints and angles, so one pass of G steps builds all their unitaries
+(``_unitary_stack``); in qubit space all n start nodes share one
+statevector array, O(G 2^n n) for the circuit, and each gate moves its two
+qubit axes first and back with one transpose each, on permutations built
+once per (n, i, j).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +51,7 @@ _I4 = np.eye(4, dtype=complex)
 _XX_YY = np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)
 _XY_YX = np.kron(PAULI_X, PAULI_Y) - np.kron(PAULI_Y, PAULI_X)
 _ZZ = np.kron(PAULI_Z, PAULI_Z)
+_EVEN, _ODD = _I4 + _ZZ, _I4 - _ZZ  # twice the projectors on ZZ = +1 and ZZ = -1
 
 
 @dataclass(frozen=True)
@@ -117,14 +124,44 @@ def _apply_gates(state: np.ndarray, rows: Iterable[tuple]) -> np.ndarray:
     """Apply ``(i, j, c, u, l)`` gates in order to ``state``, in place.
 
     Axis 0 of ``state`` is the node and the coefficients broadcast against
-    one node's row, so a batch of circuits sits on the last axis.  A gate
-    rewrites rows i and j only, ``row_i <- c row_i + u row_j`` and ``row_j <-
-    l row_i + c row_j`` (both from the old rows): O(N) per batch element.
+    one node's row, so a batch of circuits sits on the last axis.  An
+    endpoint is a node, or an array of nodes that broadcasts against a row
+    like the coefficients: one per batch element, so one pass applies many
+    circuits of one length.  A gate rewrites rows i and j only, ``row_i <- c
+    row_i + u row_j`` and ``row_j <- l row_i + c row_j`` (both from the old
+    rows): O(N) per batch element.
     """
+    positions = None
     for i, j, c, u, l in rows:
+        if np.ndim(i) or np.ndim(j):  # per-element rows: index every position
+            positions = positions or np.indices(state.shape[1:], sparse=True)
+            i, j = (i, *positions), (j, *positions)
         row_i, row_j = state[i], state[j]
         state[i], state[j] = c * row_i + u * row_j, l * row_i + c * row_j
     return state
+
+
+def _stack_rows(circuits: Sequence[PalindromicCircuit]) -> list[tuple]:
+    """``(i, j, c, u, l)`` per gate position of palindromes with halves of
+    one length, each an array over the circuits (an endpoint all of them
+    share is a node); the mirrored half reuses the first half's rows."""
+    rows = []
+    for gates in zip(*(circuit.half for circuit in circuits)):
+        i, j, alpha, theta = (np.array(values) for values in
+                              zip(*((g.i, g.j, g.alpha, g.theta) for g in gates)))
+        i, j = (int(k[0]) if (k == k[0]).all() else k for k in (i, j))
+        rows.append((i, j) + _gate_coefficients(alpha, theta))
+    return rows + rows[::-1]
+
+
+def _unitary_stack(circuits: Sequence[PalindromicCircuit]) -> np.ndarray:
+    """Unitaries of palindromes with one node count and one half length, as
+    a ``(len(circuits), n, n)`` stack from one ``_apply_gates`` pass (the
+    circuits on the state's last axis): each equals ``apply_circuit`` of its
+    circuit."""
+    n = circuits[0].n_nodes
+    state = np.repeat(np.eye(n, dtype=complex)[..., None], len(circuits), axis=2)
+    return np.moveaxis(_apply_gates(state, _stack_rows(circuits)), -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +174,7 @@ def gate_qubit_space(gate: GateSpec) -> np.ndarray:
     untouched for every (alpha, theta); the single-excitation sector mixes.
     """
     generator = math.cos(gate.alpha) * _XX_YY + math.sin(gate.alpha) * _XY_YX
-    return 0.5 * (_I4 + _ZZ + math.cos(gate.theta) * (_I4 - _ZZ)
-                  - 1j * math.sin(gate.theta) * generator)
+    return 0.5 * (_EVEN + math.cos(gate.theta) * _ODD - 1j * math.sin(gate.theta) * generator)
 
 
 def rz_rotation(alpha: float) -> np.ndarray:
@@ -178,11 +214,21 @@ def _qubit_columns(circuit: PalindromicCircuit) -> np.ndarray:
     columns = np.zeros((1 << n, n), dtype=complex)
     columns[_single_excitation_rows(n), range(n)] = 1.0
     psi = columns.reshape((2,) * n + (n,))
-    for gate in circuit.full:
-        pair = np.moveaxis(psi, (gate.i, gate.j), (0, 1))
-        mixed = gate_qubit_space(gate) @ pair.reshape(4, -1)
-        psi = np.moveaxis(mixed.reshape(pair.shape), (0, 1), (gate.i, gate.j))
+    blocks = [gate_qubit_space(gate) for gate in circuit.half]
+    for gate, block in zip(circuit.full, blocks + blocks[::-1]):
+        forward, back = _pair_first(n, gate.i, gate.j)
+        pair = psi.transpose(forward)
+        mixed = block @ pair.reshape(4, -1)
+        psi = mixed.reshape(pair.shape).transpose(back)
     return psi.reshape(1 << n, n)
+
+
+@lru_cache(maxsize=None)
+def _pair_first(n: int, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis permutation of an ``(2,) * n + (n,)`` statevector array that puts
+    qubits i and j first, and its inverse."""
+    forward = (i, j) + tuple(axis for axis in range(n + 1) if axis not in (i, j))
+    return forward, tuple(np.argsort(forward).tolist())
 
 
 def apply_circuit(circuit: PalindromicCircuit) -> np.ndarray:

@@ -40,9 +40,10 @@ class GraphFormatError(ValueError):
 
 
 def _check_finite_real(value, what: str) -> float:
-    if isinstance(value, (complex, np.complexfloating)):
-        raise ValueError(f"{what} must be real, got {value!r}")
-    value = float(value)
+    if type(value) is not float:  # a float is its own float()
+        if isinstance(value, (complex, np.complexfloating)):
+            raise ValueError(f"{what} must be real, got {value!r}")
+        value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return value

@@ -9,7 +9,12 @@ unitaries over a time grid are built in t-chunks of at most ``CHUNK_BYTES``
 (1 MiB) complex bytes, so their peak memory is bounded by that budget, not by
 the grid length, and one chunk's U, ``|U|^2`` and ``p - p^T`` come to about
 a 2 MiB L2 cache; ``evolve`` streams its table one t-chunk per block, so its
-memory does not grow with ``--t-count``.  Probabilities follow the column
+memory does not grow with ``--t-count``.  ``spectra`` decomposes many
+Hamiltonians of one node count as one stack (one ``eig_hermitian`` call) and
+keeps each spectrum on its Hamiltonian; ``SpectralDecomposition.propagators``
+then gives each of a stack its unitary at its own time as one stacked
+product, with the same bytes as one ``propagate`` per Hamiltonian.
+Probabilities follow the column
 convention ``p[to, from]``: entry ``|U[to, from]|^2`` is the probability of
 the transition ``from -> to``.
 
@@ -54,14 +59,15 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns; of one
+    matrix, or of each of a stack (leading axes on both arrays)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     @property
     def spectral_norm(self) -> float:
@@ -71,7 +77,7 @@ class SpectralDecomposition:
     def adjoint(self) -> np.ndarray:
         """V^H, read-only: the transposed view of one conjugated copy of V,
         made on first use and kept, so each t-chunk reuses it."""
-        return _freeze(self.eigenvectors.conj()).T
+        return _freeze(self.eigenvectors.conj()).swapaxes(-1, -2)
 
     def propagator_batch(self, times: np.ndarray) -> np.ndarray:
         """Stack of unitaries, shape (len(times), n, n), as one matrix product."""
@@ -80,6 +86,13 @@ class SpectralDecomposition:
         n = self.n
         scaled = (self.eigenvectors * phases[:, None, :]).reshape(-1, n)
         return (scaled @ self.adjoint).reshape(-1, n, n)
+
+    def propagators(self, times) -> np.ndarray:
+        """exp(-i H_k t_k) for each spectrum k of a stack at its own time
+        ``times[k]``, as one stacked product: the entries ``propagator_batch``
+        gives each spectrum alone, element for element."""
+        phases = np.exp(-1j * (np.asarray(times, dtype=float)[..., None] * self.eigenvalues))
+        return (self.eigenvectors * phases[..., None, :]) @ self.adjoint
 
 
 def chunk_length(n: int) -> int:
@@ -99,11 +112,12 @@ def probability_chunks(dec: SpectralDecomposition,
 
 
 def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition with an explicit Hermiticity gate on the input."""
+    """Eigendecomposition of a matrix, or of each of an ``(..., n, n)`` stack,
+    with explicit Hermiticity and finiteness gates on the whole input."""
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("expected a square matrix")
-    asym = float(np.abs(matrix - matrix.conj().T).max()) if matrix.size else 0.0
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    asym = float(np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max()) if matrix.size else 0.0
     if asym > DEFAULTS.hermiticity:
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
@@ -119,6 +133,16 @@ def spectrum(hamiltonian: WalkHamiltonian) -> SpectralDecomposition:
         kept = eig_hermitian(to_dense(hamiltonian))
         object.__setattr__(hamiltonian, "_spectrum", kept)
     return kept
+
+
+def spectra(hamiltonians: Sequence[WalkHamiltonian]) -> SpectralDecomposition:
+    """The spectra of Hamiltonians of one node count, as the stack of one
+    ``eig_hermitian`` call; each is also kept on its Hamiltonian, so
+    ``spectrum``, ``propagate``, ``sweep_time`` and ``pts_numeric`` read it."""
+    stack = eig_hermitian(np.stack([to_dense(h) for h in hamiltonians]))
+    for h, values, vectors in zip(hamiltonians, stack.eigenvalues, stack.eigenvectors):
+        object.__setattr__(h, "_spectrum", SpectralDecomposition(values, vectors))
+    return stack
 
 
 def _check_phases(hamiltonian: WalkHamiltonian, times: Sequence[float], what: str) -> None:
@@ -331,26 +355,6 @@ def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> Transpo
     for start, chunk in probability_chunks(dec, t_grid):
         probabilities[start:start + len(chunk)] = chunk
     return TransportTable("time", t_grid, _freeze(probabilities))
-
-
-def validate_table_csv(text: str) -> None:
-    """Schema gate for probability CSVs: column count, finite reals, p in [0, 1]."""
-    lines = text.strip().split("\n")
-    if not lines or lines[0] not in CSV_HEADERS.values():
-        raise ValueError(f"unknown table header {lines[0] if lines else ''!r}")
-    width = lines[0].count(",") + 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ValueError(f"row {lineno}: expected {width} columns")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"row {lineno}: non-numeric field") from None
-        if not all(np.isfinite(v) for v in values):
-            raise ValueError(f"row {lineno}: non-finite value")
-        if not (-1e-12 <= values[-1] <= 1.0 + 1e-12):
-            raise ValueError(f"row {lineno}: probability {values[-1]} out of range")
 
 
 def _golden_section_max(f, lo: float, hi: float, width: float) -> tuple[float, float]:

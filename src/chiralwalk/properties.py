@@ -3,23 +3,38 @@
 Each property draws its instances from its own child generator of one
 master seed, measures a worst residual, and compares it to a fixed bound.
 The suites back the ``properties`` command and the acceptance tests.
+
+Most suites draw their instances first, trial after trial with the same
+generator calls as one instance at a time, and then judge them in stacks:
+grouped by node count (circuits also by half length), in windows of at most
+``chunk_length`` instances of the window's largest node count, so a stack
+of N x N matrices stays within the propagator's t-chunk budget and memory
+does not grow with ``trials``.  A stack takes one ``spectra`` eigensolve,
+one stacked propagator product and one gate pass, and gives every instance
+the bytes a one-instance run gives it, so the time is linear in ``trials``.
+The suites that exist to exercise a one-instance function (``pts_numeric``,
+``sweep_time``, ``trotter_error``) still call it per instance, on spectra
+computed for the stack.  The two-qubit gate identities,
+``excitation-preservation`` (``excitation_preservation_check`` on one
+circuit), ``parity-split-agreement`` and ``cycle-flux-gauge-invariance`` run
+one trial at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import randgen
 from .circuit import (GateSpec, PalindromicCircuit, _apply_gates, _gate_rows,
-                      apply_circuit, circuit_sweep_table,
+                      _unitary_stack, circuit_sweep_table,
                       excitation_preservation_check, gate_qubit_space,
                       rz_decompose, trotter_error)
 from .graph import Edge, WalkHamiltonian, fmt_real
-from .propagator import propagate, sweep_time
+from .propagator import chunk_length, propagate, spectra, sweep_time
 from .symmetry import (apply_gauge, cycle_flux, default_time_samples,
                        eq_parity_residual, pts_numeric)
 
@@ -36,11 +51,6 @@ class PropertyResult:
     note: str = ""
 
 
-def _trials(residual: Callable, rng, trials: int, **kwargs) -> list[float]:
-    """One residual per trial, each drawing its instance from ``rng`` in turn."""
-    return [residual(rng, **kwargs) for _ in range(trials)]
-
-
 def _judge(name: str, trials: int, bound: float, residuals) -> PropertyResult:
     """Pass when the worst residual is within ``bound``; a NaN residual fails."""
     worst = float(np.max(residuals, initial=0.0))
@@ -48,9 +58,51 @@ def _judge(name: str, trials: int, bound: float, residuals) -> PropertyResult:
 
 
 def _suite(name: str, default_trials: int, bound: float, residual: Callable):
-    """The ``(name, run)`` row of a suite judged on its worst per-trial residual."""
+    """The ``(name, run)`` row of a suite judged on its worst per-trial
+    residual, each trial drawing its instance from ``rng`` in turn."""
     def run(rng, trials: int = default_trials, **kwargs) -> PropertyResult:
-        return _judge(name, trials, bound, _trials(residual, rng, trials, **kwargs))
+        return _judge(name, trials, bound, [residual(rng, **kwargs) for _ in range(trials)])
+    return name, run
+
+
+def _nodes(instance) -> tuple[int, ...]:
+    """Stack key of an instance: the node count of its first entry."""
+    return (instance[0].n_nodes,)
+
+
+def _nodes_and_gates(instance) -> tuple[int, ...]:
+    """Stack key of a circuit instance: node count and half length."""
+    return (instance[0].n_nodes, len(instance[0].half))
+
+
+def _stacks(draw: Callable, rng, trials: int, key: Callable, **kwargs) -> Iterator[list]:
+    """Draw ``trials`` instances (tuples) from ``rng`` in order and yield them
+    grouped by ``key``, whose first entry is the node count, window by
+    window: a window closes at ``chunk_length`` of its largest node count,
+    so each group's stack fits one t-chunk."""
+    window: list = []
+    capacity = math.inf
+    for trial in range(trials):
+        window.append(draw(rng, **kwargs))
+        capacity = min(capacity, chunk_length(key(window[-1])[0]))
+        if len(window) >= capacity or trial == trials - 1:
+            groups: dict = {}
+            for instance in window:
+                groups.setdefault(key(instance), []).append(instance)
+            window, capacity = [], math.inf
+            while groups:  # hold no group of a window while the next is drawn
+                yield groups.popitem()[1]
+
+
+def _stacked(name: str, default_trials: int, bound: float, draw: Callable,
+             judge: Callable, key: Callable = _nodes):
+    """The ``(name, run)`` row of a suite judged in stacks: ``judge(group)``
+    gives the residual of each instance of a group, in any order."""
+    def run(rng, trials: int = default_trials, **kwargs) -> PropertyResult:
+        worst = 0.0
+        for residuals in map(judge, _stacks(draw, rng, trials, key, **kwargs)):
+            worst = np.maximum(worst, np.max(residuals))  # a NaN stays
+        return _judge(name, trials, bound, worst)
     return name, run
 
 
@@ -58,22 +110,48 @@ def _gap(a, b) -> float:
     return float(np.abs(a - b).max())
 
 
+def _gaps(a, b) -> np.ndarray:
+    """``_gap`` of each matrix pair of two stacks (the last two axes)."""
+    return np.abs(a - b).max(axis=(-2, -1))
+
+
 def _probabilities(hamiltonian, t: float) -> np.ndarray:
     return np.abs(propagate(hamiltonian, t)) ** 2
 
 
-def _gauge_invariance(rng) -> float:
+def _draw_gauge_invariance(rng) -> tuple:
     graph = randgen.random_hamiltonian(rng, n_max=8)
     gauge = randgen.random_gauge(rng, graph.n_nodes)
-    t = float(rng.uniform(-5.0, 5.0))
-    return _gap(_probabilities(graph, t), _probabilities(apply_gauge(graph, gauge), t))
+    return graph, apply_gauge(graph, gauge), float(rng.uniform(-5.0, 5.0))
 
 
-def _forest_phase_independence(rng) -> float:
-    graph = randgen.random_forest(rng, n_max=12, with_self_energies=True)
-    times = default_time_samples(graph, count=16)
-    return _gap(sweep_time(graph, times).probabilities,
-                sweep_time(graph.zero_phase_copy(), times).probabilities)
+def _same_probabilities(group) -> np.ndarray:
+    """Probability gap of two graphs of one node count at one time, each instance."""
+    graphs, others, times = zip(*group)
+    probabilities = np.abs(spectra(graphs + others).propagators(times + times)) ** 2
+    return _gaps(probabilities[:len(group)], probabilities[len(group):])
+
+
+def _draw_forest(rng) -> tuple:
+    return (randgen.random_forest(rng, n_max=12, with_self_energies=True),)
+
+
+def _pts_residuals(group) -> list[float]:
+    graphs = [graph for graph, in group]
+    spectra(graphs)  # kept on each graph, where pts_numeric reads it
+    return [pts_numeric(graph) for graph in graphs]
+
+
+def _forest_phase_independence(group) -> list[float]:
+    graphs = [graph for graph, in group]
+    copies = [graph.zero_phase_copy() for graph in graphs]
+    spectra(graphs + copies)
+    residuals = []
+    for graph, copy in zip(graphs, copies):
+        times = default_time_samples(graph, count=16)
+        residuals.append(_gap(sweep_time(graph, times).probabilities,
+                              sweep_time(copy, times).probabilities))
+    return residuals
 
 
 def _parity_split_agreement(rng) -> float:
@@ -88,10 +166,11 @@ def _parity_split_agreement(rng) -> float:
     return residual if (parity <= 1e-10) == (skew <= 1e-9) else max(residual, 1.0)
 
 
-def _negation_time_reversal(rng) -> float:
-    graph = randgen.random_bipartite(rng, 10)
-    t = float(rng.uniform(0.1, 5.0))
-    return _gap(np.abs(propagate(graph, t)), np.abs(propagate(graph, -t)))
+def _negation_time_reversal(group) -> np.ndarray:
+    graphs, times = zip(*group)
+    dec = spectra(graphs)
+    times = np.array(times)
+    return _gaps(np.abs(dec.propagators(times)), np.abs(dec.propagators(-times)))
 
 
 def _cycle_flux_gauge_invariance(rng) -> float:
@@ -102,28 +181,33 @@ def _cycle_flux_gauge_invariance(rng) -> float:
     return abs(math.remainder(flux - flux_gauged, TWO_PI))
 
 
-def _unitarity(rng) -> float:
-    graph = randgen.random_hamiltonian(rng, n_max=16)
-    u = propagate(graph, float(rng.uniform(-10.0, 10.0)))
-    return _gap(u.conj().T @ u, np.eye(len(u)))
+def _unitarity(group) -> np.ndarray:
+    graphs, times = zip(*group)
+    u = spectra(graphs).propagators(times)
+    return _gaps(u.conj().swapaxes(-1, -2) @ u, np.eye(u.shape[-1]))
 
 
-def _group_property(rng) -> float:
+def _draw_group_property(rng) -> tuple:
     graph = randgen.random_hamiltonian(rng, n_max=10)
     t1, t2 = rng.uniform(-3.0, 3.0, size=2)
-    combined = propagate(graph, float(t1 + t2))
-    return _gap(combined, propagate(graph, float(t1)) @ propagate(graph, float(t2)))
+    return graph, float(t1), float(t2)
 
 
-def _spectral_shift(rng) -> float:
+def _group_property(group) -> np.ndarray:
+    graphs, t1, t2 = zip(*group)
+    dec = spectra(graphs)
+    t1, t2 = np.array(t1), np.array(t2)
+    return _gaps(dec.propagators(t1 + t2), dec.propagators(t1) @ dec.propagators(t2))
+
+
+def _draw_spectral_shift(rng) -> tuple:
     graph = randgen.random_hamiltonian(rng, n_max=8)
     shift = float(rng.uniform(-3.0, 3.0))
     diag = graph.diagonal()
     shifted = WalkHamiltonian(
         graph.n_nodes, graph.edges,
         tuple((v, float(diag[v] + shift)) for v in range(graph.n_nodes)))
-    t = float(rng.uniform(-4.0, 4.0))
-    return _gap(_probabilities(graph, t), _probabilities(shifted, t))
+    return graph, shifted, float(rng.uniform(-4.0, 4.0))
 
 
 def _random_gate(rng) -> GateSpec:
@@ -145,20 +229,22 @@ def _gate_embedding(rng) -> float:
     return _gap(restricted, _apply_gates(np.eye(2, dtype=complex), _gate_rows([gate])))
 
 
-def _palindrome_amplitude_symmetry(rng) -> float:
+def _draw_zero_alpha_palindrome(rng) -> tuple:
     n = int(rng.integers(2, 7))
-    circuit = randgen.random_palindrome(rng, n, int(rng.integers(1, 7)),
-                                        zero_alpha=True)
-    u = apply_circuit(circuit)
-    return _gap(u, u.T)
+    return (randgen.random_palindrome(rng, n, int(rng.integers(1, 7)), zero_alpha=True),)
 
 
-def _circuit_pts_residual(circuit) -> float:
-    p = np.abs(apply_circuit(circuit)) ** 2
-    return _gap(p, p.T)
+def _palindrome_amplitude_symmetry(group) -> np.ndarray:
+    u = _unitary_stack([circuit for circuit, in group])
+    return _gaps(u, u.swapaxes(-1, -2))
 
 
-def _flux_dependence(rng, inject_fault: bool = False) -> float:
+def _circuit_pts(group) -> np.ndarray:
+    p = np.abs(_unitary_stack([circuit for circuit, in group])) ** 2
+    return _gaps(p, p.swapaxes(-1, -2))
+
+
+def _draw_flux_dependence(rng, inject_fault: bool = False) -> tuple:
     """Triangle transport depends on per-gate phases only through their sum.
 
     Two phase assignments with equal total flux are gauge images of each
@@ -176,24 +262,33 @@ def _flux_dependence(rng, inject_fault: bool = False) -> float:
                               phases[2] + lam[2] - lam[0]])
     if inject_fault:
         redistributed[0] = -redistributed[0]
-    tables = []
-    for assignment in (phases, redistributed):
-        half = (GateSpec(0, 1, float(assignment[0]), theta),
-                GateSpec(1, 2, float(assignment[1]), theta),
-                GateSpec(2, 0, float(assignment[2]), theta))
-        u = apply_circuit(PalindromicCircuit(3, half))
-        tables.append(np.abs(u) ** 2)
-    return _gap(tables[0], tables[1])
+    return tuple(PalindromicCircuit(3, (GateSpec(0, 1, float(assignment[0]), theta),
+                                        GateSpec(1, 2, float(assignment[1]), theta),
+                                        GateSpec(2, 0, float(assignment[2]), theta)))
+                 for assignment in (phases, redistributed))
 
 
-def _trotter_order(rng) -> float:
-    """Halving the step 0.1 or 0.05 shrinks the splitting error ~8x (third order)."""
+def _flux_dependence(group) -> np.ndarray:
+    tables = np.abs(_unitary_stack([c for pair in group for c in pair])) ** 2
+    return _gaps(tables[0::2], tables[1::2])
+
+
+def _draw_trotter_order(rng) -> tuple:
     phase = float(rng.uniform(-1.0, 1.0))
-    graph = WalkHamiltonian(3, (Edge(0, 1, 1.0, phase), Edge(1, 2, 1.0, phase),
-                                Edge(0, 2, 1.0, -phase)))
-    ratios = np.array([trotter_error(graph, step) / trotter_error(graph, step / 2.0)
-                       for step in (0.1, 0.05)])
-    return _gap(ratios, 8.0)
+    return (WalkHamiltonian(3, (Edge(0, 1, 1.0, phase), Edge(1, 2, 1.0, phase),
+                                Edge(0, 2, 1.0, -phase))),)
+
+
+def _trotter_order(group) -> list[float]:
+    """Halving the step 0.1 or 0.05 shrinks the splitting error ~8x (third order)."""
+    graphs = [graph for graph, in group]
+    spectra(graphs)
+    residuals = []
+    for graph in graphs:
+        ratios = np.array([trotter_error(graph, step) / trotter_error(graph, step / 2.0)
+                           for step in (0.1, 0.05)])
+        residuals.append(_gap(ratios, 8.0))
+    return residuals
 
 
 def _excitation_preservation(rng) -> float:
@@ -205,52 +300,66 @@ def _excitation_preservation(rng) -> float:
 def _nonbipartite_asymmetry(name: str, default_trials: int, threshold: float):
     """Odd cycles with generic flux break symmetry detectably (statistical)."""
     def run(rng, trials: int = default_trials) -> PropertyResult:
-        residuals = _trials(
-            lambda r: pts_numeric(randgen.random_nonbipartite(r, 12)), rng, trials)
-        detected = sum(residual > threshold for residual in residuals)
-        return PropertyResult(name, trials, float(np.min(residuals, initial=math.inf)),
-                              threshold, detected >= int(0.95 * trials),
+        detected, least = 0, math.inf
+        for residuals in map(_pts_residuals, _stacks(
+                lambda r: (randgen.random_nonbipartite(r, 12),), rng, trials, _nodes)):
+            detected += sum(residual > threshold for residual in residuals)
+            least = float(np.min(residuals, initial=least))
+        return PropertyResult(name, trials, least, threshold, detected >= int(0.95 * trials),
                               f"detected {detected}/{trials}")
     return name, run
 
 
-def _sweep_column_defect(rng) -> float:
-    graph = randgen.random_hamiltonian(rng, n_max=10)
-    return sweep_time(graph, default_time_samples(graph, count=8)).column_sum_defect()
+def _sweep_column_defects(group) -> list[float]:
+    graphs = [graph for graph, in group]
+    spectra(graphs)
+    return [sweep_time(graph, default_time_samples(graph, count=8)).column_sum_defect()
+            for graph in graphs]
 
 
 def _table_normalization(name: str, default_trials: int, bound: float):
     """Time sweeps, then one circuit grid drawn after them, have unit column sums."""
     def run(rng, trials: int = default_trials) -> PropertyResult:
-        defects = _trials(_sweep_column_defect, rng, trials)
+        worst = 0.0
+        for defects in map(_sweep_column_defects, _stacks(
+                lambda r: (randgen.random_hamiltonian(r, n_max=10),), rng, trials, _nodes)):
+            worst = np.maximum(worst, np.max(defects))
         grid = circuit_sweep_table(rng.uniform(0, TWO_PI, size=4),
                                    rng.uniform(-np.pi, np.pi, size=16))
-        return _judge(name, trials, bound, defects + [grid.column_sum_defect()])
+        return _judge(name, trials, bound, [worst, grid.column_sum_defect()])
     return name, run
 
 
 PROPERTY_SUITE: tuple[tuple[str, Callable], ...] = (
-    _suite("gauge-invariance", 200, 1e-12, _gauge_invariance),
-    _suite("forest-pts", 100, 1e-9, lambda rng: pts_numeric(
-        randgen.random_forest(rng, n_max=12, with_self_energies=True))),
-    _suite("bipartite-pts", 100, 1e-9,
-           lambda rng: pts_numeric(randgen.random_bipartite(rng, 12))),
-    _suite("forest-phase-independence", 100, 1e-9, _forest_phase_independence),
+    _stacked("gauge-invariance", 200, 1e-12, _draw_gauge_invariance, _same_probabilities),
+    _stacked("forest-pts", 100, 1e-9, _draw_forest, _pts_residuals),
+    _stacked("bipartite-pts", 100, 1e-9,
+             lambda rng: (randgen.random_bipartite(rng, 12),), _pts_residuals),
+    _stacked("forest-phase-independence", 100, 1e-9, _draw_forest,
+             _forest_phase_independence),
     _suite("parity-split-agreement", 60, 1e-12, _parity_split_agreement),
-    _suite("negation-time-reversal", 100, 1e-12, _negation_time_reversal),
+    _stacked("negation-time-reversal", 100, 1e-12,
+             lambda rng: (randgen.random_bipartite(rng, 10), float(rng.uniform(0.1, 5.0))),
+             _negation_time_reversal),
     _suite("cycle-flux-gauge-invariance", 100, 1e-12, _cycle_flux_gauge_invariance),
-    _suite("unitarity", 100, 1e-10, _unitarity),
-    _suite("group-property", 100, 1e-9, _group_property),
-    _suite("spectral-shift", 100, 1e-12, _spectral_shift),
+    _stacked("unitarity", 100, 1e-10,
+             lambda rng: (randgen.random_hamiltonian(rng, n_max=16),
+                          float(rng.uniform(-10.0, 10.0))), _unitarity),
+    _stacked("group-property", 100, 1e-9, _draw_group_property, _group_property),
+    _stacked("spectral-shift", 100, 1e-12, _draw_spectral_shift, _same_probabilities),
     _suite("rz-conjugation-identity", 100, 1e-12, _rz_conjugation_identity),
     _suite("gate-embedding", 100, 1e-12, _gate_embedding),
-    _suite("palindrome-amplitude-symmetry", 100, 1e-12, _palindrome_amplitude_symmetry),
-    _suite("spanning-tree-circuit-pts", 100, 1e-10, lambda rng: _circuit_pts_residual(
-        randgen.random_spanning_tree_palindrome(rng, 8))),
-    _suite("bipartite-circuit-pts", 100, 1e-10, lambda rng: _circuit_pts_residual(
-        randgen.random_bipartite_palindrome(rng, 8))),
-    _suite("flux-dependence", 100, 1e-10, _flux_dependence),
-    _suite("trotter-order", 2, 2.0, _trotter_order),
+    _stacked("palindrome-amplitude-symmetry", 100, 1e-12, _draw_zero_alpha_palindrome,
+             _palindrome_amplitude_symmetry, _nodes_and_gates),
+    _stacked("spanning-tree-circuit-pts", 100, 1e-10,
+             lambda rng: (randgen.random_spanning_tree_palindrome(rng, 8),), _circuit_pts,
+             _nodes_and_gates),
+    _stacked("bipartite-circuit-pts", 100, 1e-10,
+             lambda rng: (randgen.random_bipartite_palindrome(rng, 8),), _circuit_pts,
+             _nodes_and_gates),
+    _stacked("flux-dependence", 100, 1e-10, _draw_flux_dependence, _flux_dependence,
+             _nodes_and_gates),
+    _stacked("trotter-order", 2, 2.0, _draw_trotter_order, _trotter_order),
     _suite("excitation-preservation", 100, 1e-12, _excitation_preservation),
     _nonbipartite_asymmetry("non-bipartite-asymmetry", 100, 1e-3),
     _table_normalization("table-normalization", 50, 1e-9),

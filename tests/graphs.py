@@ -1,5 +1,6 @@
 """Test graphs shared by the test modules, built as WalkHamiltonians, the
-qubit-space reading of a circuit's node block, and a table's CSV as text."""
+qubit-space reading of a circuit's node block, a table's CSV as text, and
+the schema check of a probability CSV."""
 
 from __future__ import annotations
 
@@ -38,3 +39,26 @@ def csv_text(table: TransportTable, header: bool = True) -> str:
     buffer = io.BytesIO()
     table.to_csv(buffer, header=header)
     return buffer.getvalue().decode("ascii")
+
+
+CSV_HEADER_LINES = ("axis,from,to,probability", "alpha,theta,from,to,probability")
+
+
+def validate_table_csv(text: str) -> None:
+    """Schema gate for probability CSVs: column count, finite reals, p in [0, 1]."""
+    lines = text.strip().split("\n")
+    if not lines or lines[0] not in CSV_HEADER_LINES:
+        raise ValueError(f"unknown table header {lines[0] if lines else ''!r}")
+    width = lines[0].count(",") + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValueError(f"row {lineno}: expected {width} columns")
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"row {lineno}: non-numeric field") from None
+        if not all(np.isfinite(v) for v in values):
+            raise ValueError(f"row {lineno}: non-finite value")
+        if not (-1e-12 <= values[-1] <= 1.0 + 1e-12):
+            raise ValueError(f"row {lineno}: probability {values[-1]} out of range")

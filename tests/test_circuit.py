@@ -12,7 +12,8 @@ from chiralwalk import (Edge, GateSpec, GraphFormatError, PalindromicCircuit,
                         excitation_preservation_check, gate_qubit_space,
                         parse_circuit, propagate, render_circuit, rz_decompose,
                         three_cycle_circuit, three_cycle_unitaries, trotter_error)
-from chiralwalk.circuit import _apply_gates, _gate_rows, _qubit_columns, three_cycle_transfer
+from chiralwalk.circuit import (_apply_gates, _gate_rows, _qubit_columns, _unitary_stack,
+                               three_cycle_transfer)
 
 from .graphs import qubit_block, uniform_triangle
 from .oracles import pair_gate_taylor, three_cycle_taylor
@@ -208,6 +209,20 @@ def test_row_update_engine_matches_gate_products():
             for gate in circuit.full:
                 product = embedded_qubit_gate(gate, n) @ product
             assert np.abs(apply_circuit(circuit) - product).max() <= 1e-13
+
+
+def test_one_gate_pass_over_many_palindromes_equals_each_alone():
+    rng = np.random.default_rng(15)
+    for n in (2, 3, 5):
+        # one half length; endpoints and angles differ per circuit, and a
+        # shared first gate gives the pass a position with node endpoints
+        first = random_gate(rng, n)
+        circuits = [PalindromicCircuit(n, [first] + [random_gate(rng, n) for _ in range(3)])
+                    for _ in range(7)]
+        stack = _unitary_stack(circuits)
+        assert stack.shape == (7, n, n)
+        for u, circuit in zip(stack, circuits):
+            assert u.tobytes() == apply_circuit(circuit).tobytes()
 
 
 def test_column_transfer_equals_unitary_entry():

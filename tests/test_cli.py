@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chiralwalk
-from chiralwalk import parse_graph, pts_numeric, sweep_time, validate_table_csv
+from chiralwalk import parse_graph, pts_numeric, sweep_time
 from chiralwalk.cli import _theta_grid, _transfer_csv, main
 from chiralwalk.properties import PROPERTY_SUITE
 
-from .graphs import csv_text
+from .graphs import csv_text, validate_table_csv
 from .oracles import three_cycle_taylor
 
 PI = math.pi

@@ -9,12 +9,12 @@ import pytest
 
 from chiralwalk import (Edge, WalkHamiltonian, apply_gauge, eig_hermitian,
                         max_transfer, parse_graph, propagate, pts_numeric, sweep_time,
-                        to_dense, validate_table_csv)
+                        to_dense)
 from chiralwalk import propagator
 from chiralwalk.cli import _transfer_csv
 from chiralwalk.propagator import TransportTable, chunk_length, spectrum
 
-from .graphs import csv_text, hermitian_graph, uniform_triangle
+from .graphs import csv_text, hermitian_graph, uniform_triangle, validate_table_csv
 from .oracles import expm_taylor, triangle_probability_closed_form, \
     circulant_triangle_eigenvalues
 
@@ -74,6 +74,29 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         eig_hermitian(np.zeros((2, 3)))
+    # the gates judge a stack as a whole: one bad matrix refuses it
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig_hermitian(np.stack([np.eye(2), [[0.0, 1.0], [0.5, 0.0]]]))
+    with pytest.raises(ValueError, match="square"):
+        eig_hermitian(np.zeros(3))
+
+
+def test_stacked_spectra_and_propagators_equal_one_graph_at_a_time():
+    rng = np.random.default_rng(8)
+    graphs = [hermitian_graph(rng, 6) for _ in range(5)]
+    alone = [hermitian_graph(np.random.default_rng(8), 6)]  # a copy of graphs[0]
+    alone += [WalkHamiltonian(6, g.edges, g.self_energies) for g in graphs[1:]]
+    times = rng.uniform(-5.0, 5.0, size=5)
+    stack = propagator.spectra(graphs)
+    for k, (graph, copy) in enumerate(zip(graphs, alone)):
+        # each spectrum is kept on its graph, bit for bit the one-graph spectrum
+        assert spectrum(graph).eigenvalues.tobytes() == spectrum(copy).eigenvalues.tobytes()
+        assert spectrum(graph).eigenvectors.tobytes() == spectrum(copy).eigenvectors.tobytes()
+        assert spectrum(graph).eigenvalues.tobytes() == stack.eigenvalues[k].tobytes()
+    unitaries = stack.propagators(times)
+    assert unitaries.shape == (5, 6, 6)
+    for u, copy, t in zip(unitaries, alone, times):
+        assert u.tobytes() == propagate(copy, float(t)).tobytes()
 
 
 def test_eig_reconstruction_and_orthonormality():

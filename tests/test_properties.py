@@ -1,11 +1,18 @@
-"""The property-suite harness itself: results, determinism, fault injection."""
+"""The property-suite harness itself: results, determinism, fault injection,
+and stacked judging against one instance at a time."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chiralwalk import properties
+from chiralwalk import (Edge, GateSpec, PalindromicCircuit, WalkHamiltonian, apply_circuit,
+                        apply_gauge, circuit_sweep_table, default_time_samples, properties,
+                        propagate, propagator, pts_numeric, randgen, sweep_time,
+                        trotter_error)
 from chiralwalk.cli import main
 from chiralwalk.graph import fmt_real
+from chiralwalk.propagator import SpectralDecomposition
 from chiralwalk.properties import (PROPERTY_SUITE, format_property_report,
                                    run_property_suite)
 
@@ -109,10 +116,11 @@ def test_trotter_order_runs_every_trial(monkeypatch):
 
 
 def test_nan_residual_fails_its_suite(monkeypatch, tmp_path):
-    def nan_propagator(hamiltonian, t):
-        return np.full((hamiltonian.n_nodes,) * 2, np.nan, dtype=complex)
+    def nan_propagators(dec, times):
+        return np.full(np.shape(times) + (dec.n, dec.n), np.nan, dtype=complex)
 
-    monkeypatch.setattr(properties, "propagate", nan_propagator)
+    # the suite's stacked product, which replaces its per-instance propagate
+    monkeypatch.setattr(SpectralDecomposition, "propagators", nan_propagators)
     result = dict(PROPERTY_SUITE)["gauge-invariance"](np.random.default_rng(0), trials=3)
     assert np.isnan(result.worst)
     assert not result.passed
@@ -120,3 +128,178 @@ def test_nan_residual_fails_its_suite(monkeypatch, tmp_path):
     trials = [f"--trials={name}=2" for name, _ in PROPERTY_SUITE]
     assert main(["properties", "--seed", "5", "--out", str(out), *trials]) == 1
     assert "\ngauge-invariance 2 nan 9.9999999999999998e-13 FAIL\n" in out.read_text()
+
+
+# --- stacked judging ----------------------------------------------------------
+# Each reference draws one suite's instances with the generator calls the
+# suite makes, trial after trial, and measures each residual through the
+# one-instance API: ``propagate``, ``spectrum`` (through ``pts_numeric`` and
+# ``sweep_time``) and ``apply_circuit``.
+
+def _gap(a, b) -> float:
+    return float(np.abs(a - b).max())
+
+
+def _probabilities(graph, t):
+    return np.abs(propagate(graph, t)) ** 2
+
+
+def _gauge_invariance(rng):
+    graph = randgen.random_hamiltonian(rng, n_max=8)
+    gauge = randgen.random_gauge(rng, graph.n_nodes)
+    t = float(rng.uniform(-5.0, 5.0))
+    return _gap(_probabilities(graph, t), _probabilities(apply_gauge(graph, gauge), t))
+
+
+def _forest_phase_independence(rng):
+    graph = randgen.random_forest(rng, n_max=12, with_self_energies=True)
+    times = default_time_samples(graph, count=16)
+    return _gap(sweep_time(graph, times).probabilities,
+                sweep_time(graph.zero_phase_copy(), times).probabilities)
+
+
+def _negation_time_reversal(rng):
+    graph = randgen.random_bipartite(rng, 10)
+    t = float(rng.uniform(0.1, 5.0))
+    return _gap(np.abs(propagate(graph, t)), np.abs(propagate(graph, -t)))
+
+
+def _unitarity(rng):
+    graph = randgen.random_hamiltonian(rng, n_max=16)
+    u = propagate(graph, float(rng.uniform(-10.0, 10.0)))
+    return _gap(u.conj().T @ u, np.eye(len(u)))
+
+
+def _group_property(rng):
+    graph = randgen.random_hamiltonian(rng, n_max=10)
+    t1, t2 = rng.uniform(-3.0, 3.0, size=2)
+    return _gap(propagate(graph, float(t1 + t2)),
+                propagate(graph, float(t1)) @ propagate(graph, float(t2)))
+
+
+def _spectral_shift(rng):
+    graph = randgen.random_hamiltonian(rng, n_max=8)
+    shift = float(rng.uniform(-3.0, 3.0))
+    diag = graph.diagonal()
+    shifted = WalkHamiltonian(graph.n_nodes, graph.edges,
+                              tuple((v, float(diag[v] + shift)) for v in range(graph.n_nodes)))
+    t = float(rng.uniform(-4.0, 4.0))
+    return _gap(_probabilities(graph, t), _probabilities(shifted, t))
+
+
+def _palindrome_amplitude_symmetry(rng):
+    n = int(rng.integers(2, 7))
+    u = apply_circuit(randgen.random_palindrome(rng, n, int(rng.integers(1, 7)),
+                                                zero_alpha=True))
+    return _gap(u, u.T)
+
+
+def _circuit_pts(circuit):
+    p = np.abs(apply_circuit(circuit)) ** 2
+    return _gap(p, p.T)
+
+
+def _flux_dependence(rng, inject_fault=False):
+    phases = rng.uniform(-np.pi, np.pi, size=3)
+    theta = float(rng.uniform(-np.pi, np.pi))
+    lam = rng.uniform(-np.pi, np.pi, size=3)
+    redistributed = np.array([phases[0] + lam[0] - lam[1], phases[1] + lam[1] - lam[2],
+                              phases[2] + lam[2] - lam[0]])
+    if inject_fault:
+        redistributed[0] = -redistributed[0]
+    tables = [np.abs(apply_circuit(PalindromicCircuit(3, tuple(
+        GateSpec(i, j, float(alpha), theta)
+        for (i, j), alpha in zip(((0, 1), (1, 2), (2, 0)), assignment))))) ** 2
+        for assignment in (phases, redistributed)]
+    return _gap(tables[0], tables[1])
+
+
+def _trotter_order(rng):
+    phase = float(rng.uniform(-1.0, 1.0))
+    graph = WalkHamiltonian(3, (Edge(0, 1, 1.0, phase), Edge(1, 2, 1.0, phase),
+                                Edge(0, 2, 1.0, -phase)))
+    return _gap(np.array([trotter_error(graph, step) / trotter_error(graph, step / 2.0)
+                          for step in (0.1, 0.05)]), 8.0)
+
+
+def _sweep_column_defect(rng):
+    graph = randgen.random_hamiltonian(rng, n_max=10)
+    return sweep_time(graph, default_time_samples(graph, count=8)).column_sum_defect()
+
+
+ONE_INSTANCE = {
+    "gauge-invariance": _gauge_invariance,
+    "forest-pts": lambda rng: pts_numeric(
+        randgen.random_forest(rng, n_max=12, with_self_energies=True)),
+    "bipartite-pts": lambda rng: pts_numeric(randgen.random_bipartite(rng, 12)),
+    "forest-phase-independence": _forest_phase_independence,
+    "negation-time-reversal": _negation_time_reversal,
+    "unitarity": _unitarity,
+    "group-property": _group_property,
+    "spectral-shift": _spectral_shift,
+    "palindrome-amplitude-symmetry": _palindrome_amplitude_symmetry,
+    "spanning-tree-circuit-pts": lambda rng: _circuit_pts(
+        randgen.random_spanning_tree_palindrome(rng, 8)),
+    "bipartite-circuit-pts": lambda rng: _circuit_pts(
+        randgen.random_bipartite_palindrome(rng, 8)),
+    "flux-dependence": _flux_dependence,
+    "trotter-order": _trotter_order,
+}
+
+
+@pytest.mark.parametrize("seed", [11, 2026])
+@pytest.mark.parametrize("name", list(ONE_INSTANCE))
+def test_stacked_worst_is_the_one_instance_worst_bit_for_bit(name, seed):
+    trials = 3 if name == "trotter-order" else 40
+    result = dict(PROPERTY_SUITE)[name](np.random.default_rng(seed), trials=trials)
+    rng = np.random.default_rng(seed)
+    residuals = [ONE_INSTANCE[name](rng) for _ in range(trials)]
+    assert result.worst == max(residuals)
+    assert result.trials == trials
+
+
+@pytest.mark.parametrize("seed", [11, 2026])
+def test_stacked_fault_injection_is_the_one_instance_worst(seed):
+    result = dict(PROPERTY_SUITE)["flux-dependence"](np.random.default_rng(seed), trials=30,
+                                                      inject_fault=True)
+    rng = np.random.default_rng(seed)
+    worst = max(_flux_dependence(rng, inject_fault=True) for _ in range(30))
+    assert result.worst == worst and worst > 1e-3
+    assert not result.passed
+
+
+@pytest.mark.parametrize("seed", [11, 2026])
+def test_stacked_statistical_suites_match_one_instance_runs(seed):
+    suites = dict(PROPERTY_SUITE)
+    rng = np.random.default_rng(seed)
+    residuals = [pts_numeric(randgen.random_nonbipartite(rng, 12)) for _ in range(40)]
+    result = suites["non-bipartite-asymmetry"](np.random.default_rng(seed), trials=40)
+    assert result.worst == min(residuals)
+    assert result.note == f"detected {sum(r > 1e-3 for r in residuals)}/40"
+
+    rng = np.random.default_rng(seed)
+    defects = [_sweep_column_defect(rng) for _ in range(40)]
+    grid = circuit_sweep_table(rng.uniform(0, 2 * np.pi, size=4),
+                               rng.uniform(-np.pi, np.pi, size=16))
+    result = suites["table-normalization"](np.random.default_rng(seed), trials=40)
+    assert result.worst == max(defects + [grid.column_sum_defect()])
+
+
+def test_stacked_memory_does_not_grow_with_trials(monkeypatch):
+    # A 64 KiB chunk budget makes a window 455 instances of flux-dependence,
+    # whose one node count gives every window the same instances.  CPython
+    # keeps up to 2000 freed tuples of each small size for reuse, which
+    # tracemalloc still counts, so a first run at the larger count fills
+    # those lists before either peak is taken.
+    monkeypatch.setattr(propagator, "CHUNK_BYTES", 2 ** 16)
+    run = dict(PROPERTY_SUITE)["flux-dependence"]
+    run(np.random.default_rng(0), trials=5000)
+    peaks = []
+    for trials in (500, 5000):
+        tracemalloc.start()
+        try:
+            assert run(np.random.default_rng(1), trials=trials).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks

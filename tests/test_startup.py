@@ -74,6 +74,8 @@ TRIANGLE = "nodes 3\nedge 0 1 1.0 0.3\nedge 1 2 1.0 0.0\nedge 2 0 1.0 0.0\n"
     (["circuit-sweep", "--theta-step", "1", "--out", "out"], CIRCUIT),
     (["reproduce-fig2", "--grid", "2", "--out", "out"], CIRCUIT),
     (["trotter-check", "--graph", "g.graph", "--halvings", "1", "--out", "out"], CIRCUIT),
+    (["properties", "--seed", "1", "--out", "out"],
+     CIRCUIT | {"chiralwalk.symmetry", "chiralwalk.randgen", "chiralwalk.properties"}),
 ])
 def test_each_command_imports_only_its_own_modules(tmp_path, argv, modules):
     # no walk command loads the circuit layer, and no circuit command loads symmetry
@@ -110,7 +112,7 @@ def test_star_import_binds_exactly_the_exports():
     namespace = {}
     exec("from chiralwalk import *", namespace)
     namespace.pop("__builtins__")
-    assert len(chiralwalk.__all__) == len(set(chiralwalk.__all__)) == 40
+    assert len(chiralwalk.__all__) == len(set(chiralwalk.__all__)) == 39
     assert set(namespace) == set(chiralwalk.__all__)
 
 
