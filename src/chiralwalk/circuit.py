@@ -22,10 +22,14 @@ Costs: in node space a gate rewrites rows i and j of the state, O(N) per
 gate per batch element (so a G-gate unitary is O(G N)), and a batch may
 hold many palindromes of one node count and half length, each with its own
 endpoints and angles, so one pass of G steps builds all their unitaries
-(``_unitary_stack``); in qubit space all n start nodes share one
-statevector array, O(G 2^n n) for the circuit, and each gate moves its two
-qubit axes first and back with one transpose each, on permutations built
-once per (n, i, j).
+(``_unitary_stack``).  ``apply_circuit`` keeps its one-circuit rows
+(scalar coefficients on an N x N state): run as a stack of one through
+``_unitary_stack`` it gives the same bytes but takes 2.02 ms per call
+against 1.41 at N = 48, and 4.30 against 2.92 at N = 96 (trotter-check
+rings, one BLAS thread, 2-vCPU x86-64 VM), which ``trotter-check`` would
+pay.  In qubit space all n start nodes share one statevector array,
+O(G 2^n n) for the circuit, and each gate moves its two qubit axes first and
+back with one transpose each, on permutations built once per (n, i, j).
 """
 
 from __future__ import annotations

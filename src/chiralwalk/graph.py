@@ -218,10 +218,10 @@ def to_dense(hamiltonian: WalkHamiltonian) -> np.ndarray:
     """Dense Hermitian matrix; conjugate pairs are exact by construction."""
     n = hamiltonian.n_nodes
     matrix = np.zeros((n, n), dtype=complex)
-    for i, j, h, alpha in hamiltonian.edges:
-        value = h * np.exp(1j * alpha)
-        matrix[i, j] = value
-        matrix[j, i] = value.conjugate()
+    if hamiltonian.edges:
+        i, j, h, alpha = map(np.array, zip(*hamiltonian.edges))
+        matrix[i, j] = h * np.exp(1j * alpha)
+        matrix[j, i] = matrix[i, j].conj()
     for node, energy in hamiltonian.self_energies:
         matrix[node, node] = energy
     return matrix

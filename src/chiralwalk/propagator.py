@@ -1,22 +1,22 @@
 """Exact evolution U = exp(-iHt) via Hermitian eigendecomposition.
 
-Every spectral function takes a ``WalkHamiltonian`` and reads the spectrum
-that ``spectrum(H)`` computes on first use and keeps on it, so each
-Hamiltonian is eigendecomposed once.  After that O(N^3) factorization, a
-full unitary costs O(N^3) per time point (one matrix product), while
-``max_transfer``'s scan of a single entry costs O(N) per point.  Stacks of
-unitaries over a time grid are built in t-chunks of at most ``CHUNK_BYTES``
-(1 MiB) complex bytes, so their peak memory is bounded by that budget, not by
-the grid length, and one chunk's U, ``|U|^2`` and ``p - p^T`` come to about
-a 2 MiB L2 cache; ``evolve`` streams its table one t-chunk per block, so its
-memory does not grow with ``--t-count``.  ``spectra`` decomposes many
-Hamiltonians of one node count as one stack (one ``eig_hermitian`` call) and
-keeps each spectrum on its Hamiltonian; ``SpectralDecomposition.propagators``
-then gives each of a stack its unitary at its own time as one stacked
-product, with the same bytes as one ``propagate`` per Hamiltonian.
-Probabilities follow the column
-convention ``p[to, from]``: entry ``|U[to, from]|^2`` is the probability of
-the transition ``from -> to``.
+There is one eigensolve path and one propagator product, and a single
+Hamiltonian is a stack of one.  ``spectra`` decomposes Hamiltonians of one
+node count as one stack (one ``eig_hermitian`` call) and keeps each spectrum
+on its Hamiltonian; ``spectrum(H)`` reads the kept one, running
+``spectra((H,))`` on first use, so each Hamiltonian is eigendecomposed once
+and every spectral function takes a ``WalkHamiltonian``.  After that O(N^3)
+factorization, ``SpectralDecomposition.propagator_batch`` is the one
+product, V e^{-iEt} V^H broadcast over the times: one spectrum's unitaries
+over a time grid, or each of a stack's at its own time, O(N^3) per unitary,
+while ``max_transfer``'s scan of a single entry costs O(N) per point.
+Stacks of unitaries over a time grid are built in t-chunks of at most
+``CHUNK_BYTES`` (1 MiB) complex bytes, so their peak memory is bounded by
+that budget, not by the grid length, and one chunk's U, ``|U|^2`` and
+``p - p^T`` come to about a 2 MiB L2 cache; ``evolve`` streams its table one
+t-chunk per block, so its memory does not grow with ``--t-count``.
+Probabilities follow the column convention ``p[to, from]``: entry
+``|U[to, from]|^2`` is the probability of the transition ``from -> to``.
 
 Probability CSVs, header line included, are rendered by ``render_csv`` as
 ASCII blocks of ``CSV_BLOCK_VALUES`` rows: the values go through the array
@@ -79,18 +79,10 @@ class SpectralDecomposition:
         made on first use and kept, so each t-chunk reuses it."""
         return _freeze(self.eigenvectors.conj()).swapaxes(-1, -2)
 
-    def propagator_batch(self, times: np.ndarray) -> np.ndarray:
-        """Stack of unitaries, shape (len(times), n, n), as one matrix product."""
-        phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float),
-                                       self.eigenvalues))
-        n = self.n
-        scaled = (self.eigenvectors * phases[:, None, :]).reshape(-1, n)
-        return (scaled @ self.adjoint).reshape(-1, n, n)
-
-    def propagators(self, times) -> np.ndarray:
-        """exp(-i H_k t_k) for each spectrum k of a stack at its own time
-        ``times[k]``, as one stacked product: the entries ``propagator_batch``
-        gives each spectrum alone, element for element."""
+    def propagator_batch(self, times: Sequence[float]) -> np.ndarray:
+        """exp(-iHt) as one broadcast product: for one spectrum, a stack of
+        shape (len(times), n, n), one unitary per time; for a stack of
+        spectra, each spectrum's unitary at its own time ``times[k]``."""
         phases = np.exp(-1j * (np.asarray(times, dtype=float)[..., None] * self.eigenvalues))
         return (self.eigenvectors * phases[..., None, :]) @ self.adjoint
 
@@ -127,18 +119,16 @@ def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
 
 
 def spectrum(hamiltonian: WalkHamiltonian) -> SpectralDecomposition:
-    """``eig_hermitian(to_dense(H))``, computed on first use and kept on ``H``."""
-    kept = hamiltonian.__dict__.get("_spectrum")
-    if kept is None:
-        kept = eig_hermitian(to_dense(hamiltonian))
-        object.__setattr__(hamiltonian, "_spectrum", kept)
-    return kept
+    """The spectrum kept on ``H``; on first use, that of ``spectra((H,))``."""
+    if "_spectrum" not in hamiltonian.__dict__:
+        spectra((hamiltonian,))
+    return hamiltonian.__dict__["_spectrum"]
 
 
 def spectra(hamiltonians: Sequence[WalkHamiltonian]) -> SpectralDecomposition:
     """The spectra of Hamiltonians of one node count, as the stack of one
-    ``eig_hermitian`` call; each is also kept on its Hamiltonian, so
-    ``spectrum``, ``propagate``, ``sweep_time`` and ``pts_numeric`` read it."""
+    ``eig_hermitian`` call (the package's one eigensolve); each is also kept
+    on its Hamiltonian, where ``spectrum`` reads it."""
     stack = eig_hermitian(np.stack([to_dense(h) for h in hamiltonians]))
     for h, values, vectors in zip(hamiltonians, stack.eigenvalues, stack.eigenvectors):
         object.__setattr__(h, "_spectrum", SpectralDecomposition(values, vectors))

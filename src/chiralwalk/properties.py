@@ -128,7 +128,7 @@ def _draw_gauge_invariance(rng) -> tuple:
 def _same_probabilities(group) -> np.ndarray:
     """Probability gap of two graphs of one node count at one time, each instance."""
     graphs, others, times = zip(*group)
-    probabilities = np.abs(spectra(graphs + others).propagators(times + times)) ** 2
+    probabilities = np.abs(spectra(graphs + others).propagator_batch(times + times)) ** 2
     return _gaps(probabilities[:len(group)], probabilities[len(group):])
 
 
@@ -170,7 +170,7 @@ def _negation_time_reversal(group) -> np.ndarray:
     graphs, times = zip(*group)
     dec = spectra(graphs)
     times = np.array(times)
-    return _gaps(np.abs(dec.propagators(times)), np.abs(dec.propagators(-times)))
+    return _gaps(np.abs(dec.propagator_batch(times)), np.abs(dec.propagator_batch(-times)))
 
 
 def _cycle_flux_gauge_invariance(rng) -> float:
@@ -183,7 +183,7 @@ def _cycle_flux_gauge_invariance(rng) -> float:
 
 def _unitarity(group) -> np.ndarray:
     graphs, times = zip(*group)
-    u = spectra(graphs).propagators(times)
+    u = spectra(graphs).propagator_batch(times)
     return _gaps(u.conj().swapaxes(-1, -2) @ u, np.eye(u.shape[-1]))
 
 
@@ -195,9 +195,9 @@ def _draw_group_property(rng) -> tuple:
 
 def _group_property(group) -> np.ndarray:
     graphs, t1, t2 = zip(*group)
-    dec = spectra(graphs)
+    u = spectra(graphs).propagator_batch
     t1, t2 = np.array(t1), np.array(t2)
-    return _gaps(dec.propagators(t1 + t2), dec.propagators(t1) @ dec.propagators(t2))
+    return _gaps(u(t1 + t2), u(t1) @ u(t2))
 
 
 def _draw_spectral_shift(rng) -> tuple:

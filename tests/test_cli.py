@@ -1119,8 +1119,13 @@ def test_each_command_eigendecomposes_each_graph_once(triangle_file, tmp_path,
 
     calls = []
     original = propagator.eig_hermitian
-    monkeypatch.setattr(propagator, "eig_hermitian",
-                        lambda matrix: calls.append(len(matrix)) or original(matrix))
+
+    def counting(matrix):
+        assert matrix.shape[0] == 1 and matrix.ndim == 3  # a one-graph stack
+        calls.append(matrix.shape[-1])
+        return original(matrix)
+
+    monkeypatch.setattr(propagator, "eig_hermitian", counting)
     graphs = []
     for stem, text in (("chain", CHAIN), ("triangle", TRIANGLE),
                        ("square", "nodes 4\nedge 0 1 1 0.2\nedge 1 2 1 0.1\n"

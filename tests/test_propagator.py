@@ -81,6 +81,26 @@ def test_eig_rejects_non_hermitian():
         eig_hermitian(np.zeros(3))
 
 
+def folded_product(dec, times) -> np.ndarray:
+    """One spectrum's unitaries at ``times`` as one (T*N, N) x (N, N) matrix
+    product, the reference the broadcast ``propagator_batch`` must equal."""
+    n = dec.n
+    ph = np.exp(-1j * np.outer(np.asarray(times, dtype=float), dec.eigenvalues))
+    return ((dec.eigenvectors * ph[:, None, :]).reshape(-1, n) @ dec.adjoint).reshape(-1, n, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 48, 64, 200])
+def test_propagator_batch_equals_the_folded_product_byte_for_byte(n):
+    rng = np.random.default_rng(n)
+    dec = spectrum(hermitian_graph(rng, n))
+    full = chunk_length(n)
+    for count in sorted({1, 3, full // 2, full - 1, full} - {0}):  # partial and full t-chunks
+        times = rng.uniform(-5.0, 5.0, size=count)
+        batch = dec.propagator_batch(times)
+        assert batch.shape == (count, n, n)
+        assert batch.tobytes() == folded_product(dec, times).tobytes()
+
+
 def test_stacked_spectra_and_propagators_equal_one_graph_at_a_time():
     rng = np.random.default_rng(8)
     graphs = [hermitian_graph(rng, 6) for _ in range(5)]
@@ -93,10 +113,10 @@ def test_stacked_spectra_and_propagators_equal_one_graph_at_a_time():
         assert spectrum(graph).eigenvalues.tobytes() == spectrum(copy).eigenvalues.tobytes()
         assert spectrum(graph).eigenvectors.tobytes() == spectrum(copy).eigenvectors.tobytes()
         assert spectrum(graph).eigenvalues.tobytes() == stack.eigenvalues[k].tobytes()
-    unitaries = stack.propagators(times)
+    unitaries = stack.propagator_batch(times)
     assert unitaries.shape == (5, 6, 6)
     for u, copy, t in zip(unitaries, alone, times):
-        assert u.tobytes() == propagate(copy, float(t)).tobytes()
+        assert u.tobytes() == folded_product(spectrum(copy), [t])[0].tobytes()
 
 
 def test_eig_reconstruction_and_orthonormality():

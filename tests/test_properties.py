@@ -119,8 +119,8 @@ def test_nan_residual_fails_its_suite(monkeypatch, tmp_path):
     def nan_propagators(dec, times):
         return np.full(np.shape(times) + (dec.n, dec.n), np.nan, dtype=complex)
 
-    # the suite's stacked product, which replaces its per-instance propagate
-    monkeypatch.setattr(SpectralDecomposition, "propagators", nan_propagators)
+    # the one spectral product, which the suite runs on its stack
+    monkeypatch.setattr(SpectralDecomposition, "propagator_batch", nan_propagators)
     result = dict(PROPERTY_SUITE)["gauge-invariance"](np.random.default_rng(0), trials=3)
     assert np.isnan(result.worst)
     assert not result.passed

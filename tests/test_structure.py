@@ -69,6 +69,10 @@ def test_only_chunk_length_reads_the_chunk_budget():
     assert _readers_by_module("CHUNK_BYTES") == {"propagator.py": {"chunk_length"}}
 
 
+def test_only_spectra_eigendecomposes():
+    assert _readers_by_module("eig_hermitian") == {"propagator.py": {"spectra"}}
+
+
 def _defines(tree: ast.AST, name: str) -> bool:
     """Whether ``tree`` defines ``name``: a function, a class or an assignment."""
     return any((isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
