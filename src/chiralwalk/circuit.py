@@ -19,17 +19,14 @@ factor 0 leftmost; walk node ``|k>`` is the basis state with qubit k in
 ``|1>`` and the rest in ``|0>``.
 
 Costs: in node space a gate rewrites rows i and j of the state, O(N) per
-gate per batch element (so a G-gate unitary is O(G N)), and a batch may
-hold many palindromes of one node count and half length, each with its own
-endpoints and angles, so one pass of G steps builds all their unitaries
-(``_unitary_stack``).  ``apply_circuit`` keeps its one-circuit rows
-(scalar coefficients on an N x N state): run as a stack of one through
-``_unitary_stack`` it gives the same bytes but takes 2.02 ms per call
-against 1.41 at N = 48, and 4.30 against 2.92 at N = 96 (trotter-check
-rings, one BLAS thread, 2-vCPU x86-64 VM), which ``trotter-check`` would
-pay.  In qubit space all n start nodes share one statevector array,
-O(G 2^n n) for the circuit, and each gate moves its two qubit axes first and
-back with one transpose each, on permutations built once per (n, i, j).
+gate per batch element, so a G-gate unitary is O(G N).  One builder,
+``_gate_rows``, makes the rows with the batch axes of the caller's gate
+table: none for one circuit (``apply_circuit``), the circuits of a stack
+(``_unitary_stack``, all their unitaries in one pass of G steps), or the
+(alpha, theta) grid of the triangle.  In qubit space all n start nodes
+share one statevector array, O(G 2^n n) for the circuit, and each gate
+moves its two qubit axes first and back with one transpose each, on
+permutations built once per (n, i, j).
 """
 
 from __future__ import annotations
@@ -113,15 +110,32 @@ def _gate_coefficients(alpha, theta):
     return np.cos(theta), -1j * np.exp(-1j * alpha) * s, -1j * np.exp(1j * alpha) * s
 
 
-def _gate_rows(gates: Sequence[GateSpec], alphas=0.0, thetas=1.0) -> list[tuple]:
-    """``(i, j, c, u, l)`` per gate at angles ``(alphas + alpha, thetas * theta)``.
+def _gate_rows(i, j, alpha, theta) -> list[tuple]:
+    """``(i, j, c, u, l)`` per position of a gate table whose endpoints and
+    angles have shape ``(position, *batch)``, the angles possibly broadcast.
+    One ``_gate_coefficients`` call serves the distinct positions (angles
+    equal along the whole batch); an endpoint that the whole batch shares
+    is a node, otherwise an array of nodes."""
+    if len(i) == 0:
+        return []
+    keys = np.concatenate([np.reshape(angle, (len(angle), -1)) for angle in (alpha, theta)], 1)
+    first: dict[bytes, int] = {}  # each distinct row of angles -> its first position
+    at = [first.setdefault(key.tobytes(), p) for p, key in enumerate(keys)]
+    positions = list(first.values())
+    c, u, l = _gate_coefficients(np.asarray(alpha)[positions], np.asarray(theta)[positions])
+    nodes = np.asarray((i, j), dtype=np.intp)
+    flat = nodes.reshape(2, len(i), -1)
+    ends = flat[..., 0].tolist()  # nodes, where the whole batch shares them
+    for end, p in zip(*np.nonzero((flat != flat[..., :1]).any(axis=-1))):
+        ends[end][p] = nodes[end, p]
+    slots = np.searchsorted(positions, at).tolist()
+    return [(a, b, c[k], u[k], l[k]) for a, b, k in zip(*ends, slots)]
 
-    Coefficients are computed once per distinct (alpha, theta), not once per
-    gate; array ``alphas``/``thetas`` give one coefficient per batch element.
-    """
-    coefficients = {(a, t): _gate_coefficients(alphas + a, thetas * t)
-                    for a, t in {(g.alpha, g.theta) for g in gates}}
-    return [(g.i, g.j) + coefficients[g.alpha, g.theta] for g in gates]
+
+def _gate_table(sequences: Sequence[Sequence[GateSpec]]) -> np.ndarray:
+    """Rows i, j, alpha, theta of gate sequences of one length, each ``(position, sequence)``."""
+    table = [[(g.i, g.j, g.alpha, g.theta) for g in gates] for gates in sequences]
+    return np.array(table, dtype=float).reshape(len(sequences), -1, 4).T
 
 
 def _apply_gates(state: np.ndarray, rows: Iterable[tuple]) -> np.ndarray:
@@ -145,27 +159,14 @@ def _apply_gates(state: np.ndarray, rows: Iterable[tuple]) -> np.ndarray:
     return state
 
 
-def _stack_rows(circuits: Sequence[PalindromicCircuit]) -> list[tuple]:
-    """``(i, j, c, u, l)`` per gate position of palindromes with halves of
-    one length, each an array over the circuits (an endpoint all of them
-    share is a node); the mirrored half reuses the first half's rows."""
-    rows = []
-    for gates in zip(*(circuit.half for circuit in circuits)):
-        i, j, alpha, theta = (np.array(values) for values in
-                              zip(*((g.i, g.j, g.alpha, g.theta) for g in gates)))
-        i, j = (int(k[0]) if (k == k[0]).all() else k for k in (i, j))
-        rows.append((i, j) + _gate_coefficients(alpha, theta))
-    return rows + rows[::-1]
-
-
 def _unitary_stack(circuits: Sequence[PalindromicCircuit]) -> np.ndarray:
-    """Unitaries of palindromes with one node count and one half length, as
-    a ``(len(circuits), n, n)`` stack from one ``_apply_gates`` pass (the
-    circuits on the state's last axis): each equals ``apply_circuit`` of its
-    circuit."""
+    """Unitaries of palindromes of one node count and half length, a
+    ``(len(circuits), n, n)`` stack from one ``_apply_gates`` pass: each
+    equals ``apply_circuit`` of its circuit."""
     n = circuits[0].n_nodes
     state = np.repeat(np.eye(n, dtype=complex)[..., None], len(circuits), axis=2)
-    return np.moveaxis(_apply_gates(state, _stack_rows(circuits)), -1, 0)
+    rows = _gate_rows(*_gate_table([circuit.half for circuit in circuits]))
+    return np.moveaxis(_apply_gates(state, rows + rows[::-1]), -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +239,8 @@ def _pair_first(n: int, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...
 def apply_circuit(circuit: PalindromicCircuit) -> np.ndarray:
     """Ordered product of the full gate sequence, read-only: two rows of the
     identity rewritten per gate."""
-    return _freeze(_apply_gates(np.eye(circuit.n_nodes, dtype=complex),
-                                _gate_rows(circuit.full)))
+    rows = _gate_rows(*_gate_table([circuit.half])[..., 0])
+    return _freeze(_apply_gates(np.eye(circuit.n_nodes, dtype=complex), rows + rows[::-1]))
 
 
 def excitation_preservation_check(circuit: PalindromicCircuit) -> float:
@@ -265,20 +266,18 @@ def three_cycle_circuit(alpha: float, theta: float) -> PalindromicCircuit:
 
 def _three_cycle_run(alphas: Sequence[float], thetas: Sequence[float],
                      start: np.ndarray) -> np.ndarray:
-    """Triangle palindrome on ``start``, batched over the (alpha, theta) grid.
-
-    ``three_cycle_circuit(0, 1)`` gives each gate's alpha offset and theta
-    multiple; the grid becomes the last two axes of the state.  The alphas go
-    in as a column and the thetas as a row, so each gate's ``exp`` runs once
-    per alpha and its ``sin``/``cos`` once per theta, and their products
-    broadcast over the grid.
-    """
+    """Triangle palindrome on ``start``, batched over the (alpha, theta) grid:
+    the last two axes of the state, and the batch of the gate table of
+    ``three_cycle_circuit(0, 1)`` (alpha offsets, theta multiples).  The
+    alphas go in as a column and the thetas as a row, so each gate's ``exp``
+    runs once per alpha and its ``sin``/``cos`` once per theta."""
     alphas = np.asarray(alphas, dtype=float)[:, None]
     thetas = np.asarray(thetas, dtype=float)[None, :]
     start = np.asarray(start, dtype=complex)[..., None, None]
     state = np.broadcast_to(start, start.shape[:-2] + (alphas.size, thetas.size)).copy()
-    template = three_cycle_circuit(0.0, 1.0).full
-    return _apply_gates(state, _gate_rows(template, alphas, thetas))
+    i, j, alpha, theta = _gate_table([three_cycle_circuit(0.0, 1.0).half])[..., None]
+    rows = _gate_rows(i, j, alpha + alphas, theta * thetas)
+    return _apply_gates(state, rows + rows[::-1])
 
 
 def three_cycle_unitaries(alphas: Sequence[float], thetas: Sequence[float]) -> np.ndarray:

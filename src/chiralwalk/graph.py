@@ -50,6 +50,8 @@ def _check_finite_real(value, what: str) -> float:
 
 
 def _check_node(value, what: str) -> int:
+    if type(value) is int:  # an int is its own int()
+        return value
     if not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)

@@ -155,10 +155,17 @@ def field_rows(points: Sequence[tuple[float, ...]]) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _pair_rows(n: int) -> np.ndarray:
-    """Read-only ``field_rows`` of every ``(from, to)`` pair, from-major: a
-    table streamed in t-chunks formats its N^2 pair fields once, and only the
-    last node count's rows are kept."""
-    return _freeze(field_rows([(frm, to) for frm in range(n) for to in range(n)]))
+    """Read-only ``from,to,`` rows of every pair, from-major, NUL-padded for
+    ``render_csv``: a table streamed in t-chunks formats its N^2 pair fields
+    once, and only the last node count's rows are kept.  Each node's ``k,``
+    is digit arithmetic (NULs above its leading digit), not a string."""
+    places = 10 ** np.arange(len(str(n - 1)) - 1, -1, -1)  # most significant first
+    nodes = np.arange(n)[:, None]
+    digits = np.where((nodes >= places) | (places == 1), nodes // places % 10 + ord("0"), 0)
+    fields = np.hstack([digits, np.full((n, 1), ord(","))]).astype(np.uint8)
+    rows = np.empty((n, n, 2, fields.shape[1]), np.uint8)
+    rows[:, :, 0], rows[:, :, 1] = fields[:, None], fields[None, :]
+    return _freeze(rows.reshape(-1, 2 * fields.shape[1]))
 
 
 # ``_fmt_real_block`` computes 10^-_BLOCK_DECADES <= x < 1 itself; a value's

@@ -14,7 +14,7 @@ one stacked propagator product and one gate pass, and gives every instance
 the bytes a one-instance run gives it, so the time is linear in ``trials``.
 The suites that exist to exercise a one-instance function (``pts_numeric``,
 ``sweep_time``, ``trotter_error``) still call it per instance, on spectra
-computed for the stack.  The two-qubit gate identities,
+computed for the stack.  ``rz-conjugation-identity``,
 ``excitation-preservation`` (``excitation_preservation_check`` on one
 circuit), ``parity-split-agreement`` and ``cycle-flux-gauge-invariance`` run
 one trial at a time.
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import randgen
 from .circuit import (GateSpec, PalindromicCircuit, _apply_gates, _gate_rows,
-                      _unitary_stack, circuit_sweep_table,
+                      _gate_table, _unitary_stack, circuit_sweep_table,
                       excitation_preservation_check, gate_qubit_space,
                       rz_decompose, trotter_error)
 from .graph import Edge, WalkHamiltonian, fmt_real
@@ -221,12 +221,14 @@ def _rz_conjugation_identity(rng) -> float:
     return _gap(pre @ sym @ post, gate_qubit_space(gate))
 
 
-def _gate_embedding(rng) -> float:
+def _gate_embedding(group) -> np.ndarray:
     """Qubit gate restricted to {|10>, |01>} equals the node engine's gate."""
-    gate = _random_gate(rng)
+    gates = [gate for gate, in group]
     # basis order |00>, |01>, |10>, |11>: indices 2 and 1 are nodes i, j
-    restricted = gate_qubit_space(gate)[np.ix_((2, 1), (2, 1))]
-    return _gap(restricted, _apply_gates(np.eye(2, dtype=complex), _gate_rows([gate])))
+    restricted = np.array([gate_qubit_space(gate)[np.ix_((2, 1), (2, 1))] for gate in gates])
+    state = np.repeat(np.eye(2, dtype=complex)[..., None], len(gates), axis=2)
+    node = _apply_gates(state, _gate_rows(*_gate_table([[gate] for gate in gates])))
+    return _gaps(restricted, np.moveaxis(node, -1, 0))
 
 
 def _draw_zero_alpha_palindrome(rng) -> tuple:
@@ -348,7 +350,8 @@ PROPERTY_SUITE: tuple[tuple[str, Callable], ...] = (
     _stacked("group-property", 100, 1e-9, _draw_group_property, _group_property),
     _stacked("spectral-shift", 100, 1e-12, _draw_spectral_shift, _same_probabilities),
     _suite("rz-conjugation-identity", 100, 1e-12, _rz_conjugation_identity),
-    _suite("gate-embedding", 100, 1e-12, _gate_embedding),
+    _stacked("gate-embedding", 100, 1e-12, lambda rng: (_random_gate(rng),), _gate_embedding,
+             lambda instance: (2,)),
     _stacked("palindrome-amplitude-symmetry", 100, 1e-12, _draw_zero_alpha_palindrome,
              _palindrome_amplitude_symmetry, _nodes_and_gates),
     _stacked("spanning-tree-circuit-pts", 100, 1e-10,

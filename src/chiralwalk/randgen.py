@@ -30,8 +30,9 @@ def random_forest(rng: np.random.Generator, n_max: int = 12,
     return WalkHamiltonian(n, tuple(edges), selfs)
 
 
-def random_bipartite(rng: np.random.Generator, n_max: int = 12) -> WalkHamiltonian:
-    """Random bipartite Hamiltonian with zero diagonal and at least one edge."""
+def _bipartite_edges(rng: np.random.Generator, n_max: int) -> tuple[int, list[Edge]]:
+    """Node count and edges, ``i < j`` in ascending order, of a random
+    bipartite graph with at least one edge."""
     n = int(rng.integers(2, n_max + 1))
     color = rng.integers(0, 2, size=n)
     color[0], color[-1] = 0, 1  # both classes inhabited
@@ -42,6 +43,12 @@ def random_bipartite(rng: np.random.Generator, n_max: int = 12) -> WalkHamiltoni
     if not edges:
         i, j = pairs[int(rng.integers(0, len(pairs)))]
         edges = [Edge(i, j, *_random_edge_params(rng))]
+    return n, edges
+
+
+def random_bipartite(rng: np.random.Generator, n_max: int = 12) -> WalkHamiltonian:
+    """Random bipartite Hamiltonian with zero diagonal and at least one edge."""
+    n, edges = _bipartite_edges(rng, n_max)
     return WalkHamiltonian(n, tuple(edges))
 
 
@@ -120,11 +127,11 @@ def random_spanning_tree_palindrome(rng: np.random.Generator,
 def random_bipartite_palindrome(rng: np.random.Generator,
                                 n_max: int = 8) -> PalindromicCircuit:
     """Palindrome whose support is bipartite; gates may repeat edges."""
-    graph = random_bipartite(rng, n_max)
-    pairs = [(e.i, e.j) for e in graph.edges]
+    n, edges = _bipartite_edges(rng, n_max)
+    pairs = [(e.i, e.j) for e in edges]
     half = []
     for _ in range(int(rng.integers(1, 2 * len(pairs) + 1))):
         i, j = pairs[int(rng.integers(0, len(pairs)))]
         half.append(GateSpec(i, j, float(rng.uniform(-np.pi, np.pi)),
                              float(rng.uniform(-np.pi, np.pi))))
-    return PalindromicCircuit(graph.n_nodes, half)
+    return PalindromicCircuit(n, half)

@@ -29,7 +29,8 @@ angles = st.floats(min_value=-2 * PI, max_value=2 * PI,
 
 def node_gate(gate, n):
     """The one gate's N x N unitary, as the node engine applies it."""
-    return _apply_gates(np.eye(n, dtype=complex), _gate_rows([gate]))
+    return _apply_gates(np.eye(n, dtype=complex),
+                        _gate_rows([gate.i], [gate.j], [gate.alpha], [gate.theta]))
 
 
 def test_gate_node_zero_angle_is_identity():
@@ -223,6 +224,115 @@ def test_one_gate_pass_over_many_palindromes_equals_each_alone():
         assert stack.shape == (7, n, n)
         for u, circuit in zip(stack, circuits):
             assert u.tobytes() == apply_circuit(circuit).tobytes()
+
+
+# The two row builders that ``_gate_rows`` replaced, written out: the
+# one-circuit builder (scalar coefficients once per distinct (alpha, theta),
+# array offsets for the triangle grid) and the stacked builder (one array per
+# position, a shared endpoint as a node).  The coefficient formula is copied
+# too, so a change to its products shows here.
+
+def reference_coefficients(alpha, theta):
+    s = np.sin(theta)
+    return np.cos(theta), -1j * np.exp(-1j * alpha) * s, -1j * np.exp(1j * alpha) * s
+
+
+def reference_gate_rows(gates, alphas=0.0, thetas=1.0):
+    coefficients = {(a, t): reference_coefficients(alphas + a, thetas * t)
+                    for a, t in {(g.alpha, g.theta) for g in gates}}
+    return [(g.i, g.j) + coefficients[g.alpha, g.theta] for g in gates]
+
+
+def reference_stack_rows(circuits):
+    rows = []
+    for gates in zip(*(circuit.half for circuit in circuits)):
+        i, j, alpha, theta = (np.array(values) for values in
+                              zip(*((g.i, g.j, g.alpha, g.theta) for g in gates)))
+        i, j = (int(k[0]) if (k == k[0]).all() else k for k in (i, j))
+        rows.append((i, j) + reference_coefficients(alpha, theta))
+    return rows + rows[::-1]
+
+
+def reference_unitary(circuit):
+    return _apply_gates(np.eye(circuit.n_nodes, dtype=complex),
+                        reference_gate_rows(circuit.full))
+
+
+def reference_three_cycle_run(alphas, thetas, start):
+    alphas = np.asarray(alphas, dtype=float)[:, None]
+    thetas = np.asarray(thetas, dtype=float)[None, :]
+    start = np.asarray(start, dtype=complex)[..., None, None]
+    state = np.broadcast_to(start, start.shape[:-2] + (alphas.size, thetas.size)).copy()
+    rows = reference_gate_rows(three_cycle_circuit(0.0, 1.0).full, alphas, thetas)
+    return _apply_gates(state, rows)
+
+
+def splitting_palindrome(graph, scale):
+    """The half ``trotter_error`` builds: one gate per edge, phase negated."""
+    h0 = graph.edges[0].h
+    return PalindromicCircuit(graph.n_nodes, tuple(
+        GateSpec(e.i, e.j, -e.alpha, float(scale) / 2.0 * (e.h / h0)) for e in graph.edges))
+
+
+@pytest.mark.parametrize("n", [48, 96])
+def test_ring_splitting_unitaries_equal_the_old_builder_byte_for_byte(n):
+    rng = np.random.default_rng(n)
+    h = float(rng.uniform(0.5, 1.5))
+    phases = rng.uniform(-PI, PI, size=n)
+    phases[:3] = 0.0, -0.0, 0.0  # negated to -0.0, 0.0, -0.0 on the gates
+    ring = WalkHamiltonian(n, tuple(Edge(v, (v + 1) % n, h, float(a))
+                                    for v, a in enumerate(phases)))
+    for scale in (0.2, 0.1, 0.05, 0.025, 0.0125):
+        circuit = splitting_palindrome(ring, scale)
+        assert apply_circuit(circuit).tobytes() == reference_unitary(circuit).tobytes()
+
+
+def test_random_palindromes_equal_the_old_builder_byte_for_byte():
+    rng = np.random.default_rng(28)
+    circuits = [random_palindrome_with_repeats(rng, n) for n in range(2, 9) for _ in range(12)]
+    # repeated angles that differ only in the sign of zero
+    circuits.append(PalindromicCircuit(3, (GateSpec(0, 1, 0.0, 0.7), GateSpec(1, 2, -0.0, 0.7),
+                                           GateSpec(0, 2, 0.4, 0.0), GateSpec(0, 1, 0.4, -0.0),
+                                           GateSpec(2, 1, -0.0, -0.0), GateSpec(0, 2, 0.0, 0.0))))
+    for circuit in circuits:
+        assert apply_circuit(circuit).tobytes() == reference_unitary(circuit).tobytes()
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_stacks_equal_the_old_builder_byte_for_byte(shared):
+    rng = np.random.default_rng(29 + shared)
+    for n in (2, 3, 5, 8):
+        template = [random_gate(rng, n) for _ in range(4)]
+        circuits = []
+        for _ in range(9):
+            half = [GateSpec(g.i, g.j, float(rng.uniform(-PI, PI)), float(rng.uniform(-PI, PI)))
+                    if shared else random_gate(rng, n) for g in template]
+            half[1] = template[1]  # one position the whole stack shares
+            circuits.append(PalindromicCircuit(n, half))
+        state = np.repeat(np.eye(n, dtype=complex)[..., None], len(circuits), axis=2)
+        reference = np.moveaxis(_apply_gates(state, reference_stack_rows(circuits)), -1, 0)
+        assert _unitary_stack(circuits).tobytes() == reference.tobytes()
+
+
+def test_triangle_grid_equals_the_old_builder_byte_for_byte():
+    rng = np.random.default_rng(30)
+    alphas = rng.uniform(-2 * PI, 2 * PI, 37)
+    alphas[:2] = 0.0, -0.0
+    thetas = rng.uniform(-2 * PI, 2 * PI, 40)
+    unitaries = np.moveaxis(reference_three_cycle_run(alphas, thetas, np.eye(3)),
+                            (-2, -1), (0, 1))
+    transfer = np.abs(reference_three_cycle_run(alphas, thetas, np.eye(3)[:, 0])[2]) ** 2
+    assert three_cycle_unitaries(alphas, thetas).tobytes() == unitaries.tobytes()
+    assert three_cycle_transfer(alphas, thetas).tobytes() == transfer.tobytes()
+
+
+def test_one_gate_equals_the_old_builder_byte_for_byte():
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 6):
+        for _ in range(10):
+            gate = random_gate(rng, n)
+            reference = _apply_gates(np.eye(n, dtype=complex), reference_gate_rows([gate]))
+            assert node_gate(gate, n).tobytes() == reference.tobytes()
 
 
 def test_column_transfer_equals_unitary_entry():

@@ -88,3 +88,10 @@ def test_the_real_block_kernel_lives_beside_the_csv_writer(name):
                 if _defines(ast.parse(path.read_text(encoding="utf-8")), name)]
     assert definers == ["propagator.py"]
     assert list(_readers_by_module(name)) == ["propagator.py"]
+
+
+def test_one_gate_row_builder():
+    assert _readers_by_module("_gate_coefficients") == {"circuit.py": {"_gate_rows"}}
+    definers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                if _defines(ast.parse(path.read_text(encoding="utf-8")), "_stack_rows")]
+    assert definers == [] and _readers_by_module("_stack_rows") == {}
