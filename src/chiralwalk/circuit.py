@@ -21,12 +21,14 @@ factor 0 leftmost; walk node ``|k>`` is the basis state with qubit k in
 Costs: in node space a gate rewrites rows i and j of the state, O(N) per
 gate per batch element, so a G-gate unitary is O(G N).  One builder,
 ``_gate_rows``, makes the rows with the batch axes of the caller's gate
-table: none for one circuit (``apply_circuit``), the circuits of a stack
-(``_unitary_stack``, all their unitaries in one pass of G steps), or the
-(alpha, theta) grid of the triangle.  In qubit space all n start nodes
-share one statevector array, O(G 2^n n) for the circuit, and each gate
-moves its two qubit axes first and back with one transpose each, on
-permutations built once per (n, i, j).
+table, its coefficients in one ``_gate_coefficients`` call over every
+position of the half: no batch axes for one circuit (``apply_circuit``),
+the circuits of a stack (``_unitary_stack``, all their unitaries in one
+pass of G steps), or the (alpha, theta) grid of the triangle (three
+positions over the whole grid).  In qubit space all n start nodes share
+one statevector array, O(G 2^n n) for the circuit, and each gate moves its
+two qubit axes first and back with one transpose each, on permutations
+built once per (n, i, j).
 """
 
 from __future__ import annotations
@@ -113,23 +115,17 @@ def _gate_coefficients(alpha, theta):
 def _gate_rows(i, j, alpha, theta) -> list[tuple]:
     """``(i, j, c, u, l)`` per position of a gate table whose endpoints and
     angles have shape ``(position, *batch)``, the angles possibly broadcast.
-    One ``_gate_coefficients`` call serves the distinct positions (angles
-    equal along the whole batch); an endpoint that the whole batch shares
-    is a node, otherwise an array of nodes."""
+    One ``_gate_coefficients`` call serves the whole table; an endpoint that
+    the whole batch shares is a node, otherwise an array of nodes."""
     if len(i) == 0:
         return []
-    keys = np.concatenate([np.reshape(angle, (len(angle), -1)) for angle in (alpha, theta)], 1)
-    first: dict[bytes, int] = {}  # each distinct row of angles -> its first position
-    at = [first.setdefault(key.tobytes(), p) for p, key in enumerate(keys)]
-    positions = list(first.values())
-    c, u, l = _gate_coefficients(np.asarray(alpha)[positions], np.asarray(theta)[positions])
+    c, u, l = _gate_coefficients(np.asarray(alpha), np.asarray(theta))
     nodes = np.asarray((i, j), dtype=np.intp)
     flat = nodes.reshape(2, len(i), -1)
     ends = flat[..., 0].tolist()  # nodes, where the whole batch shares them
     for end, p in zip(*np.nonzero((flat != flat[..., :1]).any(axis=-1))):
         ends[end][p] = nodes[end, p]
-    slots = np.searchsorted(positions, at).tolist()
-    return [(a, b, c[k], u[k], l[k]) for a, b, k in zip(*ends, slots)]
+    return list(zip(*ends, c, u, l))
 
 
 def _gate_table(sequences: Sequence[Sequence[GateSpec]]) -> np.ndarray:

@@ -22,17 +22,19 @@ Probability CSVs, header line included, are rendered by ``render_csv`` as
 ASCII blocks of ``CSV_BLOCK_VALUES`` rows: the values go through the array
 kernel ``_fmt_real_block`` beside it, and every value outside its exact range
 through ``graph.fmt_real``; each row's leading fields are formatted once per
-point by ``field_rows``, and a table's ``from,to`` pairs once per node count,
-not once per t-chunk.  ``TransportTable.to_csv`` writes each block to a
-binary file as soon as it is rendered, so no table's text exists whole and
-the memory beyond the probabilities is bounded by the block.
+point by ``field_rows`` and each node's ``k,`` once by ``_node_rows``: a
+table's rows are its (grid point, from) fields beside every ``to``, so no
+N^2 ``from,to`` table is built.  ``TransportTable.to_csv`` writes each block
+to a binary file as soon as it is rendered, so no table's text exists whole
+and the memory beyond the probabilities is the block's and one field row
+per (point, from).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
@@ -153,19 +155,14 @@ def field_rows(points: Sequence[tuple[float, ...]]) -> np.ndarray:
     return np.array(texts, dtype=bytes).reshape(-1, 1).view(np.uint8)
 
 
-@lru_cache(maxsize=1)
-def _pair_rows(n: int) -> np.ndarray:
-    """Read-only ``from,to,`` rows of every pair, from-major, NUL-padded for
-    ``render_csv``: a table streamed in t-chunks formats its N^2 pair fields
-    once, and only the last node count's rows are kept.  Each node's ``k,``
-    is digit arithmetic (NULs above its leading digit), not a string."""
+def _node_rows(n: int) -> np.ndarray:
+    """Each node's ``k,`` field as one NUL-padded row, for ``render_csv``:
+    digit arithmetic on ``arange(n)`` (NULs above a number's leading
+    digit), not a string per node."""
     places = 10 ** np.arange(len(str(n - 1)) - 1, -1, -1)  # most significant first
     nodes = np.arange(n)[:, None]
     digits = np.where((nodes >= places) | (places == 1), nodes // places % 10 + ord("0"), 0)
-    fields = np.hstack([digits, np.full((n, 1), ord(","))]).astype(np.uint8)
-    rows = np.empty((n, n, 2, fields.shape[1]), np.uint8)
-    rows[:, :, 0], rows[:, :, 1] = fields[:, None], fields[None, :]
-    return _freeze(rows.reshape(-1, 2 * fields.shape[1]))
+    return np.hstack([digits, np.full((n, 1), ord(","))]).astype(np.uint8)
 
 
 # ``_fmt_real_block`` computes 10^-_BLOCK_DECADES <= x < 1 itself; a value's
@@ -275,15 +272,15 @@ def render_csv(kind: str | None, outer: np.ndarray, inner: np.ndarray,
     ``outer[k], inner[m], values[k, m]`` in ``(k, m)`` order, as ASCII
     blocks of ``CSV_BLOCK_VALUES`` rows, each yielded as it is rendered.
 
-    ``outer`` and ``inner`` are the ``field_rows`` of the outer and inner
-    points, so each point's fields are formatted once: ``graph.fmt_real(x)``
-    for a float (17 digits round-trip a float64), plain digits for a node
-    index.  Each block's values go through the kernel
-    ``_fmt_real_block``, which computes the texts in its exact range
-    and calls ``fmt_real`` for the rest; its rows are laid out as NUL-padded
-    bytes (outer fields, inner fields, value, newline) and the NULs deleted.
-    So the memory beyond ``values`` is bounded by the block, and the bytes
-    do not depend on its length.
+    ``outer`` and ``inner`` are NUL-padded field rows (``field_rows`` of
+    points, ``_node_rows`` of nodes, or the two side by side), so each
+    point's fields are formatted once: ``graph.fmt_real(x)`` for a float
+    (17 digits round-trip a float64), plain digits for a node index.  Each
+    block's values go through the kernel ``_fmt_real_block``, which computes
+    the texts in its exact range and calls ``fmt_real`` for the rest; its
+    rows are laid out as NUL-padded bytes (outer fields, inner fields,
+    value, newline) and the NULs deleted.  So the memory beyond ``values``
+    is bounded by the block, and the bytes do not depend on its length.
     """
     if kind is not None:
         yield CSV_HEADERS[kind].encode("ascii") + b"\n"
@@ -322,7 +319,13 @@ class TransportTable:
     def __post_init__(self):
         if self.axis_kind not in CSV_HEADERS:
             raise ValueError(f"unknown axis kind {self.axis_kind!r}")
-        if len(self.axes) != self.probabilities.shape[0]:
+        shape = self.probabilities.shape
+        if len(shape) != 3 or shape[1] != shape[2]:
+            raise ValueError(f"probability tensor must have shape (points, N, N), got {shape}")
+        if self.axis_kind == "circuit" and self.axes and np.shape(self.axes)[1:] != (2,):
+            raise ValueError("circuit axes must be (alpha, theta) pairs, got axes of shape "
+                             f"{np.shape(self.axes)}")
+        if len(self.axes) != shape[0]:
             raise ValueError("axis length does not match probability tensor")
 
     @property
@@ -337,9 +340,11 @@ class TransportTable:
         block at a time; without its header line when ``header`` is false."""
         axes = ([(t,) for t in self.axes] if self.axis_kind == "time"
                 else [(alpha, theta) for alpha, theta in self.axes])
-        values = self.probabilities.transpose(0, 2, 1).reshape(len(axes), self.n ** 2)
-        file.writelines(render_csv(self.axis_kind if header else None, field_rows(axes),
-                                   _pair_rows(self.n), values))
+        nodes = _node_rows(self.n)
+        outer = np.hstack([np.repeat(field_rows(axes), self.n, 0),
+                           np.tile(nodes, (len(axes), 1))])  # (point, from) rows
+        values = self.probabilities.transpose(0, 2, 1).reshape(len(axes) * self.n, self.n)
+        file.writelines(render_csv(self.axis_kind if header else None, outer, nodes, values))
 
 
 def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> TransportTable:

@@ -122,7 +122,7 @@ def _probabilities(hamiltonian, t: float) -> np.ndarray:
 def _draw_gauge_invariance(rng) -> tuple:
     graph = randgen.random_hamiltonian(rng, n_max=8)
     gauge = randgen.random_gauge(rng, graph.n_nodes)
-    return graph, apply_gauge(graph, gauge), float(rng.uniform(-5.0, 5.0))
+    return graph, apply_gauge(graph, gauge), rng.uniform(-5.0, 5.0)
 
 
 def _same_probabilities(group) -> np.ndarray:
@@ -202,17 +202,16 @@ def _group_property(group) -> np.ndarray:
 
 def _draw_spectral_shift(rng) -> tuple:
     graph = randgen.random_hamiltonian(rng, n_max=8)
-    shift = float(rng.uniform(-3.0, 3.0))
+    shift = rng.uniform(-3.0, 3.0)
     diag = graph.diagonal()
     shifted = WalkHamiltonian(
         graph.n_nodes, graph.edges,
         tuple((v, float(diag[v] + shift)) for v in range(graph.n_nodes)))
-    return graph, shifted, float(rng.uniform(-4.0, 4.0))
+    return graph, shifted, rng.uniform(-4.0, 4.0)
 
 
 def _random_gate(rng) -> GateSpec:
-    return GateSpec(0, 1, float(rng.uniform(-TWO_PI, TWO_PI)),
-                    float(rng.uniform(-TWO_PI, TWO_PI)))
+    return GateSpec(0, 1, rng.uniform(-TWO_PI, TWO_PI), rng.uniform(-TWO_PI, TWO_PI))
 
 
 def _rz_conjugation_identity(rng) -> float:
@@ -256,7 +255,7 @@ def _draw_flux_dependence(rng, inject_fault: bool = False) -> tuple:
     can see a genuine violation.
     """
     phases = rng.uniform(-np.pi, np.pi, size=3)
-    theta = float(rng.uniform(-np.pi, np.pi))
+    theta = rng.uniform(-np.pi, np.pi)
     lam = rng.uniform(-np.pi, np.pi, size=3)
     # same-flux redistribution: subtract a discrete gradient
     redistributed = np.array([phases[0] + lam[0] - lam[1],
@@ -276,7 +275,7 @@ def _flux_dependence(group) -> np.ndarray:
 
 
 def _draw_trotter_order(rng) -> tuple:
-    phase = float(rng.uniform(-1.0, 1.0))
+    phase = rng.uniform(-1.0, 1.0)
     return (WalkHamiltonian(3, (Edge(0, 1, 1.0, phase), Edge(1, 2, 1.0, phase),
                                 Edge(0, 2, 1.0, -phase))),)
 
@@ -341,12 +340,12 @@ PROPERTY_SUITE: tuple[tuple[str, Callable], ...] = (
              _forest_phase_independence),
     _suite("parity-split-agreement", 60, 1e-12, _parity_split_agreement),
     _stacked("negation-time-reversal", 100, 1e-12,
-             lambda rng: (randgen.random_bipartite(rng, 10), float(rng.uniform(0.1, 5.0))),
+             lambda rng: (randgen.random_bipartite(rng, 10), rng.uniform(0.1, 5.0)),
              _negation_time_reversal),
     _suite("cycle-flux-gauge-invariance", 100, 1e-12, _cycle_flux_gauge_invariance),
     _stacked("unitarity", 100, 1e-10,
-             lambda rng: (randgen.random_hamiltonian(rng, n_max=16),
-                          float(rng.uniform(-10.0, 10.0))), _unitarity),
+             lambda rng: (randgen.random_hamiltonian(rng, n_max=16), rng.uniform(-10.0, 10.0)),
+             _unitarity),
     _stacked("group-property", 100, 1e-9, _draw_group_property, _group_property),
     _stacked("spectral-shift", 100, 1e-12, _draw_spectral_shift, _same_probabilities),
     _suite("rz-conjugation-identity", 100, 1e-12, _rz_conjugation_identity),

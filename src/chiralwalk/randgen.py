@@ -9,7 +9,7 @@ from .graph import Edge, GraphSkeleton, WalkHamiltonian
 
 
 def _random_edge_params(rng: np.random.Generator) -> tuple[float, float]:
-    return float(rng.uniform(0.5, 1.5)), float(rng.uniform(-np.pi, np.pi))
+    return rng.uniform(0.5, 1.5), rng.uniform(-np.pi, np.pi)
 
 
 def random_tree_edges(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
@@ -25,8 +25,7 @@ def random_forest(rng: np.random.Generator, n_max: int = 12,
              if rng.random() < 0.85]
     selfs = ()
     if with_self_energies and rng.random() < 0.5:
-        selfs = tuple((v, float(rng.uniform(-1.0, 1.0)))
-                      for v in range(n) if rng.random() < 0.4)
+        selfs = tuple((v, rng.uniform(-1.0, 1.0)) for v in range(n) if rng.random() < 0.4)
     return WalkHamiltonian(n, tuple(edges), selfs)
 
 
@@ -77,8 +76,7 @@ def random_hamiltonian(rng: np.random.Generator, n_max: int = 8) -> WalkHamilton
         edges = [Edge(0, n - 1, *_random_edge_params(rng))]
     selfs = ()
     if rng.random() < 0.4:
-        selfs = tuple((v, float(rng.uniform(-1.0, 1.0)))
-                      for v in range(n) if rng.random() < 0.5)
+        selfs = tuple((v, rng.uniform(-1.0, 1.0)) for v in range(n) if rng.random() < 0.5)
     return WalkHamiltonian(n, tuple(edges), selfs)
 
 
@@ -107,8 +105,8 @@ def random_palindrome(rng: np.random.Generator, n: int, gate_count: int,
     for _ in range(gate_count):
         i = int(rng.integers(0, n - 1))
         j = int(rng.integers(i + 1, n))
-        alpha = 0.0 if zero_alpha else float(rng.uniform(-np.pi, np.pi))
-        half.append(GateSpec(i, j, alpha, float(rng.uniform(-np.pi, np.pi))))
+        alpha = 0.0 if zero_alpha else rng.uniform(-np.pi, np.pi)
+        half.append(GateSpec(i, j, alpha, rng.uniform(-np.pi, np.pi)))
     return PalindromicCircuit(n, half)
 
 
@@ -118,8 +116,7 @@ def random_spanning_tree_palindrome(rng: np.random.Generator,
     n = int(rng.integers(2, n_max + 1))
     pairs = random_tree_edges(rng, n)
     rng.shuffle(pairs)
-    half = [GateSpec(i, j, float(rng.uniform(-np.pi, np.pi)),
-                     float(rng.uniform(-np.pi, np.pi)))
+    half = [GateSpec(i, j, rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
             for i, j in pairs]
     return PalindromicCircuit(n, half)
 
@@ -132,6 +129,5 @@ def random_bipartite_palindrome(rng: np.random.Generator,
     half = []
     for _ in range(int(rng.integers(1, 2 * len(pairs) + 1))):
         i, j = pairs[int(rng.integers(0, len(pairs)))]
-        half.append(GateSpec(i, j, float(rng.uniform(-np.pi, np.pi)),
-                             float(rng.uniform(-np.pi, np.pi))))
+        half.append(GateSpec(i, j, rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi)))
     return PalindromicCircuit(n, half)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -356,29 +357,45 @@ def test_table_csv_peak_memory_is_bounded():
 
 
 @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 100, 101])
-def test_pair_rows_render_the_bytes_of_one_string_per_pair(n):
-    # the reference is the construction the digit arithmetic replaced:
-    # field_rows of N^2 Python tuples, so N^2 Python strings
-    outer = field_rows([(t,) for t in (0.0, 0.5, 2.25)])
-    reference = field_rows([(frm, to) for frm in range(n) for to in range(n)])
-    values = np.random.default_rng(n).random((3, n * n))
-    assert (b"".join(render_csv("time", outer, propagator._pair_rows(n), values))
-            == b"".join(render_csv("time", outer, reference, values)))
+def test_table_csv_renders_the_bytes_of_one_string_per_pair(n):
+    # reference: field_rows of N^2 Python (from, to) tuples, one string per pair
+    pairs = field_rows([(frm, to) for frm in range(n) for to in range(n)])
+    for kind, axes in (("time", (0.0, 0.5, 2.25)), ("circuit", ((0.0, 1.0), (PI, 1 / 3)))):
+        probabilities = np.random.default_rng(n).random((len(axes), n, n))
+        table = TransportTable(kind, axes, probabilities)
+        points = field_rows([point if kind == "circuit" else (point,) for point in axes])
+        values = probabilities.transpose(0, 2, 1).reshape(len(axes), n * n)
+        reference = b"".join(render_csv(kind, points, pairs, values))
+        assert csv_text(table).encode("ascii") == reference
 
 
-def test_pair_rows_peak_memory_at_512_nodes():
-    # one Python string per pair peaked at 38.5 MiB here; the digit
-    # arithmetic peaks at 2.02 MiB, the 2 MiB of rows it keeps and O(N) more
-    propagator._pair_rows.cache_clear()
-    tracemalloc.start()
-    try:
-        rows = propagator._pair_rows(512)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        propagator._pair_rows.cache_clear()
-    assert rows.shape == (512 * 512, 8)
-    assert peak < 2.5 * 2 ** 20
+def test_table_csv_keeps_no_memory_at_512_nodes():
+    # nothing outlives the call; the peak, 4.2-4.3 MiB when measured, is the 2 MiB
+    # of values in from-major order and one render block, with no N^2 field table
+    table = TransportTable("time", (0.5,), np.random.default_rng(5).random((1, 512, 512)))
+    with open(os.devnull, "wb") as sink:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table.to_csv(sink)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert current - start < 0.25 * 2 ** 20
+    assert peak - start < 5 * 2 ** 20
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4), (2, 3, 3, 1), ()])
+def test_table_refuses_a_tensor_that_is_not_points_by_nodes_by_nodes(shape):
+    with pytest.raises(ValueError, match=re.escape(f"(points, N, N), got {shape}")):
+        TransportTable("time", (0.5, 1.0), np.zeros(shape))
+
+
+@pytest.mark.parametrize("axes", [(0.5, 1.0), ((0.5, 1.0, 2.0), (0.5, 1.0, 2.0)),
+                                  ((0.5,), (1.0,)), ((0.5, 1.0), (2.0,))])
+def test_circuit_table_refuses_axes_that_are_not_angle_pairs(axes):
+    with pytest.raises(ValueError, match="shape"):
+        TransportTable("circuit", axes, np.zeros((2, 3, 3)))
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 13])
