@@ -24,11 +24,11 @@ gate per batch element, so a G-gate unitary is O(G N).  One builder,
 table, its coefficients in one ``_gate_coefficients`` call over every
 position of the half: no batch axes for one circuit (``apply_circuit``),
 the circuits of a stack (``_unitary_stack``, all their unitaries in one
-pass of G steps), or the (alpha, theta) grid of the triangle (three
-positions over the whole grid).  In qubit space all n start nodes share
-one statevector array, O(G 2^n n) for the circuit, and each gate moves its
-two qubit axes first and back with one transpose each, on permutations
-built once per (n, i, j).
+pass of G steps), or the (alpha, theta) grid of the triangle (one angle
+row, shared by its three positions, over the whole grid).  In qubit space
+all n start nodes share one statevector array, O(G 2^n n) for the circuit,
+and each gate moves its two qubit axes first and back with one transpose
+each, on permutations built once per (n, i, j).
 """
 
 from __future__ import annotations
@@ -114,12 +114,13 @@ def _gate_coefficients(alpha, theta):
 
 def _gate_rows(i, j, alpha, theta) -> list[tuple]:
     """``(i, j, c, u, l)`` per position of a gate table whose endpoints and
-    angles have shape ``(position, *batch)``, the angles possibly broadcast.
-    One ``_gate_coefficients`` call serves the whole table; an endpoint that
-    the whole batch shares is a node, otherwise an array of nodes."""
+    angles have shape ``(position, *batch)``, the angles possibly broadcast
+    over both.  One ``_gate_coefficients`` call serves the whole table; an
+    endpoint that the whole batch shares is a node, otherwise an array of nodes."""
     if len(i) == 0:
         return []
-    c, u, l = _gate_coefficients(np.asarray(alpha), np.asarray(theta))
+    c, u, l = (np.broadcast_to(x, (len(i),) + x.shape[1:])
+               for x in _gate_coefficients(np.asarray(alpha), np.asarray(theta)))
     nodes = np.asarray((i, j), dtype=np.intp)
     flat = nodes.reshape(2, len(i), -1)
     ends = flat[..., 0].tolist()  # nodes, where the whole batch shares them
@@ -264,15 +265,15 @@ def _three_cycle_run(alphas: Sequence[float], thetas: Sequence[float],
                      start: np.ndarray) -> np.ndarray:
     """Triangle palindrome on ``start``, batched over the (alpha, theta) grid:
     the last two axes of the state, and the batch of the gate table of
-    ``three_cycle_circuit(0, 1)`` (alpha offsets, theta multiples).  The
-    alphas go in as a column and the thetas as a row, so each gate's ``exp``
-    runs once per alpha and its ``sin``/``cos`` once per theta."""
+    ``three_cycle_circuit(0, 1)``, whose one shared angle row takes the alpha
+    offsets as a column and the theta multiples as a row, so ``exp`` runs
+    once per alpha and ``sin``/``cos`` once per theta, for all three gates."""
     alphas = np.asarray(alphas, dtype=float)[:, None]
     thetas = np.asarray(thetas, dtype=float)[None, :]
     start = np.asarray(start, dtype=complex)[..., None, None]
     state = np.broadcast_to(start, start.shape[:-2] + (alphas.size, thetas.size)).copy()
     i, j, alpha, theta = _gate_table([three_cycle_circuit(0.0, 1.0).half])[..., None]
-    rows = _gate_rows(i, j, alpha + alphas, theta * thetas)
+    rows = _gate_rows(i, j, alpha[:1] + alphas, theta[:1] * thetas)
     return _apply_gates(state, rows + rows[::-1])
 
 
@@ -293,9 +294,8 @@ def circuit_sweep_table(alphas: Sequence[float], thetas: Sequence[float]) -> Tra
     if not alphas or not thetas_list:
         raise ValueError("sweep grids must be nonempty")
     probs = np.abs(three_cycle_unitaries(alphas, thetas_list)) ** 2
-    axes = tuple((a, t) for a in alphas for t in thetas_list)
-    flat = probs.reshape(len(axes), 3, 3)
-    return TransportTable("circuit", axes, _freeze(flat))
+    axes = [(a, t) for a in alphas for t in thetas_list]
+    return TransportTable(axes, _freeze(probs.reshape(len(axes), 3, 3)))
 
 
 # ---------------------------------------------------------------------------

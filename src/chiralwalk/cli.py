@@ -42,11 +42,12 @@ def _output(target: str | None) -> Iterator[BinaryIO]:
         yield sys.stdout.buffer
         sys.stdout.buffer.flush()
         return
-    path = os.path.realpath(target)
-    if os.path.exists(path) and not os.path.isfile(path):
+    # the target's own stat: on a pipe, the real path of /dev/stdout names no file
+    if os.path.exists(target) and not os.path.isfile(target):
         with open(target, "wb") as handle:
             yield handle
         return
+    path = os.path.realpath(target)
     partial = f"{path}.{os.getpid()}.partial"
     try:
         with open(partial, "wb") as handle:
@@ -175,7 +176,7 @@ def _transfer_csv(alphas, thetas, transfer) -> bytes:
     """Circuit-schema CSV of the ``0 -> 2`` transfer ``transfer[a, k]``."""
     from .propagator import field_rows, render_csv
 
-    return b"".join(render_csv("circuit", field_rows([(alpha,) for alpha in alphas]),
+    return b"".join(render_csv(2, field_rows([(alpha,) for alpha in alphas]),
                                field_rows([(theta, 0, 2) for theta in thetas]), transfer))
 
 

@@ -21,13 +21,13 @@ Probabilities follow the column convention ``p[to, from]``: entry
 Probability CSVs, header line included, are rendered by ``render_csv`` as
 ASCII blocks of ``CSV_BLOCK_VALUES`` rows: the values go through the array
 kernel ``_fmt_real_block`` beside it, and every value outside its exact range
-through ``graph.fmt_real``; each row's leading fields are formatted once per
-point by ``field_rows`` and each node's ``k,`` once by ``_node_rows``: a
-table's rows are its (grid point, from) fields beside every ``to``, so no
-N^2 ``from,to`` table is built.  ``TransportTable.to_csv`` writes each block
-to a binary file as soon as it is rendered, so no table's text exists whole
-and the memory beyond the probabilities is the block's and one field row
-per (point, from).
+through ``graph.fmt_real``; ``field_rows`` formats each grid point's fields
+and each node's ``k,`` once: a table's rows are its (grid point, from)
+fields beside every ``to``, so no N^2 ``from,to`` table is built, and the
+width of its grid picks the schema.  ``TransportTable.to_csv`` writes each
+block to a binary file as soon as it is rendered, so no table's text exists
+whole and the memory beyond the probabilities is the block's and one field
+row per (point, from).
 """
 
 from __future__ import annotations
@@ -148,21 +148,11 @@ def propagate(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:
     return _freeze(spectrum(hamiltonian).propagator_batch([_check_finite_real(t, "time")])[0])
 
 
-def field_rows(points: Sequence[tuple[float, ...]]) -> np.ndarray:
-    """Each point's leading CSV fields, ``%.17g,`` per value, as one
-    NUL-padded row of a uint8 array."""
-    texts = ["%.17g," * len(fields) % fields for fields in points]
+def field_rows(points: np.ndarray) -> np.ndarray:
+    """Each row's leading CSV fields, ``%.17g,`` per value of a (points,
+    fields) array, as one NUL-padded row of a uint8 array."""
+    texts = ["%.17g," * len(fields) % tuple(fields) for fields in np.asarray(points).tolist()]
     return np.array(texts, dtype=bytes).reshape(-1, 1).view(np.uint8)
-
-
-def _node_rows(n: int) -> np.ndarray:
-    """Each node's ``k,`` field as one NUL-padded row, for ``render_csv``:
-    digit arithmetic on ``arange(n)`` (NULs above a number's leading
-    digit), not a string per node."""
-    places = 10 ** np.arange(len(str(n - 1)) - 1, -1, -1)  # most significant first
-    nodes = np.arange(n)[:, None]
-    digits = np.where((nodes >= places) | (places == 1), nodes // places % 10 + ord("0"), 0)
-    return np.hstack([digits, np.full((n, 1), ord(","))]).astype(np.uint8)
 
 
 # ``_fmt_real_block`` computes 10^-_BLOCK_DECADES <= x < 1 itself; a value's
@@ -262,28 +252,29 @@ def _fmt_real_block(values: np.ndarray) -> np.ndarray:
     return out
 
 
-CSV_HEADERS = {"time": "axis,from,to,probability",
-               "circuit": "alpha,theta,from,to,probability"}
+CSV_HEADERS = {1: "axis,from,to,probability",
+               2: "alpha,theta,from,to,probability"}
 
 
-def render_csv(kind: str | None, outer: np.ndarray, inner: np.ndarray,
+def render_csv(fields: int | None, outer: np.ndarray, inner: np.ndarray,
                values: np.ndarray) -> Iterator[bytes]:
-    """The ``CSV_HEADERS[kind]`` line (none for ``kind=None``), then rows
-    ``outer[k], inner[m], values[k, m]`` in ``(k, m)`` order, as ASCII
-    blocks of ``CSV_BLOCK_VALUES`` rows, each yielded as it is rendered.
+    """The header of a grid of ``fields`` fields per point (none for
+    ``fields=None``), then rows ``outer[k], inner[m], values[k, m]`` in
+    ``(k, m)`` order, as ASCII blocks of ``CSV_BLOCK_VALUES`` rows, each
+    yielded as it is rendered.
 
     ``outer`` and ``inner`` are NUL-padded field rows (``field_rows`` of
-    points, ``_node_rows`` of nodes, or the two side by side), so each
-    point's fields are formatted once: ``graph.fmt_real(x)`` for a float
-    (17 digits round-trip a float64), plain digits for a node index.  Each
-    block's values go through the kernel ``_fmt_real_block``, which computes
-    the texts in its exact range and calls ``fmt_real`` for the rest; its
-    rows are laid out as NUL-padded bytes (outer fields, inner fields,
-    value, newline) and the NULs deleted.  So the memory beyond ``values``
-    is bounded by the block, and the bytes do not depend on its length.
+    grid points or of nodes, or the two side by side), so each point's
+    fields are formatted once: ``graph.fmt_real(x)`` for a float (17 digits
+    round-trip a float64), plain digits for a node index.  Each block's
+    values go through the kernel ``_fmt_real_block``, which computes the
+    texts in its exact range and calls ``fmt_real`` for the rest; its rows
+    are laid out as NUL-padded bytes (outer fields, inner fields, value,
+    newline) and the NULs deleted.  So the memory beyond ``values`` is
+    bounded by the block, and the bytes do not depend on its length.
     """
-    if kind is not None:
-        yield CSV_HEADERS[kind].encode("ascii") + b"\n"
+    if fields is not None:
+        yield CSV_HEADERS[fields].encode("ascii") + b"\n"
     if len(inner) == 0 or len(outer) == 0:
         return
     values = np.asarray(values, dtype=float).reshape(-1)
@@ -301,9 +292,11 @@ class TransportTable:
     """Transition-probability tensor over a parameter grid.
 
     ``probabilities[k, to, from]`` is the ``from -> to`` probability at grid
-    point ``k``.  ``axis_kind`` selects the CSV schema: ``"time"`` rows are
-    ``axis,from,to,probability``; ``"circuit"`` rows carry the gate
-    parameters, ``alpha,theta,from,to,probability``.
+    point ``k``, whose coordinates are the row ``axes[k]``.  ``axes`` is kept
+    as a read-only float64 copy of shape (points, fields), and 1-D input is
+    one time per point; the width picks the CSV schema.  One field is a time,
+    ``axis,from,to,probability``; two are the gate parameters,
+    ``alpha,theta,from,to,probability``.
 
     Byte contract of ``to_csv``: the ASCII header, then for each grid point
     every ``from`` in ascending order and within it every ``to``, each row
@@ -312,21 +305,22 @@ class TransportTable:
     ``render_csv``'s blocks, each as soon as it is rendered.
     """
 
-    axis_kind: str
-    axes: tuple
+    axes: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
-        if self.axis_kind not in CSV_HEADERS:
-            raise ValueError(f"unknown axis kind {self.axis_kind!r}")
         shape = self.probabilities.shape
         if len(shape) != 3 or shape[1] != shape[2]:
             raise ValueError(f"probability tensor must have shape (points, N, N), got {shape}")
-        if self.axis_kind == "circuit" and self.axes and np.shape(self.axes)[1:] != (2,):
-            raise ValueError("circuit axes must be (alpha, theta) pairs, got axes of shape "
+        axes = np.asarray(self.axes)
+        if axes.ndim == 1:
+            axes = axes[:, None]  # one time per point
+        if (axes.dtype.kind not in "iuf" or axes.ndim != 2
+                or axes.shape[1] not in CSV_HEADERS or len(axes) != shape[0]):
+            raise ValueError(f"axes must be one time or one (alpha, theta) pair of reals for "
+                             f"each of {shape[0]} points, got {axes.dtype} axes of shape "
                              f"{np.shape(self.axes)}")
-        if len(self.axes) != shape[0]:
-            raise ValueError("axis length does not match probability tensor")
+        object.__setattr__(self, "axes", _freeze(axes.astype(float)))
 
     @property
     def n(self) -> int:
@@ -338,13 +332,12 @@ class TransportTable:
     def to_csv(self, file: BinaryIO, header: bool = True) -> None:
         """Write the table's CSV to the binary ``file``, one ``render_csv``
         block at a time; without its header line when ``header`` is false."""
-        axes = ([(t,) for t in self.axes] if self.axis_kind == "time"
-                else [(alpha, theta) for alpha, theta in self.axes])
-        nodes = _node_rows(self.n)
-        outer = np.hstack([np.repeat(field_rows(axes), self.n, 0),
-                           np.tile(nodes, (len(axes), 1))])  # (point, from) rows
-        values = self.probabilities.transpose(0, 2, 1).reshape(len(axes) * self.n, self.n)
-        file.writelines(render_csv(self.axis_kind if header else None, outer, nodes, values))
+        points, fields = self.axes.shape
+        nodes = field_rows(np.arange(self.n)[:, None])
+        outer = np.hstack([np.repeat(field_rows(self.axes), self.n, 0),
+                           np.tile(nodes, (points, 1))])  # (point, from) rows
+        values = self.probabilities.transpose(0, 2, 1).reshape(points * self.n, self.n)
+        file.writelines(render_csv(fields if header else None, outer, nodes, values))
 
 
 def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> TransportTable:
@@ -356,7 +349,7 @@ def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> Transpo
     probabilities = np.empty((len(t_grid), dec.n, dec.n))
     for start, chunk in probability_chunks(dec, t_grid):
         probabilities[start:start + len(chunk)] = chunk
-    return TransportTable("time", t_grid, _freeze(probabilities))
+    return TransportTable(t_grid, _freeze(probabilities))
 
 
 def _golden_section_max(f, lo: float, hi: float, width: float) -> tuple[float, float]:

@@ -14,6 +14,7 @@ from chiralwalk import (Edge, GateSpec, GraphFormatError, PalindromicCircuit,
                         three_cycle_circuit, three_cycle_unitaries, trotter_error)
 from chiralwalk.circuit import (_apply_gates, _gate_rows, _qubit_columns, _unitary_stack,
                                three_cycle_transfer)
+from chiralwalk import circuit as circuit_module
 
 from .graphs import qubit_block, uniform_triangle
 from .oracles import pair_gate_taylor, three_cycle_taylor
@@ -324,6 +325,22 @@ def test_triangle_grid_equals_the_old_builder_byte_for_byte():
     transfer = np.abs(reference_three_cycle_run(alphas, thetas, np.eye(3)[:, 0])[2]) ** 2
     assert three_cycle_unitaries(alphas, thetas).tobytes() == unitaries.tobytes()
     assert three_cycle_transfer(alphas, thetas).tobytes() == transfer.tobytes()
+
+
+def test_triangle_grid_evaluates_its_shared_angles_once(monkeypatch):
+    # the triangle's three half positions share their angles: their coefficients
+    # are evaluated once over the (alpha, theta) grid, not once per position
+    sizes = []
+
+    def recording(alpha, theta):
+        sizes.append(np.broadcast(alpha, theta).size)
+        return coefficients(alpha, theta)
+
+    coefficients = circuit_module._gate_coefficients
+    monkeypatch.setattr(circuit_module, "_gate_coefficients", recording)
+    alphas, thetas = np.linspace(0.0, PI, 5), np.linspace(-PI, PI, 7)
+    three_cycle_transfer(alphas, thetas)
+    assert sum(sizes) == len(alphas) * len(thetas)
 
 
 def test_one_gate_equals_the_old_builder_byte_for_byte():

@@ -426,6 +426,19 @@ def test_evolve_into_a_closed_pipe_exits_2_without_a_traceback(tmp_path):
     assert err == b"chiralwalk: error: [Errno 32] Broken pipe\n"
 
 
+def test_out_dev_stdout_on_a_pipe_writes_the_bytes_of_out_dash():
+    # on a pipe /dev/stdout resolves to a name like pipe:[N] that is no file
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    argv = [sys.executable, "-m", "chiralwalk.cli", "circuit-sweep", "--alpha", "0",
+            "--theta-step", "1", "--out"]
+    runs = [subprocess.run(argv + [target], capture_output=True, env=child_env(), timeout=120)
+            for target in ("-", "/dev/stdout")]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, b""), (0, b"")]
+    assert runs[1].stdout == runs[0].stdout
+    assert runs[0].stdout.startswith(b"alpha,theta,from,to,probability\n")
+
+
 def test_evolve_failing_on_a_later_block_leaves_no_partial_table(tmp_path, capsys,
                                                                  monkeypatch):
     from chiralwalk import propagator

@@ -288,12 +288,10 @@ AWKWARD = (0.0, 1.0, 1 / 3, 1 - 2 ** -53, 5e-324)
 def reference_csv(table):
     """The per-row ``format(x, ".17g")`` loop that defines the byte contract."""
     fmt = lambda x: format(float(x), ".17g")  # noqa: E731
-    if table.axis_kind == "time":
-        lines = ["axis,from,to,probability"]
-        prefixes = [fmt(t) for t in table.axes]
-    else:
-        lines = ["alpha,theta,from,to,probability"]
-        prefixes = [f"{fmt(alpha)},{fmt(theta)}" for alpha, theta in table.axes]
+    # the schema follows from the width of the grid: a time, or the gate angles
+    lines = [{1: "axis,from,to,probability",
+              2: "alpha,theta,from,to,probability"}[table.axes.shape[1]]]
+    prefixes = [",".join(fmt(x) for x in point) for point in table.axes]
     for k, prefix in enumerate(prefixes):
         for frm in range(table.n):
             for to in range(table.n):
@@ -309,7 +307,7 @@ def awkward_probabilities(count, n):
 
 def test_time_table_csv_matches_reference_bytes():
     axes = (-PI,) + AWKWARD
-    table = TransportTable("time", axes, awkward_probabilities(len(axes), 3))
+    table = TransportTable(axes, awkward_probabilities(len(axes), 3))
     text = csv_text(table)
     assert text == reference_csv(table)
     assert text.split("\n")[1] == "-3.1415926535897931,0,0,0"
@@ -320,7 +318,7 @@ def test_time_table_csv_matches_reference_bytes():
 def test_circuit_table_csv_matches_reference_bytes():
     axes = tuple((alpha, theta) for alpha in (-PI, 1 / 3)
                  for theta in (5e-324, 0.0, 1 - 2 ** -53))
-    table = TransportTable("circuit", axes, awkward_probabilities(len(axes), 2))
+    table = TransportTable(axes, awkward_probabilities(len(axes), 2))
     text = csv_text(table)
     assert text == reference_csv(table)
     assert text.split("\n")[1] == "-3.1415926535897931,4.9406564584124654e-324,0,0,0"
@@ -330,8 +328,9 @@ def test_circuit_table_csv_matches_reference_bytes():
                                         ("circuit", ((0.5, 1.0),))])
 def test_degenerate_table_csv_matches_reference_bytes(kind, axes):
     # no grid points, or no nodes: the header alone
-    table = TransportTable(kind, axes, np.zeros((len(axes), 0, 0)))
+    table = TransportTable(axes, np.zeros((len(axes), 0, 0)))
     assert csv_text(table) == reference_csv(table)
+    assert csv_text(table).startswith({"time": "axis,", "circuit": "alpha,"}[kind])
 
 
 def test_table_csv_matches_reference_bytes_on_a_sweep():
@@ -344,8 +343,7 @@ def test_table_csv_peak_memory_is_bounded():
     # (N, T) = (48, 256): 589 824 rows, 28 MB of text.  A list of one string
     # per row peaks near 115 MB; one string per grid point stays near 59 MB.
     probabilities = np.random.default_rng(43).random((256, 48, 48))
-    table = TransportTable("time", tuple(np.linspace(0.0, 9.0, 256)),
-                           probabilities)
+    table = TransportTable(np.linspace(0.0, 9.0, 256), probabilities)
     tracemalloc.start()
     try:
         text = csv_text(table)
@@ -360,19 +358,19 @@ def test_table_csv_peak_memory_is_bounded():
 def test_table_csv_renders_the_bytes_of_one_string_per_pair(n):
     # reference: field_rows of N^2 Python (from, to) tuples, one string per pair
     pairs = field_rows([(frm, to) for frm in range(n) for to in range(n)])
-    for kind, axes in (("time", (0.0, 0.5, 2.25)), ("circuit", ((0.0, 1.0), (PI, 1 / 3)))):
+    for axes in ((0.0, 0.5, 2.25), ((0.0, 1.0), (PI, 1 / 3))):
         probabilities = np.random.default_rng(n).random((len(axes), n, n))
-        table = TransportTable(kind, axes, probabilities)
-        points = field_rows([point if kind == "circuit" else (point,) for point in axes])
+        table = TransportTable(axes, probabilities)
+        points = np.reshape(axes, (len(axes), -1))
         values = probabilities.transpose(0, 2, 1).reshape(len(axes), n * n)
-        reference = b"".join(render_csv(kind, points, pairs, values))
+        reference = b"".join(render_csv(points.shape[1], field_rows(points), pairs, values))
         assert csv_text(table).encode("ascii") == reference
 
 
 def test_table_csv_keeps_no_memory_at_512_nodes():
     # nothing outlives the call; the peak, 4.2-4.3 MiB when measured, is the 2 MiB
     # of values in from-major order and one render block, with no N^2 field table
-    table = TransportTable("time", (0.5,), np.random.default_rng(5).random((1, 512, 512)))
+    table = TransportTable((0.5,), np.random.default_rng(5).random((1, 512, 512)))
     with open(os.devnull, "wb") as sink:
         tracemalloc.start()
         try:
@@ -388,14 +386,35 @@ def test_table_csv_keeps_no_memory_at_512_nodes():
 @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 4), (2, 3, 3, 1), ()])
 def test_table_refuses_a_tensor_that_is_not_points_by_nodes_by_nodes(shape):
     with pytest.raises(ValueError, match=re.escape(f"(points, N, N), got {shape}")):
-        TransportTable("time", (0.5, 1.0), np.zeros(shape))
+        TransportTable((0.5, 1.0), np.zeros(shape))
 
 
-@pytest.mark.parametrize("axes", [(0.5, 1.0), ((0.5, 1.0, 2.0), (0.5, 1.0, 2.0)),
-                                  ((0.5,), (1.0,)), ((0.5, 1.0), (2.0,))])
+# of both schemas: three fields a point, ragged points, text, and a time per
+# point for three points where the tensor has two
+@pytest.mark.parametrize("axes", [((0.5, 1.0, 2.0), (0.5, 1.0, 2.0)), ((0.5, 1.0), (2.0,)),
+                                  ("x", "y"), (0.5, 1.0, 2.0)])
 def test_circuit_table_refuses_axes_that_are_not_angle_pairs(axes):
     with pytest.raises(ValueError, match="shape"):
-        TransportTable("circuit", axes, np.zeros((2, 3, 3)))
+        TransportTable(axes, np.zeros((2, 3, 3)))
+
+
+def test_table_schema_follows_from_the_width_of_its_axes():
+    # one (alpha, theta) pair is a circuit table, whatever else it could be taken
+    # for; text is refused when the table is built, not when it is written
+    table = TransportTable(((0.5, 1.0),), awkward_probabilities(1, 2))
+    assert csv_text(table) == reference_csv(table)
+    assert csv_text(table).startswith("alpha,theta,from,to,probability\n0.5,1,0,0,0\n")
+    with pytest.raises(ValueError, match="shape"):
+        TransportTable(("x",), np.zeros((1, 2, 2)))
+
+
+def test_table_keeps_its_axes_as_a_read_only_float_grid():
+    times = np.array([0, 1])
+    table = TransportTable(times, np.zeros((2, 1, 1)))
+    times[0] = 7
+    assert table.axes.dtype == np.float64 and table.axes.tolist() == [[0.0], [1.0]]
+    with pytest.raises(ValueError, match="read-only"):
+        table.axes[0, 0] = 7.0
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 13])
@@ -409,7 +428,7 @@ def test_table_csv_bytes_do_not_depend_on_the_block_length(monkeypatch, block, k
         axes = tuple(np.linspace(-PI, 1 / 3, count))
         if kind == "circuit":
             axes = tuple((alpha, alpha / 7) for alpha in axes)
-        table = TransportTable(kind, axes, awkward_probabilities(count, 3))
+        table = TransportTable(axes, awkward_probabilities(count, 3))
         assert csv_text(table) == reference_csv(table)
         assert csv_text(table, header=False) == reference_csv(table).split("\n", 1)[1]
 
@@ -437,7 +456,7 @@ def test_table_csv_renders_in_one_block_without_fork_or_affinity(monkeypatch, mi
     # affinity, and opens no pipe
     monkeypatch.delattr(os, missing, raising=False)
     monkeypatch.setattr(os, "pipe", lambda: pytest.fail("a pipe was opened"))
-    table = TransportTable("time", AWKWARD, awkward_probabilities(len(AWKWARD), 2))
+    table = TransportTable(AWKWARD, awkward_probabilities(len(AWKWARD), 2))
     assert table.probabilities.size <= propagator.CSV_BLOCK_VALUES
     assert csv_text(table) == reference_csv(table)
 

@@ -1,6 +1,7 @@
 """Rules of the source itself, checked on its syntax tree."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +96,36 @@ def test_one_gate_row_builder():
     definers = [path.name for path in sorted(PACKAGE.glob("*.py"))
                 if _defines(ast.parse(path.read_text(encoding="utf-8")), "_stack_rows")]
     assert definers == [] and _readers_by_module("_stack_rows") == {}
+
+
+@pytest.mark.parametrize("name", ["_node_rows", "axis_kind"])
+def test_a_table_is_its_grid(name):
+    # the CSV schema follows from the width of the axes, and ``field_rows`` is
+    # the one builder of field rows: no kind beside the grid, no second builder
+    definers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                if _defines(ast.parse(path.read_text(encoding="utf-8")), name)]
+    assert definers == [] and _readers_by_module(name) == {}
+
+
+def _imported_packages(path: Path) -> set[str]:
+    """Top-level package of each absolute import in ``path``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("directory, declared", [
+    (PACKAGE, {"numpy"}),
+    (PACKAGE.parent.parent / "tests", {"numpy", "pytest", "hypothesis", "chiralwalk", "tests"}),
+])
+def test_imports_are_declared_dependencies(directory, declared):
+    # pyproject.toml declares numpy, and pytest and hypothesis for the tests;
+    # anything else that imports on one host would fail on a clean install
+    allowed = set(sys.stdlib_module_names) | declared
+    undeclared = {path.name: sorted(_imported_packages(path) - allowed)
+                  for path in sorted(directory.glob("*.py"))}
+    assert {name: found for name, found in undeclared.items() if found} == {}
