@@ -59,7 +59,7 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvector columns; of one
     matrix, or of each of a stack (leading axes on both arrays)."""
@@ -287,7 +287,7 @@ def render_csv(fields: int | None, outer: np.ndarray, inner: np.ndarray,
         yield rows.tobytes().translate(None, b"\0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportTable:
     """Transition-probability tensor over a parameter grid.
 

@@ -12,12 +12,10 @@ of N x N matrices stays within the propagator's t-chunk budget and memory
 does not grow with ``trials``.  A stack takes one ``spectra`` eigensolve,
 one stacked propagator product and one gate pass, and gives every instance
 the bytes a one-instance run gives it, so the time is linear in ``trials``.
-The suites that exist to exercise a one-instance function (``pts_numeric``,
-``sweep_time``, ``trotter_error``) still call it per instance, on spectra
-computed for the stack.  ``rz-conjugation-identity``,
-``excitation-preservation`` (``excitation_preservation_check`` on one
-circuit), ``parity-split-agreement`` and ``cycle-flux-gauge-invariance`` run
-one trial at a time.
+A suite that exercises a one-instance function (``pts_numeric``,
+``sweep_time``, ``propagate``, ``trotter_error``,
+``excitation_preservation_check``) is a draw and a residual: its judge calls
+the residual per instance, on spectra computed for the stack.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from .circuit import (GateSpec, PalindromicCircuit, _apply_gates, _gate_rows,
                       _gate_table, _unitary_stack, circuit_sweep_table,
                       excitation_preservation_check, gate_qubit_space,
                       rz_decompose, trotter_error)
+from .defaults import DEFAULTS
 from .graph import Edge, WalkHamiltonian, fmt_real
 from .propagator import chunk_length, propagate, spectra, sweep_time
 from .symmetry import (apply_gauge, cycle_flux, default_time_samples,
@@ -55,14 +54,6 @@ def _judge(name: str, trials: int, bound: float, residuals) -> PropertyResult:
     """Pass when the worst residual is within ``bound``; a NaN residual fails."""
     worst = float(np.max(residuals, initial=0.0))
     return PropertyResult(name, trials, worst, bound, worst <= bound)
-
-
-def _suite(name: str, default_trials: int, bound: float, residual: Callable):
-    """The ``(name, run)`` row of a suite judged on its worst per-trial
-    residual, each trial drawing its instance from ``rng`` in turn."""
-    def run(rng, trials: int = default_trials, **kwargs) -> PropertyResult:
-        return _judge(name, trials, bound, [residual(rng, **kwargs) for _ in range(trials)])
-    return name, run
 
 
 def _nodes(instance) -> tuple[int, ...]:
@@ -106,6 +97,25 @@ def _stacked(name: str, default_trials: int, bound: float, draw: Callable,
     return name, run
 
 
+def _each(residual: Callable) -> Callable:
+    """Judge of a stack by ``residual(*instance)`` per instance.  A residual
+    calls what it exercises by its module-level name, looked up when it runs,
+    so a binding replaced after import (a tracer's) is the one called."""
+    return lambda group: [residual(*instance) for instance in group]
+
+
+def _per_graph(residual: Callable) -> Callable:
+    """``_each(residual)`` after one ``spectra`` call on the first entry of
+    each instance, kept on each graph where the one-graph functions read it."""
+    def judge(group) -> list:
+        spectra([instance[0] for instance in group])
+        return _each(residual)(group)
+    return judge
+
+
+_pts_residuals = _per_graph(lambda graph: pts_numeric(graph))
+
+
 def _gap(a, b) -> float:
     return float(np.abs(a - b).max())
 
@@ -113,10 +123,6 @@ def _gap(a, b) -> float:
 def _gaps(a, b) -> np.ndarray:
     """``_gap`` of each matrix pair of two stacks (the last two axes)."""
     return np.abs(a - b).max(axis=(-2, -1))
-
-
-def _probabilities(hamiltonian, t: float) -> np.ndarray:
-    return np.abs(propagate(hamiltonian, t)) ** 2
 
 
 def _draw_gauge_invariance(rng) -> tuple:
@@ -136,12 +142,6 @@ def _draw_forest(rng) -> tuple:
     return (randgen.random_forest(rng, n_max=12, with_self_energies=True),)
 
 
-def _pts_residuals(group) -> list[float]:
-    graphs = [graph for graph, in group]
-    spectra(graphs)  # kept on each graph, where pts_numeric reads it
-    return [pts_numeric(graph) for graph in graphs]
-
-
 def _forest_phase_independence(group) -> list[float]:
     graphs = [graph for graph, in group]
     copies = [graph.zero_phase_copy() for graph in graphs]
@@ -154,11 +154,15 @@ def _forest_phase_independence(group) -> list[float]:
     return residuals
 
 
-def _parity_split_agreement(rng) -> float:
+def _draw_parity_split(rng) -> tuple:
+    # the index of one of the graph's default time samples, which need its spectrum
+    return randgen.random_hamiltonian(rng, n_max=7), int(rng.choice(DEFAULTS.pts_samples))
+
+
+def _parity_split_agreement(graph, sample: int) -> float:
     """Twice the parity-split residual equals the pairwise probability skew."""
-    graph = randgen.random_hamiltonian(rng, n_max=7)
-    t = float(rng.choice(default_time_samples(graph)))
-    p = _probabilities(graph, t)
+    t = default_time_samples(graph)[sample]
+    p = np.abs(propagate(graph, t)) ** 2
     skew = _gap(p, p.T)
     parity = float(np.abs(eq_parity_residual(graph, t)).max())
     residual = abs(2.0 * parity - skew)
@@ -173,9 +177,12 @@ def _negation_time_reversal(group) -> np.ndarray:
     return _gaps(np.abs(dec.propagator_batch(times)), np.abs(dec.propagator_batch(-times)))
 
 
-def _cycle_flux_gauge_invariance(rng) -> float:
+def _draw_cycle_flux(rng) -> tuple:
     graph, cycle = randgen.random_ring_with_chords(rng, 10)
-    gauge = randgen.random_gauge(rng, graph.n_nodes)
+    return graph, cycle, randgen.random_gauge(rng, graph.n_nodes)
+
+
+def _cycle_flux_gauge_invariance(graph, cycle, gauge) -> float:
     flux = cycle_flux(graph, cycle)
     flux_gauged = cycle_flux(apply_gauge(graph, gauge), cycle)
     return abs(math.remainder(flux - flux_gauged, TWO_PI))
@@ -214,8 +221,7 @@ def _random_gate(rng) -> GateSpec:
     return GateSpec(0, 1, rng.uniform(-TWO_PI, TWO_PI), rng.uniform(-TWO_PI, TWO_PI))
 
 
-def _rz_conjugation_identity(rng) -> float:
-    gate = _random_gate(rng)
+def _rz_conjugation_identity(gate) -> float:
     pre, sym, post = rz_decompose(gate)
     return _gap(pre @ sym @ post, gate_qubit_space(gate))
 
@@ -280,22 +286,15 @@ def _draw_trotter_order(rng) -> tuple:
                                 Edge(0, 2, 1.0, -phase))),)
 
 
-def _trotter_order(group) -> list[float]:
+def _trotter_order(graph) -> float:
     """Halving the step 0.1 or 0.05 shrinks the splitting error ~8x (third order)."""
-    graphs = [graph for graph, in group]
-    spectra(graphs)
-    residuals = []
-    for graph in graphs:
-        ratios = np.array([trotter_error(graph, step) / trotter_error(graph, step / 2.0)
-                           for step in (0.1, 0.05)])
-        residuals.append(_gap(ratios, 8.0))
-    return residuals
+    return _gap(np.array([trotter_error(graph, step) / trotter_error(graph, step / 2.0)
+                          for step in (0.1, 0.05)]), 8.0)
 
 
-def _excitation_preservation(rng) -> float:
+def _draw_palindrome(rng) -> tuple:
     n = int(rng.integers(2, 7))
-    return excitation_preservation_check(
-        randgen.random_palindrome(rng, n, int(rng.integers(1, 6))))
+    return (randgen.random_palindrome(rng, n, int(rng.integers(1, 6))),)
 
 
 def _nonbipartite_asymmetry(name: str, default_trials: int, threshold: float):
@@ -311,20 +310,15 @@ def _nonbipartite_asymmetry(name: str, default_trials: int, threshold: float):
     return name, run
 
 
-def _sweep_column_defects(group) -> list[float]:
-    graphs = [graph for graph, in group]
-    spectra(graphs)
-    return [sweep_time(graph, default_time_samples(graph, count=8)).column_sum_defect()
-            for graph in graphs]
-
-
 def _table_normalization(name: str, default_trials: int, bound: float):
     """Time sweeps, then one circuit grid drawn after them, have unit column sums."""
+    _, sweeps = _stacked(name, default_trials, bound,
+                         lambda rng: (randgen.random_hamiltonian(rng, n_max=10),),
+                         _per_graph(lambda graph: sweep_time(
+                             graph, default_time_samples(graph, count=8)).column_sum_defect()))
+
     def run(rng, trials: int = default_trials) -> PropertyResult:
-        worst = 0.0
-        for defects in map(_sweep_column_defects, _stacks(
-                lambda r: (randgen.random_hamiltonian(r, n_max=10),), rng, trials, _nodes)):
-            worst = np.maximum(worst, np.max(defects))
+        worst = sweeps(rng, trials).worst
         grid = circuit_sweep_table(rng.uniform(0, TWO_PI, size=4),
                                    rng.uniform(-np.pi, np.pi, size=16))
         return _judge(name, trials, bound, [worst, grid.column_sum_defect()])
@@ -338,17 +332,20 @@ PROPERTY_SUITE: tuple[tuple[str, Callable], ...] = (
              lambda rng: (randgen.random_bipartite(rng, 12),), _pts_residuals),
     _stacked("forest-phase-independence", 100, 1e-9, _draw_forest,
              _forest_phase_independence),
-    _suite("parity-split-agreement", 60, 1e-12, _parity_split_agreement),
+    _stacked("parity-split-agreement", 60, 1e-12, _draw_parity_split,
+             _per_graph(_parity_split_agreement)),
     _stacked("negation-time-reversal", 100, 1e-12,
              lambda rng: (randgen.random_bipartite(rng, 10), rng.uniform(0.1, 5.0)),
              _negation_time_reversal),
-    _suite("cycle-flux-gauge-invariance", 100, 1e-12, _cycle_flux_gauge_invariance),
+    _stacked("cycle-flux-gauge-invariance", 100, 1e-12, _draw_cycle_flux,
+             _each(_cycle_flux_gauge_invariance)),
     _stacked("unitarity", 100, 1e-10,
              lambda rng: (randgen.random_hamiltonian(rng, n_max=16), rng.uniform(-10.0, 10.0)),
              _unitarity),
     _stacked("group-property", 100, 1e-9, _draw_group_property, _group_property),
     _stacked("spectral-shift", 100, 1e-12, _draw_spectral_shift, _same_probabilities),
-    _suite("rz-conjugation-identity", 100, 1e-12, _rz_conjugation_identity),
+    _stacked("rz-conjugation-identity", 100, 1e-12, lambda rng: (_random_gate(rng),),
+             _each(_rz_conjugation_identity), lambda instance: (2,)),
     _stacked("gate-embedding", 100, 1e-12, lambda rng: (_random_gate(rng),), _gate_embedding,
              lambda instance: (2,)),
     _stacked("palindrome-amplitude-symmetry", 100, 1e-12, _draw_zero_alpha_palindrome,
@@ -361,8 +358,9 @@ PROPERTY_SUITE: tuple[tuple[str, Callable], ...] = (
              _nodes_and_gates),
     _stacked("flux-dependence", 100, 1e-10, _draw_flux_dependence, _flux_dependence,
              _nodes_and_gates),
-    _stacked("trotter-order", 2, 2.0, _draw_trotter_order, _trotter_order),
-    _suite("excitation-preservation", 100, 1e-12, _excitation_preservation),
+    _stacked("trotter-order", 2, 2.0, _draw_trotter_order, _per_graph(_trotter_order)),
+    _stacked("excitation-preservation", 100, 1e-12, _draw_palindrome,
+             _each(lambda circuit: excitation_preservation_check(circuit))),
     _nonbipartite_asymmetry("non-bipartite-asymmetry", 100, 1e-3),
     _table_normalization("table-normalization", 50, 1e-9),
 )

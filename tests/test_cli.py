@@ -1023,6 +1023,29 @@ def test_properties_repeated_trials_name_exits_2(capsys):
 
 # --- benchmark trace spans --------------------------------------------------
 
+def _record_calls(monkeypatch, functions) -> list[str]:
+    """Replace each function at every module-level binding in the package, as
+    the benchmark's traced run does; the list gets its name at each call."""
+    called = []
+    for original in functions:
+        def recording(*args, _original=original, **kwargs):
+            called.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        bindings = [(module, attribute) for key, module in list(sys.modules.items())
+                    if key == "chiralwalk" or key.startswith("chiralwalk.")
+                    for attribute, value in vars(module).items() if value is original]
+        for module, attribute in bindings:
+            monkeypatch.setattr(module, attribute, recording)
+    return called
+
+
+def _properties_at_one_trial(tmp_path) -> None:
+    trials = [f"--trials={name}=1" for name, _ in PROPERTY_SUITE]
+    assert main(["properties", "--seed", "3", "--out", str(tmp_path / "p.txt"),
+                 *trials]) == 0
+
+
 # circuit functions the benchmark's traced run wraps at every module-level
 # binding; its run fails when one of them records no call on circuit-suite
 TRACED_CIRCUIT_FUNCTIONS = ("apply_circuit", "_qubit_columns",
@@ -1034,28 +1057,27 @@ def test_circuit_commands_call_every_traced_circuit_function(triangle_file, tmp_
                                                             monkeypatch):
     from chiralwalk import circuit
 
-    called = set()
-    for name in TRACED_CIRCUIT_FUNCTIONS:
-        original = getattr(circuit, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            called.add(_name)
-            return _original(*args, **kwargs)
-
-        bindings = [(module, attribute) for key, module in list(sys.modules.items())
-                    if key == "chiralwalk" or key.startswith("chiralwalk.")
-                    for attribute, value in vars(module).items() if value is original]
-        for module, attribute in bindings:
-            monkeypatch.setattr(module, attribute, counting)
-    trials = [f"--trials={name}=1" for name, _ in PROPERTY_SUITE]
-    assert main(["properties", "--seed", "3", "--out", str(tmp_path / "p.txt"),
-                 *trials]) == 0
+    called = _record_calls(monkeypatch, [getattr(circuit, name)
+                                         for name in TRACED_CIRCUIT_FUNCTIONS])
+    _properties_at_one_trial(tmp_path)
     assert main(["circuit-sweep", "--alpha", "0.5", "--theta-min", "0", "--theta-max",
                  "1", "--theta-step", "0.5", "--out", str(tmp_path / "s.csv")]) == 0
     assert main(["reproduce-fig2", "--grid", "2", "--out", str(tmp_path / "fig2")]) == 0
     assert main(["trotter-check", "--graph", str(triangle_file), "--halvings", "1",
                  "--out", str(tmp_path / "t.txt")]) == 0
-    assert called == set(TRACED_CIRCUIT_FUNCTIONS)
+    assert set(called) == set(TRACED_CIRCUIT_FUNCTIONS)
+
+
+def test_properties_calls_every_traced_spectral_function(tmp_path, monkeypatch):
+    # the property suites are the circuit-suite workload's only callers of
+    # these; a suite that binds one when PROPERTY_SUITE is built calls the
+    # original, and the benchmark's traced run reads no call
+    from chiralwalk import propagator, symmetry
+
+    called = _record_calls(monkeypatch, [symmetry.pts_numeric, propagator.sweep_time,
+                                         propagator.propagate])
+    _properties_at_one_trial(tmp_path)
+    assert set(called) == {"pts_numeric", "sweep_time", "propagate"}
 
 
 def test_table_commands_call_every_traced_table_function(triangle_file, tmp_path,
@@ -1065,18 +1087,7 @@ def test_table_commands_call_every_traced_table_function(triangle_file, tmp_path
     # returns; its run fails when a span records no call
     from chiralwalk import propagator
 
-    called, returned = [], []
-    original = propagator.sweep_time
-
-    def counting(*args, **kwargs):
-        called.append("sweep_time")
-        return original(*args, **kwargs)
-
-    bindings = [(module, attribute) for key, module in list(sys.modules.items())
-                if key == "chiralwalk" or key.startswith("chiralwalk.")
-                for attribute, value in vars(module).items() if value is original]
-    for module, attribute in bindings:
-        monkeypatch.setattr(module, attribute, counting)
+    called, returned = _record_calls(monkeypatch, [propagator.sweep_time]), []
     to_csv = propagator.TransportTable.to_csv
 
     def recording(*args, **kwargs):
@@ -1104,26 +1115,15 @@ TRACED_SYMMETRY_FUNCTIONS = ("classify", "pts_numeric", "is_bipartite", "is_fore
 def test_classify_calls_every_traced_symmetry_function(tmp_path, monkeypatch):
     from chiralwalk import symmetry
 
-    called = set()
-    for name in TRACED_SYMMETRY_FUNCTIONS:
-        original = getattr(symmetry, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            called.add(_name)
-            return _original(*args, **kwargs)
-
-        bindings = [(module, attribute) for key, module in list(sys.modules.items())
-                    if key == "chiralwalk" or key.startswith("chiralwalk.")
-                    for attribute, value in vars(module).items() if value is original]
-        for module, attribute in bindings:
-            monkeypatch.setattr(module, attribute, counting)
+    called = _record_calls(monkeypatch, [getattr(symmetry, name)
+                                         for name in TRACED_SYMMETRY_FUNCTIONS])
     graphs = []  # a bipartite forest and an odd cycle reach every structural step
     for stem, text in (("chain", CHAIN), ("triangle", TRIANGLE)):
         path = tmp_path / f"{stem}.graph"
         path.write_text(text)
         graphs += ["--graph", str(path)]
     assert main(["classify", "--csv", *graphs, "--out", str(tmp_path / "c.csv")]) == 0
-    assert called == set(TRACED_SYMMETRY_FUNCTIONS)
+    assert set(called) == set(TRACED_SYMMETRY_FUNCTIONS)
 
 
 def test_each_command_eigendecomposes_each_graph_once(triangle_file, tmp_path,

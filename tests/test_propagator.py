@@ -417,6 +417,16 @@ def test_table_keeps_its_axes_as_a_read_only_float_grid():
         table.axes[0, 0] = 7.0
 
 
+def test_array_dataclasses_compare_by_identity_and_hash():
+    # a generated __eq__ over ndarray fields asks an array for its truth value
+    graph = two_site()
+    table = sweep_time(graph, [0.5, 1.0])
+    assert (table == sweep_time(graph, [0.5, 1.0])) is False
+    assert table == table and hash(table) == hash(table)
+    assert (spectrum(graph) == spectrum(two_site())) is False
+    assert spectrum(graph) == spectrum(graph) and {spectrum(graph)} == {spectrum(graph)}
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 13])
 @pytest.mark.parametrize("kind", ["time", "circuit"])
 def test_table_csv_bytes_do_not_depend_on_the_block_length(monkeypatch, block, kind):

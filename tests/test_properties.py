@@ -1,15 +1,18 @@
 """The property-suite harness itself: results, determinism, fault injection,
 and stacked judging against one instance at a time."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from chiralwalk import (Edge, GateSpec, PalindromicCircuit, WalkHamiltonian, apply_circuit,
-                        apply_gauge, circuit_sweep_table, default_time_samples, properties,
-                        propagate, propagator, pts_numeric, randgen, sweep_time,
-                        trotter_error)
+                        apply_gauge, circuit_sweep_table, cycle_flux, default_time_samples,
+                        eq_parity_residual, excitation_preservation_check,
+                        gate_qubit_space, properties, propagate, propagator, pts_numeric,
+                        randgen, rz_decompose, sweep_time, trotter_error)
+from chiralwalk.circuit import _apply_gates, _gate_rows, _gate_table
 from chiralwalk.cli import main
 from chiralwalk.graph import fmt_real
 from chiralwalk.propagator import SpectralDecomposition
@@ -134,7 +137,9 @@ def test_nan_residual_fails_its_suite(monkeypatch, tmp_path):
 # Each reference draws one suite's instances with the generator calls the
 # suite makes, trial after trial, and measures each residual through the
 # one-instance API: ``propagate``, ``spectrum`` (through ``pts_numeric`` and
-# ``sweep_time``) and ``apply_circuit``.
+# ``sweep_time``), ``apply_circuit`` and the gate engine on one gate.  The
+# parity-split reference picks its time from the graph's samples, where the
+# suite draws an index into them.
 
 def _gap(a, b) -> float:
     return float(np.abs(a - b).max())
@@ -187,6 +192,13 @@ def _spectral_shift(rng):
     return _gap(_probabilities(graph, t), _probabilities(shifted, t))
 
 
+def _gate_embedding(rng):
+    gate = GateSpec(0, 1, rng.uniform(-2 * math.pi, 2 * math.pi),
+                    rng.uniform(-2 * math.pi, 2 * math.pi))
+    node = _apply_gates(np.eye(2, dtype=complex), _gate_rows(*_gate_table([[gate]])[..., 0]))
+    return _gap(gate_qubit_space(gate)[np.ix_((2, 1), (2, 1))], node)
+
+
 def _palindrome_amplitude_symmetry(rng):
     n = int(rng.integers(2, 7))
     u = apply_circuit(randgen.random_palindrome(rng, n, int(rng.integers(1, 7)),
@@ -222,6 +234,37 @@ def _trotter_order(rng):
                           for step in (0.1, 0.05)]), 8.0)
 
 
+def _parity_split_agreement(rng):
+    graph = randgen.random_hamiltonian(rng, n_max=7)
+    t = float(rng.choice(default_time_samples(graph)))
+    p = _probabilities(graph, t)
+    skew = _gap(p, p.T)
+    parity = float(np.abs(eq_parity_residual(graph, t)).max())
+    residual = abs(2.0 * parity - skew)
+    return residual if (parity <= 1e-10) == (skew <= 1e-9) else max(residual, 1.0)
+
+
+def _cycle_flux_gauge_invariance(rng):
+    graph, cycle = randgen.random_ring_with_chords(rng, 10)
+    gauge = randgen.random_gauge(rng, graph.n_nodes)
+    flux = cycle_flux(graph, cycle)
+    flux_gauged = cycle_flux(apply_gauge(graph, gauge), cycle)
+    return abs(math.remainder(flux - flux_gauged, 2 * math.pi))
+
+
+def _rz_conjugation_identity(rng):
+    gate = GateSpec(0, 1, rng.uniform(-2 * math.pi, 2 * math.pi),
+                    rng.uniform(-2 * math.pi, 2 * math.pi))
+    pre, sym, post = rz_decompose(gate)
+    return _gap(pre @ sym @ post, gate_qubit_space(gate))
+
+
+def _excitation_preservation(rng):
+    n = int(rng.integers(2, 7))
+    return excitation_preservation_check(
+        randgen.random_palindrome(rng, n, int(rng.integers(1, 6))))
+
+
 def _sweep_column_defect(rng):
     graph = randgen.random_hamiltonian(rng, n_max=10)
     return sweep_time(graph, default_time_samples(graph, count=8)).column_sum_defect()
@@ -233,10 +276,14 @@ ONE_INSTANCE = {
         randgen.random_forest(rng, n_max=12, with_self_energies=True)),
     "bipartite-pts": lambda rng: pts_numeric(randgen.random_bipartite(rng, 12)),
     "forest-phase-independence": _forest_phase_independence,
+    "parity-split-agreement": _parity_split_agreement,
     "negation-time-reversal": _negation_time_reversal,
+    "cycle-flux-gauge-invariance": _cycle_flux_gauge_invariance,
     "unitarity": _unitarity,
     "group-property": _group_property,
     "spectral-shift": _spectral_shift,
+    "rz-conjugation-identity": _rz_conjugation_identity,
+    "gate-embedding": _gate_embedding,
     "palindrome-amplitude-symmetry": _palindrome_amplitude_symmetry,
     "spanning-tree-circuit-pts": lambda rng: _circuit_pts(
         randgen.random_spanning_tree_palindrome(rng, 8)),
@@ -244,6 +291,7 @@ ONE_INSTANCE = {
         randgen.random_bipartite_palindrome(rng, 8)),
     "flux-dependence": _flux_dependence,
     "trotter-order": _trotter_order,
+    "excitation-preservation": _excitation_preservation,
 }
 
 

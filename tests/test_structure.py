@@ -107,6 +107,12 @@ def test_a_table_is_its_grid(name):
     assert definers == [] and _readers_by_module(name) == {}
 
 
+def test_every_regular_property_suite_is_judged_in_stacks():
+    # a suite is a draw and a residual judged by ``_stacked``; no per-trial row form
+    properties = ast.parse((PACKAGE / "properties.py").read_text(encoding="utf-8"))
+    assert not _defines(properties, "_suite") and _readers(properties, "_suite") == set()
+
+
 def _imported_packages(path: Path) -> set[str]:
     """Top-level package of each absolute import in ``path``."""
     found = set()

@@ -387,6 +387,18 @@ def test_parity_residual_nonzero_for_chiral_triangle():
     assert abs(eq_parity_residual(uniform_triangle(PI / 2), 0.9)[0, 2]) > 1e-3
 
 
+def test_parity_residual_entry_is_the_documented_product():
+    # [i, j] = odd[j,i] * even[i,j] - odd[i,j] * even[j,i]; its transpose,
+    # the other pair order, reads the opposite sign
+    graph = parse_graph(CHIRAL_TRIANGLE)
+    u = propagate(graph, 0.7)
+    even, odd = (u.conj().T + u) / 2.0, (u.conj().T - u) / 2.0
+    expected = odd[1, 0] * even[0, 1] - odd[0, 1] * even[1, 0]
+    residual = eq_parity_residual(graph, 0.7)[0, 1]
+    assert abs(residual - expected) <= 1e-15
+    assert residual.real == pytest.approx(-0.2933, abs=1e-4)
+
+
 def test_parity_residual_is_half_the_probability_skew():
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -413,6 +425,13 @@ def test_triangle_flux_is_three_alpha():
     # 3 * 2.0 = 6.0 wraps into (-pi, pi]
     assert abs(cycle_flux(uniform_triangle(2.0), (0, 1, 2, 0))
                - (6.0 - 2 * PI)) <= 1e-12
+
+
+def test_flux_of_minus_pi_reads_pi():
+    # the reduction's half-open interval (-pi, pi] keeps pi and maps -pi onto it
+    graph = WalkHamiltonian(3, (Edge(0, 1, 1.0, -PI), Edge(1, 2, 1.0, 0.0),
+                                Edge(0, 2, 1.0, 0.0)))
+    assert cycle_flux(graph, (0, 1, 2, 0)) == math.pi
 
 
 def test_four_cycle_flux_cancels():
