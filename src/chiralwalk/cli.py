@@ -4,12 +4,17 @@ Exit codes: 0 success, 1 property violation, 2 usage, parse, I/O or
 out-of-memory error.
 All angles are radians; ``circuit-sweep --degrees`` reads its angle flags
 in degrees, converting at the argument boundary only.
+Run as a program (``python -m chiralwalk.cli`` or the ``chiralwalk`` script,
+both ``entry_point``), a command runs with Python's cycle collector off and
+freezes its objects before the interpreter exits; ``main`` leaves the
+collector as it finds it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import os
 import sys
@@ -374,7 +379,16 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    # One command is one short process, and the cycle collector buys it nothing:
+    # a command leaves the same few hundred objects in reference cycles (its
+    # argument parser) whatever the size of its work, so with the collector off
+    # memory cannot grow with the work.  Off, no collection walks numpy's and the
+    # command's objects while they load and run; frozen, the final collection at
+    # exit skips them too.  ``main`` keeps the collector for in-process callers.
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -158,7 +158,8 @@ class WalkHamiltonian:
     @cached_property
     def _skeleton(self) -> GraphSkeleton:
         diag = self.diagonal()
-        shifted = diag - diag.min()
+        with np.errstate(over="ignore"):  # a spread past the float range is inf, a self-edge
+            shifted = diag - diag.min()
         self_nodes = tuple(int(i) for i in np.flatnonzero(shifted > DEFAULTS.self_edge))
         return GraphSkeleton(self.n_nodes, tuple((e.i, e.j) for e in self.edges), self_nodes)
 

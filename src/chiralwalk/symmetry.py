@@ -116,6 +116,8 @@ def default_time_samples(hamiltonian: WalkHamiltonian,
     if scale <= 0.0:
         scale = 1.0
     horizon = TWO_PI / scale
+    if not math.isfinite(horizon):
+        raise ValueError(f"2*pi over the graph's spectral norm {scale!r} overflows a float")
     return tuple(horizon * k / count for k in range(1, count + 1))
 
 

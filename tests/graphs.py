@@ -1,10 +1,12 @@
 """Test graphs shared by the test modules, built as WalkHamiltonians, the
-qubit-space reading of a circuit's node block, a table's CSV as text, and
-the schema check of a probability CSV."""
+qubit-space reading of a circuit's node block, a table's CSV as text, the
+schema check of a probability CSV, and the name of the BLAS core."""
 
 from __future__ import annotations
 
+import ctypes
 import io
+from pathlib import Path
 
 import numpy as np
 
@@ -62,3 +64,19 @@ def validate_table_csv(text: str) -> None:
             raise ValueError(f"row {lineno}: non-finite value")
         if not (-1e-12 <= values[-1] <= 1.0 + 1e-12):
             raise ValueError(f"row {lineno}: probability {values[-1]} out of range")
+
+
+def blas_core() -> str:
+    """The CPU core whose kernels numpy's bundled OpenBLAS runs (the one
+    ``OPENBLAS_CORETYPE`` names, when set), or ``"unknown"`` for another BLAS.
+    A test that pins bytes from BLAS names it on failure: another core can
+    round the last bits differently."""
+    for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs")
+                       .glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"

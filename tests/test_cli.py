@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import math
@@ -21,7 +22,7 @@ from chiralwalk import parse_graph, pts_numeric, sweep_time
 from chiralwalk.cli import _theta_grid, _transfer_csv, main
 from chiralwalk.properties import PROPERTY_SUITE
 
-from .graphs import csv_text, validate_table_csv
+from .graphs import blas_core, csv_text, validate_table_csv
 from .oracles import three_cycle_taylor
 
 PI = math.pi
@@ -128,6 +129,25 @@ def test_classify_missing_file_exits_2(tmp_path, capsys):
 def test_classify_bad_tolerance_exits_2(triangle_file, capsys, tol):
     assert main(["classify", "--graph", str(triangle_file), f"--tol={tol}"]) == 2
     assert "--tol" in capsys.readouterr().err
+
+
+def test_classify_a_self_energy_spread_past_the_float_range_is_a_self_edge(tmp_path,
+                                                                          capsys):
+    # 1e308 - (-1e308) overflows to inf: a self-edge, and no overflow warning
+    path = tmp_path / "spread.graph"
+    path.write_text("nodes 2\nedge 0 1 1.0 0.0\nself 0 1e308\nself 1 -1e308\n")
+    assert main(["classify", "--graph", str(path)]) == 0
+    assert "structural_class=tree-with-self-edges\n" in capsys.readouterr().out
+
+
+def test_classify_a_spectral_norm_too_small_for_the_sample_horizon_exits_2(tmp_path,
+                                                                          capsys):
+    # the sample times reach 2*pi / ||H||, which is inf for ||H|| = 1e-320
+    path = tmp_path / "faint.graph"
+    path.write_text("nodes 2\nedge 0 1 1e-320 0.0\n")
+    assert main(["classify", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == (f"chiralwalk: error: {path}: 2*pi over the "
+                                       f"graph's spectral norm 1e-320 overflows a float\n")
 
 
 # One graph of each certificate kind: a tree with self-energies (phase-removal
@@ -905,7 +925,8 @@ def test_trotter_check_output_is_byte_stable(triangle_file, tmp_path):
         out = tmp_path / f"{name}.txt"
         assert main(["trotter-check", "--graph", str(graph), "--out", str(out)]) == 0
         digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digests == TROTTER_SHA256
+    assert digests == TROTTER_SHA256, (
+        f"digests frozen under the SkylakeX OpenBLAS core, run under {blas_core()}")
 
 
 @pytest.mark.parametrize("halvings", ["0", "1100"])
@@ -1164,3 +1185,72 @@ def test_each_command_eigendecomposes_each_graph_once(triangle_file, tmp_path,
         assert main(["trotter-check", "--graph", str(graph), "--halvings", "4",
                      "--out", str(tmp_path / "t.txt")]) == 0
     assert calls == [3, 3]
+
+
+# --- process entry point ----------------------------------------------------
+
+def _argv(command: str, graph: Path, out: Path, scale: int) -> list[str]:
+    """``command``'s arguments at ``scale`` times its smallest work."""
+    return {
+        "classify": ["classify", "--csv", *["--graph", str(graph)] * scale],
+        "evolve": ["evolve", "--graph", str(graph), "--t-max", "1",
+                   "--t-count", str(8 * scale)],
+        "circuit-sweep": ["circuit-sweep", "--theta-step", str(PI / (4 * scale))],
+        "trotter-check": ["trotter-check", "--graph", str(graph),
+                          "--halvings", str(2 * scale)],
+        "reproduce-fig2": ["reproduce-fig2", "--grid", str(4 * scale)],
+        "properties": ["properties", "--seed", "3",
+                       *[f"--trials={name}={scale}" for name, _ in PROPERTY_SUITE]],
+    }[command] + ["--out", str(out)]
+
+
+def _cycle_garbage(argv: list[str]) -> int:
+    """Objects in reference cycles left by one in-process run of ``argv``
+    with the cycle collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("command", ["classify", "evolve", "circuit-sweep",
+                                     "reproduce-fig2", "trotter-check", "properties"])
+def test_a_command_leaves_the_same_cycles_at_four_times_the_work(triangle_file, tmp_path,
+                                                                command):
+    # entry_point runs a command with the cycle collector off, which holds
+    # memory to the size of the work only while the garbage in reference
+    # cycles does not grow with it
+    small, large = (_cycle_garbage(_argv(command, triangle_file, tmp_path / "out", scale))
+                    for scale in (1, 4))
+    assert small == large
+
+
+ENTRY_POINT_CHILD = """
+import atexit, gc
+import chiralwalk.cli as cli
+
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+cli.main = lambda: {code} if not gc.isenabled() else 3
+cli.entry_point()
+"""
+
+
+@pytest.mark.parametrize("code", [0, 1])
+def test_entry_point_runs_main_without_the_cycle_collector(code):
+    # main's code is the exit code; the objects are frozen before the exit
+    child = subprocess.run([sys.executable, "-c", ENTRY_POINT_CHILD.format(code=code)],
+                           capture_output=True, text=True, env=child_env(), timeout=120)
+    assert child.returncode == code, child.stderr
+    assert child.stdout == "True\n"
+
+
+def test_the_console_script_is_entry_point():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((Path(chiralwalk.__file__).parents[2] / "pyproject.toml")
+                            .read_text(encoding="utf-8"))
+    assert project["project"]["scripts"] == {"chiralwalk": "chiralwalk.cli:entry_point"}

@@ -16,7 +16,7 @@ from chiralwalk.cli import _transfer_csv
 from chiralwalk.propagator import (TransportTable, chunk_length, field_rows, render_csv,
                                    spectrum)
 
-from .graphs import csv_text, hermitian_graph, uniform_triangle, validate_table_csv
+from .graphs import blas_core, csv_text, hermitian_graph, uniform_triangle, validate_table_csv
 from .oracles import expm_taylor, triangle_probability_closed_form, \
     circulant_triangle_eigenvalues
 
@@ -100,7 +100,9 @@ def test_propagator_batch_equals_the_folded_product_byte_for_byte(n):
         times = rng.uniform(-5.0, 5.0, size=count)
         batch = dec.propagator_batch(times)
         assert batch.shape == (count, n, n)
-        assert batch.tobytes() == folded_product(dec, times).tobytes()
+        assert batch.tobytes() == folded_product(dec, times).tobytes(), (
+            f"equal bytes established under the SkylakeX OpenBLAS core, "
+            f"run under {blas_core()}")
 
 
 def test_stacked_spectra_and_propagators_equal_one_graph_at_a_time():
