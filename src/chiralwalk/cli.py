@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 property violation, 2 usage, parse, I/O or
 out-of-memory error.
-All angles are radians; ``circuit-sweep --degrees`` reads its angle flags
-in degrees, converting at the argument boundary only.
+All angles are radians; ``circuit-sweep --degrees`` reads the angle flags
+it is given in degrees, converting at the argument boundary only, while the
+angles it is not given keep their radian defaults.  A number flag reads a
+negative real in any spelling ``float()`` takes (``-1e-3``, ``-INF``,
+``-nan``) as its value.
 Run as a program (``python -m chiralwalk.cli`` or the ``chiralwalk`` script,
 both ``entry_point``), a command runs with Python's cycle collector off and
 freezes its objects before the interpreter exits; ``main`` leaves the
@@ -17,6 +20,7 @@ import contextlib
 import gc
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -32,6 +36,10 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 DEFAULT_SWEEP_ALPHAS = (0.0, PI / 2, PI, 3 * PI / 2)
+# argparse reads a token that starts with "-" as a value only when its
+# negative-number rule matches, by default -1 and -1.5 alone; this rule takes
+# every real float() reads (-1e-3, -INF, -nan), and no option starts so
+NEGATIVE_REAL = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 # 2 ** k converts to a float only for k < 1024
 MAX_HALVINGS = 1023
 
@@ -92,12 +100,12 @@ def _theta_grid(theta_min: float, theta_max: float, theta_step: float,
         raise ValueError("--theta-max must not be below --theta-min")
     # floor, not round, then _axis's clamp: no point lands past theta_max; the
     # slack keeps an endpoint that rounding puts a few ulps short of an integer ratio
-    ratio = (theta_max - theta_min) / theta_step
+    ratio = (theta_max - theta_min) / theta_step * (1.0 + 1e-12)
     if not math.isfinite(ratio):
         raise ValueError("theta range over --theta-step overflows a float")
-    count = math.floor(ratio * (1.0 + 1e-12)) + 1
+    count = math.floor(ratio) + 1
     # the sweep keeps one 3x3 unitary per (alpha, theta) point
-    _check_dense_size(f"circuit-sweep grid of {alphas} alphas x {count} thetas "
+    _check_dense_size(f"circuit-sweep grid of {alphas} alphas x {count:.3g} thetas "
                       f"(--theta-step)", 9 * alphas * count)
     return _axis(theta_min, theta_step, theta_max, range(count))
 
@@ -168,9 +176,13 @@ def cmd_circuit_sweep(args) -> int:
         alphas = [_angle("--alpha", a, args.degrees) for a in args.alpha]
     else:
         alphas = list(DEFAULT_SWEEP_ALPHAS)
-    thetas = _theta_grid(_angle("--theta-min", args.theta_min, args.degrees),
-                         _angle("--theta-max", args.theta_max, args.degrees),
-                         _angle("--theta-step", args.theta_step, args.degrees), len(alphas))
+    # an angle not given keeps its radian default, under --degrees too
+    theta_min, theta_max, theta_step = (
+        default if value is None else _angle(flag, value, args.degrees)
+        for flag, value, default in (("--theta-min", args.theta_min, -PI),
+                                     ("--theta-max", args.theta_max, PI),
+                                     ("--theta-step", args.theta_step, PI / 18)))
+    thetas = _theta_grid(theta_min, theta_max, theta_step, len(alphas))
     table = circuit_sweep_table(alphas, thetas)
     with _output(args.out) as out:
         table.to_csv(out)
@@ -329,10 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="triangle-palindrome transport over an (alpha, theta) grid")
     p.add_argument("--alpha", type=float, action="append",
                    help="chirality phase (repeatable; default 0, pi/2, pi, 3pi/2)")
-    p.add_argument("--theta-min", type=float, default=-PI)
-    p.add_argument("--theta-max", type=float, default=PI)
-    p.add_argument("--theta-step", type=float, default=PI / 18)
-    p.add_argument("--degrees", action="store_true")
+    p.add_argument("--theta-min", type=float, help="default -pi")
+    p.add_argument("--theta-max", type=float, help="default pi")
+    p.add_argument("--theta-step", type=float, help="default pi/18")
+    p.add_argument("--degrees", action="store_true",
+                   help="read the angles given here in degrees")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_circuit_sweep)
 
@@ -361,6 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_properties)
 
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = NEGATIVE_REAL
     return parser
 
 

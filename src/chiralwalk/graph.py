@@ -59,10 +59,13 @@ def _check_node(value, what: str) -> int:
 
 def _check_dense_size(what: str, entries: int) -> None:
     """The size rule: refuse, before anything is allocated, a size whose dense
-    complex array of ``entries`` values would exceed ``DEFAULTS.dense_bytes``."""
+    complex array of ``entries`` values would exceed ``DEFAULTS.dense_bytes``.
+    The size it refuses is written in three digits, however large it is."""
     if 16 * entries > DEFAULTS.dense_bytes:
-        raise ValueError(f"{what} needs a dense array of {16 * entries} bytes, over "
-                         f"the {DEFAULTS.dense_bytes}-byte budget")
+        from decimal import Decimal  # an exact int of any size, unlike a float
+
+        raise ValueError(f"{what} needs a dense array of {Decimal(16 * entries):.3g} "
+                         f"bytes, over the {DEFAULTS.dense_bytes}-byte budget")
 
 
 def _check_node_count(value, what: str) -> int:

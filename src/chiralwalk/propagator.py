@@ -275,8 +275,6 @@ def render_csv(fields: int | None, outer: np.ndarray, inner: np.ndarray,
     """
     if fields is not None:
         yield CSV_HEADERS[fields].encode("ascii") + b"\n"
-    if len(inner) == 0 or len(outer) == 0:
-        return
     values = np.asarray(values, dtype=float).reshape(-1)
     for start in range(0, len(values), CSV_BLOCK_VALUES):
         index = np.arange(start, min(start + CSV_BLOCK_VALUES, len(values)))

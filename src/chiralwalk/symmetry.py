@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .defaults import DEFAULTS
-from .graph import Edge, GraphSkeleton, WalkHamiltonian, _check_finite_real, fmt_real, skeleton
+from .graph import Edge, GraphSkeleton, WalkHamiltonian, fmt_real, skeleton
 from .propagator import probability_chunks, propagate, spectrum
 
 TWO_PI = 2.0 * math.pi
@@ -121,22 +121,17 @@ def default_time_samples(hamiltonian: WalkHamiltonian,
     return tuple(horizon * k / count for k in range(1, count + 1))
 
 
-def pts_numeric(hamiltonian: WalkHamiltonian,
-                t_samples: Sequence[float] | None = None) -> float:
+def pts_numeric(hamiltonian: WalkHamiltonian) -> float:
     """Sampled probability-symmetry residual (evidence, not a proof).
 
-    The worst ``|U(t)[i, j]|^2 - |U(t)[j, i]|^2`` over the sample times and
-    all node pairs: the largest of the per-chunk maxima, NaN when any chunk
-    holds a NaN.  ``classify`` judges it against a tolerance.
+    The worst ``|U(t)[i, j]|^2 - |U(t)[j, i]|^2`` over the graph's own grid
+    ``default_time_samples(H)`` and all node pairs: the largest of the
+    per-chunk maxima, NaN when any chunk holds a NaN.  ``classify`` judges it
+    against a tolerance; ``sweep_time`` gives probabilities at other times.
     """
-    if t_samples is None:
-        t_samples = default_time_samples(hamiltonian)
-    t_samples = tuple(_check_finite_real(t, "sample time") for t in t_samples)
-    if not t_samples:
-        raise ValueError("t_samples must be nonempty")
+    chunks = probability_chunks(spectrum(hamiltonian), default_time_samples(hamiltonian))
     # p - p^T is exactly antisymmetric, so its max is its max magnitude
-    return float(np.max([(probs - probs.transpose(0, 2, 1)).max()
-                         for _, probs in probability_chunks(spectrum(hamiltonian), t_samples)]))
+    return float(np.max([(probs - probs.transpose(0, 2, 1)).max() for _, probs in chunks]))
 
 
 def eq_parity_residual(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import chiralwalk
 from chiralwalk import parse_graph, pts_numeric, sweep_time
 from chiralwalk.cli import _theta_grid, _transfer_csv, main
+from chiralwalk.defaults import DEFAULTS
 from chiralwalk.properties import PROPERTY_SUITE
 
 from .graphs import blas_core, csv_text, validate_table_csv
@@ -637,6 +638,13 @@ def test_circuit_sweep_overflowing_theta_span_exits_2(capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+def test_circuit_sweep_theta_count_past_a_float_exits_2(capsys):
+    # the span over the step is the largest float, and its endpoint slack is not
+    assert main(["circuit-sweep", "--theta-min", "0", "--theta-max", "1.7976931348623157e308",
+                 "--theta-step", "1"]) == 2
+    assert "--theta-step overflows" in capsys.readouterr().err
+
+
 def test_theta_grid_never_passes_theta_max():
     grid = _theta_grid(-PI, PI, 0.9)
     assert len(grid) == 7
@@ -735,6 +743,78 @@ def test_sweep_is_byte_deterministic(tmp_path):
     assert main(["circuit-sweep", "--out", str(first)]) == 0
     assert main(["circuit-sweep", "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_circuit_sweep_degrees_keeps_the_radian_defaults():
+    # --degrees converts the angles given to it, never the radian defaults
+    assert run_to_stdout(["circuit-sweep", "--degrees"]) == run_to_stdout(["circuit-sweep"])
+    code, table = run_to_stdout(["circuit-sweep", "--degrees", "--theta-step", "10"])
+    assert code == 0
+    thetas = sorted({float(value) for value in axis_values(table, 1)})
+    assert (len(thetas), thetas[0], thetas[-1]) == (37, -PI, PI)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["circuit-sweep", "--theta-step", "1e-300"], "(--theta-step)"),
+    (["classify", "--graph", "HUGE"], "line 1: node count"),
+])
+def test_over_budget_messages_stay_short(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)  # a short file name, so the message is its own length
+    Path("huge.graph").write_text(f"nodes {10 ** 50 + 1}\n")  # a 51-digit node count
+    assert main(["huge.graph" if arg == "HUGE" else arg for arg in argv]) == 2
+    err = capsys.readouterr().err.strip()
+    assert named in err and "the 2147483648-byte budget" in err, err
+    assert len(err) < 200, err
+
+
+@st.composite
+def real_texts(draw):
+    """A real, infinite or NaN value as text, in one of the spellings
+    ``float()`` reads: any sign, exponent, case, or a bare leading dot."""
+    value = draw(st.one_of(st.floats(min_value=0.0), st.just(math.nan)))
+    spell = draw(st.sampled_from([repr, "{:e}".format, "{:.3g}".format,
+                                  lambda x: "{:.3f}".format(x).removeprefix("0"),
+                                  lambda x: repr(x).replace("inf", "infinity")]))
+    case = draw(st.sampled_from([str.lower, str.upper, str.capitalize]))
+    return draw(st.sampled_from(["", "-", "+"])) + case(spell(value))
+
+
+@st.composite
+def number_flag_requests(draw):
+    """``(argv, flags)``: ``evolve`` or ``circuit-sweep`` with generated values
+    for some of its number ``flags``, each written ``--flag value`` or
+    ``--flag=value``."""
+    if draw(st.booleans()):
+        argv, flags = ["evolve", "--t-count", "3"], ["--t-min", "--t-max"]
+    else:
+        argv = ["circuit-sweep"] + ["--degrees"] * draw(st.booleans())
+        flags = ["--alpha"] * draw(st.integers(0, 2)) + ["--theta-min", "--theta-max",
+                                                          "--theta-step"]
+    for flag in flags:
+        if flag == "--t-max" or draw(st.booleans()):
+            text = draw(real_texts())
+            argv += [f"{flag}={text}"] if draw(st.booleans()) else [flag, text]
+    return argv, flags
+
+
+@settings(max_examples=150)
+@given(number_flag_requests())
+def test_number_flags_read_every_spelling_of_a_real(chiral_triangle, case):
+    argv, flags = case
+    if argv[0] == "evolve":
+        argv = [*argv, "--graph", str(chiral_triangle)]
+    err = io.StringIO()
+    # a small size budget keeps each accepted sweep a few hundred points
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+        patch.setattr("chiralwalk.graph.DEFAULTS", DEFAULTS._replace(dense_bytes=2 ** 16))
+        try:
+            code, _ = run_to_stdout(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+    assert code in (0, 2)
+    assert "expected one argument" not in err.getvalue()
+    if code == 2:
+        assert any(flag in err.getvalue() for flag in flags), (argv, err.getvalue())
 
 
 # --- reproduce-fig2 ---------------------------------------------------------

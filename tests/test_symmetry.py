@@ -288,10 +288,11 @@ def test_tree_pts_residual_is_tiny():
     assert residual <= DEFAULTS.pts
 
 
-def test_chiral_triangle_fails_pts_on_coarse_grid():
+def test_chiral_triangle_fails_pts_on_coarse_grid(monkeypatch):
     graph = uniform_triangle(PI / 6)  # total flux pi/2
     times = [2 * PI * k / 64 for k in range(1, 65)]
-    residual = pts_numeric(graph, times)
+    monkeypatch.setattr(symmetry, "default_time_samples", lambda hamiltonian: times)
+    residual = pts_numeric(graph)
     assert residual > 0.1
     assert not residual <= DEFAULTS.pts
 
@@ -311,13 +312,14 @@ def pts_reference(graph, times):
 # several full t-chunks, then a last one short by one, full, or of one time
 @pytest.mark.parametrize("n, count", [(48, 4 * chunk_length(48) - 1), (48, 4 * chunk_length(48)),
                                       (48, 4 * chunk_length(48) + 1), (48, 1), (1, 1), (1, 5)])
-def test_pts_residual_matches_per_time_loop_across_chunk_edges(n, count):
+def test_pts_residual_matches_per_time_loop_across_chunk_edges(monkeypatch, n, count):
     graph = hermitian_graph(np.random.default_rng(31), n)
     times = np.linspace(0.05, 4.0, count)
-    assert abs(pts_numeric(graph, times) - pts_reference(graph, times)) <= 1e-12
+    monkeypatch.setattr(symmetry, "default_time_samples", lambda hamiltonian: times)
+    assert abs(pts_numeric(graph) - pts_reference(graph, times)) <= 1e-12
 
 
-def test_pts_numeric_peak_memory_is_bounded_by_the_chunk():
+def test_pts_numeric_peak_memory_is_bounded_by_the_chunk(monkeypatch):
     graph = hermitian_graph(np.random.default_rng(37), 200)
     tracemalloc.start()
     try:
@@ -325,7 +327,9 @@ def test_pts_numeric_peak_memory_is_bounded_by_the_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert residual == pts_numeric(graph, default_time_samples(graph))
+    samples = default_time_samples(graph)
+    monkeypatch.setattr(symmetry, "default_time_samples", lambda hamiltonian: samples)
+    assert residual == pts_numeric(graph)
     # the unchunked 64 x 200 x 200 complex stack alone is 41 MB
     assert peak < 32e6
 
@@ -350,12 +354,13 @@ CHIRAL_TRIANGLE = "nodes 3\nedge 0 1 2 0.3\nedge 1 2 2 0.5\nedge 0 2 2 0.1\n"
 
 def test_pts_residual_keeps_a_nan_chunk_and_classify_reads_it_as_asymmetric(monkeypatch):
     graph = parse_graph(CHIRAL_TRIANGLE)
-    assert pts_numeric(graph, [0.7]) > 0.5
-    # t = 1e308 overflows the phases E * t on purpose, so the chunk holds NaN
-    samples = [0.7, 1e308]
+    samples = [0.7]
     monkeypatch.setattr(symmetry, "default_time_samples", lambda hamiltonian: samples)
+    assert pts_numeric(graph) > 0.5
+    # t = 1e308 overflows the phases E * t on purpose, so the chunk holds NaN
+    samples.append(1e308)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = pts_numeric(graph, samples)
+        residual = pts_numeric(graph)
         report = classify(graph)
     assert math.isnan(residual)
     assert math.isnan(report.numeric_pts_residual)
