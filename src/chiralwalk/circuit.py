@@ -19,16 +19,17 @@ factor 0 leftmost; walk node ``|k>`` is the basis state with qubit k in
 ``|1>`` and the rest in ``|0>``.
 
 Costs: in node space a gate rewrites rows i and j of the state, O(N) per
-gate per batch element, so a G-gate unitary is O(G N).  One builder,
-``_gate_rows``, makes the rows with the batch axes of the caller's gate
-table, its coefficients in one ``_gate_coefficients`` call over every
-position of the half: no batch axes for one circuit (``apply_circuit``),
-the circuits of a stack (``_unitary_stack``, all their unitaries in one
-pass of G steps), or the (alpha, theta) grid of the triangle (one angle
-row, shared by its three positions, over the whole grid).  In qubit space
-all n start nodes share one statevector array, O(G 2^n n) for the circuit,
-and each gate moves its two qubit axes first and back with one transpose
-each, on permutations built once per (n, i, j).
+gate per batch element, so a G-gate unitary is O(G N).  The engines take
+full sequences (only ``PalindromicCircuit.full`` mirrors a half), their
+rows from ``_gate_rows`` with the batch axes of the caller's gate table,
+coefficients in one ``_gate_coefficients`` call over every position: the
+sequences of a stack (``_unitary_stack``, in one pass of G steps, and
+``apply_circuit`` its stack of one), or the (alpha, theta) grid of the
+triangle (one angle row, shared by its six positions, over the grid).  In
+qubit space all n start nodes share one statevector array, O(G 2^n n) for
+the circuit, each distinct gate's 4x4 block is built once, and each gate
+moves its two qubit axes first and back with one transpose each, on
+permutations built once per (n, i, j).
 """
 
 from __future__ import annotations
@@ -156,14 +157,12 @@ def _apply_gates(state: np.ndarray, rows: Iterable[tuple]) -> np.ndarray:
     return state
 
 
-def _unitary_stack(circuits: Sequence[PalindromicCircuit]) -> np.ndarray:
-    """Unitaries of palindromes of one node count and half length, a
-    ``(len(circuits), n, n)`` stack from one ``_apply_gates`` pass: each
-    equals ``apply_circuit`` of its circuit."""
-    n = circuits[0].n_nodes
-    state = np.repeat(np.eye(n, dtype=complex)[..., None], len(circuits), axis=2)
-    rows = _gate_rows(*_gate_table([circuit.half for circuit in circuits]))
-    return np.moveaxis(_apply_gates(state, rows + rows[::-1]), -1, 0)
+def _unitary_stack(n_nodes: int, sequences: Sequence[Sequence[GateSpec]]) -> np.ndarray:
+    """Ordered products of gate sequences of one length on ``n_nodes`` nodes,
+    a ``(len(sequences), n_nodes, n_nodes)`` stack from one ``_apply_gates``
+    pass over the identity: the one entry into the node-space engine."""
+    state = np.repeat(np.eye(n_nodes, dtype=complex)[..., None], len(sequences), axis=2)
+    return np.moveaxis(_apply_gates(state, _gate_rows(*_gate_table(sequences))), -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +215,13 @@ def _qubit_columns(circuit: PalindromicCircuit) -> np.ndarray:
     columns = np.zeros((1 << n, n), dtype=complex)
     columns[_single_excitation_rows(n), range(n)] = 1.0
     psi = columns.reshape((2,) * n + (n,))
-    blocks = [gate_qubit_space(gate) for gate in circuit.half]
-    for gate, block in zip(circuit.full, blocks + blocks[::-1]):
+    blocks: dict[int, np.ndarray] = {}  # by identity: a mirrored gate is the same object
+    for gate in circuit.full:
+        if id(gate) not in blocks:
+            blocks[id(gate)] = gate_qubit_space(gate)
         forward, back = _pair_first(n, gate.i, gate.j)
         pair = psi.transpose(forward)
-        mixed = block @ pair.reshape(4, -1)
+        mixed = blocks[id(gate)] @ pair.reshape(4, -1)
         psi = mixed.reshape(pair.shape).transpose(back)
     return psi.reshape(1 << n, n)
 
@@ -234,10 +235,8 @@ def _pair_first(n: int, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...
 
 
 def apply_circuit(circuit: PalindromicCircuit) -> np.ndarray:
-    """Ordered product of the full gate sequence, read-only: two rows of the
-    identity rewritten per gate."""
-    rows = _gate_rows(*_gate_table([circuit.half])[..., 0])
-    return _freeze(_apply_gates(np.eye(circuit.n_nodes, dtype=complex), rows + rows[::-1]))
+    """Ordered product of the full gate sequence, read-only: a stack of one."""
+    return _freeze(_unitary_stack(circuit.n_nodes, [circuit.full])[0])
 
 
 def excitation_preservation_check(circuit: PalindromicCircuit) -> float:
@@ -265,16 +264,15 @@ def _three_cycle_run(alphas: Sequence[float], thetas: Sequence[float],
                      start: np.ndarray) -> np.ndarray:
     """Triangle palindrome on ``start``, batched over the (alpha, theta) grid:
     the last two axes of the state, and the batch of the gate table of
-    ``three_cycle_circuit(0, 1)``, whose one shared angle row takes the alpha
-    offsets as a column and the theta multiples as a row, so ``exp`` runs
-    once per alpha and ``sin``/``cos`` once per theta, for all three gates."""
+    ``three_cycle_circuit(0, 1).full``, whose one shared angle row takes the
+    alpha offsets as a column and the theta multiples as a row, so ``exp``
+    runs once per alpha and ``sin``/``cos`` once per theta, for all six gates."""
     alphas = np.asarray(alphas, dtype=float)[:, None]
     thetas = np.asarray(thetas, dtype=float)[None, :]
     start = np.asarray(start, dtype=complex)[..., None, None]
     state = np.broadcast_to(start, start.shape[:-2] + (alphas.size, thetas.size)).copy()
-    i, j, alpha, theta = _gate_table([three_cycle_circuit(0.0, 1.0).half])[..., None]
-    rows = _gate_rows(i, j, alpha[:1] + alphas, theta[:1] * thetas)
-    return _apply_gates(state, rows + rows[::-1])
+    i, j, alpha, theta = _gate_table([three_cycle_circuit(0.0, 1.0).full])[..., None]
+    return _apply_gates(state, _gate_rows(i, j, alpha[:1] + alphas, theta[:1] * thetas))
 
 
 def three_cycle_unitaries(alphas: Sequence[float], thetas: Sequence[float]) -> np.ndarray:

@@ -69,11 +69,15 @@ def _check_dense_size(what: str, entries: int) -> None:
 
 
 def _check_node_count(value, what: str) -> int:
-    """The node-count rule: a positive integer whose N x N matrix fits the budget."""
+    """The node-count rule: a positive integer whose N x N matrix fits the budget.
+    A refused count is written exactly up to 17 digits, rounded past them."""
     n = _check_node(value, what)
     if n < 1:
         raise ValueError(f"{what} must be a positive integer")
-    _check_dense_size(f"{what} {n}", n * n)
+    if 16 * n * n > DEFAULTS.dense_bytes:
+        from decimal import Decimal
+
+        _check_dense_size(f"{what} {Decimal(n):.17g}", n * n)
     return n
 
 

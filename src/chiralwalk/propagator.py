@@ -40,7 +40,7 @@ from typing import BinaryIO, Iterator, Sequence
 import numpy as np
 
 from .defaults import DEFAULTS
-from .graph import WalkHamiltonian, _check_finite_real, fmt_real, to_dense
+from .graph import WalkHamiltonian, _check_finite_real, _check_node, fmt_real, to_dense
 
 # Complex bytes of one t-chunk of a T x N x N unitary stack; the number of
 # times per chunk follows from it for each N.  At 1 MiB a chunk's U and its
@@ -381,6 +381,7 @@ def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
     refinement of the best bracket down to ``DEFAULTS.refine_dt``.  Returns
     ``(t_star, p_star)``; refuses a window whose length or phases overflow.
     """
+    from_node, to_node = (_check_node(v, "transfer node") for v in (from_node, to_node))
     lo, hi = (_check_finite_real(t, "t_range end") for t in t_range)
     if hi <= lo:
         raise ValueError("t_range must be a finite interval of positive length")

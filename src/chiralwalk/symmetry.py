@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .defaults import DEFAULTS
-from .graph import Edge, GraphSkeleton, WalkHamiltonian, fmt_real, skeleton
+from .graph import Edge, GraphSkeleton, WalkHamiltonian, _check_node, fmt_real, skeleton
 from .propagator import probability_chunks, propagate, spectrum
 
 TWO_PI = 2.0 * math.pi
@@ -155,7 +155,7 @@ def cycle_flux(hamiltonian: WalkHamiltonian, cycle: Sequence[int]) -> float:
     Gauge transformations shift each directed phase by a telescoping
     difference, so the flux is gauge-invariant.
     """
-    cycle = [int(v) for v in cycle]
+    cycle = [_check_node(v, "cycle node") for v in cycle]
     if len(cycle) < 2 or cycle[0] != cycle[-1]:
         raise ValueError("cycle must be a closed walk (first node repeated last)")
     total = 0.0

@@ -221,7 +221,7 @@ def test_one_gate_pass_over_many_palindromes_equals_each_alone():
         first = random_gate(rng, n)
         circuits = [PalindromicCircuit(n, [first] + [random_gate(rng, n) for _ in range(3)])
                     for _ in range(7)]
-        stack = _unitary_stack(circuits)
+        stack = _unitary_stack(n, [circuit.full for circuit in circuits])
         assert stack.shape == (7, n, n)
         for u, circuit in zip(stack, circuits):
             assert u.tobytes() == apply_circuit(circuit).tobytes()
@@ -312,7 +312,7 @@ def test_stacks_equal_the_old_builder_byte_for_byte(shared):
             circuits.append(PalindromicCircuit(n, half))
         state = np.repeat(np.eye(n, dtype=complex)[..., None], len(circuits), axis=2)
         reference = np.moveaxis(_apply_gates(state, reference_stack_rows(circuits)), -1, 0)
-        assert _unitary_stack(circuits).tobytes() == reference.tobytes()
+        assert _unitary_stack(n, [c.full for c in circuits]).tobytes() == reference.tobytes()
 
 
 def test_triangle_grid_equals_the_old_builder_byte_for_byte():

@@ -757,11 +757,15 @@ def test_circuit_sweep_degrees_keeps_the_radian_defaults():
 @pytest.mark.parametrize("argv, named", [
     (["circuit-sweep", "--theta-step", "1e-300"], "(--theta-step)"),
     (["classify", "--graph", "HUGE"], "line 1: node count"),
+    (["classify", "--graph", "LONG"], "line 1: node count 1.0000000000000000e+3999"),
 ])
 def test_over_budget_messages_stay_short(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)  # a short file name, so the message is its own length
-    Path("huge.graph").write_text(f"nodes {10 ** 50 + 1}\n")  # a 51-digit node count
-    assert main(["huge.graph" if arg == "HUGE" else arg for arg in argv]) == 2
+    # node counts of 51 and 4000 digits, the second under int()'s 4300-digit limit
+    files = {"HUGE": ("huge.graph", 10 ** 50 + 1), "LONG": ("long.graph", 10 ** 3999 + 1)}
+    for name, nodes in files.values():
+        Path(name).write_text(f"nodes {nodes}\n")
+    assert main([files[arg][0] if arg in files else arg for arg in argv]) == 2
     err = capsys.readouterr().err.strip()
     assert named in err and "the 2147483648-byte budget" in err, err
     assert len(err) < 200, err

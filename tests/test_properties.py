@@ -114,8 +114,9 @@ def test_trotter_order_runs_every_trial(monkeypatch):
     monkeypatch.setattr(properties, "trotter_error", counting)
     result = dict(PROPERTY_SUITE)["trotter-order"](np.random.default_rng(3), trials=3)
     assert result.trials == 3 and result.passed
-    # each trial checks steps 0.1 and 0.05, each against its half step
-    assert len(calls) == 12
+    # each trial checks steps 0.1 and 0.05, each against its half step:
+    # three distinct steps, each computed once
+    assert len(calls) == 9
 
 
 def test_nan_residual_fails_its_suite(monkeypatch, tmp_path):
@@ -331,6 +332,15 @@ def test_stacked_statistical_suites_match_one_instance_runs(seed):
                                rng.uniform(-np.pi, np.pi, size=16))
     result = suites["table-normalization"](np.random.default_rng(seed), trials=40)
     assert result.worst == max(defects + [grid.column_sum_defect()])
+
+
+@pytest.mark.parametrize("trials", [1, 19, 100])
+def test_non_bipartite_asymmetry_fails_below_95_percent(monkeypatch, trials):
+    # a run that detects nothing is under 95% at every trial count
+    monkeypatch.setattr(properties, "pts_numeric", lambda graph: 0.0)
+    result = dict(PROPERTY_SUITE)["non-bipartite-asymmetry"](np.random.default_rng(0),
+                                                              trials=trials)
+    assert result.note == f"detected 0/{trials}" and not result.passed
 
 
 def test_stacked_memory_does_not_grow_with_trials(monkeypatch):

@@ -98,6 +98,36 @@ def test_one_gate_row_builder():
     assert definers == [] and _readers_by_module("_stack_rows") == {}
 
 
+@pytest.mark.parametrize("name", ["_apply_gates", "_gate_rows", "_gate_table"])
+def test_the_gate_engine_has_one_entry_outside_its_module(name):
+    # other modules reach the node-space engine through ``_unitary_stack`` only
+    assert list(_readers_by_module(name)) == ["circuit.py"]
+
+
+def _reversers(tree: ast.AST) -> set[str | None]:
+    """Enclosing function of each ``reversed(...)`` call and ``[::-1]`` slice."""
+    found = set()
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if ((isinstance(node, ast.Call) and getattr(node.func, "id", None) == "reversed")
+                or (isinstance(node, ast.Slice) and node.step is not None
+                    and ast.unparse(node.step) == "-1")):
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_a_palindrome_is_mirrored_once():
+    # the engine takes full gate sequences; only ``PalindromicCircuit.full`` mirrors a half
+    circuit = ast.parse((PACKAGE / "circuit.py").read_text(encoding="utf-8"))
+    assert _reversers(circuit) == {"full"}
+
+
 @pytest.mark.parametrize("name", ["_node_rows", "axis_kind"])
 def test_a_table_is_its_grid(name):
     # the CSV schema follows from the width of the axes, and ``field_rows`` is

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chiralwalk import (Edge, WalkHamiltonian, apply_gauge,
                         bipartite_negation_gauge, classify, cycle_flux,
                         default_time_samples, eq_parity_residual, is_bipartite,
-                        is_forest, parse_graph, propagate, pts_numeric,
+                        is_forest, max_transfer, parse_graph, propagate, pts_numeric,
                         skeleton, to_dense, tree_phase_removal)
 from chiralwalk import randgen, symmetry
 from chiralwalk.defaults import DEFAULTS
@@ -466,6 +466,17 @@ def test_flux_errors():
         cycle_flux(graph, (0, 1, 2, 0))
     with pytest.raises(ValueError, match="closed walk"):
         cycle_flux(graph, (0, 1, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda graph: cycle_flux(graph, (0, 1.9, 2, 0)),  # not the walk (0, 1, 2, 0)
+    lambda graph: cycle_flux(graph, (0.2, 1, 2, 0.7)),  # not closed
+    lambda graph: max_transfer(graph, 0, 2.0, (0.0, 1.0)),
+    lambda graph: max_transfer(graph, np.float64(0.0), 2, (0.0, 1.0)),
+], ids=["flux-fraction", "flux-unclosed", "transfer-float", "transfer-numpy-float"])
+def test_walk_nodes_are_read_by_the_integer_rule(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(uniform_triangle(0.2))
 
 
 @pytest.mark.parametrize("skel, forest", [
