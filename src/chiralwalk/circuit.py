@@ -299,29 +299,32 @@ def circuit_sweep_table(alphas: Sequence[float], thetas: Sequence[float]) -> Tra
 # ---------------------------------------------------------------------------
 # splitting a Hamiltonian evolution into a gate palindrome
 
-def trotter_error(hamiltonian: WalkHamiltonian, scale: float) -> float:
-    """Max-norm error of the symmetric edge-splitting palindrome.
-
-    The half sequence holds one gate per edge ``e`` at angle
-    ``(scale / 2) * h_e / h_0`` (the full palindrome applies each edge for
-    the whole step), compared against ``exp(-iHt)`` with ``t = scale / h_0``,
-    where ``h_0`` is the magnitude of the first edge.  A graph with
-    self-edges is rejected; a uniform diagonal is a global phase that no
-    gate carries, so the comparison is against the edges alone.
-    """
+def _splitting_reference(hamiltonian: WalkHamiltonian) -> WalkHamiltonian:
+    """The Hamiltonian a splitting palindrome of ``hamiltonian`` simulates:
+    its edges.  A graph with no edge or with self-edges is refused; a uniform
+    diagonal is a global phase that no gate carries, so it is dropped."""
     if not hamiltonian.edges:
         raise ValueError("splitting circuit needs at least one edge")
     if skeleton(hamiltonian).self_nodes:
         raise ValueError("splitting circuit does not represent self-energies")
-    if hamiltonian.self_energies:  # uniform, so a global phase: drop it
-        hamiltonian = WalkHamiltonian(hamiltonian.n_nodes, hamiltonian.edges)
+    if hamiltonian.self_energies:
+        return WalkHamiltonian(hamiltonian.n_nodes, hamiltonian.edges)
+    return hamiltonian
+
+
+def trotter_error(hamiltonian: WalkHamiltonian, scale: float) -> float:
+    """Max-norm error of the symmetric edge-splitting palindrome, whose half
+    holds one gate per edge ``e`` at angle ``(scale / 2) * h_e / h_0``, against
+    ``exp(-iHt)`` of the ``_splitting_reference`` at ``t = scale / h_0``,
+    where ``h_0`` is the magnitude of the first edge."""
+    hamiltonian = _splitting_reference(hamiltonian)
     h0 = hamiltonian.edges[0].h
+    exact = propagate(hamiltonian, float(scale) / h0)  # refuses an overflowing phase first
     # node gate carries exp(-1j*alpha) on its (i, j) entry, so the edge
     # phase enters negated to reproduce exp(-1j * H_edge * t / 2)
     half = tuple(GateSpec(e.i, e.j, -e.alpha, float(scale) / 2.0 * (e.h / h0))
                  for e in hamiltonian.edges)
     approx = apply_circuit(PalindromicCircuit(hamiltonian.n_nodes, half))
-    exact = propagate(hamiltonian, float(scale) / h0)
     return float(np.abs(approx - exact).max())
 
 

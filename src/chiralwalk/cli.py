@@ -244,9 +244,8 @@ def cmd_reproduce_fig2(args) -> int:
 
 
 def cmd_trotter_check(args) -> int:
-    from .circuit import trotter_error
-    from .graph import WalkHamiltonian, _check_finite_real, fmt_real, load_graph, skeleton
-    from .propagator import _check_phases
+    from .circuit import _splitting_reference, trotter_error
+    from .graph import _check_finite_real, fmt_real, load_graph
 
     theta_start = _check_finite_real(args.theta_start, "--theta-start")
     if not 1 <= args.halvings <= MAX_HALVINGS:
@@ -256,14 +255,11 @@ def cmd_trotter_check(args) -> int:
     if thetas[-1] == 0.0:
         raise ValueError(f"--theta-start must be nonzero, and stay nonzero over "
                          f"{args.halvings} halvings; got {theta_start!r}")
-    graph = load_graph(args.graph)
-    if graph.self_energies and not skeleton(graph).self_nodes:
-        # a uniform diagonal is a global phase; one edges-only copy serves every step
-        graph = WalkHamiltonian(graph.n_nodes, graph.edges)
-    if graph.edges:  # the reference propagates the edges to t = theta / h_0
-        _check_phases(graph, (theta_start / graph.edges[0].h,),
-                      "--theta-start over the first edge's magnitude")
-    errors = [trotter_error(graph, theta) for theta in thetas]
+    graph = _splitting_reference(load_graph(args.graph))  # one graph for every step
+    try:
+        errors = [trotter_error(graph, theta) for theta in thetas]
+    except ValueError as exc:  # a step of the ladder: name the flag it comes from
+        raise ValueError(f"--theta-start {theta_start!r}: {exc}") from None
     lines = ["# symmetric splitting error ladder", "# theta error"]
     lines += [f"{fmt_real(th)} {fmt_real(err)}" for th, err in zip(thetas, errors)]
     lines.append("# successive ratios error(theta)/error(theta/2)")

@@ -144,8 +144,11 @@ def _check_phases(hamiltonian: WalkHamiltonian, times: Sequence[float], what: st
 
 
 def propagate(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:
-    """U = exp(-iHt) through the kept spectral factorization, read-only."""
-    return _freeze(spectrum(hamiltonian).propagator_batch([_check_finite_real(t, "time")])[0])
+    """U = exp(-iHt) through the kept spectral factorization, read-only;
+    refuses a time whose phase overflows."""
+    t = _check_finite_real(t, "time")
+    _check_phases(hamiltonian, (t,), f"time {t!r}")
+    return _freeze(spectrum(hamiltonian).propagator_batch([t])[0])
 
 
 def field_rows(points: np.ndarray) -> np.ndarray:
@@ -339,10 +342,12 @@ class TransportTable:
 
 
 def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> TransportTable:
-    """Probability tables over a time grid from the kept spectrum."""
+    """Probability tables over a time grid from the kept spectrum; refuses a
+    grid whose largest phase overflows."""
     t_grid = tuple(_check_finite_real(t, "time") for t in t_grid)
     if not t_grid:
         raise ValueError("time grid must be nonempty")
+    _check_phases(hamiltonian, t_grid, "time grid")
     dec = spectrum(hamiltonian)
     probabilities = np.empty((len(t_grid), dec.n, dec.n))
     for start, chunk in probability_chunks(dec, t_grid):

@@ -508,6 +508,8 @@ def test_reflection_in_time():
     ([0.5], [1.0, math.inf], "sweep theta must be finite, got inf"),
     ([0.5 + 1j], [1.0], "sweep alpha must be real"),
     ([0.5], [np.complex128(1.0)], "sweep theta must be real"),
+    ([], [0.0], "sweep grids must be nonempty"),
+    ([0.0], [], "sweep grids must be nonempty"),
 ])
 def test_sweep_grids_follow_the_real_rule(alphas, thetas, message):
     # a NaN grid value would give rows validate_table_csv refuses

@@ -191,6 +191,7 @@ def test_real_block_kernel_matches_fmt_real():
     ("nodes 2\nedge 0 1 1 0\nedge 1 0 1 0\n", "duplicate edge", 3),
     ("nodes 2\nself 0 1\nself 0 2\n", "duplicate self-energy", 3),
     ("nodes 2\nself 3 1\n", "out of range", 2),
+    ("nodes 2\nself 0\n", "expected 'self <i> <energy>'", 2),
     ("nodes 2\nspin 0 1\n", "unknown declaration", 2),
     ("nodes 2\nedge a 1 1 0\n", "mix", 2),
     ("nodes 1\nedge a b 1 0\n", "exceeds declared node count", 2),
@@ -303,6 +304,8 @@ def test_constructor_rejects_bad_edges():
         WalkHamiltonian(1, (), ((0, 1 + 2j),))
     with pytest.raises(ValueError, match="positive integer"):
         WalkHamiltonian(0)
+    with pytest.raises(ValueError, match="more labels than nodes"):
+        WalkHamiltonian(2, labels=("a", "b", "c"))
 
 
 @pytest.mark.parametrize("value", [1 + 0j, 0.5 + 1j, np.complex128(1.0),

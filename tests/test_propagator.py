@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from chiralwalk import (Edge, WalkHamiltonian, apply_gauge, eig_hermitian,
-                        max_transfer, parse_graph, propagate, sweep_time,
-                        to_dense)
+                        eq_parity_residual, max_transfer, parse_graph, propagate,
+                        sweep_time, to_dense, trotter_error)
 from chiralwalk import propagator
 from chiralwalk.cli import _transfer_csv
 from chiralwalk.propagator import (TransportTable, chunk_length, field_rows, render_csv,
@@ -558,3 +558,23 @@ def test_max_transfer_rejects_an_overflowing_range(t_range):
     overflowing = "t_range's length" if t_range[0] < 0 else "times the graph's spectral norm"
     with pytest.raises(ValueError, match=f"{overflowing} overflows a float$"):
         max_transfer(uniform_triangle(0.0), 0, 2, t_range)
+
+
+# an edge of magnitude 1e300 at t = 1e10, and a star whose splitting reference
+# runs to t = 1.7 / 1e-10 with a spectral norm near 1.7e298
+HUGE_EDGE = WalkHamiltonian(2, (Edge(0, 1, 1e300, 0.0),))
+STAR = WalkHamiltonian(5, (Edge(0, 1, 1e-10, 0.0),)
+                       + tuple(Edge(1, leaf, 1e298, 0.0) for leaf in (2, 3, 4)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: propagate(HUGE_EDGE, 1e10),
+    lambda: sweep_time(HUGE_EDGE, [0.0, 1e10]),
+    lambda: eq_parity_residual(HUGE_EDGE, 1e10),
+    lambda: trotter_error(STAR, 1.7),
+], ids=["propagate", "sweep-time", "eq-parity-residual", "trotter-error"])
+def test_library_entry_points_refuse_an_overflowing_phase(call):
+    # each time is finite, but its phase |t| * ||H|| is not: refused, not NaN
+    with pytest.raises(ValueError,
+                       match="times the graph's spectral norm overflows a float$"):
+        call()

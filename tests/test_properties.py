@@ -1,6 +1,7 @@
 """The property-suite harness itself: results, determinism, fault injection,
 and stacked judging against one instance at a time."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 from chiralwalk import (Edge, GateSpec, PalindromicCircuit, WalkHamiltonian, apply_circuit,
-                        apply_gauge, circuit_sweep_table, cycle_flux, default_time_samples,
-                        eq_parity_residual, excitation_preservation_check,
+                        apply_gauge, circuit, circuit_sweep_table, cycle_flux,
+                        default_time_samples, eq_parity_residual, excitation_preservation_check,
                         gate_qubit_space, properties, propagate, propagator, pts_numeric,
                         randgen, rz_decompose, sweep_time, trotter_error)
 from chiralwalk.circuit import _apply_gates, _gate_rows, _gate_table
@@ -341,6 +342,35 @@ def test_non_bipartite_asymmetry_fails_below_95_percent(monkeypatch, trials):
     result = dict(PROPERTY_SUITE)["non-bipartite-asymmetry"](np.random.default_rng(0),
                                                               trials=trials)
     assert result.note == f"detected 0/{trials}" and not result.passed
+
+
+@pytest.mark.parametrize("misses, passed", [(1, True), (2, False)])
+def test_non_bipartite_asymmetry_boundary_is_19_of_20(monkeypatch, misses, passed):
+    # 95% of 20 trials is 19 detections: 19 pass and 18 fail
+    calls = itertools.count()
+    monkeypatch.setattr(properties, "pts_numeric",
+                        lambda graph: 0.0 if next(calls) < misses else 1.0)
+    result = dict(PROPERTY_SUITE)["non-bipartite-asymmetry"](np.random.default_rng(0),
+                                                              trials=20)
+    assert result.note == f"detected {20 - misses}/20" and result.passed is passed
+
+
+def _half_swap(gate: GateSpec) -> np.ndarray:
+    """A unitary whose square swaps |01> and |11>: the palindrome of one such
+    gate moves node 1's excitation wholly into |11>, the last basis row.  (A
+    plain swap squares to the identity, and so leaks nothing.)"""
+    block = np.eye(4, dtype=complex)
+    block[np.ix_((1, 3), (1, 3))] = np.sqrt(0.5) * np.array([[1.0, -1.0], [1.0, 1.0]])
+    return block
+
+
+def test_excitation_preservation_fails_on_a_leaking_gate(monkeypatch):
+    monkeypatch.setattr(circuit, "gate_qubit_space", _half_swap)
+    leak = excitation_preservation_check(PalindromicCircuit(2, (GateSpec(0, 1, 0.3, 0.7),)))
+    assert abs(leak - 1.0) <= 1e-12
+    result = dict(PROPERTY_SUITE)["excitation-preservation"](np.random.default_rng(0),
+                                                              trials=5)
+    assert result.worst > result.bound and not result.passed
 
 
 def test_stacked_memory_does_not_grow_with_trials(monkeypatch):

@@ -9,7 +9,8 @@ import numpy as np
 
 from chiralwalk.cli import build_parser
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _blocks(language: str) -> list[str]:
@@ -33,3 +34,9 @@ def test_every_command_line_parses():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert build_parser().parse_args(argv).command == argv[0]
+
+
+def test_layout_names_every_module():
+    [layout] = re.findall(r"^```\n(src/chiralwalk/\n.*?)^```$", README, flags=re.M | re.S)
+    modules = {path.name for path in (ROOT / "src" / "chiralwalk").glob("*.py")}
+    assert set(re.findall(r"^ +(\w+\.py) ", layout, flags=re.M)) == modules - {"__init__.py"}

@@ -128,6 +128,14 @@ def test_a_palindrome_is_mirrored_once():
     assert _reversers(circuit) == {"full"}
 
 
+@pytest.mark.parametrize("name", ["skeleton", "self_energies", "edges"])
+def test_the_cli_restates_no_splitting_rule(name):
+    # ``circuit._splitting_reference`` is the one statement of what a splitting
+    # palindrome simulates; ``trotter-check`` reads it and no graph field
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _readers(cli, name) == set()
+
+
 @pytest.mark.parametrize("name", ["_node_rows", "axis_kind"])
 def test_a_table_is_its_grid(name):
     # the CSV schema follows from the width of the axes, and ``field_rows`` is
