@@ -215,13 +215,13 @@ def _qubit_columns(circuit: PalindromicCircuit) -> np.ndarray:
     columns = np.zeros((1 << n, n), dtype=complex)
     columns[_single_excitation_rows(n), range(n)] = 1.0
     psi = columns.reshape((2,) * n + (n,))
-    blocks: dict[int, np.ndarray] = {}  # by identity: a mirrored gate is the same object
+    blocks: dict[GateSpec, np.ndarray] = {}
     for gate in circuit.full:
-        if id(gate) not in blocks:
-            blocks[id(gate)] = gate_qubit_space(gate)
+        if gate not in blocks:
+            blocks[gate] = gate_qubit_space(gate)
         forward, back = _pair_first(n, gate.i, gate.j)
         pair = psi.transpose(forward)
-        mixed = blocks[id(gate)] @ pair.reshape(4, -1)
+        mixed = blocks[gate] @ pair.reshape(4, -1)
         psi = mixed.reshape(pair.shape).transpose(back)
     return psi.reshape(1 << n, n)
 
@@ -320,10 +320,13 @@ def trotter_error(hamiltonian: WalkHamiltonian, scale: float) -> float:
     hamiltonian = _splitting_reference(hamiltonian)
     h0 = hamiltonian.edges[0].h
     exact = propagate(hamiltonian, float(scale) / h0)  # refuses an overflowing phase first
+    # h_e / h_0 as mantissa ratio and exponent difference: finite where the angle is
+    m0, x0 = math.frexp(h0)
+    parts = [math.frexp(e.h) for e in hamiltonian.edges]
     # node gate carries exp(-1j*alpha) on its (i, j) entry, so the edge
     # phase enters negated to reproduce exp(-1j * H_edge * t / 2)
-    half = tuple(GateSpec(e.i, e.j, -e.alpha, float(scale) / 2.0 * (e.h / h0))
-                 for e in hamiltonian.edges)
+    half = tuple(GateSpec(e.i, e.j, -e.alpha, math.ldexp(float(scale) / 2.0 * (m / m0), x - x0))
+                 for e, (m, x) in zip(hamiltonian.edges, parts))
     approx = apply_circuit(PalindromicCircuit(hamiltonian.n_nodes, half))
     return float(np.abs(approx - exact).max())
 

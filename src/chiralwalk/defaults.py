@@ -14,7 +14,7 @@ class NumericDefaults(NamedTuple):
     pts: float = 1e-9                 # sampled probability-symmetry verdict
 
     # grids and iteration limits
-    pts_samples: int = 64             # default time-sample count for pts_numeric
+    pts_samples: int = 64             # sample count of every graph's time grid
     scan_points: int = 4096           # coarse grid for max_transfer
     refine_dt: float = 1e-8           # golden-section bracket width target
     qubit_space_max: int = 14         # dense statevector limit (2^n amplitudes)

@@ -328,7 +328,7 @@ class TransportTable:
         return self.probabilities.shape[1]
 
     def column_sum_defect(self) -> float:
-        return float(np.abs(self.probabilities.sum(axis=1) - 1.0).max())
+        return float(np.abs(self.probabilities.sum(axis=1) - 1.0).max(initial=0.0))
 
     def to_csv(self, file: BinaryIO, header: bool = True) -> None:
         """Write the table's CSV to the binary ``file``, one ``render_csv``

@@ -6,10 +6,10 @@ The suites back the ``properties`` command and the acceptance tests.
 
 Most suites draw their instances first, trial after trial with the same
 generator calls as one instance at a time, and then judge them in stacks:
-grouped by node count (circuits also by half length), in windows of at most
-``chunk_length`` instances of the window's largest node count, so a stack
-of N x N matrices stays within the propagator's t-chunk budget and memory
-does not grow with ``trials``.  A stack takes one ``spectra`` eigensolve,
+grouped by node count (circuits also by full sequence length), in windows
+of at most ``chunk_length`` instances of the window's largest node count, so
+a stack of N x N matrices stays within the propagator's t-chunk budget and
+memory does not grow with ``trials``.  A stack takes one ``spectra`` eigensolve,
 one stacked propagator product or one pass of ``_unitary_stack``, the gate
 engine's one entry, over full gate sequences, and gives every instance
 the bytes a one-instance run gives it, so the time is linear in ``trials``.
@@ -28,9 +28,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import randgen
-from .circuit import (GateSpec, PalindromicCircuit, _unitary_stack, circuit_sweep_table,
-                      excitation_preservation_check, gate_qubit_space,
-                      rz_decompose, trotter_error)
+from .circuit import (GateSpec, PalindromicCircuit, _single_excitation_rows, _unitary_stack,
+                      circuit_sweep_table, excitation_preservation_check, gate_qubit_space,
+                      rz_decompose, three_cycle_circuit, trotter_error)
 from .defaults import DEFAULTS
 from .graph import Edge, WalkHamiltonian, fmt_real
 from .propagator import chunk_length, propagate, spectra, sweep_time
@@ -38,6 +38,7 @@ from .symmetry import (apply_gauge, cycle_flux, default_time_samples,
                        eq_parity_residual, pts_numeric)
 
 TWO_PI = 2.0 * math.pi
+_TRIANGLE = tuple((gate.i, gate.j) for gate in three_cycle_circuit(0.0, 0.0).half)
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ def _nodes(instance) -> tuple[int, ...]:
 
 
 def _nodes_and_gates(instance) -> tuple[int, ...]:
-    """Stack key of a circuit instance: node count and half length."""
-    return (instance[0].n_nodes, len(instance[0].half))
+    """Stack key of a circuit instance: node count and sequence length."""
+    return (instance[0].n_nodes, len(instance[0].full))
 
 
 def _stacks(draw: Callable, rng, trials: int, key: Callable, **kwargs) -> Iterator[list]:
@@ -148,7 +149,7 @@ def _forest_phase_independence(group) -> list[float]:
     spectra(graphs + copies)
     residuals = []
     for graph, copy in zip(graphs, copies):
-        times = default_time_samples(graph, count=16)
+        times = default_time_samples(graph)[3::4]
         residuals.append(_gap(sweep_time(graph, times).probabilities,
                               sweep_time(copy, times).probabilities))
     return residuals
@@ -167,7 +168,7 @@ def _parity_split_agreement(graph, sample: int) -> float:
     parity = float(np.abs(eq_parity_residual(graph, t)).max())
     residual = abs(2.0 * parity - skew)
     # the two tests must also agree on whether this p is symmetric at all
-    return residual if (parity <= 1e-10) == (skew <= 1e-9) else max(residual, 1.0)
+    return residual if (parity <= 1e-10) == (skew <= DEFAULTS.pts) else max(residual, 1.0)
 
 
 def _negation_time_reversal(group) -> np.ndarray:
@@ -229,8 +230,8 @@ def _rz_conjugation_identity(gate) -> float:
 def _gate_embedding(group) -> np.ndarray:
     """Qubit gate restricted to {|10>, |01>} equals the node engine's gate."""
     gates = [gate for gate, in group]
-    # basis order |00>, |01>, |10>, |11>: indices 2 and 1 are nodes i, j
-    restricted = np.array([gate_qubit_space(gate)[np.ix_((2, 1), (2, 1))] for gate in gates])
+    rows = _single_excitation_rows(2)
+    restricted = np.array([gate_qubit_space(gate)[np.ix_(rows, rows)] for gate in gates])
     return _gaps(restricted, _unitary_stack(2, [[gate] for gate in gates]))
 
 
@@ -267,9 +268,8 @@ def _draw_flux_dependence(rng, inject_fault: bool = False) -> tuple:
                               phases[2] + lam[2] - lam[0]])
     if inject_fault:
         redistributed[0] = -redistributed[0]
-    return tuple(PalindromicCircuit(3, (GateSpec(0, 1, float(assignment[0]), theta),
-                                        GateSpec(1, 2, float(assignment[1]), theta),
-                                        GateSpec(2, 0, float(assignment[2]), theta)))
+    return tuple(PalindromicCircuit(3, tuple(GateSpec(i, j, float(phase), theta)
+                                             for (i, j), phase in zip(_TRIANGLE, assignment)))
                  for assignment in (phases, redistributed))
 
 
@@ -313,7 +313,7 @@ def _table_normalization(name: str, default_trials: int, bound: float):
     _, sweeps = _stacked(name, default_trials, bound,
                          lambda rng: (randgen.random_hamiltonian(rng, n_max=10),),
                          _per_graph(lambda graph: sweep_time(
-                             graph, default_time_samples(graph, count=8)).column_sum_defect()))
+                             graph, default_time_samples(graph)[7::8]).column_sum_defect()))
 
     def run(rng, trials: int = default_trials) -> PropertyResult:
         worst = sweeps(rng, trials).worst
@@ -325,8 +325,8 @@ def _table_normalization(name: str, default_trials: int, bound: float):
 
 PROPERTY_SUITE: tuple[tuple[str, Callable], ...] = (
     _stacked("gauge-invariance", 200, 1e-12, _draw_gauge_invariance, _same_probabilities),
-    _stacked("forest-pts", 100, 1e-9, _draw_forest, _pts_residuals),
-    _stacked("bipartite-pts", 100, 1e-9,
+    _stacked("forest-pts", 100, DEFAULTS.pts, _draw_forest, _pts_residuals),
+    _stacked("bipartite-pts", 100, DEFAULTS.pts,
              lambda rng: (randgen.random_bipartite(rng, 12),), _pts_residuals),
     _stacked("forest-phase-independence", 100, 1e-9, _draw_forest,
              _forest_phase_independence),

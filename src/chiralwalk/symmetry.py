@@ -109,16 +109,16 @@ def bipartite_negation_gauge(hamiltonian: WalkHamiltonian) -> tuple[float, ...]:
     return tuple(math.pi * c for c in check.coloring)
 
 
-def default_time_samples(hamiltonian: WalkHamiltonian,
-                         count: int = DEFAULTS.pts_samples) -> tuple[float, ...]:
-    """Uniform samples in (0, 2*pi / ||H||], made dimensionless by the spectrum."""
+def default_time_samples(hamiltonian: WalkHamiltonian) -> tuple[float, ...]:
+    """The graph's grid: ``DEFAULTS.pts_samples`` uniform times in (0, 2*pi / ||H||]."""
     scale = spectrum(hamiltonian).spectral_norm
     if scale <= 0.0:
         scale = 1.0
     horizon = TWO_PI / scale
     if not math.isfinite(horizon):
         raise ValueError(f"2*pi over the graph's spectral norm {scale!r} overflows a float")
-    return tuple(horizon * k / count for k in range(1, count + 1))
+    count = DEFAULTS.pts_samples
+    return tuple(horizon * (k / count) for k in range(1, count + 1))  # none past the horizon
 
 
 def pts_numeric(hamiltonian: WalkHamiltonian) -> float:

@@ -393,6 +393,18 @@ def test_qubit_columns_match_per_node_loop():
     assert np.array_equal(_qubit_columns(PalindromicCircuit(3, ())), np.eye(8)[:, [4, 2, 1]])
 
 
+def test_qubit_columns_build_one_block_per_gate_value(monkeypatch):
+    # equal gates that are distinct objects share a block; the mirror adds none (four
+    # nodes make both sides 4 x M products, equal bit for bit)
+    gate = GateSpec(0, 1, 0.4, 0.9)
+    circuit = PalindromicCircuit(4, (gate, GateSpec(1, 2, 0.4, 0.9), GateSpec(0, 1, 0.4, 0.9)))
+    built = []
+    monkeypatch.setattr(circuit_module, "gate_qubit_space",
+                        lambda g: built.append(g) or gate_qubit_space(g))
+    assert np.array_equal(_qubit_columns(circuit), qubit_columns_reference(circuit))
+    assert built == [gate, GateSpec(1, 2, 0.4, 0.9)]
+
+
 def test_apply_circuit_zero_angles_is_identity():
     circuit = three_cycle_circuit(0.7, 0.0)
     assert np.abs(apply_circuit(circuit) - np.eye(3)).max() <= 1e-15

@@ -151,6 +151,16 @@ def test_classify_a_spectral_norm_too_small_for_the_sample_horizon_exits_2(tmp_p
                                        f"graph's spectral norm 1e-320 overflows a float\n")
 
 
+def test_classify_a_horizon_near_the_largest_float_samples_a_finite_grid(tmp_path, capsys):
+    # 2*pi / 1e-307 is finite, but three times it is not: no sample may pass the horizon
+    path = tmp_path / "faint.graph"
+    path.write_text("nodes 2\nedge 0 1 1e-307 0\n")
+    assert main(["classify", "--graph", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "numeric_pts_residual=0\n" in out
+    assert "pts_symmetric_at_samples=Yes\n" in out
+
+
 # One graph of each certificate kind: a tree with self-energies (phase-removal
 # gauge, self-edge odd cycle), a bipartite square (two-coloring, negation
 # gauge), the chiral triangle (odd cycle, no gauge) and a labelled path (both
@@ -1049,6 +1059,18 @@ def test_trotter_check_overflowing_reference_phase_exits_2(tmp_path, capsys, tex
     assert "--theta-start" in err
     assert err.endswith("times the graph's spectral norm overflows a float\n")
     assert not out.exists()
+
+
+def test_trotter_check_angles_are_finite_where_the_magnitude_ratio_is_not(tmp_path, capsys):
+    # 1e300 / 1e-10 overflows a float, but the angle 1e-20 / 2 * 1e310 = 5e289 does not
+    path = tmp_path / "wide.graph"
+    path.write_text("nodes 3\nedge 0 1 1e-10 0\nedge 1 2 1e300 0\n")
+    assert main(["trotter-check", "--graph", str(path), "--theta-start", "1e-20",
+                 "--halvings", "1"]) == 0
+    ladder = capsys.readouterr().out.splitlines()[2:4]
+    assert [line.split()[0] for line in ladder] == ["9.9999999999999995e-21",
+                                                   "4.9999999999999997e-21"]
+    assert all(math.isfinite(float(line.split()[1])) for line in ladder)
 
 
 # --- properties -------------------------------------------------------------

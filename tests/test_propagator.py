@@ -341,6 +341,7 @@ def test_a_grid_without_rows_renders_its_header_alone(outer, inner):
     # either count 0 there are no values, so no block
     table = TransportTable(np.arange(outer, dtype=float), np.zeros((outer, inner, inner)))
     assert csv_text(table) == "axis,from,to,probability\n"
+    assert table.column_sum_defect() == 0.0  # no column, so no defect
     transfer = np.zeros((outer, inner))
     assert _transfer_csv(np.arange(outer), np.arange(inner), transfer) == \
         b"alpha,theta,from,to,probability\n"

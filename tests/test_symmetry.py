@@ -1,6 +1,7 @@
 """Structural classification, gauges, and numeric symmetry checks."""
 
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -371,6 +372,29 @@ def test_default_time_samples_scale_with_spectrum():
     samples = default_time_samples(uniform_triangle(0.0))
     assert len(samples) == 64
     assert math.isclose(samples[-1], 2 * PI / 2.0)  # spectral norm is 2
+
+
+@pytest.mark.parametrize("function", [pts_numeric, default_time_samples])
+def test_the_sample_grid_is_the_graph_s_own(function):
+    assert list(inspect.signature(function).parameters) == ["hamiltonian"]
+
+
+def test_grid_strides_are_the_coarse_grids_bit_for_bit():
+    # the suites sample [3::4] and [7::8] of the 64-point grid; as k / 64 is
+    # exact, these are the 16- and 8-point grids, one rounding of horizon * m / n
+    rng = np.random.default_rng(37)
+    graphs = [draw(rng) for _ in range(10) for draw in (
+        lambda r: randgen.random_forest(r, n_max=12, with_self_energies=True),
+        lambda r: randgen.random_hamiltonian(r, n_max=10))]
+    faint = parse_graph("nodes 2\nedge 0 1 1e-307 0\n")  # horizon near the largest float
+    for graph in graphs + [faint]:
+        samples = default_time_samples(graph)
+        horizon = 2 * PI / (spectrum(graph).spectral_norm or 1.0)
+        assert math.isfinite(samples[-1])
+        for stride, count in ((samples[3::4], 16), (samples[7::8], 8)):
+            assert stride == tuple(horizon / count * m for m in range(1, count + 1))
+            if graph is not faint:  # the grid a count of 16 or 8 gave, where it was finite
+                assert stride == tuple(horizon * m / count for m in range(1, count + 1))
 
 
 # --- parity-split residual --------------------------------------------------
