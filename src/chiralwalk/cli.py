@@ -82,11 +82,16 @@ def _angle(flag: str, value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _clamped(points, stop: float, ascending: bool) -> list[float]:
+    """The points of a grid; one that rounding puts past ``stop`` (above it when
+    ``ascending``, else below) is ``stop``, and a tie keeps ``-0`` as it is."""
+    clamp = min if ascending else max
+    return [clamp(point, stop) for point in points]
+
+
 def _axis(start: float, step: float, stop: float, ks: range) -> list[float]:
-    """``start + k * step`` for each ``k``; a point that rounding puts past ``stop``
-    (in the direction of ``step``) is ``stop``, and a tie keeps ``-0`` as it is."""
-    clamp = min if step > 0 else max
-    return [clamp(start + k * step, stop) for k in ks]
+    """``start + k * step`` for each ``k``, ``_clamped`` at ``stop`` in ``step``'s direction."""
+    return _clamped((start + k * step for k in ks), stop, ascending=step > 0)
 
 
 def _theta_grid(theta_min: float, theta_max: float, theta_step: float,
@@ -207,7 +212,8 @@ def cmd_reproduce_fig2(args) -> int:
     # the surface's state holds three amplitudes per (alpha, theta) point
     _check_dense_size(f"--grid {count}", 3 * count * count)
     surface_alphas = [k * 2 * PI / count for k in range(count)]
-    surface_thetas = [-PI + (k + 1) * 2 * PI / count for k in range(count)]
+    surface_thetas = _clamped((-PI + (k + 1) * 2 * PI / count for k in range(count)),
+                              PI, ascending=True)
     transfer = three_cycle_transfer(surface_alphas, surface_thetas)
     outputs = {"surface.csv": _transfer_csv(surface_alphas, surface_thetas, transfer)}
 

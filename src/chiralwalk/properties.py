@@ -34,7 +34,7 @@ from .circuit import (GateSpec, PalindromicCircuit, _single_excitation_rows, _un
 from .defaults import DEFAULTS
 from .graph import Edge, WalkHamiltonian, fmt_real
 from .propagator import chunk_length, propagate, spectra, sweep_time
-from .symmetry import (apply_gauge, cycle_flux, default_time_samples,
+from .symmetry import (_pts_skew, apply_gauge, cycle_flux, default_time_samples,
                        eq_parity_residual, pts_numeric)
 
 TWO_PI = 2.0 * math.pi
@@ -163,12 +163,11 @@ def _draw_parity_split(rng) -> tuple:
 def _parity_split_agreement(graph, sample: int) -> float:
     """Twice the parity-split residual equals the pairwise probability skew."""
     t = default_time_samples(graph)[sample]
-    p = np.abs(propagate(graph, t)) ** 2
-    skew = _gap(p, p.T)
-    parity = float(np.abs(eq_parity_residual(graph, t)).max())
-    residual = abs(2.0 * parity - skew)
+    skew = float(_pts_skew(np.abs(propagate(graph, t)) ** 2))
+    parity = 2.0 * float(np.abs(eq_parity_residual(graph, t)).max())
+    residual = abs(parity - skew)
     # the two tests must also agree on whether this p is symmetric at all
-    return residual if (parity <= 1e-10) == (skew <= DEFAULTS.pts) else max(residual, 1.0)
+    return residual if (parity <= DEFAULTS.pts) == (skew <= DEFAULTS.pts) else max(residual, 1.0)
 
 
 def _negation_time_reversal(group) -> np.ndarray:
@@ -246,8 +245,8 @@ def _palindrome_amplitude_symmetry(group) -> np.ndarray:
 
 
 def _circuit_pts(group) -> np.ndarray:
-    p = np.abs(_unitary_stack(group[0][0].n_nodes, [circuit.full for circuit, in group])) ** 2
-    return _gaps(p, p.swapaxes(-1, -2))
+    return _pts_skew(np.abs(_unitary_stack(group[0][0].n_nodes,
+                                           [circuit.full for circuit, in group])) ** 2)
 
 
 def _draw_flux_dependence(rng, inject_fault: bool = False) -> tuple:
@@ -349,10 +348,10 @@ PROPERTY_SUITE: tuple[tuple[str, Callable], ...] = (
     _stacked("palindrome-amplitude-symmetry", 100, 1e-12, _draw_zero_alpha_palindrome,
              _palindrome_amplitude_symmetry, _nodes_and_gates),
     _stacked("spanning-tree-circuit-pts", 100, 1e-10,
-             lambda rng: (randgen.random_spanning_tree_palindrome(rng, 8),), _circuit_pts,
+             lambda rng: (randgen.random_spanning_tree_palindrome(rng),), _circuit_pts,
              _nodes_and_gates),
     _stacked("bipartite-circuit-pts", 100, 1e-10,
-             lambda rng: (randgen.random_bipartite_palindrome(rng, 8),), _circuit_pts,
+             lambda rng: (randgen.random_bipartite_palindrome(rng),), _circuit_pts,
              _nodes_and_gates),
     _stacked("flux-dependence", 100, 1e-10, _draw_flux_dependence, _flux_dependence,
              _nodes_and_gates),

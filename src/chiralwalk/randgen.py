@@ -110,10 +110,9 @@ def random_palindrome(rng: np.random.Generator, n: int, gate_count: int,
     return PalindromicCircuit(n, half)
 
 
-def random_spanning_tree_palindrome(rng: np.random.Generator,
-                                    n_max: int = 8) -> PalindromicCircuit:
-    """Palindrome whose half holds one random-phase gate per tree edge."""
-    n = int(rng.integers(2, n_max + 1))
+def random_spanning_tree_palindrome(rng: np.random.Generator) -> PalindromicCircuit:
+    """Palindrome on 2 to 8 nodes whose half holds one random-phase gate per tree edge."""
+    n = int(rng.integers(2, 9))
     pairs = random_tree_edges(rng, n)
     rng.shuffle(pairs)
     half = [GateSpec(i, j, rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
@@ -121,10 +120,9 @@ def random_spanning_tree_palindrome(rng: np.random.Generator,
     return PalindromicCircuit(n, half)
 
 
-def random_bipartite_palindrome(rng: np.random.Generator,
-                                n_max: int = 8) -> PalindromicCircuit:
-    """Palindrome whose support is bipartite; gates may repeat edges."""
-    n, edges = _bipartite_edges(rng, n_max)
+def random_bipartite_palindrome(rng: np.random.Generator) -> PalindromicCircuit:
+    """Palindrome on 2 to 8 nodes whose support is bipartite; gates may repeat edges."""
+    n, edges = _bipartite_edges(rng, 8)
     pairs = [(e.i, e.j) for e in edges]
     half = []
     for _ in range(int(rng.integers(1, 2 * len(pairs) + 1))):

@@ -121,6 +121,11 @@ def default_time_samples(hamiltonian: WalkHamiltonian) -> tuple[float, ...]:
     return tuple(horizon * (k / count) for k in range(1, count + 1))  # none past the horizon
 
 
+def _pts_skew(probabilities: np.ndarray) -> np.ndarray:
+    """Each matrix's max ``p_ij - p_ji``: exact as ``p - p^T`` is antisymmetric; a NaN stays."""
+    return (probabilities - probabilities.swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
 def pts_numeric(hamiltonian: WalkHamiltonian) -> float:
     """Sampled probability-symmetry residual (evidence, not a proof).
 
@@ -130,8 +135,7 @@ def pts_numeric(hamiltonian: WalkHamiltonian) -> float:
     against a tolerance; ``sweep_time`` gives probabilities at other times.
     """
     chunks = probability_chunks(spectrum(hamiltonian), default_time_samples(hamiltonian))
-    # p - p^T is exactly antisymmetric, so its max is its max magnitude
-    return float(np.max([(probs - probs.transpose(0, 2, 1)).max() for _, probs in chunks]))
+    return float(np.max([_pts_skew(probs).max() for _, probs in chunks]))
 
 
 def eq_parity_residual(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:

@@ -885,6 +885,16 @@ def test_fig2_surface_is_periodic_in_alpha(tmp_path):
     assert np.abs(base - wrapped).max() <= 1e-12
 
 
+def test_fig2_surface_thetas_stay_inside_their_range(tmp_path):
+    # at 13 points the last theta, -pi + 13 * 2 * pi / 13, rounds one ulp past pi
+    out_dir = tmp_path / "fig2"
+    assert main(["reproduce-fig2", "--out", str(out_dir), "--grid", "13"]) == 0
+    _, rows = read_rows((out_dir / "surface.csv").read_text())
+    thetas = [theta for _, theta, _, _, _ in rows]
+    assert all(float(theta) <= PI for theta in thetas)
+    assert thetas[-1] == "3.1415926535897931"
+
+
 def test_fig2_slice_files_match_experiment_grid(tmp_path):
     out_dir = tmp_path / "fig2"
     assert main(["reproduce-fig2", "--out", str(out_dir), "--grid", "8"]) == 0

@@ -504,6 +504,14 @@ def test_max_transfer_two_site():
     assert abs(t_star - PI / 2) <= 1e-6
 
 
+def test_max_transfer_keeps_a_scan_point_the_refinement_misses():
+    # sin^2(t) rises across the whole window, so its peak is the window's end,
+    # which the golden-section search only nears from inside its bracket
+    t_star, p_star = max_transfer(two_site(), 0, 1, (0.0, 1.0))
+    assert t_star == 1.0
+    assert abs(p_star - math.sin(1.0) ** 2) <= 1e-15
+
+
 def test_max_transfer_symmetric_triangle_is_four_ninths():
     _, p_star = max_transfer(uniform_triangle(0.0), 0, 2, (0.0, 2 * PI))
     assert abs(p_star - 4.0 / 9.0) <= 1e-9

@@ -151,6 +151,45 @@ def test_every_regular_property_suite_is_judged_in_stacks():
     assert not _defines(properties, "_suite") and _readers(properties, "_suite") == set()
 
 
+def test_one_statement_of_the_pts_skew():
+    # ``symmetry._pts_skew`` is the one ``p - p^T`` of a probability matrix or stack
+    definers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                if _defines(ast.parse(path.read_text(encoding="utf-8")), "_pts_skew")]
+    assert definers == ["symmetry.py"]
+    assert _readers_by_module("_pts_skew") == {
+        "symmetry.py": {"pts_numeric"},
+        "properties.py": {None, "_circuit_pts", "_parity_split_agreement"}}
+
+
+def _tolerance_literals(tree: ast.AST) -> list[tuple[int, bool]]:
+    """``(source line, placement)`` of each float literal of magnitude in
+    (0, 1e-6]: placed when it sits in the ``PROPERTY_SUITE`` assignment and in
+    no function or lambda there."""
+    found = []
+
+    def visit(node: ast.AST, in_suite: bool, in_function: bool) -> None:
+        if isinstance(node, ast.AnnAssign):
+            in_suite = in_suite or getattr(node.target, "id", None) == "PROPERTY_SUITE"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            in_function = True
+        if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                and 0.0 < abs(node.value) <= 1e-6):
+            found.append((node.lineno, in_suite and not in_function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_suite, in_function)
+
+    visit(tree, False, False)
+    return found
+
+
+def test_property_tolerances_sit_in_the_suite_table():
+    # a suite's bound is its ``PROPERTY_SUITE`` row; no judge keeps a tolerance of its own
+    literals = _tolerance_literals(ast.parse((PACKAGE / "properties.py").read_text(
+        encoding="utf-8")))
+    assert [line for line, placed in literals if not placed] == []
+    assert literals  # the rows' own bounds are seen
+
+
 def _imported_packages(path: Path) -> set[str]:
     """Top-level package of each absolute import in ``path``."""
     found = set()

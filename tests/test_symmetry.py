@@ -368,6 +368,28 @@ def test_pts_residual_keeps_a_nan_chunk_and_classify_reads_it_as_asymmetric(monk
     assert not report.pts_symmetric_at_samples
 
 
+@pytest.mark.parametrize("case", ["random", "probabilities", "symmetric", "nan"])
+def test_pts_skew_is_each_matrix_s_max_magnitude_bit_for_bit(case):
+    rng = np.random.default_rng(43)
+    if case == "random":
+        p = rng.random((4, 5, 5))
+    else:
+        graph = hermitian_graph(rng, 6)
+        p = np.abs(np.array([propagate(graph, t) for t in (0.3, 1.1, 2.9)])) ** 2
+    if case == "symmetric":
+        p = p + p.swapaxes(-1, -2)
+    if case == "nan":
+        p[1, 2, 4] = np.nan
+    expected = np.abs(p - p.swapaxes(-1, -2)).max(axis=(-2, -1))
+    assert symmetry._pts_skew(p).tobytes() == expected.tobytes()
+    assert [symmetry._pts_skew(matrix).tobytes() for matrix in p] == \
+        [value.tobytes() for value in expected]
+    if case == "symmetric":
+        assert not expected.any()
+    if case == "nan":
+        assert np.isnan(expected).tolist() == [False, True, False]
+
+
 def test_default_time_samples_scale_with_spectrum():
     samples = default_time_samples(uniform_triangle(0.0))
     assert len(samples) == 64
