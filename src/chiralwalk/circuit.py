@@ -116,18 +116,20 @@ def _gate_coefficients(alpha, theta):
 def _gate_rows(i, j, alpha, theta) -> list[tuple]:
     """``(i, j, c, u, l)`` per position of a gate table whose endpoints and
     angles have shape ``(position, *batch)``, the angles possibly broadcast
-    over both.  One ``_gate_coefficients`` call serves the whole table; an
-    endpoint that the whole batch shares is a node, otherwise an array of nodes."""
-    if len(i) == 0:
-        return []
-    c, u, l = (np.broadcast_to(x, (len(i),) + x.shape[1:])
-               for x in _gate_coefficients(np.asarray(alpha), np.asarray(theta)))
-    nodes = np.asarray((i, j), dtype=np.intp)
-    flat = nodes.reshape(2, len(i), -1)
-    ends = flat[..., 0].tolist()  # nodes, where the whole batch shares them
-    for end, p in zip(*np.nonzero((flat != flat[..., :1]).any(axis=-1))):
-        ends[end][p] = nodes[end, p]
-    return list(zip(*ends, c, u, l))
+    over both.  One ``_gate_coefficients`` call serves the whole table; an entry
+    the whole batch shares at a position is a Python scalar, else that position's array."""
+    columns = []
+    for entry in (np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp),
+                  *_gate_coefficients(np.asarray(alpha), np.asarray(theta))):
+        # judged before the angle row the triangle's positions share is broadcast over them
+        flat = entry.reshape(len(entry), math.prod(entry.shape[1:]))
+        differs = np.broadcast_to((flat != flat[:, :1]).any(axis=1), len(i))
+        column = np.broadcast_to(flat[:, 0], len(i)).tolist()
+        entry = np.broadcast_to(entry, (len(i),) + entry.shape[1:])
+        for p in np.flatnonzero(differs):
+            column[p] = entry[p]
+        columns.append(column)
+    return list(zip(*columns))
 
 
 def _gate_table(sequences: Sequence[Sequence[GateSpec]]) -> np.ndarray:

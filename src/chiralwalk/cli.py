@@ -36,6 +36,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 DEFAULT_SWEEP_ALPHAS = (0.0, PI / 2, PI, 3 * PI / 2)
+DEFAULT_SWEEP_THETAS = (-PI, PI, PI / 18)  # theta min, max, step; fig2's slices too
 # argparse reads a token that starts with "-" as a value only when its
 # negative-number rule matches, by default -1 and -1.5 alone; this rule takes
 # every real float() reads (-1e-3, -INF, -nan), and no option starts so
@@ -115,11 +116,6 @@ def _theta_grid(theta_min: float, theta_max: float, theta_step: float,
     return _axis(theta_min, theta_step, theta_max, range(count))
 
 
-def experiment_theta_grid() -> list[float]:
-    """37 angles: every pi/18 step across [-pi, pi]."""
-    return [-PI + k * PI / 18 for k in range(37)]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -184,9 +180,9 @@ def cmd_circuit_sweep(args) -> int:
     # an angle not given keeps its radian default, under --degrees too
     theta_min, theta_max, theta_step = (
         default if value is None else _angle(flag, value, args.degrees)
-        for flag, value, default in (("--theta-min", args.theta_min, -PI),
-                                     ("--theta-max", args.theta_max, PI),
-                                     ("--theta-step", args.theta_step, PI / 18)))
+        for flag, value, default in zip(("--theta-min", "--theta-max", "--theta-step"),
+                                        (args.theta_min, args.theta_max, args.theta_step),
+                                        DEFAULT_SWEEP_THETAS))
     thetas = _theta_grid(theta_min, theta_max, theta_step, len(alphas))
     table = circuit_sweep_table(alphas, thetas)
     with _output(args.out) as out:
@@ -212,13 +208,14 @@ def cmd_reproduce_fig2(args) -> int:
     # the surface's state holds three amplitudes per (alpha, theta) point
     _check_dense_size(f"--grid {count}", 3 * count * count)
     surface_alphas = [k * 2 * PI / count for k in range(count)]
+    # its own formula: _axis's rounding would move theta = 0 (--grid 400) and the --grid 13 peak
     surface_thetas = _clamped((-PI + (k + 1) * 2 * PI / count for k in range(count)),
                               PI, ascending=True)
     transfer = three_cycle_transfer(surface_alphas, surface_thetas)
     outputs = {"surface.csv": _transfer_csv(surface_alphas, surface_thetas, transfer)}
 
-    slice_thetas = experiment_theta_grid()
     slice_alphas = list(DEFAULT_SWEEP_ALPHAS)
+    slice_thetas = _theta_grid(*DEFAULT_SWEEP_THETAS, len(slice_alphas))
     slices = three_cycle_transfer(slice_alphas, slice_thetas)
     slice_names = ("slice_alpha_0.csv", "slice_alpha_pi_over_2.csv",
                    "slice_alpha_pi.csv", "slice_alpha_3pi_over_2.csv")

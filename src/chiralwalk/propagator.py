@@ -387,6 +387,9 @@ def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
     ``(t_star, p_star)``; refuses a window whose length or phases overflow.
     """
     from_node, to_node = (_check_node(v, "transfer node") for v in (from_node, to_node))
+    n = hamiltonian.n_nodes
+    if not (0 <= from_node < n and 0 <= to_node < n):
+        raise ValueError("node index out of range")
     lo, hi = (_check_finite_real(t, "t_range end") for t in t_range)
     if hi <= lo:
         raise ValueError("t_range must be a finite interval of positive length")
@@ -394,9 +397,6 @@ def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
         raise ValueError("t_range's length overflows a float")
     _check_phases(hamiltonian, (lo, hi), "t_range's ends")
     dec = spectrum(hamiltonian)
-    n = dec.n
-    if not (0 <= from_node < n and 0 <= to_node < n):
-        raise ValueError("node index out of range")
     coeff = dec.eigenvectors[to_node, :] * dec.eigenvectors[from_node, :].conj()
 
     def prob(times):  # |U(t)[to, from]|^2 at a time or at each of an array of times

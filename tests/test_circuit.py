@@ -12,8 +12,8 @@ from chiralwalk import (Edge, GateSpec, GraphFormatError, PalindromicCircuit,
                         excitation_preservation_check, gate_qubit_space,
                         parse_circuit, propagate, render_circuit, rz_decompose,
                         three_cycle_circuit, three_cycle_unitaries, trotter_error)
-from chiralwalk.circuit import (_apply_gates, _gate_rows, _qubit_columns, _unitary_stack,
-                               three_cycle_transfer)
+from chiralwalk.circuit import (_apply_gates, _gate_rows, _gate_table, _qubit_columns,
+                               _unitary_stack, three_cycle_transfer)
 from chiralwalk import circuit as circuit_module
 
 from .graphs import qubit_block, uniform_triangle
@@ -325,6 +325,20 @@ def test_triangle_grid_equals_the_old_builder_byte_for_byte():
     transfer = np.abs(reference_three_cycle_run(alphas, thetas, np.eye(3)[:, 0])[2]) ** 2
     assert three_cycle_unitaries(alphas, thetas).tobytes() == unitaries.tobytes()
     assert three_cycle_transfer(alphas, thetas).tobytes() == transfer.tobytes()
+
+
+def test_an_entry_the_whole_batch_shares_is_a_python_scalar():
+    rows = _gate_rows(*_gate_table([three_cycle_circuit(0.3, 0.7).full]))  # a stack of one
+    assert len(rows) == 6
+    assert all(type(entry) in (int, float, complex) for row in rows for entry in row)
+    # two circuits on the same pairs at different angles: shared nodes, per-circuit coefficients
+    pair = [three_cycle_circuit(0.3, theta).full for theta in (0.7, 0.9)]
+    for i, j, *coefficients in _gate_rows(*_gate_table(pair)):
+        assert type(i) is int and type(j) is int
+        assert all(type(c) is np.ndarray and c.shape == (2,) for c in coefficients)
+    # an empty half: no rows, so the identity
+    assert _gate_rows(*_gate_table([()])) == []
+    assert apply_circuit(PalindromicCircuit(3, ())).tobytes() == np.eye(3, dtype=complex).tobytes()
 
 
 def test_triangle_grid_evaluates_its_shared_angles_once(monkeypatch):

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 import chiralwalk
 from chiralwalk import parse_graph, pts_numeric, sweep_time
-from chiralwalk.cli import _theta_grid, _transfer_csv, main
+from chiralwalk.cli import (DEFAULT_SWEEP_ALPHAS, DEFAULT_SWEEP_THETAS, _theta_grid,
+                            _transfer_csv, main)
 from chiralwalk.defaults import DEFAULTS
 from chiralwalk.properties import PROPERTY_SUITE
 
@@ -831,6 +833,105 @@ def test_number_flags_read_every_spelling_of_a_real(chiral_triangle, case):
         assert any(flag in err.getvalue() for flag in flags), (argv, err.getvalue())
 
 
+# --- the command-line contract ----------------------------------------------
+
+# the edges of the float range and of its spellings
+EDGE_SPELLINGS = ["0", "-0", "0.5", "-1.25", "3", "inf", "-inf", "nan", "5e-324", "-5e-324",
+                  "1e308", "-1e308"]
+reals = st.one_of(st.sampled_from(EDGE_SPELLINGS), st.floats(-4, 4).map(repr))
+magnitudes = st.one_of(st.sampled_from(["0", "-0", "-1.25", "nan", "inf", "5e-324", "1e308"]),
+                       st.floats(0, 4).map(repr))
+# graphs every command takes, and the two edges of the magnitude range
+CONTRACT_GRAPHS = ["nodes 1\n", "nodes 3\nedge 0 1 1 0.3\nedge 1 2 1 0\nedge 2 0 1 0\n", CHAIN,
+                   "nodes 3\nedge 0 1 1 0\nself 2 -0.5\n", "nodes 2\nedge 0 1 1e308 0\n",
+                   "nodes 2\nedge 0 1 5e-324 -0\n"]
+
+
+@st.composite
+def graph_texts(draw):
+    """A graph file of 1 to 4 nodes, up to 4 edges (maybe a pair given twice)
+    and maybe a self-energy, its reals from ``magnitudes`` and ``reals``."""
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    lines = [f"nodes {n}"]
+    lines += [f"edge {i} {j} {draw(magnitudes)} {draw(reals)}"
+              for i, j in draw(st.lists(st.sampled_from(pairs), max_size=4) if pairs
+                               else st.just([]))]
+    lines += [f"self {draw(st.integers(0, n - 1))} {draw(reals)}"] * draw(st.booleans())
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def contract_requests(draw):
+    """``(graph text, argv, axes)``: a command line of ``evolve``,
+    ``circuit-sweep`` (with or without ``--degrees``), ``classify`` (alone,
+    ``--csv`` or ``--tol``) or ``trotter-check``, whose ``GRAPH`` names a file
+    of the graph text, and for a table command ``(column, low, high)`` of each
+    axis column's requested range."""
+    argv, axes = [draw(st.sampled_from(["evolve", "circuit-sweep", "classify",
+                                        "trotter-check"]))], []
+
+    def flag(name, values):
+        text = draw(values)
+        argv.extend([f"{name}={text}"] if draw(st.booleans()) else [name, text])
+        return float(text)
+
+    if argv[0] == "evolve":
+        count = draw(st.integers(1, 5))
+        argv += ["--graph", "GRAPH", "--t-count", str(count)]
+        t_min = flag("--t-min", reals)
+        t_max = flag("--t-max", st.just(repr(t_min)) if count == 1 else reals)
+        axes.append((0, min(t_min, t_max), max(t_min, t_max)))
+    elif argv[0] == "circuit-sweep":
+        degrees = draw(st.booleans())
+        argv += ["--degrees"] * degrees
+        angle = math.radians if degrees else float
+        alphas = [angle(flag("--alpha", reals)) for _ in range(draw(st.integers(0, 2)))]
+        low, high = (angle(flag(name, reals)) if draw(st.booleans()) else default
+                     for name, default in zip(("--theta-min", "--theta-max"),
+                                              DEFAULT_SWEEP_THETAS))
+        if draw(st.booleans()):  # at least 0.25 rad: a finite sweep of a few hundred points
+            step = st.floats(0.25, 4).map(math.degrees if degrees else float)
+            flag("--theta-step", st.one_of(st.sampled_from(EDGE_SPELLINGS), step.map(repr)))
+        alphas = alphas or DEFAULT_SWEEP_ALPHAS
+        axes += [(0, min(alphas), max(alphas)), (1, low, high)]
+    elif argv[0] == "classify":
+        argv += ["--graph", "GRAPH"] + draw(st.sampled_from([[], ["--csv"]]))
+        if draw(st.booleans()):
+            flag("--tol", reals)
+    else:
+        argv += ["--graph", "GRAPH", "--halvings", str(draw(st.integers(1, 4)))]
+        flag("--theta-start", reals)
+    return draw(st.one_of(st.sampled_from(CONTRACT_GRAPHS), graph_texts())), argv, axes
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=150)
+@given(contract_requests())
+def test_generated_command_lines_keep_the_cli_contract(contract_dir, case):
+    text, argv, axes = case
+    graph = contract_dir / "generated.graph"
+    graph.write_text(text)
+    argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code, table = run_to_stdout(argv)
+        except SystemExit as exit_info:  # argparse refuses a usage
+            code, table = exit_info.code, b""
+    assert code in (0, 2), (argv, text)
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if code == 0 and axes:
+        validate_table_csv(table.decode("ascii"))
+        for column, low, high in axes:
+            assert all(low <= float(value) <= high for value in axis_values(table, column))
+
+
 # --- reproduce-fig2 ---------------------------------------------------------
 
 def test_reproduce_fig2_outputs(tmp_path):
@@ -904,6 +1005,20 @@ def test_fig2_slice_files_match_experiment_grid(tmp_path):
     assert abs(peak - 0.94921875) <= 1e-9
 
 
+def test_fig2_slices_are_the_circuit_sweep_default_rows(tmp_path):
+    out_dir = tmp_path / "fig2"
+    assert main(["reproduce-fig2", "--out", str(out_dir), "--grid", "8"]) == 0
+    code, table = run_to_stdout(["circuit-sweep"])
+    assert code == 0
+    sweep = [row for row in table.decode("ascii").splitlines()[1:]
+             if row.split(",")[2:4] == ["0", "2"]]
+    slices = [row for name in ("slice_alpha_0.csv", "slice_alpha_pi_over_2.csv",
+                               "slice_alpha_pi.csv", "slice_alpha_3pi_over_2.csv")
+              for row in (out_dir / name).read_text().splitlines()[1:]]
+    assert len(sweep) == 148
+    assert slices == sweep
+
+
 def test_transfer_csv_matches_reference_bytes():
     fmt = lambda x: format(float(x), ".17g")  # noqa: E731
     alphas = [-PI, 1 / 3]
@@ -960,15 +1075,15 @@ def test_fig2_grid8_values_match_taylor_oracle(tmp_path):
 # engine once test_fig2_grid8_values_match_taylor_oracle checked its values
 FIG2_GRID8_SHA256 = {
     "slice_alpha_0.csv":
-        "26675bf06044698eda6b4c87eef8abf7bbc870c32d4df3ac684493a35b9c0c93",
+        "a8d9e183a60470c1d4626a08ffbb0a0d429f2e6b61fa232598bfe3c4b656b636",
     "slice_alpha_3pi_over_2.csv":
-        "3c1cc1eabac626876d079efd8ce364f34d217be48147945a694558be033cb5f3",
+        "95890d9c23b4356055833ae273487d0d0a5a1619ec199825efc5db296100bcac",
     "slice_alpha_pi.csv":
-        "13686f5f4553e9ee8f819db420986b790f64a887c39da83193cc515e96510973",
+        "ec07b1f3da29e182e1ce9b802b2d5376865d03ba7f7684d95cb17a1c11b53ae0",
     "slice_alpha_pi_over_2.csv":
-        "e9c15712bf749e03ae7318da0577c0801e6613b045f6e497482b090f2fd388f2",
+        "d221f859ac56ffa26c6e9ca070723860a3baeb3eb215c4574cf3719ea2f7d587",
     "summary.txt":
-        "e8f8f3b981a0f25ab68526256152ea8d5c367059edc35e67b905aaff7ecfbf5a",
+        "8b1f6e25511c6caf7d28c0003416f16efba5eec531f92256c9f02ed55027cb7b",
     "surface.csv":
         "3f92641e04e3c5cb38d734025a5b02881149d3d8f9432d054810771ed4982a8b",
 }

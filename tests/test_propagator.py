@@ -546,6 +546,17 @@ def test_max_transfer_validates_range():
         max_transfer(two_site(), 0, 5, (0.0, 1.0))
 
 
+@pytest.mark.parametrize("from_node, to_node", [(0, 5), (-1, 2), (3, 0)])
+def test_max_transfer_refuses_a_bad_node_before_it_eigendecomposes(monkeypatch, from_node,
+                                                                   to_node):
+    calls = []
+    monkeypatch.setattr(propagator, "eig_hermitian",
+                        lambda matrix: calls.append(1) or eig_hermitian(matrix))
+    with pytest.raises(ValueError, match="node index out of range"):
+        max_transfer(uniform_triangle(0.4), from_node, to_node, (0.0, 1.0))
+    assert calls == []
+
+
 @pytest.mark.parametrize("call, fragment", [
     (lambda graph: sweep_time(graph, [math.nan, 1.0]), "must be finite"),
     (lambda graph: propagate(graph, math.nan), "must be finite"),
