@@ -41,10 +41,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .defaults import DEFAULTS
+from .defaults import DEFAULTS, _parse_int, _parse_real
 from .graph import (GraphFormatError, GraphSkeleton, WalkHamiltonian, _check_finite_real,
-                    _check_node, _check_node_count, _parse_int, _parse_real, _read_lines,
-                    fmt_real, skeleton)
+                    _check_node, _check_node_count, _read_lines, fmt_real, skeleton)
 from .propagator import TransportTable, _freeze, propagate
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

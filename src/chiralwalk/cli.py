@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 property violation, 2 usage, parse, I/O or
 out-of-memory error.
 All angles are radians; ``circuit-sweep --degrees`` reads the angle flags
 it is given in degrees, converting at the argument boundary only, while the
-angles it is not given keep their radian defaults.  A number flag reads a
-negative real in any spelling ``float()`` takes (``-1e-3``, ``-INF``,
-``-nan``) as its value.
+angles it is not given keep their radian defaults.  A number flag reads its
+value, a negative real (``-1e-3``, ``-INF``, ``-nan``) too, by the token
+rules of graph files (``defaults._parse_real``, ``_parse_int``); a spelling
+they refuse is a usage error.  A graph file's own fault names the file.
 Run as a program (``python -m chiralwalk.cli`` or the ``chiralwalk`` script,
 both ``entry_point``), a command runs with Python's cycle collector off and
 freezes its objects before the interpreter exits.  It also keeps its freed
@@ -32,7 +33,7 @@ from typing import BinaryIO, Iterator
 
 # each command imports the numeric modules it calls when it runs, so help and
 # usage errors never load numpy
-from .defaults import DEFAULTS
+from .defaults import DEFAULTS, _looks_like_int, _parse_int, _parse_real
 
 PI = math.pi
 
@@ -44,7 +45,7 @@ DEFAULT_SWEEP_ALPHAS = (0.0, PI / 2, PI, 3 * PI / 2)
 DEFAULT_SWEEP_THETAS = (-PI, PI, PI / 18)  # theta min, max, step; fig2's slices too
 # argparse reads a token that starts with "-" as a value only when its
 # negative-number rule matches, by default -1 and -1.5 alone; this rule takes
-# every real float() reads (-1e-3, -INF, -nan), and no option starts so
+# every real the real rule reads (-1e-3, -INF, -nan), and no option starts so
 NEGATIVE_REAL = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 # 2 ** k converts to a float only for k < 1024
 MAX_HALVINGS = 1023
@@ -88,6 +89,24 @@ def _naming(target: str, sibling: str | None = None) -> Iterator[None]:
         if exc.errno is None or exc.filename not in (None, sibling):
             raise
         raise type(exc)(exc.errno, exc.strerror, target) from None
+
+
+# a number flag's type: argparse names a refused value by it ("invalid real value")
+def real(text: str) -> float:
+    return _parse_real(text, "real")
+
+
+def integer(text: str) -> int:
+    return _parse_int(text, "integer")
+
+
+@contextlib.contextmanager
+def _graph_fault(path: str) -> Iterator[None]:
+    """Prefix a ``ValueError`` raised inside with ``path``: the graph file at fault."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _angle(flag: str, value: float, degrees: bool) -> float:
@@ -141,10 +160,8 @@ def cmd_classify(args) -> int:
         raise ValueError(f"--tol must not be negative, got {args.tol!r}")
     reports = []
     for path in args.graph:
-        try:
+        with _graph_fault(path):
             reports.append(classify(load_graph(path), tol=args.tol))
-        except ValueError as exc:  # one of many files: name it
-            raise ValueError(f"{path}: {exc}") from None
     if args.csv or len(reports) > 1:
         lines = [SymmetryReport.csv_header()]
         lines += [report.to_csv_row() for report in reports]
@@ -157,29 +174,28 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    from .graph import _check_finite_real, load_graph
-    from .propagator import _check_phases, chunk_length, sweep_time
+    from .graph import load_graph
+    from .propagator import _check_times, chunk_length, spectrum, sweep_time
 
-    _check_finite_real(args.t_min, "--t-min")
-    _check_finite_real(args.t_max, "--t-max")
-    graph = load_graph(args.graph)
+    with _graph_fault(args.graph):
+        graph = load_graph(args.graph)
+        spectrum(graph)
+    t_min, t_max = _check_times(graph, (args.t_min, args.t_max), "--t-min/--t-max")
     if args.t_count < 1:
         raise ValueError(f"--t-count must be at least 1, got {args.t_count}")
     if args.t_count == 1:
-        if args.t_max != args.t_min:
+        if t_max != t_min:
             raise ValueError("--t-count 1 samples only --t-min; --t-max must equal it")
         step = -0.0  # t_min + 0 * -0.0 is t_min, also for t_min = -0.0
     else:
-        step = (args.t_max - args.t_min) / (args.t_count - 1)
+        step = (t_max - t_min) / (args.t_count - 1)
         if not math.isfinite(step):
             raise ValueError("--t-max - --t-min overflows a float")
-    _check_phases(graph, (args.t_min, args.t_max), "--t-min/--t-max")
     # the table is written one t-chunk at a time, so it never exists whole
     length = chunk_length(graph.n_nodes)
     with _output(args.out) as out:
         for start in range(0, args.t_count, length):
-            grid = _axis(args.t_min, step, args.t_max,
-                         range(start, min(start + length, args.t_count)))
+            grid = _axis(t_min, step, t_max, range(start, min(start + length, args.t_count)))
             sweep_time(graph, grid).to_csv(out, header=start == 0)
     return EXIT_OK
 
@@ -263,6 +279,7 @@ def cmd_reproduce_fig2(args) -> int:
 def cmd_trotter_check(args) -> int:
     from .circuit import _splitting_reference, trotter_error
     from .graph import _check_finite_real, fmt_real, load_graph
+    from .propagator import spectrum
 
     theta_start = _check_finite_real(args.theta_start, "--theta-start")
     if not 1 <= args.halvings <= MAX_HALVINGS:
@@ -272,7 +289,9 @@ def cmd_trotter_check(args) -> int:
     if thetas[-1] == 0.0:
         raise ValueError(f"--theta-start must be nonzero, and stay nonzero over "
                          f"{args.halvings} halvings; got {theta_start!r}")
-    graph = _splitting_reference(load_graph(args.graph))  # one graph for every step
+    with _graph_fault(args.graph):  # refused, with its spectrum, before the ladder
+        graph = _splitting_reference(load_graph(args.graph))
+        spectrum(graph)
     try:
         errors = [trotter_error(graph, theta) for theta in thetas]
     except ValueError as exc:  # a step of the ladder: name the flag it comes from
@@ -295,15 +314,12 @@ def _parse_trials(items) -> dict[str, int]:
     overrides = {}
     for item in items or ():
         name, _, value = item.partition("=")
-        if not (value.isascii() and value.isdigit()):
+        if not _looks_like_int(value):
             raise ValueError(f"bad --trials override {item!r} (expected NAME=COUNT)")
         if name not in suites:
             raise ValueError(f"bad --trials override {item!r}: unknown suite {name!r}")
-        try:
-            count = int(value)
-        except ValueError:  # more digits than int() converts
-            raise ValueError(f"bad --trials override for suite {name!r}: COUNT has "
-                             f"{len(value)} digits") from None
+        # the one refusal left, more digits than int() converts, names the suite
+        count = _parse_int(value, f"bad --trials override for suite {name!r}: COUNT")
         if count < 1:
             raise ValueError(f"bad --trials override {item!r}: COUNT must be at least 1")
         if name in overrides:
@@ -339,24 +355,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--csv", action="store_true",
                    help="one CSV row per graph instead of a text block")
-    p.add_argument("--tol", type=float, default=DEFAULTS.pts)
+    p.add_argument("--tol", type=real, default=DEFAULTS.pts)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evolve", help="transition-probability table over a time grid")
     p.add_argument("--graph", required=True)
-    p.add_argument("--t-min", type=float, default=0.0)
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--t-count", type=int, default=256)
+    p.add_argument("--t-min", type=real, default=0.0)
+    p.add_argument("--t-max", type=real, required=True)
+    p.add_argument("--t-count", type=integer, default=256)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("circuit-sweep",
                        help="triangle-palindrome transport over an (alpha, theta) grid")
-    p.add_argument("--alpha", type=float, action="append",
+    p.add_argument("--alpha", type=real, action="append",
                    help="chirality phase (repeatable; default 0, pi/2, pi, 3pi/2)")
-    p.add_argument("--theta-min", type=float, help="default -pi")
-    p.add_argument("--theta-max", type=float, help="default pi")
-    p.add_argument("--theta-step", type=float, help="default pi/18")
+    p.add_argument("--theta-min", type=real, help="default -pi")
+    p.add_argument("--theta-max", type=real, help="default pi")
+    p.add_argument("--theta-step", type=real, help="default pi/18")
     p.add_argument("--degrees", action="store_true",
                    help="read the angles given here in degrees")
     p.add_argument("--out", default=None)
@@ -366,20 +382,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full transfer surface, four constant-alpha slices, "
                             "and a summary of extrema")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--grid", type=int, default=64,
+    p.add_argument("--grid", type=integer, default=64,
                    help="surface grid resolution per axis")
     p.set_defaults(func=cmd_reproduce_fig2)
 
     p = sub.add_parser("trotter-check",
                        help="splitting-error ladder for a graph without self-edges")
     p.add_argument("--graph", required=True)
-    p.add_argument("--theta-start", type=float, default=0.2)
-    p.add_argument("--halvings", type=int, default=4)
+    p.add_argument("--theta-start", type=real, default=0.2)
+    p.add_argument("--halvings", type=integer, default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_trotter_check)
 
     p = sub.add_parser("properties", help="run the quantified invariant suites")
-    p.add_argument("--seed", type=int, default=20260808)
+    p.add_argument("--seed", type=integer, default=20260808)
     p.add_argument("--trials", action="append", metavar="NAME=COUNT",
                    help="override a suite's trial count (repeatable)")
     p.add_argument("--inject-fault", action="store_true",

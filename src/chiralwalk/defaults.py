@@ -1,4 +1,6 @@
-"""Central numeric defaults: every tolerance and grid constant lives here."""
+"""Central numeric defaults: every tolerance and grid constant lives here, and
+the one rule for the text of a number (``_parse_int``, ``_parse_real``), read
+by graph and circuit files and by the command line's number flags."""
 
 from __future__ import annotations
 
@@ -22,3 +24,28 @@ class NumericDefaults(NamedTuple):
 
 
 DEFAULTS = NumericDefaults()
+
+
+def _looks_like_int(token: str) -> bool:
+    """An optional sign and ASCII digits: the integer rule of number text."""
+    body = token[1:] if token[:1] in "+-" else token
+    return body.isascii() and body.isdigit()
+
+
+def _parse_int(token: str, what: str) -> int:
+    if not _looks_like_int(token):
+        raise ValueError(f"bad {what} {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"{what} has {len(token)} digits") from None
+
+
+def _parse_real(token: str, what: str) -> float:
+    """The real rule of number text: ``float()`` on ASCII without ``_``."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"bad {what} {token!r}")
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"bad {what} {token!r}") from None

@@ -8,8 +8,9 @@ self-energies.  Hermiticity is structural: edges are canonicalized to
 dense matrix reconstructs conjugate pairs exactly rather than approximately.
 
 Graph and circuit files are read line by line through ``_read_lines``, so
-every per-line error of either names its line, and every real is written by
-``fmt_real`` (probability CSVs by ``propagator.render_csv``'s array kernel).
+every per-line error of either names its line, their numbers by the token
+rules of ``defaults``, and every real is written by ``fmt_real``
+(probability CSVs by ``propagator.render_csv``'s array kernel).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .defaults import DEFAULTS
+from .defaults import DEFAULTS, _looks_like_int, _parse_int, _parse_real
 
 
 class Edge(NamedTuple):
@@ -263,31 +264,6 @@ def render_graph(hamiltonian: WalkHamiltonian) -> str:
     for node, energy in hamiltonian.self_energies:
         lines.append(f"self {node} {fmt_real(energy)}")
     return "\n".join(lines) + "\n"
-
-
-def _looks_like_int(token: str) -> bool:
-    """An optional sign and ASCII digits: the integer rule of graph and circuit files."""
-    body = token[1:] if token[:1] in "+-" else token
-    return body.isascii() and body.isdigit()
-
-
-def _parse_int(token: str, what: str) -> int:
-    if not _looks_like_int(token):
-        raise ValueError(f"bad {what} {token!r}")
-    try:
-        return int(token)
-    except ValueError:  # more digits than int() converts
-        raise ValueError(f"{what} has {len(token)} digits") from None
-
-
-def _parse_real(token: str, what: str) -> float:
-    """The real rule of graph and circuit files: ``float()`` on ASCII without ``_``."""
-    if not token.isascii() or "_" in token:
-        raise ValueError(f"bad {what} {token!r}")
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"bad {what} {token!r}") from None
 
 
 def _read_lines(text: str, read) -> None:

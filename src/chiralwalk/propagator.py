@@ -10,11 +10,11 @@ factorization, ``SpectralDecomposition.propagator_batch`` is the one
 product, V e^{-iEt} V^H broadcast over the times: one spectrum's unitaries
 over a time grid, or each of a stack's at its own time, O(N^3) per unitary,
 while ``max_transfer``'s scan of a single entry costs O(N) per point.
-Stacks of unitaries over a time grid are built in t-chunks of at most
-``CHUNK_BYTES`` (1 MiB) complex bytes, so their peak memory is bounded by
-that budget, not by the grid length, and one chunk's U, ``|U|^2`` and
-``p - p^T`` come to about a 2 MiB L2 cache; ``evolve`` streams its table one
-t-chunk per block, so its memory does not grow with ``--t-count``.
+A t-chunk is the ``chunk_length(N)`` unitaries that fit ``CHUNK_BYTES``
+(1 MiB), about a 2 MiB L2 cache with their ``|U|^2`` and ``p - p^T``:
+``evolve`` writes its table, and ``pts_numeric`` reduces its grid, one
+t-chunk at a time.  ``sweep_time`` is one product, so a grid of several
+t-chunks holds its unitaries whole, about 4x its table (no command passes one).
 Probabilities follow the column convention ``p[to, from]``: entry
 ``|U[to, from]|^2`` is the probability of the transition ``from -> to``.
 
@@ -96,15 +96,6 @@ def chunk_length(n: int) -> int:
     return max(1, CHUNK_BYTES // (16 * max(n, 1) ** 2))
 
 
-def probability_chunks(dec: SpectralDecomposition,
-                       times: Sequence[float]) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, |U(times[start:stop])|^2)`` over consecutive t-chunks."""
-    times = np.asarray(times, dtype=float)
-    step = chunk_length(dec.n)
-    for start in range(0, len(times), step):
-        yield start, np.abs(dec.propagator_batch(times[start:start + step])) ** 2
-
-
 def eig_hermitian(matrix: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a matrix, or of each of an ``(..., n, n)`` stack,
     with explicit Hermiticity and finiteness gates on the whole input."""
@@ -137,18 +128,23 @@ def spectra(hamiltonians: Sequence[WalkHamiltonian]) -> SpectralDecomposition:
     return stack
 
 
-def _check_phases(hamiltonian: WalkHamiltonian, times: Sequence[float], what: str) -> None:
-    """Refuse ``times`` whose largest phase ``max|t| * ||H||`` is not a finite float."""
+def _check_times(hamiltonian: WalkHamiltonian, times: Sequence[float],
+                 what: str) -> tuple[float, ...]:
+    """The one time rule: ``times`` (named ``what``) as floats, each a finite
+    real, at least one, and the largest phase ``max|t| * ||H||`` a finite float."""
+    times = tuple(_check_finite_real(t, what) for t in times)
+    if not times:
+        raise ValueError(f"{what} must be nonempty")
     if not math.isfinite(max(abs(t) for t in times) * spectrum(hamiltonian).spectral_norm):
         raise ValueError(f"{what} times the graph's spectral norm overflows a float")
+    return times
 
 
 def propagate(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:
     """U = exp(-iHt) through the kept spectral factorization, read-only;
-    refuses a time whose phase overflows."""
-    t = _check_finite_real(t, "time")
-    _check_phases(hamiltonian, (t,), f"time {t!r}")
-    return _freeze(spectrum(hamiltonian).propagator_batch([t])[0])
+    refuses a time by the time rule."""
+    times = _check_times(hamiltonian, (t,), f"time {t!r}")
+    return _freeze(spectrum(hamiltonian).propagator_batch(times)[0])
 
 
 def field_rows(points: np.ndarray) -> np.ndarray:
@@ -342,16 +338,10 @@ class TransportTable:
 
 
 def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> TransportTable:
-    """Probability tables over a time grid from the kept spectrum; refuses a
-    grid whose largest phase overflows."""
-    t_grid = tuple(_check_finite_real(t, "time") for t in t_grid)
-    if not t_grid:
-        raise ValueError("time grid must be nonempty")
-    _check_phases(hamiltonian, t_grid, "time grid")
-    dec = spectrum(hamiltonian)
-    probabilities = np.empty((len(t_grid), dec.n, dec.n))
-    for start, chunk in probability_chunks(dec, t_grid):
-        probabilities[start:start + len(chunk)] = chunk
+    """Probability tables over a time grid, one product of the kept spectrum;
+    refuses a grid by the time rule."""
+    t_grid = _check_times(hamiltonian, t_grid, "time grid")
+    probabilities = np.abs(spectrum(hamiltonian).propagator_batch(t_grid)) ** 2
     return TransportTable(t_grid, _freeze(probabilities))
 
 
@@ -395,7 +385,7 @@ def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
         raise ValueError("t_range must be a finite interval of positive length")
     if not math.isfinite(hi - lo):
         raise ValueError("t_range's length overflows a float")
-    _check_phases(hamiltonian, (lo, hi), "t_range's ends")
+    _check_times(hamiltonian, (lo, hi), "t_range's ends")
     dec = spectrum(hamiltonian)
     coeff = dec.eigenvectors[to_node, :] * dec.eigenvectors[from_node, :].conj()
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .defaults import DEFAULTS
 from .graph import Edge, GraphSkeleton, WalkHamiltonian, _check_node, fmt_real, skeleton
-from .propagator import probability_chunks, propagate, spectrum
+from .propagator import chunk_length, propagate, spectrum
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,8 +134,10 @@ def pts_numeric(hamiltonian: WalkHamiltonian) -> float:
     per-chunk maxima, NaN when any chunk holds a NaN.  ``classify`` judges it
     against a tolerance; ``sweep_time`` gives probabilities at other times.
     """
-    chunks = probability_chunks(spectrum(hamiltonian), default_time_samples(hamiltonian))
-    return float(np.max([_pts_skew(probs).max() for _, probs in chunks]))
+    dec, times = spectrum(hamiltonian), np.asarray(default_time_samples(hamiltonian))
+    step = chunk_length(dec.n)
+    return float(np.max([_pts_skew(np.abs(dec.propagator_batch(times[k:k + step])) ** 2).max()
+                         for k in range(0, len(times), step)]))
 
 
 def eq_parity_residual(hamiltonian: WalkHamiltonian, t: float) -> np.ndarray:

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from chiralwalk import (Edge, GateSpec, GraphFormatError, PalindromicCircuit,
                         WalkHamiltonian, apply_circuit, circuit_sweep_table,
-                        excitation_preservation_check, gate_qubit_space,
+                        excitation_preservation_check, gate_qubit_space, max_transfer,
                         parse_circuit, propagate, render_circuit, rz_decompose,
                         three_cycle_circuit, three_cycle_unitaries, trotter_error)
 from chiralwalk.circuit import (_apply_gates, _gate_rows, _gate_table, _qubit_columns,
                                _unitary_stack, three_cycle_transfer)
 from chiralwalk import circuit as circuit_module
+from chiralwalk.defaults import DEFAULTS
 
 from .graphs import qubit_block, uniform_triangle
 from .oracles import pair_gate_taylor, three_cycle_taylor
@@ -527,6 +528,52 @@ def test_reflection_in_time():
         plus = (np.abs(three_cycle_unitaries([alpha + PI], thetas)) ** 2)[0]
         minus = (np.abs(three_cycle_unitaries([alpha], -thetas)) ** 2)[0]
         assert np.abs(plus - minus).max() <= 1e-12
+
+
+# --- the experiment is one splitting step of perfect chiral transfer ---------
+
+def directed_triangle(phi):
+    """Unit magnitudes and directed phase ``phi`` on 0 -> 1, 1 -> 2 and 2 -> 0: flux 3 * phi."""
+    return WalkHamiltonian(3, tuple(Edge(i, j, 1.0, phi) for i, j in ((0, 1), (1, 2), (2, 0))))
+
+
+def test_the_triangle_walk_at_flux_minus_pi_over_2_transfers_perfectly():
+    # its eigenvalues are 2 cos((flux + 2 pi k) / 3); at flux -pi/2 the walk
+    # carries node 0 whole to node 2 at t = 2 pi / (3 sqrt 3), and the
+    # opposite flux carries it to node 1 instead
+    t_star, p_star = max_transfer(directed_triangle(-PI / 6), 0, 2, (0.0, 2.0))
+    assert abs(p_star - 1.0) <= 1e-12
+    assert abs(t_star - 2 * PI / (3 * math.sqrt(3))) <= 2 * DEFAULTS.refine_dt
+    assert max_transfer(directed_triangle(-PI / 6), 0, 1, (0.0, 2.0))[1] < 0.7
+    assert abs(max_transfer(directed_triangle(PI / 6), 0, 1, (0.0, 2.0))[1] - 1.0) <= 1e-12
+
+
+def repeated_palindrome_peak(k: int) -> tuple[float, float]:
+    """``(theta, p)`` of the best 0 -> 2 transfer over theta in [-pi, pi] of the
+    triangle palindrome at alpha = pi/2 applied k times at theta / k: a scan,
+    then a scan of the bracket around its best point."""
+    def transfer(thetas):
+        u = three_cycle_unitaries([PI / 2], thetas / k)[0]
+        return np.abs(np.linalg.matrix_power(u, k)[:, 2, 0]) ** 2
+
+    coarse = np.linspace(-PI, PI, 4001)
+    step = coarse[1] - coarse[0]
+    best = coarse[transfer(coarse).argmax()]
+    fine = np.linspace(best - step, best + step, 4001)
+    p = transfer(fine)
+    return float(fine[p.argmax()]), float(p.max())
+
+
+def test_the_repeated_palindrome_converges_to_perfect_transfer():
+    # the palindrome is a symmetric splitting step of a chiral triangle walk
+    # over t = 2 theta; k steps of theta / k leave a transfer deficit
+    # quadratic in the splitting error, so it falls near 16x per doubling
+    peaks = {k: repeated_palindrome_peak(k) for k in (1, 2, 4, 8)}
+    assert abs(peaks[1][1] - 0.98726287805) <= 1e-11  # the experiment's continuous peak
+    deficits = [1.0 - peaks[k][1] for k in (1, 2, 4, 8)]
+    assert all(coarse >= 12 * fine for coarse, fine in zip(deficits, deficits[1:])), deficits
+    # and the best time tends to the walk's perfect-transfer time, reversed
+    assert abs(2 * peaks[8][0] + 2 * PI / (3 * math.sqrt(3))) <= 1e-3
 
 
 @pytest.mark.parametrize("alphas, thetas, message", [

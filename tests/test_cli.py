@@ -8,6 +8,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chiralwalk
@@ -35,6 +36,8 @@ PI = math.pi
 
 TRIANGLE = "nodes 3\nedge 0 1 1.0 0.0\nedge 1 2 1.0 0.0\nedge 2 0 1.0 0.0\n"
 CHAIN = "nodes 4\nedge 0 1 1 0.9\nedge 1 2 1 -0.4\nedge 2 3 1 2.0\n"
+SUITES = [name for name, _ in PROPERTY_SUITE]
+ONE_TRIAL = [arg for name in SUITES for arg in ("--trials", f"{name}=1")]
 
 
 @pytest.fixture
@@ -338,6 +341,23 @@ def test_overflowing_spectrum_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    (["evolve", "--t-max", "1"], OVERFLOWING_TRIANGLE,
+     "eigendecomposition is not finite: matrix entries too large"),
+    (["trotter-check"], OVERFLOWING_TRIANGLE,
+     "eigendecomposition is not finite: matrix entries too large"),
+    (["trotter-check"], "nodes 2\n", "splitting circuit needs at least one edge"),
+    (["trotter-check"], "nodes 2\nedge 0 1 1 0\nself 0 0.5\n",
+     "splitting circuit does not represent self-energies"),
+], ids=["evolve-spectrum", "trotter-spectrum", "trotter-edgeless", "trotter-self-energy"])
+def test_a_fault_of_the_graph_names_the_graph_file(tmp_path, capsys, command, text, message):
+    # no flag is at fault, so none is named: trotter-check refuses the graph before its ladder
+    path = tmp_path / "bad.graph"
+    path.write_text(text)
+    assert main([command[0], "--graph", str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err == f"chiralwalk: error: {path}: {message}\n"
+
+
 def test_evolve_overflowing_phase_exits_2(tmp_path, capsys):
     path = tmp_path / "pair.graph"
     path.write_text("nodes 2\nedge 0 1 2 0\n")  # spectral norm 2
@@ -595,6 +615,32 @@ def test_a_failing_write_to_a_file_names_the_target_and_leaves_no_partial(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["triangle.graph"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--graph", "GRAPH"],
+    ["evolve", "--graph", "GRAPH", "--t-max", "1"],
+    ["circuit-sweep"],
+    ["trotter-check", "--graph", "GRAPH"],
+    ["properties", *ONE_TRIAL],
+], ids=lambda argv: argv[0])
+def test_out_to_a_directory_exits_2_and_writes_nothing_there(triangle_file, tmp_path, capsys,
+                                                              argv):
+    target = tmp_path / "out"
+    target.mkdir()
+    argv = [str(triangle_file) if arg == "GRAPH" else arg for arg in argv]
+    assert main([*argv, "--out", str(target)]) == 2
+    assert f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{target}'" in (
+        capsys.readouterr().err)
+    assert list(target.iterdir()) == []
+
+
+def test_reproduce_fig2_out_to_a_file_exits_2_and_leaves_it(tmp_path, capsys):
+    target = tmp_path / "fig2"
+    target.write_bytes(b"kept\n")
+    assert main(["reproduce-fig2", "--grid", "2", "--out", str(target)]) == 2
+    assert f"[Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}" in capsys.readouterr().err
+    assert target.read_bytes() == b"kept\n"
+
+
 def test_evolve_peak_memory_does_not_grow_with_the_time_count(tmp_path, monkeypatch):
     from chiralwalk import propagator
 
@@ -730,11 +776,11 @@ def test_theta_grid_never_passes_theta_max():
     assert grid[-1] == 177.599
 
 
-def run_to_stdout(argv) -> tuple[int, bytes]:
-    """``main(argv + ["--out", "-"])`` in process: exit code and stdout bytes."""
+def run_to_stdout(argv, out="-") -> tuple[int, bytes]:
+    """``main(argv + ["--out", out])`` in process: exit code and stdout bytes."""
     stream = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
     with contextlib.redirect_stdout(stream):
-        code = main([*argv, "--out", "-"])
+        code = main([*argv, "--out", out])
     return code, stream.buffer.getvalue()
 
 
@@ -919,15 +965,24 @@ def graph_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# integer spellings the token rule refuses (int() itself reads 1_0, ١٢ and
+# surrounding spaces), and +3, which it takes
+REFUSED_COUNTS = ["1_0", "١٢", "²", "9" * 5000, " 3"]
+counts = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(REFUSED_COUNTS + ["+3"]))
+
+
 @st.composite
 def contract_requests(draw):
     """``(graph text, argv, axes)``: a command line of ``evolve``,
     ``circuit-sweep`` (with or without ``--degrees``), ``classify`` (alone,
-    ``--csv`` or ``--tol``) or ``trotter-check``, whose ``GRAPH`` names a file
-    of the graph text, and for a table command ``(column, low, high)`` of each
-    axis column's requested range."""
+    ``--csv`` or ``--tol``), ``trotter-check``, ``reproduce-fig2`` (``--grid``
+    at most 8) or ``properties`` (one trial per suite but one, its ``--trials``
+    and ``--seed`` spelled from ``counts``), whose ``GRAPH`` names a file of the
+    graph text, and for a table command ``(column, low, high)`` of each axis
+    column's requested range."""
     argv, axes = [draw(st.sampled_from(["evolve", "circuit-sweep", "classify",
-                                        "trotter-check"]))], []
+                                        "trotter-check", "reproduce-fig2",
+                                        "properties"]))], []
 
     def flag(name, values):
         text = draw(values)
@@ -957,9 +1012,16 @@ def contract_requests(draw):
         argv += ["--graph", "GRAPH"] + draw(st.sampled_from([[], ["--csv"]]))
         if draw(st.booleans()):
             flag("--tol", reals)
-    else:
+    elif argv[0] == "trotter-check":
         argv += ["--graph", "GRAPH", "--halvings", str(draw(st.integers(1, 4)))]
         flag("--theta-start", reals)
+    elif argv[0] == "reproduce-fig2":
+        argv += ["--grid", draw(st.one_of(st.integers(-1, 8).map(str), counts))]
+    else:
+        argv += ["--seed", draw(st.one_of(st.integers(0, 2 ** 32).map(str), counts))]
+        drawn = draw(st.sampled_from(SUITES))
+        for name in SUITES:
+            argv += ["--trials", f"{name}={draw(counts) if name == drawn else 1}"]
     return draw(st.one_of(st.sampled_from(CONTRACT_GRAPHS), graph_texts())), argv, axes
 
 
@@ -968,22 +1030,35 @@ def contract_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
 
 
-@settings(max_examples=150)
+@settings(max_examples=200)
 @given(contract_requests())
+@example(("nodes 1\n", ["properties", "--seed", "١٢", *ONE_TRIAL], []))
+@example(("nodes 1\n", ["reproduce-fig2", "--grid", "1_0"], []))
+@example(("nodes 1\n", ["trotter-check", "--graph", "GRAPH"], []))
 def test_generated_command_lines_keep_the_cli_contract(contract_dir, case):
     text, argv, axes = case
     graph = contract_dir / "generated.graph"
     graph.write_text(text)
     argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+    out = str(contract_dir / "fig2") if argv[0] == "reproduce-fig2" else "-"
     with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(io.StringIO()) as err:
         warnings.simplefilter("always")
         try:
-            code, table = run_to_stdout(argv)
+            code, table = run_to_stdout(argv, out)
         except SystemExit as exit_info:  # argparse refuses a usage
             code, table = exit_info.code, b""
     assert code in (0, 2), (argv, text)
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    # a number the token rule refuses is refused, and every refusal names
+    # what is at fault: a flag, a line of the graph file, the file or the output
+    if any(arg.rpartition("=")[2] in REFUSED_COUNTS for arg in argv):
+        assert code == 2, argv
+    if code == 2:
+        message = err.getvalue()
+        named = [str(graph)] + [out] * (out != "-")
+        assert (re.search(r"--[a-z]|line \d+:", message)
+                or any(name in message for name in named)), (argv, text, message)
     if code == 0 and axes:
         validate_table_csv(table.decode("ascii"))
         for column, low, high in axes:
@@ -1308,6 +1383,27 @@ def test_properties_non_ascii_digit_trials_exits_2(capsys):
     # '²'.isdigit() is True, but int() rejects it
     assert main(["properties", "--trials", "gauge-invariance=²"]) == 2
     assert "bad --trials override 'gauge-invariance=²'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["evolve", "--graph", "g", "--t-max", "1_0"], "--t-max"),
+    (["evolve", "--graph", "g", "--t-max", "1", "--t-count", " 5"], "--t-count"),
+    (["circuit-sweep", "--alpha", "١"], "--alpha"),
+    (["reproduce-fig2", "--grid", "²", "--out", "fig2"], "--grid"),
+    (["properties", "--seed", "١٢"], "--seed"),
+])
+def test_a_number_a_graph_file_refuses_is_a_usage_error_naming_its_flag(capsys, argv, flag):
+    # the number flags read the token rules of graph and circuit files
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+
+def test_properties_trials_count_may_carry_a_sign(tmp_path):
+    # the integer rule takes an optional sign, in a graph file and in --trials alike
+    signed = [arg for name in SUITES for arg in ("--trials", f"{name}=+1")]
+    assert main(["properties", "--out", str(tmp_path / "report.txt"), *signed]) == 0
 
 
 def test_properties_negative_seed_exits_2(capsys):

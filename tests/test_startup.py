@@ -54,6 +54,7 @@ CIRCUIT = WALK | {"chiralwalk.circuit"}
     (["classify", "--help"], 0),
     (["classify"], 2),                       # a required flag is missing
     (["evolve", "--graph", "g", "--t-max", "x"], 2),
+    (["evolve", "--graph", "g", "--t-max", "1_0"], 2),  # refused by the files' real rule
     (["no-such-command"], 2),
 ])
 def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, code):

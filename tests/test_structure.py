@@ -70,6 +70,43 @@ def test_only_chunk_length_reads_the_chunk_budget():
     assert _readers_by_module("CHUNK_BYTES") == {"propagator.py": {"chunk_length"}}
 
 
+@pytest.mark.parametrize("name", ["_looks_like_int", "_parse_int", "_parse_real"])
+def test_one_rule_for_the_text_of_a_number(name):
+    # graph and circuit files, the number flags and --trials read the rules of defaults.py
+    definers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                if _defines(ast.parse(path.read_text(encoding="utf-8")), name)]
+    assert definers == ["defaults.py"]
+
+
+def _argument_types(tree: ast.AST) -> list[str]:
+    """The source of each ``type=`` given to an ``add_argument`` call."""
+    return [ast.unparse(keyword.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+            for keyword in node.keywords if keyword.arg == "type"]
+
+
+def test_every_number_flag_reads_the_token_rules():
+    # a bare float or int reads 1_0 as 10 and a non-ASCII digit as its value
+    cli = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert sorted(_argument_types(cli)) == ["integer"] * 4 + ["real"] * 8
+    assert _readers(cli, "_parse_int") == {None, "integer", "_parse_trials"}  # None: the import
+    assert _readers(cli, "_parse_real") == {None, "real"}
+
+
+def test_one_time_rule():
+    # ``_check_times`` checks every time a spectral function or ``evolve`` is given;
+    # ``sweep_time`` is one product, and only ``pts_numeric`` walks t-chunks
+    assert _readers_by_module("_check_times") == {
+        "propagator.py": {"propagate", "sweep_time", "max_transfer"}, "cli.py": {"cmd_evolve"}}
+    propagator = ast.parse((PACKAGE / "propagator.py").read_text(encoding="utf-8"))
+    sweep = next(node for node in ast.walk(propagator)
+                 if isinstance(node, ast.FunctionDef) and node.name == "sweep_time")
+    assert not [node for node in ast.walk(sweep)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    for name in ("_check_phases", "probability_chunks"):
+        assert _readers_by_module(name) == {}
+
+
 def test_only_spectra_eigendecomposes():
     assert _readers_by_module("eig_hermitian") == {"propagator.py": {"spectra"}}
 
