@@ -30,6 +30,10 @@ qubit space all n start nodes share one statevector array, O(G 2^n n) for
 the circuit, each distinct gate's 4x4 block is built once, and each gate
 moves its two qubit axes first and back with one transpose each, on
 permutations built once per (n, i, j).
+
+A splitting palindrome has one construction, ``splitting_palindrome`` of
+directed edges: ``trotter_error``'s circuit of a graph, and the experiment's
+``three_cycle_circuit``, one symmetric splitting step of the triangle walk.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .defaults import DEFAULTS, _parse_int, _parse_real
-from .graph import (GraphFormatError, GraphSkeleton, WalkHamiltonian, _check_finite_real,
+from .graph import (Edge, GraphFormatError, GraphSkeleton, WalkHamiltonian, _check_finite_real,
                     _check_node, _check_node_count, _read_lines, fmt_real, skeleton)
 from .propagator import TransportTable, _freeze, propagate
 
@@ -251,14 +255,17 @@ def excitation_preservation_check(circuit: PalindromicCircuit) -> float:
 # the three-node palindrome
 
 def three_cycle_circuit(alpha: float, theta: float) -> PalindromicCircuit:
-    """Six-gate palindrome on the triangle, every gate sharing (alpha, theta).
+    """Six-gate palindrome on the triangle, every gate sharing (alpha, theta):
+    one symmetric splitting step, at half step ``theta``, of the unit triangle
+    walk with phase ``-alpha`` on 0 -> 1, 1 -> 2 and 2 -> 0.
 
     The smallest palindrome whose support has an odd cycle; its directed
     flux is three times the per-gate phase, so transport depends on alpha
     only through ``3 * alpha mod 2*pi``.
     """
-    gates = tuple(GateSpec(i, j, alpha, theta) for i, j in ((0, 1), (1, 2), (2, 0)))
-    return PalindromicCircuit(3, gates)
+    alpha = _check_finite_real(alpha, "gate alpha")  # a bad alpha is named before theta
+    edges = [Edge(i, j, 1.0, -alpha) for i, j in ((0, 1), (1, 2), (2, 0))]
+    return splitting_palindrome(3, edges, theta)
 
 
 def _three_cycle_run(alphas: Sequence[float], thetas: Sequence[float],
@@ -313,22 +320,30 @@ def _splitting_reference(hamiltonian: WalkHamiltonian) -> WalkHamiltonian:
     return hamiltonian
 
 
+def splitting_palindrome(n_nodes: int, edges: Sequence[Edge], half_step) -> PalindromicCircuit:
+    """Symmetric splitting palindrome of directed ``(i, j, h, alpha)`` edges
+    over ``t = 2 * half_step / h_0``, ``h_0`` the first edge's magnitude: one
+    gate per edge, at angle ``half_step * h / h_0`` and phase ``-alpha``, as the
+    node gate carries ``exp(-1j*alpha)`` on its (i, j) entry."""
+    half_step = _check_finite_real(half_step, "gate theta")
+    # h / h_0 as mantissa ratio and exponent difference: finite where the angle is
+    m0, x0 = math.frexp(edges[0].h)
+    parts = [math.frexp(e.h) for e in edges]
+    return PalindromicCircuit(n_nodes, tuple(
+        GateSpec(e.i, e.j, -e.alpha, math.ldexp(half_step * (m / m0), x - x0))
+        for e, (m, x) in zip(edges, parts)))
+
+
 def trotter_error(hamiltonian: WalkHamiltonian, scale: float) -> float:
-    """Max-norm error of the symmetric edge-splitting palindrome, whose half
-    holds one gate per edge ``e`` at angle ``(scale / 2) * h_e / h_0``, against
-    ``exp(-iHt)`` of the ``_splitting_reference`` at ``t = scale / h_0``,
-    where ``h_0`` is the magnitude of the first edge."""
+    """Max-norm error of the splitting palindrome of the edges of the
+    ``_splitting_reference`` at half step ``scale / 2`` against its
+    ``exp(-iHt)`` at ``t = scale / h_0``, where ``h_0`` is the magnitude of
+    the first edge."""
     hamiltonian = _splitting_reference(hamiltonian)
-    h0 = hamiltonian.edges[0].h
-    exact = propagate(hamiltonian, float(scale) / h0)  # refuses an overflowing phase first
-    # h_e / h_0 as mantissa ratio and exponent difference: finite where the angle is
-    m0, x0 = math.frexp(h0)
-    parts = [math.frexp(e.h) for e in hamiltonian.edges]
-    # node gate carries exp(-1j*alpha) on its (i, j) entry, so the edge
-    # phase enters negated to reproduce exp(-1j * H_edge * t / 2)
-    half = tuple(GateSpec(e.i, e.j, -e.alpha, math.ldexp(float(scale) / 2.0 * (m / m0), x - x0))
-                 for e, (m, x) in zip(hamiltonian.edges, parts))
-    approx = apply_circuit(PalindromicCircuit(hamiltonian.n_nodes, half))
+    # refuses an overflowing phase first
+    exact = propagate(hamiltonian, float(scale) / hamiltonian.edges[0].h)
+    approx = apply_circuit(splitting_palindrome(hamiltonian.n_nodes, hamiltonian.edges,
+                                                float(scale) / 2.0))
     return float(np.abs(approx - exact).max())
 
 

@@ -177,12 +177,12 @@ def cmd_evolve(args) -> int:
     from .graph import load_graph
     from .propagator import _check_times, chunk_length, spectrum, sweep_time
 
+    if args.t_count < 1:
+        raise ValueError(f"--t-count must be at least 1, got {args.t_count}")
     with _graph_fault(args.graph):
         graph = load_graph(args.graph)
         spectrum(graph)
     t_min, t_max = _check_times(graph, (args.t_min, args.t_max), "--t-min/--t-max")
-    if args.t_count < 1:
-        raise ValueError(f"--t-count must be at least 1, got {args.t_count}")
     if args.t_count == 1:
         if t_max != t_min:
             raise ValueError("--t-count 1 samples only --t-min; --t-max must equal it")

@@ -17,8 +17,8 @@ class NumericDefaults(NamedTuple):
 
     # grids and iteration limits
     pts_samples: int = 64             # sample count of every graph's time grid
-    scan_points: int = 4096           # coarse grid for max_transfer
-    refine_dt: float = 1e-8           # golden-section bracket width target
+    scan_points: int = 4096           # points of each scan of propagator._peak
+    refine_dt: float = 1e-8           # bracket width at which _peak stops rescanning
     qubit_space_max: int = 14         # dense statevector limit (2^n amplitudes)
     dense_bytes: int = 2 ** 31        # largest dense array a node count or grid may ask for
 
@@ -42,8 +42,9 @@ def _parse_int(token: str, what: str) -> int:
 
 
 def _parse_real(token: str, what: str) -> float:
-    """The real rule of number text: ``float()`` on ASCII without ``_``."""
-    if not token.isascii() or "_" in token:
+    """The real rule of number text: ``float()`` on ASCII without ``_`` or
+    surrounding whitespace."""
+    if not token.isascii() or "_" in token or token.strip() != token:
         raise ValueError(f"bad {what} {token!r}")
     try:
         return float(token)

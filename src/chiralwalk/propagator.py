@@ -9,7 +9,8 @@ and every spectral function takes a ``WalkHamiltonian``.  After that O(N^3)
 factorization, ``SpectralDecomposition.propagator_batch`` is the one
 product, V e^{-iEt} V^H broadcast over the times: one spectrum's unitaries
 over a time grid, or each of a stack's at its own time, O(N^3) per unitary,
-while ``max_transfer``'s scan of a single entry costs O(N) per point.
+while ``max_transfer``'s scans of a single entry, by ``_peak``, the one
+maximum search, cost O(N) per point.
 A t-chunk is the ``chunk_length(N)`` unitaries that fit ``CHUNK_BYTES``
 (1 MiB), about a 2 MiB L2 cache with their ``|U|^2`` and ``p - p^T``:
 ``evolve`` writes its table, and ``pts_numeric`` reduces its grid, one
@@ -345,37 +346,26 @@ def sweep_time(hamiltonian: WalkHamiltonian, t_grid: Sequence[float]) -> Transpo
     return TransportTable(t_grid, _freeze(probabilities))
 
 
-def _golden_section_max(f, lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Golden-section search, a fixed number of steps: the count that shrinks
-    ``hi - lo`` to ``width``, so it ends even where floats near ``hi`` are
-    spaced wider than ``width``."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    steps = math.ceil(math.log(width / (hi - lo), inv_phi)) if hi - lo > width else 0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(steps):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-    t = (a + b) / 2.0
-    return t, f(t)
+def _peak(f, lo: float, hi: float) -> tuple[float, float]:
+    """``(t, f(t))`` at the best value of the vectorized ``f`` on [lo, hi]: a
+    scan of ``DEFAULTS.scan_points`` points, ends included, then rescans of the
+    best point's bracket until it is ``DEFAULTS.refine_dt`` wide or stops
+    narrowing, as it does where floats are spaced wider than that."""
+    width = math.inf
+    while True:
+        grid = np.linspace(lo, hi, DEFAULTS.scan_points)
+        values = f(grid)
+        best = int(values.argmax())
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+        if hi - lo <= DEFAULTS.refine_dt or hi - lo >= width:
+            return float(grid[best]), float(values[best])
+        width = hi - lo
 
 
 def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
                  t_range: tuple[float, float]) -> tuple[float, float]:
-    """Maximize the ``from -> to`` probability over a time window.
-
-    Coarse scan over ``DEFAULTS.scan_points`` samples, then golden-section
-    refinement of the best bracket down to ``DEFAULTS.refine_dt``.  Returns
-    ``(t_star, p_star)``; refuses a window whose length or phases overflow.
-    """
+    """``(t_star, p_star)``: the ``_peak`` of the ``from -> to`` probability
+    over a time window; refuses a window whose length or phases overflow."""
     from_node, to_node = (_check_node(v, "transfer node") for v in (from_node, to_node))
     n = hamiltonian.n_nodes
     if not (0 <= from_node < n and 0 <= to_node < n):
@@ -389,15 +379,7 @@ def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
     dec = spectrum(hamiltonian)
     coeff = dec.eigenvectors[to_node, :] * dec.eigenvectors[from_node, :].conj()
 
-    def prob(times):  # |U(t)[to, from]|^2 at a time or at each of an array of times
+    def prob(times):  # |U(t)[to, from]|^2 at each of an array of times
         return np.abs(np.exp(-1j * np.multiply.outer(times, dec.eigenvalues)) @ coeff) ** 2
 
-    grid = np.linspace(lo, hi, DEFAULTS.scan_points)
-    values = prob(grid)
-    best = int(values.argmax())
-    bracket_lo = grid[max(best - 1, 0)]
-    bracket_hi = grid[min(best + 1, len(grid) - 1)]
-    t_star, p_star = _golden_section_max(prob, bracket_lo, bracket_hi, DEFAULTS.refine_dt)
-    if values[best] > p_star:
-        t_star, p_star = grid[best], values[best]
-    return float(t_star), float(p_star)
+    return _peak(prob, lo, hi)

@@ -22,7 +22,7 @@ import pytest
 from chiralwalk import (GateSpec, apply_gauge, gate_qubit_space,
                         max_transfer, propagate, pts_numeric, rz_decompose,
                         three_cycle_circuit, three_cycle_unitaries, trotter_error)
-from chiralwalk.propagator import _golden_section_max, spectrum
+from chiralwalk.propagator import _peak, spectrum
 from chiralwalk.randgen import (random_bipartite, random_forest, random_gauge,
                                 random_hamiltonian, random_nonbipartite)
 from chiralwalk.symmetry import default_time_samples
@@ -48,11 +48,6 @@ GOLDEN_CHIRAL_CONTINUOUS_PEAK = 0.98726287805
 
 def _report(criterion: str, ok: bool, detail: str):
     print(f"ACCEPTANCE {criterion} {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def _chiral_transfer(theta: float) -> float:
-    """P(1->3) of the triangle palindrome at alpha = pi/2."""
-    return float(abs(three_cycle_unitaries([PI / 2], [theta])[0, 0, 2, 0]) ** 2)
 
 
 # Measurements: each takes ``record`` and returns the quantities its test
@@ -85,16 +80,14 @@ def _measure_2_golden(record):
 
 
 def _measure_2_bound(record):
-    dense = np.linspace(-PI, PI, DENSE_POINTS)
-    dense_u = three_cycle_unitaries([PI / 2], dense)
-    dense_p = np.abs(dense_u) ** 2
-    best = int(dense_p[0, :, 2, 0].argmax())
-    step = float(dense[1] - dense[0])
-    theta_star, peak = _golden_section_max(
-        _chiral_transfer, float(dense[best]) - step, float(dense[best]) + step, 1e-10)
+    def chiral_transfer(thetas):  # P(1->3) of the triangle palindrome at alpha = pi/2
+        unitaries = three_cycle_unitaries([PI / 2], thetas)
+        record(unitaries=unitaries)
+        return np.abs(unitaries[0, :, 2, 0]) ** 2
+
+    theta_star, peak = _peak(chiral_transfer, -PI, PI)
     grid_u = three_cycle_unitaries([PI / 2], EXPERIMENT_GRID)
     grid_p = np.abs(grid_u) ** 2
-    record(unitaries=dense_u, probabilities=dense_p)
     record(unitaries=grid_u, probabilities=grid_p)
     oracle = float(abs(three_cycle_taylor(PI / 2, theta_star)[2, 0]) ** 2)
     grid_13 = grid_p[0, :, 2, 0]
@@ -279,13 +272,13 @@ def test_criterion_2_chiral_peak_matches_frozen_oracle(acceptance):
 def test_criterion_2_chiral_peak_meets_stated_bound(acceptance):
     """Continuous half of criterion 2: the chiral slice transports >= 0.95.
 
-    P(1->3) at alpha = pi/2 is scanned on a dense theta axis over [-pi, pi]
-    and its best point refined by golden section within one dense step.  The
-    refined peak must reach the stated 0.95 bound, match the frozen
-    continuous peak and the Taylor oracle at theta* to 1e-9, sit no lower
-    than the grid peak (243/256, pinned by the golden test above), and lie
-    within one grid step of a grid argmax, so that the experiment grid
-    brackets the near-perfect peak.
+    P(1->3) at alpha = pi/2 is maximized over theta in [-pi, pi] by
+    ``propagator._peak``, the search ``max_transfer`` runs.  The peak must
+    reach the stated 0.95 bound, match the frozen continuous peak and the
+    Taylor oracle at theta* to 1e-9, sit no lower than the grid peak
+    (243/256, pinned by the golden test above), and lie within one grid step
+    of a grid argmax, so that the experiment grid brackets the near-perfect
+    peak.
     """
     peak, theta_star, oracle, grid_peak, grid_distance = \
         acceptance.measure("2 (stated 0.95 bound)")

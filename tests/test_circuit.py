@@ -13,9 +13,10 @@ from chiralwalk import (Edge, GateSpec, GraphFormatError, PalindromicCircuit,
                         parse_circuit, propagate, render_circuit, rz_decompose,
                         three_cycle_circuit, three_cycle_unitaries, trotter_error)
 from chiralwalk.circuit import (_apply_gates, _gate_rows, _gate_table, _qubit_columns,
-                               _unitary_stack, three_cycle_transfer)
+                               _unitary_stack, splitting_palindrome, three_cycle_transfer)
 from chiralwalk import circuit as circuit_module
 from chiralwalk.defaults import DEFAULTS
+from chiralwalk.propagator import _peak
 
 from .graphs import qubit_block, uniform_triangle
 from .oracles import pair_gate_taylor, three_cycle_taylor
@@ -269,13 +270,6 @@ def reference_three_cycle_run(alphas, thetas, start):
     return _apply_gates(state, rows)
 
 
-def splitting_palindrome(graph, scale):
-    """The half ``trotter_error`` builds: one gate per edge, phase negated."""
-    h0 = graph.edges[0].h
-    return PalindromicCircuit(graph.n_nodes, tuple(
-        GateSpec(e.i, e.j, -e.alpha, float(scale) / 2.0 * (e.h / h0)) for e in graph.edges))
-
-
 @pytest.mark.parametrize("n", [48, 96])
 def test_ring_splitting_unitaries_equal_the_old_builder_byte_for_byte(n):
     rng = np.random.default_rng(n)
@@ -285,7 +279,7 @@ def test_ring_splitting_unitaries_equal_the_old_builder_byte_for_byte(n):
     ring = WalkHamiltonian(n, tuple(Edge(v, (v + 1) % n, h, float(a))
                                     for v, a in enumerate(phases)))
     for scale in (0.2, 0.1, 0.05, 0.025, 0.0125):
-        circuit = splitting_palindrome(ring, scale)
+        circuit = splitting_palindrome(ring.n_nodes, ring.edges, scale / 2.0)
         assert apply_circuit(circuit).tobytes() == reference_unitary(circuit).tobytes()
 
 
@@ -465,6 +459,20 @@ def test_gate_spec_refuses_complex_angles(value):
         GateSpec(0, 1, 0.0, value)
 
 
+@pytest.mark.parametrize("value, rule", [(1 + 1j, "must be real"),
+                                         (np.complex128(1.0), "must be real"),
+                                         (math.nan, "must be finite"),
+                                         (-math.inf, "must be finite")])
+def test_three_cycle_circuit_refuses_a_complex_or_non_finite_angle(value, rule):
+    # the gates' messages: theta is read by the real rule before any arithmetic
+    # on it, and a bad alpha is named before a bad theta
+    for angles, name in (((value, 0.3), "alpha"), ((0.3, value), "theta"),
+                         ((value, value), "alpha")):
+        with pytest.raises(ValueError) as refused:
+            three_cycle_circuit(*angles)
+        assert str(refused.value) == f"gate {name} {rule}, got {value!r}"
+
+
 @pytest.mark.parametrize("endpoints", [(0.0, 1), (0, np.float64(1.0)), (0, "1")])
 def test_gate_spec_endpoints_are_integers(endpoints):
     with pytest.raises(ValueError, match="gate endpoint must be an integer"):
@@ -532,36 +540,37 @@ def test_reflection_in_time():
 
 # --- the experiment is one splitting step of perfect chiral transfer ---------
 
-def directed_triangle(phi):
-    """Unit magnitudes and directed phase ``phi`` on 0 -> 1, 1 -> 2 and 2 -> 0: flux 3 * phi."""
-    return WalkHamiltonian(3, tuple(Edge(i, j, 1.0, phi) for i, j in ((0, 1), (1, 2), (2, 0))))
-
-
 def test_the_triangle_walk_at_flux_minus_pi_over_2_transfers_perfectly():
     # its eigenvalues are 2 cos((flux + 2 pi k) / 3); at flux -pi/2 the walk
     # carries node 0 whole to node 2 at t = 2 pi / (3 sqrt 3), and the
     # opposite flux carries it to node 1 instead
-    t_star, p_star = max_transfer(directed_triangle(-PI / 6), 0, 2, (0.0, 2.0))
+    t_star, p_star = max_transfer(uniform_triangle(-PI / 6), 0, 2, (0.0, 2.0))
     assert abs(p_star - 1.0) <= 1e-12
     assert abs(t_star - 2 * PI / (3 * math.sqrt(3))) <= 2 * DEFAULTS.refine_dt
-    assert max_transfer(directed_triangle(-PI / 6), 0, 1, (0.0, 2.0))[1] < 0.7
-    assert abs(max_transfer(directed_triangle(PI / 6), 0, 1, (0.0, 2.0))[1] - 1.0) <= 1e-12
+    assert max_transfer(uniform_triangle(-PI / 6), 0, 1, (0.0, 2.0))[1] < 0.7
+    assert abs(max_transfer(uniform_triangle(PI / 6), 0, 1, (0.0, 2.0))[1] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, PI / 2, 0.7])
+def test_the_palindrome_is_one_symmetric_splitting_step_of_the_triangle_walk(alpha):
+    # the palindrome at half step theta against the walk of phase -alpha over
+    # t = 2 theta: a symmetric splitting step errs by O(theta^3), so each
+    # halving of theta shrinks the error near 8x; a flipped phase or a doubled
+    # angle leaves an O(theta) error at alpha = pi/2 and 0.7
+    errors = [float(np.abs(apply_circuit(three_cycle_circuit(alpha, theta))
+                           - propagate(uniform_triangle(-alpha), 2 * theta)).max())
+              for theta in (0.2, 0.1, 0.05, 0.025)]
+    assert all(coarse >= 7 * fine for coarse, fine in zip(errors, errors[1:])), errors
 
 
 def repeated_palindrome_peak(k: int) -> tuple[float, float]:
-    """``(theta, p)`` of the best 0 -> 2 transfer over theta in [-pi, pi] of the
-    triangle palindrome at alpha = pi/2 applied k times at theta / k: a scan,
-    then a scan of the bracket around its best point."""
+    """``(theta, p)`` of the ``_peak`` 0 -> 2 transfer over theta in [-pi, pi]
+    of the triangle palindrome at alpha = pi/2 applied k times at theta / k."""
     def transfer(thetas):
         u = three_cycle_unitaries([PI / 2], thetas / k)[0]
         return np.abs(np.linalg.matrix_power(u, k)[:, 2, 0]) ** 2
 
-    coarse = np.linspace(-PI, PI, 4001)
-    step = coarse[1] - coarse[0]
-    best = coarse[transfer(coarse).argmax()]
-    fine = np.linspace(best - step, best + step, 4001)
-    p = transfer(fine)
-    return float(fine[p.argmax()]), float(p.max())
+    return _peak(transfer, -PI, PI)
 
 
 def test_the_repeated_palindrome_converges_to_perfect_transfer():

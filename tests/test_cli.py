@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chiralwalk
-from chiralwalk import parse_graph, pts_numeric, sweep_time
+from chiralwalk import eig_hermitian, parse_graph, propagator, pts_numeric, sweep_time
 from chiralwalk.cli import (DEFAULT_SWEEP_ALPHAS, DEFAULT_SWEEP_THETAS, _theta_grid,
                             _transfer_csv, main)
 from chiralwalk.defaults import DEFAULTS
@@ -293,6 +293,20 @@ def test_evolve_tree_tables_phase_independent_after_rounding(tmp_path):
 def test_evolve_bad_count_exits_2(triangle_file, capsys):
     assert main(["evolve", "--graph", str(triangle_file), "--t-max", "1",
                  "--t-count", "0"]) == 2
+
+
+def test_evolve_names_a_t_count_below_one_before_it_reads_the_graph(triangle_file, tmp_path,
+                                                                    capsys, monkeypatch):
+    # as classify --tol and trotter-check --halvings do: a missing graph is not
+    # opened and a graph that loads is not eigendecomposed
+    calls = []
+    monkeypatch.setattr(propagator, "eig_hermitian",
+                        lambda matrix: calls.append(1) or eig_hermitian(matrix))
+    for graph in (tmp_path / "missing.graph", triangle_file):
+        assert main(["evolve", "--graph", str(graph), "--t-max", "1", "--t-count", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--t-count must be at least 1, got 0" in err and str(graph) not in err, err
+    assert calls == []
 
 
 @pytest.mark.parametrize("flag, value", [("--t-max", "nan"), ("--t-max", "inf"),
@@ -942,7 +956,9 @@ def test_number_flags_read_every_spelling_of_a_real(chiral_triangle, case):
 # the edges of the float range and of its spellings
 EDGE_SPELLINGS = ["0", "-0", "0.5", "-1.25", "3", "inf", "-inf", "nan", "5e-324", "-5e-324",
                   "1e308", "-1e308"]
-reals = st.one_of(st.sampled_from(EDGE_SPELLINGS), st.floats(-4, 4).map(repr))
+# a real spelling the token rule refuses (float() itself reads surrounding spaces)
+REFUSED_REALS = [" 1 "]
+reals = st.one_of(st.sampled_from(EDGE_SPELLINGS + REFUSED_REALS), st.floats(-4, 4).map(repr))
 magnitudes = st.one_of(st.sampled_from(["0", "-0", "-1.25", "nan", "inf", "5e-324", "1e308"]),
                        st.floats(0, 4).map(repr))
 # graphs every command takes, and the two edges of the magnitude range
@@ -1035,6 +1051,7 @@ def contract_dir(tmp_path_factory):
 @example(("nodes 1\n", ["properties", "--seed", "١٢", *ONE_TRIAL], []))
 @example(("nodes 1\n", ["reproduce-fig2", "--grid", "1_0"], []))
 @example(("nodes 1\n", ["trotter-check", "--graph", "GRAPH"], []))
+@example(("nodes 1\n", ["classify", "--graph", "GRAPH", "--tol", " 1 "], []))
 def test_generated_command_lines_keep_the_cli_contract(contract_dir, case):
     text, argv, axes = case
     graph = contract_dir / "generated.graph"
@@ -1052,7 +1069,7 @@ def test_generated_command_lines_keep_the_cli_contract(contract_dir, case):
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     # a number the token rule refuses is refused, and every refusal names
     # what is at fault: a flag, a line of the graph file, the file or the output
-    if any(arg.rpartition("=")[2] in REFUSED_COUNTS for arg in argv):
+    if any(arg.rpartition("=")[2] in REFUSED_COUNTS + REFUSED_REALS for arg in argv):
         assert code == 2, argv
     if code == 2:
         message = err.getvalue()
@@ -1391,6 +1408,8 @@ def test_properties_non_ascii_digit_trials_exits_2(capsys):
     (["circuit-sweep", "--alpha", "١"], "--alpha"),
     (["reproduce-fig2", "--grid", "²", "--out", "fig2"], "--grid"),
     (["properties", "--seed", "١٢"], "--seed"),
+    (["evolve", "--graph", "g", "--t-max", " 1 "], "--t-max"),
+    (["circuit-sweep", "--theta-step", " 1"], "--theta-step"),
 ])
 def test_a_number_a_graph_file_refuses_is_a_usage_error_naming_its_flag(capsys, argv, flag):
     # the number flags read the token rules of graph and circuit files

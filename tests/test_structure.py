@@ -107,6 +107,19 @@ def test_one_time_rule():
         assert _readers_by_module(name) == {}
 
 
+@pytest.mark.parametrize("name", ["scan_points", "refine_dt"])
+def test_one_peak_search(name):
+    # ``propagator._peak`` is the one maximum search; ``max_transfer`` runs it
+    assert _readers_by_module(name) == {"propagator.py": {"_peak"}}
+
+
+def test_one_splitting_compiler():
+    # ``splitting_palindrome`` is the one walk-to-gate rule (h / h_0 by
+    # ``frexp``); ``trotter_error`` and ``three_cycle_circuit`` build through it
+    circuit = ast.parse((PACKAGE / "circuit.py").read_text(encoding="utf-8"))
+    assert _readers(circuit, "frexp") == {"splitting_palindrome"}
+
+
 def test_only_spectra_eigendecomposes():
     assert _readers_by_module("eig_hermitian") == {"propagator.py": {"spectra"}}
 
