@@ -17,6 +17,9 @@ of being handed back to the kernel and faulted in again (a 32-node ``evolve``
 child takes about 5.7k minor page faults at 128, 512 and 2048 times, where it
 took 7.3k, 13.1k and 36-37k).  ``main`` leaves the collector and the
 allocator as it finds them.
+``evolve`` renders its t-chunks on one process per CPU it may run on, forked
+once after the spectrum (``_write_chunks``); every byte and its order are
+those of one process, and each worker holds at most one t-chunk of text.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ import gc
 import math
 import os
 import re
+import struct
 import sys
+import threading
+import warnings
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -193,11 +199,164 @@ def cmd_evolve(args) -> int:
             raise ValueError("--t-max - --t-min overflows a float")
     # the table is written one t-chunk at a time, so it never exists whole
     length = chunk_length(graph.n_nodes)
-    with _output(args.out) as out:
-        for start in range(0, args.t_count, length):
-            grid = _axis(t_min, step, t_max, range(start, min(start + length, args.t_count)))
-            sweep_time(graph, grid).to_csv(out, header=start == 0)
+
+    def render(start: int, file: BinaryIO) -> None:
+        grid = _axis(t_min, step, t_max, range(start, min(start + length, args.t_count)))
+        sweep_time(graph, grid).to_csv(file, header=start == 0)
+
+    _write_chunks(render, range(0, args.t_count, length), args.out)
     return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# t-chunk workers
+
+# an order (a chunk's start) or a report (the chunk's byte count, or minus the
+# length of an exception's pickle)
+_COUNT = struct.Struct("q")
+
+
+def _processes(chunks: int) -> int:
+    """Processes that render ``chunks`` t-chunks: one per CPU this process may
+    run on, at most one per chunk.  One where ``os.fork``, the CPU affinity or
+    ``os.memfd_create`` is missing, and while another Python thread runs: a
+    lock it holds at the fork would stay held in the worker."""
+    if (threading.active_count() > 1 or not all(
+            hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create"))):
+        return 1
+    return min(len(os.sched_getaffinity(0)), chunks)
+
+
+def _write_chunks(render, starts: range, target: str | None) -> None:
+    """``render(start, file)`` for each chunk start, with the bytes written to
+    the ``_output`` of ``target`` in the order of ``starts``.  Chunk ``k`` is
+    rendered by process ``k % P`` of ``P = _processes(len(starts))``, forked
+    before the output opens: this one renders its own straight into the
+    output, and each worker into its one-chunk buffer, which is written to
+    the output at that chunk's turn before the worker is sent its next start.
+    A worker's exception is raised here at its chunk's turn; on every path
+    each worker is killed if it still runs, and reaped."""
+    processes = _processes(len(starts))
+    workers: list[_Worker] = []
+    try:
+        for _ in range(processes - 1):
+            workers.append(_Worker(render, workers))
+        for worker, start in zip(workers, starts[1:]):
+            worker.send(start)
+        with _output(target) as out:
+            for k, start in enumerate(starts):
+                if k % processes == 0:
+                    render(start, out)
+                    continue
+                worker = workers[k % processes - 1]
+                worker.write_chunk(out)
+                if k + processes < len(starts):
+                    worker.send(starts[k + processes])
+    finally:
+        for worker in workers:
+            worker.stop()
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    """``size`` bytes from the pipe ``fd``; fewer when it closes first."""
+    data = b""
+    while len(data) < size:
+        piece = os.read(fd, size - len(data))
+        if not piece:
+            break
+        data += piece
+    return data
+
+
+class _Worker:
+    """A forked process that renders each chunk start it is sent into its
+    buffer, a memfd rewritten from offset 0, and reports the byte count."""
+
+    def __init__(self, render, others: list[_Worker]):
+        self.pid = None
+        self.buffer = os.memfd_create("chiralwalk-chunk")
+        orders, self.orders = os.pipe()
+        self.reports, reports = os.pipe()
+        self.fds = (self.buffer, self.orders, self.reports)
+        try:
+            # Python 3.12+ warns when a process with threads forks; no other
+            # thread here runs Python (``_processes``), and OpenBLAS, whose pool
+            # is the usual other thread, stops it across a fork
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+        except BaseException:
+            for fd in (*self.fds, orders, reports):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                for fd in (self.orders, self.reports, *(fd for w in others for fd in w.fds)):
+                    os.close(fd)
+                _serve(render, self.buffer, orders, reports)
+            finally:
+                os._exit(0)
+        os.close(orders)
+        os.close(reports)
+
+    def send(self, start: int) -> None:
+        os.write(self.orders, _COUNT.pack(start))
+
+    def write_chunk(self, out: BinaryIO) -> None:
+        """Write the bytes of the chunk this worker reports next to ``out``;
+        raise the exception it reports instead, or ``ChildProcessError`` when it
+        ends without a report."""
+        import mmap
+
+        report = _read_exactly(self.reports, _COUNT.size)
+        if len(report) < _COUNT.size:
+            raise ChildProcessError(f"t-chunk worker {self.pid} {self._reap()} before "
+                                    f"its report")
+        (count,) = _COUNT.unpack(report)
+        if count < 0:
+            import pickle
+
+            raise pickle.loads(_read_exactly(self.reports, -count))
+        with mmap.mmap(self.buffer, count, prot=mmap.PROT_READ) as text:
+            out.write(text)
+
+    def _reap(self) -> str:
+        """Wait for the worker to end; how it ended."""
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+
+    def stop(self) -> None:
+        """Kill the worker if it still runs, reap it, and close its descriptors."""
+        import signal
+
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        for fd in self.fds:
+            os.close(fd)
+
+
+def _serve(render, buffer: int, orders: int, reports: int) -> None:
+    """A worker's loop: for each start read from ``orders`` until it closes,
+    ``render`` that chunk into ``buffer`` from offset 0 and write its byte
+    count to ``reports``; an exception is written instead, as minus the
+    length of its pickle and the pickle."""
+    with open(buffer, "wb", closefd=False) as sink, \
+            open(reports, "wb", closefd=False) as report:
+        try:
+            while order := _read_exactly(orders, _COUNT.size):
+                sink.seek(0)
+                render(_COUNT.unpack(order)[0], sink)
+                sink.flush()
+                report.write(_COUNT.pack(sink.tell()))
+                report.flush()
+        except BaseException as exc:  # raised by the command at this chunk's turn
+            import pickle
+
+            payload = pickle.dumps(exc)
+            report.write(_COUNT.pack(-len(payload)) + payload)
 
 
 def cmd_circuit_sweep(args) -> int:

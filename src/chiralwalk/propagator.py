@@ -14,8 +14,10 @@ maximum search, cost O(N) per point.
 A t-chunk is the ``chunk_length(N)`` unitaries that fit ``CHUNK_BYTES``
 (1 MiB), about a 2 MiB L2 cache with their ``|U|^2`` and ``p - p^T``:
 ``evolve`` writes its table, and ``pts_numeric`` reduces its grid, one
-t-chunk at a time.  ``sweep_time`` is one product, so a grid of several
-t-chunks holds its unitaries whole, about 4x its table (no command passes one).
+t-chunk at a time; ``evolve`` renders its chunks on one process per CPU,
+with the bytes of one process (``cli._write_chunks``).  ``sweep_time`` is
+one product, so a grid of several t-chunks holds its unitaries whole, about
+4x its table (no command passes one).
 Probabilities follow the column convention ``p[to, from]``: entry
 ``|U[to, from]|^2`` is the probability of the transition ``from -> to``.
 
@@ -365,7 +367,8 @@ def _peak(f, lo: float, hi: float) -> tuple[float, float]:
 def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
                  t_range: tuple[float, float]) -> tuple[float, float]:
     """``(t_star, p_star)``: the ``_peak`` of the ``from -> to`` probability
-    over a time window; refuses a window whose length or phases overflow."""
+    over a time window, in [0, 1]; refuses a window whose length or phases
+    overflow."""
     from_node, to_node = (_check_node(v, "transfer node") for v in (from_node, to_node))
     n = hamiltonian.n_nodes
     if not (0 <= from_node < n and 0 <= to_node < n):
@@ -379,7 +382,9 @@ def max_transfer(hamiltonian: WalkHamiltonian, from_node: int, to_node: int,
     dec = spectrum(hamiltonian)
     coeff = dec.eigenvectors[to_node, :] * dec.eigenvectors[from_node, :].conj()
 
-    def prob(times):  # |U(t)[to, from]|^2 at each of an array of times
-        return np.abs(np.exp(-1j * np.multiply.outer(times, dec.eigenvalues)) @ coeff) ** 2
+    def prob(times):  # |U(t)[to, from]|^2 at each of an array of times, at most 1
+        # a sum of N rounded terms can exceed 1 by a few ulps where the transfer is perfect
+        return np.minimum(np.abs(np.exp(-1j * np.multiply.outer(times, dec.eigenvalues))
+                                 @ coeff) ** 2, 1.0)
 
     return _peak(prob, lo, hi)

@@ -9,6 +9,7 @@ import io
 import math
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
@@ -36,6 +37,7 @@ PI = math.pi
 
 TRIANGLE = "nodes 3\nedge 0 1 1.0 0.0\nedge 1 2 1.0 0.0\nedge 2 0 1.0 0.0\n"
 CHAIN = "nodes 4\nedge 0 1 1 0.9\nedge 1 2 1 -0.4\nedge 2 3 1 2.0\n"
+CHAIN_ARGV = ["evolve", "--t-max", "2", "--t-count", "7", "--graph"]  # times k / 3
 SUITES = [name for name, _ in PROPERTY_SUITE]
 ONE_TRIAL = [arg for name in SUITES for arg in ("--trials", f"{name}=1")]
 
@@ -427,9 +429,41 @@ def chain_grid(t_min, t_max, count):
     return [t_min + k * step for k in range(count)]
 
 
+def with_cpus(monkeypatch, cpus: int) -> None:
+    """Make this process see ``cpus`` CPUs, so ``evolve`` renders on that many."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def read_by_another_process(fifo: Path, run):
+    """``run()``, and the bytes another process read from ``fifo`` meanwhile;
+    a reader thread would keep ``evolve`` to one process."""
+    copy = fifo.with_name(fifo.name + ".read")
+    reader = subprocess.Popen([sys.executable, "-c", "import shutil, sys; shutil.copyfileobj("
+                               "open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))",
+                               str(fifo), str(copy)])
+    try:
+        result = run()
+    finally:
+        with contextlib.suppress(OSError):  # release a reader the command never wrote to
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        try:
+            reader.wait(timeout=60)
+        finally:
+            reader.kill()
+            reader.wait()
+    received = copy.read_bytes()
+    copy.unlink()
+    return result, received
+
+
 @pytest.mark.parametrize("per_block", [1, 3, None])  # None: every time point in one block
 @pytest.mark.parametrize("block", [1, 2, 13])  # values per CSV kernel call
-@pytest.mark.parametrize("out", ["file", "-"])
+@pytest.mark.parametrize("out", ["file", "-", "fifo"])
 @pytest.mark.parametrize("t_min, t_max, count", [(-0.5, 2.0, 7), (-0.0, -0.0, 1)])
 def test_evolve_streams_the_bytes_of_one_table(tmp_path, capsys, monkeypatch, per_block,
                                                block, out, t_min, t_max, count):
@@ -441,12 +475,52 @@ def test_evolve_streams_the_bytes_of_one_table(tmp_path, capsys, monkeypatch, pe
         monkeypatch.setattr(propagator, "CHUNK_BYTES", per_block * 16 * 4 ** 2)
     monkeypatch.setattr(propagator, "CSV_BLOCK_VALUES", block)
     expected = csv_text(sweep_time(parse_graph(CHAIN), chain_grid(t_min, t_max, count)))
-    target = tmp_path / "table.csv" if out == "file" else "-"
-    assert main(["evolve", "--graph", str(path), f"--t-min={t_min!r}", f"--t-max={t_max!r}",
-                 "--t-count", str(count), "--out", str(target)]) == 0
-    text = target.read_text() if out == "file" else capsys.readouterr().out
-    assert text == expected
-    assert not list(tmp_path.glob("*.partial"))
+    target = {"file": tmp_path / "table.csv", "-": "-", "fifo": tmp_path / "table.fifo"}[out]
+    if out == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no os.mkfifo")
+        os.mkfifo(target)
+    argv = ["evolve", "--graph", str(path), f"--t-min={t_min!r}", f"--t-max={t_max!r}",
+            "--t-count", str(count), "--out", str(target)]
+    # the same bytes from one process and from workers, fewer or more than the chunks
+    for cpus in (1, 2, 3, 5):
+        with_cpus(monkeypatch, cpus)
+        if out == "fifo":
+            code, text = read_by_another_process(target, lambda: main(argv))
+            text = text.decode()
+        else:
+            code = main(argv)
+            text = target.read_text() if out == "file" else capsys.readouterr().out
+        assert code == 0
+        assert text == expected
+        assert not list(tmp_path.glob("*.partial"))
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("without", ["fork", "sched_getaffinity", "memfd_create", "thread"])
+def test_evolve_renders_in_one_process_without_fork_affinity_memfd_or_alone(
+        tmp_path, monkeypatch, without):
+    # a lock another Python thread holds at a fork would stay held in the worker
+    path = tmp_path / "chain.graph"
+    path.write_text(CHAIN)
+    monkeypatch.setattr(propagator, "CHUNK_BYTES", 16 * 4 ** 2)  # 7 t-chunks
+    with_cpus(monkeypatch, 2)
+    if without == "thread":
+        done = threading.Event()
+        other = threading.Thread(target=done.wait, daemon=True)
+        other.start()
+    else:
+        monkeypatch.delattr(os, without, raising=False)
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    out = tmp_path / "table.csv"
+    try:
+        assert main([*CHAIN_ARGV, str(path), "--out", str(out)]) == 0
+    finally:
+        if without == "thread":
+            done.set()
+            other.join(timeout=60)
+    assert out.read_text() == csv_text(sweep_time(parse_graph(CHAIN), chain_grid(0.0, 2.0, 7)))
 
 
 # outputs frozen at the text writer that stdout's byte handle replaced: the
@@ -551,23 +625,141 @@ def test_evolve_failing_on_a_later_block_leaves_no_partial_table(tmp_path, capsy
             raise ValueError("render failed")
         return sweep_time(hamiltonian, grid)
 
-    monkeypatch.setattr(propagator, "sweep_time", failing_second)
     argv = ["evolve", "--graph", str(path), "--t-max", "2", "--t-count", "7", "--out"]
     out = tmp_path / "table.csv"
-    assert main([*argv, str(out)]) == 2
-    assert "render failed" in capsys.readouterr().err
-    assert blocks == [3, 3]
+    # in one process the second block fails; on two CPUs, this process's second
+    # block (the third) fails after a worker rendered the second
+    for cpus in (1, 2):
+        with_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(propagator, "sweep_time", failing_second)
+        out.unlink(missing_ok=True)
+        blocks.clear()
+        assert main([*argv, str(out)]) == 2
+        assert "render failed" in capsys.readouterr().err
+        assert blocks == ([3, 3] if cpus == 1 else [3, 1])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph"]
+        # an earlier table at the target is left whole
+        out.write_text("earlier\n")
+        blocks.clear()
+        assert main([*argv, str(out)]) == 2
+        assert out.read_text() == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph", "table.csv"]
+        # a target that is not a regular file is written in place, never replaced
+        monkeypatch.setattr(propagator, "sweep_time", sweep_time)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", lambda *paths: pytest.fail(f"replaced {paths}"))
+            assert main([*argv, os.devnull]) == 0
+        assert_no_child_left()
+
+
+def failing_in_a_worker(monkeypatch, fail) -> list[float]:
+    """Make ``sweep_time`` call ``fail()`` on the t-chunk that starts at time 1
+    (the second of ``CHAIN_ARGV``'s three), and return the first time of each
+    chunk that this process renders."""
+    from chiralwalk import propagator
+
+    monkeypatch.setattr(propagator, "CHUNK_BYTES", 3 * 16 * 4 ** 2)  # 3 points a t-chunk
+    here, starts = os.getpid(), []
+
+    def failing(hamiltonian, grid):
+        if os.getpid() == here:
+            starts.append(grid[0])
+        if grid[0] == 1.0:
+            fail()
+        return sweep_time(hamiltonian, grid)
+
+    monkeypatch.setattr(propagator, "sweep_time", failing)
+    return starts
+
+
+def raise_(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("exc, message", [
+    (ValueError("render failed"), "chiralwalk: error: render failed\n"),
+    (MemoryError(), "chiralwalk: error: evolve ran out of memory\n"),
+], ids=["ValueError", "MemoryError"])
+def test_evolve_failing_in_a_worker_exits_as_in_one_process(tmp_path, capsys, monkeypatch,
+                                                            exc, message):
+    path = tmp_path / "chain.graph"
+    path.write_text(CHAIN)
+    starts = failing_in_a_worker(monkeypatch, lambda: raise_(exc))
+    out = tmp_path / "table.csv"
+    for cpus, rendered_here in ((1, [0.0, 1.0]), (2, [0.0])):  # on two, a worker fails
+        with_cpus(monkeypatch, cpus)
+        out.unlink(missing_ok=True)
+        for kept in ([], ["table.csv"]):  # no file at the target, then an earlier table
+            if kept:
+                out.write_text("earlier\n")
+            starts.clear()
+            assert main([*CHAIN_ARGV, str(path), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == message
+            assert starts == rendered_here
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph", *kept]
+            assert not kept or out.read_text() == "earlier\n"
+            assert_no_child_left()
+
+
+def test_evolve_with_a_worker_killed_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "chain.graph"
+    path.write_text(CHAIN)
+    failing_in_a_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with_cpus(monkeypatch, 2)
+    out = tmp_path / "table.csv"
+    assert main([*CHAIN_ARGV, str(path), "--out", str(out)]) == 2
+    assert re.fullmatch(r"chiralwalk: error: t-chunk worker \d+ was killed by signal "
+                        rf"{signal.SIGKILL:d} before its report\n", capsys.readouterr().err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph"]
-    # an earlier table at the target is left whole
-    out.write_text("earlier\n")
-    blocks.clear()
-    assert main([*argv, str(out)]) == 2
-    assert out.read_text() == "earlier\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph", "table.csv"]
-    # a target that is not a regular file is written in place, never replaced
-    monkeypatch.setattr(propagator, "sweep_time", sweep_time)
-    monkeypatch.setattr(os, "replace", lambda *paths: pytest.fail(f"replaced {paths}"))
-    assert main([*argv, os.devnull]) == 0
+    assert_no_child_left()
+
+
+def test_evolve_whose_second_fork_fails_reaps_the_first_worker(tmp_path, capsys,
+                                                               monkeypatch):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd")
+    path = tmp_path / "chain.graph"
+    path.write_text(CHAIN)
+    monkeypatch.setattr(propagator, "CHUNK_BYTES", 16 * 4 ** 2)  # 7 t-chunks
+    with_cpus(monkeypatch, 3)
+    fork, forks = os.fork, []
+
+    def second_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    assert main([*CHAIN_ARGV, str(path), "--out", str(tmp_path / "table.csv")]) == 2
+    # the fork fails before the output opens, so the message names no target
+    assert capsys.readouterr().err == (f"chiralwalk: error: [Errno {errno.EAGAIN}] "
+                                       f"{os.strerror(errno.EAGAIN)}\n")
+    assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.graph"]
+    assert_no_child_left()
+
+
+def test_evolve_into_a_closed_pipe_reaps_every_worker(tmp_path, capsys, monkeypatch):
+    # the first t-chunk (65 536 rows) fails to write while the workers render
+    path = tmp_path / "ring.graph"
+    path.write_text("nodes 16\n" + "".join(f"edge {k} {(k + 1) % 16} 1.0 0.2\n"
+                                             for k in range(16)))
+    with_cpus(monkeypatch, 3)
+    read, write = os.pipe()
+    os.close(read)
+    stdout = io.TextIOWrapper(open(write, "wb"), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["evolve", "--graph", str(path), "--t-max", "5", "--t-count", "1000",
+                     "--out", "-"]) == 2
+    finally:
+        with contextlib.suppress(BrokenPipeError):  # what the buffer still holds
+            stdout.close()
+    assert capsys.readouterr().err == "chiralwalk: error: [Errno 32] Broken pipe\n"
+    assert_no_child_left()
 
 
 def test_evolve_with_a_failing_csv_kernel_exits_2_and_leaves_no_file(tmp_path, capsys,
@@ -672,6 +864,45 @@ def test_evolve_peak_memory_does_not_grow_with_the_time_count(tmp_path, monkeypa
         finally:
             tracemalloc.stop()
     # 4.3-4.5 MB; one table held whole reads 57 MB at 512 points
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+# Runs ``evolve`` with the arguments given, as the ``chiralwalk`` program seeing two
+# CPUs, in a child of this small interpreter, and prints the child's exit code and
+# its peak memory (its workers' included) in KiB.  The child is forked here, not
+# started by the test: a process the test starts inherits the test's own
+# high-water mark in ``ru_maxrss``.
+TWO_CPU_EVOLVE_CHILD = """
+import os, sys
+
+pid = os.fork()
+if pid == 0:
+    os.sched_getaffinity = lambda pid: {0, 1}
+    sys.argv = ["chiralwalk", "evolve", *sys.argv[1:]]
+    from chiralwalk.cli import entry_point
+    entry_point()  # exits
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_evolve_workers_peak_memory_does_not_grow_with_the_time_count(tmp_path):
+    if not hasattr(os, "wait4") or not hasattr(os, "memfd_create"):
+        pytest.skip("needs os.wait4 and os.memfd_create")
+    path = tmp_path / "ring.graph"
+    path.write_text("nodes 32\n" + "".join(f"edge {k} {(k + 1) % 32} 1.0 {0.1 * k}\n"
+                                             for k in range(32)))
+    peaks = []
+    for count in (128, 1024):  # 2 and 16 t-chunks of 64 times
+        child = subprocess.run([sys.executable, "-c", TWO_CPU_EVOLVE_CHILD, "--graph",
+                                str(path), "--t-max", "9", "--t-count", str(count), "--out",
+                                os.devnull], env=child_env(), capture_output=True, text=True,
+                               timeout=120, check=True)
+        code, peak = map(int, child.stdout.split())
+        assert (code, child.stderr) == (0, "")
+        peaks.append(peak)
+    # each worker holds one t-chunk of text (about 3 MB here); the table's
+    # 1M rows at 1024 times come to 49 MB
     assert peaks[1] <= 1.5 * peaks[0]
 
 

@@ -524,6 +524,13 @@ def test_max_transfer_chiral_triangle_is_near_perfect():
     assert p_star_edgewise >= 0.999
 
 
+def test_max_transfer_never_exceeds_one_where_the_transfer_is_perfect():
+    # the rounded sum over the spectrum gave 1.0000000000000004 at the chiral peak
+    for alpha in (PI / 6, PI / 2, -PI / 6):
+        _, p_star = max_transfer(uniform_triangle(alpha), 0, 2, (0.0, 2 * PI))
+        assert 0.999 <= p_star <= 1.0
+
+
 def test_the_peak_search_stops_where_floats_are_spaced_wider_than_refine_dt():
     # adjacent floats near 1e9 are 1.2e-7 apart, so no bracket there is ever
     # 1e-8 wide, and the search must stop all the same

@@ -1,6 +1,6 @@
 """sha256 of every output file of the benchmark's invocations, run on a source tree.
 
-    python3 tools/output_digests.py SRC SEED [WORKLOAD...]
+    python3 tools/output_digests.py [--one-cpu] SRC SEED [WORKLOAD...]
 
 Run from the root of a checkout.  For each workload (all of them when none is
 named) the inputs are generated from SEED by ``bench/workloads.build`` and
@@ -14,6 +14,14 @@ byte:
     python3 tools/output_digests.py ../parent/src 7 > parent.txt
     python3 tools/output_digests.py src 7 > change.txt
     diff parent.txt change.txt
+
+``--one-cpu`` pins each child to one CPU (``os.sched_setaffinity``), so
+``evolve`` renders every t-chunk in one process; a ``diff`` against a run
+without it checks that the t-chunk workers write the bytes of one process:
+
+    python3 tools/output_digests.py --one-cpu src 7 > one.txt
+    python3 tools/output_digests.py src 7 > all.txt
+    diff one.txt all.txt
 
 Exits 1 when a child fails.
 """
@@ -35,10 +43,13 @@ import workloads  # noqa: E402
 
 
 def main(argv: list[str]) -> int:
+    one_cpu = argv[:1] == ["--one-cpu"]
+    argv = argv[one_cpu:]
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     src, seed, names = Path(argv[0]).resolve(), int(argv[1]), argv[2:] or list(workloads.BUILDERS)
+    pin = (lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) if one_cpu else None
     env = {**os.environ, "PYTHONPATH": str(src), **{var: "1" for var in THREAD_VARS}}
     failed = False
     with tempfile.TemporaryDirectory() as directory:
@@ -54,7 +65,7 @@ def main(argv: list[str]) -> int:
                 child = subprocess.run([sys.executable, "-m", "chiralwalk.cli", *invocation.argv],
                                        cwd=scratch, env=env, stdin=subprocess.DEVNULL,
                                        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                                       text=True)
+                                       text=True, preexec_fn=pin)
                 if child.returncode != 0:
                     print(f"{name} {invocation.name}: exit {child.returncode}: "
                           f"{child.stderr.strip()}", file=sys.stderr)
