@@ -17,9 +17,9 @@ of being handed back to the kernel and faulted in again (a 32-node ``evolve``
 child takes about 5.7k minor page faults at 128, 512 and 2048 times, where it
 took 7.3k, 13.1k and 36-37k).  ``main`` leaves the collector and the
 allocator as it finds them.
-``evolve`` renders its t-chunks on one process per CPU it may run on, forked
-once after the spectrum (``_write_chunks``); every byte and its order are
-those of one process, and each worker holds at most one t-chunk of text.
+``evolve`` deals its t-chunks to one process per CPU it may run on, forked
+once after the spectrum (``_write_chunks``); a worker frames its chunks' bytes
+on its one pipe, so every byte and its order are those of one process.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import io
 import math
 import os
 import re
@@ -211,18 +212,18 @@ def cmd_evolve(args) -> int:
 # ---------------------------------------------------------------------------
 # t-chunk workers
 
-# an order (a chunk's start) or a report (the chunk's byte count, or minus the
-# length of an exception's pickle)
+# a frame's head: the byte count of the chunk text that follows, or minus the
+# length of the pickled exception that follows
 _COUNT = struct.Struct("q")
 
 
 def _processes(chunks: int) -> int:
     """Processes that render ``chunks`` t-chunks: one per CPU this process may
-    run on, at most one per chunk.  One where ``os.fork``, the CPU affinity or
-    ``os.memfd_create`` is missing, and while another Python thread runs: a
-    lock it holds at the fork would stay held in the worker."""
-    if (threading.active_count() > 1 or not all(
-            hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create"))):
+    run on, at most one per chunk.  One where ``os.fork`` or the CPU affinity
+    is missing, and while another Python thread runs: a lock it holds at the
+    fork would stay held in the worker."""
+    if (threading.active_count() > 1
+            or not all(hasattr(os, name) for name in ("fork", "sched_getaffinity"))):
         return 1
     return min(len(os.sched_getaffinity(0)), chunks)
 
@@ -230,54 +231,57 @@ def _processes(chunks: int) -> int:
 def _write_chunks(render, starts: range, target: str | None) -> None:
     """``render(start, file)`` for each chunk start, with the bytes written to
     the ``_output`` of ``target`` in the order of ``starts``.  Chunk ``k`` is
-    rendered by process ``k % P`` of ``P = _processes(len(starts))``, forked
-    before the output opens: this one renders its own straight into the
-    output, and each worker into its one-chunk buffer, which is written to
-    the output at that chunk's turn before the worker is sent its next start.
-    A worker's exception is raised here at its chunk's turn; on every path
+    rendered by process ``k % P`` of ``P = _processes(len(starts))``: this one
+    renders its own straight into the output, and worker ``w``, forked with
+    its starts ``starts[w::P]`` before the output opens, frames them on its
+    pipe, each read and written to the output at its chunk's turn.  A
+    worker's exception is raised here at its chunk's turn; on every path
     each worker is killed if it still runs, and reaped."""
     processes = _processes(len(starts))
     workers: list[_Worker] = []
     try:
-        for _ in range(processes - 1):
-            workers.append(_Worker(render, workers))
-        for worker, start in zip(workers, starts[1:]):
-            worker.send(start)
+        for w in range(1, processes):
+            # the fork runs the lambda at once, with this w
+            workers.append(_Worker(lambda pipe: _serve(render, starts[w::processes], pipe),
+                                   workers))
         with _output(target) as out:
             for k, start in enumerate(starts):
-                if k % processes == 0:
+                if k % processes:
+                    workers[k % processes - 1].write_chunk(out)
+                else:
                     render(start, out)
-                    continue
-                worker = workers[k % processes - 1]
-                worker.write_chunk(out)
-                if k + processes < len(starts):
-                    worker.send(starts[k + processes])
     finally:
         for worker in workers:
             worker.stop()
 
 
-def _read_exactly(fd: int, size: int) -> bytes:
-    """``size`` bytes from the pipe ``fd``; fewer when it closes first."""
-    data = b""
-    while len(data) < size:
-        piece = os.read(fd, size - len(data))
-        if not piece:
-            break
-        data += piece
-    return data
+def _serve(render, starts: range, pipe: int) -> None:
+    """A worker's loop: ``render`` each chunk of ``starts`` whole in memory and
+    write it to ``pipe`` as a frame, its byte count and then its bytes; an
+    exception is framed instead, as minus the length of its pickle and then
+    the pickle.  A full pipe blocks the worker, so it renders at most one
+    chunk ahead of the command."""
+    with open(pipe, "wb") as frames:
+        try:
+            for start in starts:
+                text = io.BytesIO()
+                render(start, text)
+                frames.write(_COUNT.pack(text.tell()))
+                frames.write(text.getbuffer())
+                frames.flush()
+        except BaseException as exc:  # raised by the command at this chunk's turn
+            import pickle
+
+            payload = pickle.dumps(exc)
+            frames.write(_COUNT.pack(-len(payload)) + payload)
 
 
 class _Worker:
-    """A forked process that renders each chunk start it is sent into its
-    buffer, a memfd rewritten from offset 0, and reports the byte count."""
+    """A forked process that runs ``serve(pipe)``, ``pipe`` the write end of
+    the one pipe this process reads its frames from."""
 
-    def __init__(self, render, others: list[_Worker]):
-        self.pid = None
-        self.buffer = os.memfd_create("chiralwalk-chunk")
-        orders, self.orders = os.pipe()
-        self.reports, reports = os.pipe()
-        self.fds = (self.buffer, self.orders, self.reports)
+    def __init__(self, serve, others: list[_Worker]):
+        read, write = os.pipe()
         try:
             # Python 3.12+ warns when a process with threads forks; no other
             # thread here runs Python (``_processes``), and OpenBLAS, whose pool
@@ -286,39 +290,36 @@ class _Worker:
                 warnings.simplefilter("ignore", DeprecationWarning)
                 self.pid = os.fork()
         except BaseException:
-            for fd in (*self.fds, orders, reports):
-                os.close(fd)
+            os.close(read)
+            os.close(write)
             raise
         if self.pid == 0:
             try:
-                for fd in (self.orders, self.reports, *(fd for w in others for fd in w.fds)):
-                    os.close(fd)
-                _serve(render, self.buffer, orders, reports)
+                os.close(read)
+                for other in others:
+                    other.frames.close()
+                serve(write)
             finally:
                 os._exit(0)
-        os.close(orders)
-        os.close(reports)
-
-    def send(self, start: int) -> None:
-        os.write(self.orders, _COUNT.pack(start))
+        os.close(write)
+        self.frames = open(read, "rb")
 
     def write_chunk(self, out: BinaryIO) -> None:
-        """Write the bytes of the chunk this worker reports next to ``out``;
-        raise the exception it reports instead, or ``ChildProcessError`` when it
-        ends without a report."""
-        import mmap
+        """Write the chunk text of this worker's next frame to ``out``; raise
+        the exception it frames instead, or ``ChildProcessError`` when the
+        pipe ends before the frame does."""
+        head = self.frames.read(_COUNT.size)
+        if len(head) == _COUNT.size:
+            (count,) = _COUNT.unpack(head)
+            body = self.frames.read(abs(count))
+            if len(body) == abs(count):
+                if count < 0:
+                    import pickle
 
-        report = _read_exactly(self.reports, _COUNT.size)
-        if len(report) < _COUNT.size:
-            raise ChildProcessError(f"t-chunk worker {self.pid} {self._reap()} before "
-                                    f"its report")
-        (count,) = _COUNT.unpack(report)
-        if count < 0:
-            import pickle
-
-            raise pickle.loads(_read_exactly(self.reports, -count))
-        with mmap.mmap(self.buffer, count, prot=mmap.PROT_READ) as text:
-            out.write(text)
+                    raise pickle.loads(body)
+                out.write(body)
+                return
+        raise ChildProcessError(f"t-chunk worker {self.pid} {self._reap()} before its report")
 
     def _reap(self) -> str:
         """Wait for the worker to end; how it ended."""
@@ -328,35 +329,13 @@ class _Worker:
         return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
 
     def stop(self) -> None:
-        """Kill the worker if it still runs, reap it, and close its descriptors."""
+        """Kill the worker if it still runs, reap it, and close its pipe."""
         import signal
 
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             self._reap()
-        for fd in self.fds:
-            os.close(fd)
-
-
-def _serve(render, buffer: int, orders: int, reports: int) -> None:
-    """A worker's loop: for each start read from ``orders`` until it closes,
-    ``render`` that chunk into ``buffer`` from offset 0 and write its byte
-    count to ``reports``; an exception is written instead, as minus the
-    length of its pickle and the pickle."""
-    with open(buffer, "wb", closefd=False) as sink, \
-            open(reports, "wb", closefd=False) as report:
-        try:
-            while order := _read_exactly(orders, _COUNT.size):
-                sink.seek(0)
-                render(_COUNT.unpack(order)[0], sink)
-                sink.flush()
-                report.write(_COUNT.pack(sink.tell()))
-                report.flush()
-        except BaseException as exc:  # raised by the command at this chunk's turn
-            import pickle
-
-            payload = pickle.dumps(exc)
-            report.write(_COUNT.pack(-len(payload)) + payload)
+        self.frames.close()
 
 
 def cmd_circuit_sweep(args) -> int:

@@ -14,10 +14,10 @@ maximum search, cost O(N) per point.
 A t-chunk is the ``chunk_length(N)`` unitaries that fit ``CHUNK_BYTES``
 (1 MiB), about a 2 MiB L2 cache with their ``|U|^2`` and ``p - p^T``:
 ``evolve`` writes its table, and ``pts_numeric`` reduces its grid, one
-t-chunk at a time; ``evolve`` renders its chunks on one process per CPU,
-with the bytes of one process (``cli._write_chunks``).  ``sweep_time`` is
-one product, so a grid of several t-chunks holds its unitaries whole, about
-4x its table (no command passes one).
+t-chunk at a time; ``evolve`` deals them to one process per CPU at the fork
+and reads each worker's from its pipe, with the bytes of one process
+(``cli._write_chunks``).  ``sweep_time`` is one product, so a grid of several
+t-chunks holds its unitaries whole, about 4x its table (no command passes one).
 Probabilities follow the column convention ``p[to, from]``: entry
 ``|U[to, from]|^2`` is the probability of the transition ``from -> to``.
 

@@ -9,11 +9,13 @@ import io
 import math
 import os
 import re
+import select
 import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -497,8 +499,8 @@ def test_evolve_streams_the_bytes_of_one_table(tmp_path, capsys, monkeypatch, pe
         assert_no_child_left()
 
 
-@pytest.mark.parametrize("without", ["fork", "sched_getaffinity", "memfd_create", "thread"])
-def test_evolve_renders_in_one_process_without_fork_affinity_memfd_or_alone(
+@pytest.mark.parametrize("without", ["fork", "sched_getaffinity", "thread"])
+def test_evolve_renders_in_one_process_without_fork_affinity_or_alone(
         tmp_path, monkeypatch, without):
     # a lock another Python thread holds at a fork would stay held in the worker
     path = tmp_path / "chain.graph"
@@ -714,6 +716,64 @@ def test_evolve_with_a_worker_killed_exits_2(tmp_path, capsys, monkeypatch):
     assert_no_child_left()
 
 
+def test_a_frame_cut_short_is_a_child_process_error():
+    # the pipe ends after a frame's byte count but before that many bytes
+    from chiralwalk.cli import _COUNT, _Worker
+
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork")
+
+    def cut_short(pipe):
+        os.write(pipe, _COUNT.pack(10) + b"abc")
+        os._exit(3)
+
+    worker, out = _Worker(cut_short, []), io.BytesIO()
+    try:
+        with pytest.raises(ChildProcessError, match=rf"^t-chunk worker {worker.pid} exited "
+                                                    r"with status 3 before its report$"):
+            worker.write_chunk(out)
+    finally:
+        worker.stop()
+    assert out.getvalue() == b""
+    assert_no_child_left()
+
+
+def test_no_worker_outlives_a_killed_evolve(tmp_path):
+    # every worker inherits the command's stderr, so its end means every worker ended
+    cpus = sorted(getattr(os, "sched_getaffinity", lambda pid: ())(0))[:2]
+    if not hasattr(os, "mkfifo") or len(cpus) < 2:
+        pytest.skip("needs os.mkfifo and two CPUs")
+    path = tmp_path / "ring.graph"
+    path.write_text("nodes 32\n" + "".join(f"edge {k} {(k + 1) % 32} 1.0 {0.1 * k}\n"
+                                             for k in range(32)))
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    # a reader that never blocks to open, so a command that fails first hangs nothing
+    table = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    child = subprocess.Popen([sys.executable, "-m", "chiralwalk.cli", "evolve", "--graph",
+                              str(path), "--t-max", "9", "--t-count", "2048", "--out",
+                              str(fifo)], stderr=subprocess.PIPE, env=child_env(),
+                             preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+    try:
+        assert select.select([table], [], [], 120)[0]
+        assert os.read(table, 1) == b"a"
+        child.kill()
+        child.wait(timeout=60)
+        err = child.stderr.fileno()
+        deadline = time.monotonic() + 20
+        while select.select([err], [], [], max(deadline - time.monotonic(), 0))[0]:
+            if not os.read(err, 4096):
+                break
+        else:
+            pytest.fail("a t-chunk worker outlived the command by 20 s")
+    finally:
+        os.close(table)
+        child.kill()
+        child.wait()
+        child.stderr.close()
+    assert_no_child_left()
+
+
 def test_evolve_whose_second_fork_fails_reaps_the_first_worker(tmp_path, capsys,
                                                                monkeypatch):
     if not os.path.isdir("/proc/self/fd"):
@@ -887,8 +947,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def test_evolve_workers_peak_memory_does_not_grow_with_the_time_count(tmp_path):
-    if not hasattr(os, "wait4") or not hasattr(os, "memfd_create"):
-        pytest.skip("needs os.wait4 and os.memfd_create")
+    if not hasattr(os, "wait4"):
+        pytest.skip("needs os.wait4")
     path = tmp_path / "ring.graph"
     path.write_text("nodes 32\n" + "".join(f"edge {k} {(k + 1) % 32} 1.0 {0.1 * k}\n"
                                              for k in range(32)))

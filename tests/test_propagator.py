@@ -505,8 +505,9 @@ def test_max_transfer_two_site():
 
 
 def test_max_transfer_keeps_a_scan_point_the_refinement_misses():
-    # sin^2(t) rises across the whole window, so its peak is the window's end,
-    # which the golden-section search only nears from inside its bracket
+    # sin^2(t) rises across the whole window, so its peak is the window's end;
+    # each of ``_peak``'s scans includes both ends of its window, and every
+    # rescan keeps the end, so the end itself is returned, not a point near it
     t_star, p_star = max_transfer(two_site(), 0, 1, (0.0, 1.0))
     assert t_star == 1.0
     assert abs(p_star - math.sin(1.0) ** 2) <= 1e-15

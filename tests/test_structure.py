@@ -66,6 +66,12 @@ def test_only_the_csv_writer_reads_the_csv_headers():
     assert list(_readers_by_module("CSV_HEADERS")) == ["propagator.py"]
 
 
+def test_one_fork_site():
+    # ``cli._Worker`` forks every t-chunk worker and ``stop`` kills and reaps
+    # it; a second path that creates processes would leave its own behind
+    assert _readers_by_module("fork") == {"cli.py": {"__init__"}}
+
+
 def test_only_chunk_length_reads_the_chunk_budget():
     assert _readers_by_module("CHUNK_BYTES") == {"propagator.py": {"chunk_length"}}
 
